@@ -257,7 +257,6 @@ def _cmd_scan(args):
         seed_threshold=args.seed_threshold,
         max_iterations=args.max_iterations,
         tol=args.newton_tol,
-        threads=args.threads,
         tolerances=_tolerances(args),
     )
     try:
@@ -332,11 +331,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, output=False):
         sp.add_argument("--tol", type=float, default=None,
                         help="base tolerance (default 1e-8; NHSIM_TOL env)")
-        sp.add_argument("--output", choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1)
+        if output:
+            sp.add_argument("--output", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("classify", help="similarity classes of a matrix")
     sp.add_argument("matrix", help="matrix JSON file or - for stdin")
@@ -360,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("specht", help="unitary-similarity verdict for two matrices")
     sp.add_argument("a")
     sp.add_argument("b")
-    common(sp)
+    common(sp, output=True)
     sp.set_defaults(func=_cmd_specht)
 
     sp = sub.add_parser(
@@ -382,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed-threshold", type=float, default=None)
     sp.add_argument("--max-iterations", type=int, default=50)
     sp.add_argument("--newton-tol", type=float, default=1e-10)
-    common(sp)
+    common(sp, output=True)
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("certify", help="EP order certificate at a parameter point")

@@ -24,8 +24,8 @@ shift resolves it and is applied consistently everywhere here.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 
+#: Points per batch in :meth:`ConstraintSystem.evaluate_many`.
+_CHUNK = 4096
+
 EXPECTED_CODIMENSION = {
     SimilarityClass.PSEUDO_HERMITIAN: lambda n: n - 1,
     SimilarityClass.CHIRAL: lambda n: n - 1,
@@ -66,8 +69,10 @@ EXPECTED_CODIMENSION = {
 
 
 def _shifted(H: np.ndarray) -> np.ndarray:
-    n = H.shape[0]
-    return H - (np.trace(H) / n) * np.eye(n)
+    """``H - (tr H / n) I`` for one matrix or a stack of them."""
+    n = H.shape[-1]
+    tr = np.trace(H, axis1=-2, axis2=-1)
+    return H - (tr / n)[..., None, None] * np.eye(n)
 
 
 def _raw_components(n: int):
@@ -80,6 +85,11 @@ def _raw_components(n: int):
     comps.append(("Re det", "det", n, "re"))
     comps.append(("Im det", "det", n, "im"))
     return comps
+
+
+@functools.cache
+def _column_index(n: int) -> dict[str, int]:
+    return {lab: j for j, (lab, *_rest) in enumerate(_raw_components(n))}
 
 
 def _kept(cls: SimilarityClass, n: int, kind: str, k: int, part: str) -> bool:
@@ -115,28 +125,34 @@ class ConstraintSystem:
     def codimension(self) -> int:
         return len(self.labels)
 
-    def _components(self, lam) -> dict[str, float]:
-        Ht = _shifted(self.family.evaluate(lam))
-        vals = {}
-        P = Ht
-        for k in range(2, self.order):
-            P = P @ Ht
-            t = complex(np.trace(P))
-            vals[f"Re tr H^{k}"] = t.real
-            vals[f"Im tr H^{k}"] = t.imag
-        d = complex(np.linalg.det(Ht))
-        vals["Re det"] = d.real
-        vals["Im det"] = d.imag
-        return vals
+    def evaluate_many(self, lams, labels=None) -> np.ndarray:
+        """Constraint rows at a stack of points, ``(N, d) -> (N, k)``.
+
+        ``labels`` selects components by name (default: the active
+        constraints ``self.labels``; ``self.forced_zero`` gives the ones
+        the class forces to vanish).  Points are processed in chunks of
+        ``_CHUNK`` so that memory stays bounded on large grids.
+        """
+        lams = np.asarray(lams, dtype=float)
+        column = _column_index(self.order)
+        cols = [column[lab] for lab in (self.labels if labels is None else labels)]
+        out = np.empty((len(lams), len(cols)))
+        for start in range(0, len(lams), _CHUNK):
+            Ht = _shifted(self.family.evaluate_batch(lams[start:start + _CHUNK]))
+            # tr H~^k for 2 <= k < n, then det H~; viewed as floats the
+            # columns are Re, Im interleaved: the order of _raw_components
+            C = np.empty((len(Ht), self.order - 1), dtype=complex)
+            P = Ht
+            for j in range(self.order - 2):
+                P = P @ Ht
+                C[:, j] = np.trace(P, axis1=1, axis2=2)
+            C[:, -1] = np.linalg.det(Ht)
+            out[start:start + _CHUNK] = C.view(float)[:, cols]
+        return out
 
     def evaluate(self, lam) -> np.ndarray:
         """Active constraint vector at a parameter point."""
-        vals = self._components(lam)
-        return np.array([vals[l] for l in self.labels], dtype=float)
-
-    def forced_values(self, lam) -> np.ndarray:
-        vals = self._components(lam)
-        return np.array([vals[l] for l in self.forced_zero], dtype=float)
+        return self.evaluate_many(np.asarray(lam, dtype=float).reshape(1, -1))[0]
 
     def __call__(self, lam) -> np.ndarray:
         return self.evaluate(lam)
@@ -183,17 +199,16 @@ def class_identity_check(
     rng = np.random.default_rng(seed)
     worst, worst_pt, worst_id = 0.0, None, ""
     degree = {lab: k for (lab, _kind, k, _p) in _raw_components(f.dim)}
-    for _ in range(max(samples, 1)):
-        lam = rng.uniform(-box, box, size=f.num_params)
-        H = f.evaluate(lam)
-        Ht = _shifted(H)
+    lams = rng.uniform(-box, box, size=(max(samples, 1), f.num_params))
+    H = f.evaluate_batch(lams)
+    forced = np.abs(cs.evaluate_many(lams, cs.forced_zero))
+    for lam, Hj, Ht, vals in zip(lams, H, _shifted(H), forced):
         scale = max(frob(Ht), 1.0)
-        vals = cs._components(lam)
-        for lab in cs.forced_zero:
-            v = abs(vals[lab]) / scale ** degree[lab]
+        for lab, v in zip(cs.forced_zero, vals.tolist()):
+            v /= scale ** degree[lab]
             if v > worst:
                 worst, worst_pt, worst_id = v, lam, lab
-        v = _spectral_mismatch(H, cls)
+        v = _spectral_mismatch(Hj, cls)
         if v > worst:
             worst, worst_pt, worst_id = v, lam, f"spectrum {CLASS_MAP[cls]} symmetry"
     return IdentityCheckReport(
@@ -220,7 +235,11 @@ def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
     expected = EXPECTED_CODIMENSION[cls](n)
     # the codimension count is an exact invariant of the reduction, not a
     # numerical statement
-    assert cs.codimension == expected, (cs.codimension, expected)
+    if cs.codimension != expected:
+        raise RuntimeError(
+            f"internal error: {cls.value} reduction at n={n} kept "
+            f"{cs.codimension} constraints, expected {expected}"
+        )
     return cs
 
 
@@ -259,8 +278,11 @@ class ScanConfig:
     ``grid`` maps parameter names to ``(lo, hi, points)``; parameters not in
     the grid must appear in ``fixed``.  ``seed_threshold`` gates which grid
     local minima of the constraint norm seed refinement (``None``: all).
-    ``merge_radius`` is measured in grid-spacing-normalized parameter
-    distance.
+    ``max_iterations`` and ``tol`` bound the Gauss-Newton refinement of each
+    seed; ``tol`` is also the constraint accuracy handed to
+    :func:`certify_order`.  ``merge_radius`` is measured in
+    grid-spacing-normalized parameter distance.  ``tolerances`` drive the
+    Jordan-order certification of converged roots.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -269,7 +291,6 @@ class ScanConfig:
     max_iterations: int = 50
     tol: float = 1e-10
     merge_radius: float = 1e-4
-    threads: int = 1
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 
 
@@ -294,17 +315,23 @@ class EPCandidate:
         }
 
 
-def _gauss_newton(g, x0, max_iter, tol):
+def _gauss_newton(g_many, x0, max_iter, tol):
     """Damped Gauss-Newton on ||g||; pseudo-inverse steps handle both the
     under- and overdetermined cases (the underdetermined one converges to
-    the nearest point of the solution manifold)."""
+    the nearest point of the solution manifold).  ``g_many`` maps a stack
+    of points to a stack of constraint vectors; each Jacobian costs one
+    call of it."""
+
+    def g(x):
+        return g_many(x[None])[0]
+
     x = np.asarray(x0, dtype=float).copy()
     gx = g(x)
     nrm = np.linalg.norm(gx)
     for it in range(max_iter):
         if nrm <= tol:
             return x, nrm, it, True
-        J = constraint_jacobian(g, x)
+        J = constraint_jacobian(g_many, x, batched=True)
         step, *_ = np.linalg.lstsq(J, -gx, rcond=None)
         if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
             break
@@ -320,6 +347,15 @@ def _gauss_newton(g, x0, max_iter, tol):
         else:
             break
     return x, nrm, max_iter, nrm <= tol
+
+
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit.
+
+    ``norm`` of one vector is ``sqrt(dot(g, g))``, which ``vecdot`` repeats
+    per row; ``norm(G, axis=-1)`` rounds differently.
+    """
+    return np.sqrt(np.vecdot(G, G))
 
 
 def _local_minima(norms: np.ndarray, threshold: float | None):
@@ -348,12 +384,15 @@ def _local_minima(norms: np.ndarray, threshold: float | None):
 def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandidate]:
     """Grid-seeded Gauss-Newton search for full-coalescence points.
 
+    The constraint norm is evaluated on the whole grid in one batched call;
+    grid nodes that are local minima seed Gauss-Newton refinement.
     Converged roots are deduplicated within ``cfg.merge_radius`` (grid-
     normalized), sorted lexicographically by parameter values and certified
     with :func:`certify_order`.  Non-convergent seeds are reported at the
     end of the list with ``converged=False``.  When the family has fewer
     parameters than the codimension the scan returns no candidates and
-    warns, since generic solutions cannot exist.
+    warns, since generic solutions cannot exist.  A non-finite fixed value
+    or grid node raises ``NonFiniteMatrixError``.
     """
     cs = reduced_constraints(f, cls)
     names = list(f.param_names)
@@ -378,12 +417,15 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
             base[i] = float(cfg.fixed[nm])
 
     def embed(x):
-        lam = base.copy()
-        lam[free] = x
+        """Full parameter points from free coordinates (one or a stack)."""
+        x = np.asarray(x, dtype=float)
+        lam = np.empty(x.shape[:-1] + base.shape)
+        lam[...] = base
+        lam[..., free] = x
         return lam
 
-    def g(x):
-        return cs.evaluate(embed(x))
+    def g_many(xs):
+        return cs.evaluate_many(embed(xs))
 
     axes, spacings = [], []
     for i in free:
@@ -396,27 +438,11 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def norm_at(p):
-        return float(np.linalg.norm(g(p)))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            norms = np.fromiter(ex.map(norm_at, points), dtype=float, count=len(points))
-    else:
-        norms = np.fromiter((norm_at(p) for p in points), dtype=float, count=len(points))
-    norms = norms.reshape(mesh[0].shape)
+    norms = _row_norms(g_many(points)).reshape(mesh[0].shape)
 
     seeds = [np.array([axes[a][idx[a]] for a in range(len(free))])
              for idx in _local_minima(norms, cfg.seed_threshold)]
-
-    def refine(x0):
-        return _gauss_newton(g, x0, cfg.max_iterations, cfg.tol)
-
-    if cfg.threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            refined = list(ex.map(refine, seeds))
-    else:
-        refined = [refine(s) for s in seeds]
+    refined = [_gauss_newton(g_many, s, cfg.max_iterations, cfg.tol) for s in seeds]
 
     roots, failures = [], []
     for x, res, its, ok in refined:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FamilyFormatError, NonFiniteMatrixError
-from .matrices import matrix_from_json, matrix_to_json
+from .matrices import is_json_int, matrix_from_json, matrix_to_json
 
 __all__ = [
     "MatrixFamily",
@@ -56,26 +56,37 @@ class MatrixFamily:
             )
         object.__setattr__(self, "param_names", names)
 
-    def check_point(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float).ravel()
-        if lam.size != self.num_params:
-            raise ValueError(
-                f"family has {self.num_params} parameters, point has {lam.size}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise NonFiniteMatrixError("non-finite parameter point")
-        return lam
-
     def evaluate(self, lam) -> np.ndarray:
         """Evaluate ``H(lam)`` by direct polynomial summation."""
-        lam = self.check_point(lam)
-        H = np.zeros((self.dim, self.dim), dtype=complex)
+        return self.evaluate_batch(np.asarray(lam, dtype=float).reshape(1, -1))[0]
+
+    def evaluate_batch(self, lams) -> np.ndarray:
+        """Evaluate a stack of points, ``(N, d) -> (N, n, n)``.
+
+        Each row is bit for bit what a one-point batch gives, whatever the
+        other rows: terms are summed in order and each coefficient is the
+        product of its powers in parameter order.  Powers ``e >= 2`` are
+        taken one scalar at a time, because numpy's array power differs
+        from the scalar ``pow`` in the last bit for some inputs.  Raises
+        ``NonFiniteMatrixError`` if any point is not finite.
+        """
+        lams = np.asarray(lams, dtype=float)
+        if lams.ndim != 2 or lams.shape[1] != self.num_params:
+            raise ValueError(
+                f"family has {self.num_params} parameters, "
+                f"got points of shape {lams.shape}"
+            )
+        if not np.isfinite(lams).all():
+            raise NonFiniteMatrixError("non-finite parameter point")
+        H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
         for M, exps in self.terms:
-            coeff = 1.0
-            for x, e in zip(lam, exps):
-                if e:
-                    coeff *= x**e
-            H += coeff * M
+            coeff = np.ones(len(lams))
+            for col, e in zip(lams.T, exps):
+                if e == 1:
+                    coeff *= col
+                elif e:
+                    coeff *= [x**e for x in col]
+            H += coeff[:, None, None] * M
         return H
 
     __call__ = evaluate
@@ -92,9 +103,9 @@ def family_from_json(doc: dict) -> MatrixFamily:
         if key not in doc:
             raise FamilyFormatError(f"family document missing '{key}'")
     n, d = doc["dim"], doc["params"]
-    if not isinstance(n, int) or n < 1:
+    if not is_json_int(n) or n < 1:
         raise FamilyFormatError(f"'dim' must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or d < 0:
+    if not is_json_int(d) or d < 0:
         raise FamilyFormatError(f"'params' must be a nonnegative integer, got {d!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
@@ -118,7 +129,7 @@ def family_from_json(doc: dict) -> MatrixFamily:
                 f"{where}.exponents must list {d} entries, got {exps!r}"
             )
         for i, e in enumerate(exps):
-            if not isinstance(e, int) or e < 0:
+            if not is_json_int(e) or e < 0:
                 raise FamilyFormatError(
                     f"{where}.exponents[{i}] must be a nonnegative integer, got {e!r}"
                 )
@@ -158,25 +169,33 @@ def family_to_json(f: MatrixFamily) -> dict:
     }
 
 
-def constraint_jacobian(g, lam0, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def constraint_jacobian(
+    g, lam0, h: float = DEFAULT_FD_STEP, batched: bool = False
+) -> np.ndarray:
     """Central-difference Jacobian of a real vector function of ``lam``.
 
     Per-coordinate step ``h_i = h * max(1, |lam_i|)``; O(h^2) accurate on
-    smooth functions.  Raises ``NonFiniteMatrixError`` when ``g`` produces
-    non-finite values near ``lam0``.
+    smooth functions.  With ``batched=True``, ``g`` maps an ``(M, d)`` stack
+    of points to an ``(M, k)`` array and all ``2d`` difference points are
+    evaluated in one call.  Raises ``NonFiniteMatrixError`` when ``g``
+    produces non-finite values near ``lam0``.
     """
     lam0 = np.asarray(lam0, dtype=float).ravel()
-    g0 = np.atleast_1d(np.asarray(g(lam0), dtype=float))
-    cols = []
-    for i in range(lam0.size):
-        hi = h * max(1.0, abs(lam0[i]))
-        lp, lm = lam0.copy(), lam0.copy()
-        lp[i] += hi
-        lm[i] -= hi
-        gp = np.atleast_1d(np.asarray(g(lp), dtype=float))
-        gm = np.atleast_1d(np.asarray(g(lm), dtype=float))
-        cols.append((gp - gm) / (2 * hi))
-    J = np.column_stack(cols) if cols else np.zeros((g0.size, 0))
+    d = lam0.size
+    if d == 0:
+        g0 = g(lam0[None])[0] if batched else g(lam0)
+        return np.zeros((np.atleast_1d(g0).size, 0))
+    steps = h * np.maximum(1.0, np.abs(lam0))
+    # rows 2i and 2i + 1 are lam0 + h_i e_i and lam0 - h_i e_i
+    pts = np.repeat(lam0[None], 2 * d, axis=0)
+    i = np.arange(d)
+    pts[2 * i, i] += steps
+    pts[2 * i + 1, i] -= steps
+    if batched:
+        G = np.asarray(g(pts), dtype=float)
+    else:
+        G = np.array([np.atleast_1d(np.asarray(g(p), dtype=float)) for p in pts])
+    J = ((G[0::2] - G[1::2]) / (2 * steps)[:, None]).T
     if not np.all(np.isfinite(J)):
         raise NonFiniteMatrixError("non-finite constraint values near the point")
     return J

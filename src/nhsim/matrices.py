@@ -54,21 +54,30 @@ def frob(H: np.ndarray) -> float:
     return float(np.linalg.norm(H))
 
 
+def is_json_int(v) -> bool:
+    """Whether a decoded JSON value is an integer (``true``/``false`` are not)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Build a matrix from a decoded JSON document."""
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise FamilyFormatError("matrix document needs 'dim' and 'entries'")
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not is_json_int(n) or n < 1:
         raise FamilyFormatError(f"'dim' must be a positive integer, got {n!r}")
     entries = doc["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
+    if (
+        not isinstance(entries, list)
+        or len(entries) != n
+        or any(not isinstance(row, list) or len(row) != n for row in entries)
+    ):
         raise FamilyFormatError(f"'entries' is not a {n}x{n} grid")
     try:
         H = np.array(
             [[complex(c[0], c[1]) for c in row] for row in entries], dtype=complex
         )
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError, OverflowError) as exc:
         raise FamilyFormatError(f"bad entry in matrix document: {exc}") from exc
     try:
         return as_matrix(H)

@@ -231,3 +231,61 @@ def test_output_stable_across_runs(capsys, dimer_at_1):
     _, a, _ = run(capsys, "classify", dimer_at_1)
     _, b, _ = run(capsys, "classify", dimer_at_1)
     assert a == b
+
+
+def test_scan_nonfinite_input_exit_2(capsys, trimer_family):
+    code, out, err = run(
+        capsys, "scan", trimer_family, "--class", "pseudo-hermitian",
+        "--grid", "gamma=0:3:11", "--fix", "k=nan",
+    )
+    assert code == 2 and out == ""
+    assert "non-finite parameter point" in err
+    with np.errstate(invalid="ignore"):
+        code, out, err = run(
+            capsys, "scan", trimer_family, "--class", "pseudo-hermitian",
+            "--grid", "gamma=0:inf:11", "--fix", "k=1",
+        )
+    assert code == 2 and out == ""
+    assert "non-finite parameter point" in err
+
+
+def test_flags_registered_only_where_honoured(capsys, dimer_at_1, dimer_family):
+    for argv in (
+        ["classify", dimer_at_1],
+        ["witness", dimer_at_1, "--class", "chiral"],
+        ["generate", "--class", "chiral", "--dim", "2", "--seed", "1"],
+        ["specht-generators", dimer_at_1],
+        ["certify", dimer_family, "--at", "1"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--output", "csv")
+        assert code == 2 and "--output" in err
+    code, _, err = run(capsys, "scan", dimer_family, "--class", "pseudo-hermitian",
+                       "--grid", "gamma=-2:2:11", "--threads", "2")
+    assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "entries": 5},
+    {"dim": True, "entries": [[[1, 0]]]},
+])
+def test_malformed_matrix_fields_exit_2(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(p))
+    assert code == 2 and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field", ["dim", "params", "exponents"])
+def test_bool_family_fields_exit_2(capsys, tmp_path, dimer_family, field):
+    with open(dimer_family) as fh:
+        doc = json.load(fh)
+    if field == "exponents":
+        doc["terms"][1]["exponents"] = [True]
+    else:
+        doc[field] = True
+    p = tmp_path / "bad_family.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "certify", str(p), "--at", "1")
+    assert code == 2 and field in err and "must be" in err

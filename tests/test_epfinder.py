@@ -4,14 +4,15 @@ import pytest
 from nhsim.classes import SimilarityClass, generate_random
 from nhsim.epfinder import (
     ScanConfig,
+    _row_norms,
     certify_order,
     class_identity_check,
     reduced_constraints,
     scan,
     splitting_exponent,
 )
-from nhsim.errors import FamilyNotInClassError
-from nhsim.families import MatrixFamily
+from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
+from nhsim.families import MatrixFamily, constraint_jacobian
 from nhsim.spectral import is_normal
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
@@ -177,12 +178,89 @@ def test_scan_argument_validation():
         scan(dimer(), PH, ScanConfig(grid={"gamma": (2, -2, 11)}))
 
 
-def test_scan_threads_deterministic():
-    cfg1 = ScanConfig(grid={"gamma": (-2, 2, 101)}, threads=1)
-    cfg4 = ScanConfig(grid={"gamma": (-2, 2, 101)}, threads=4)
-    a = [c.lam.tolist() for c in scan(dimer(), PH, cfg1)]
-    b = [c.lam.tolist() for c in scan(dimer(), PH, cfg4)]
-    assert a == b
+def cubic_family():
+    # real 4x4 matrices (pseudo-Hermitian), exponents up to 3, codimension 3
+    rng = np.random.default_rng(11)
+    exps = [(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 2), (0, 0, 2)]
+    return MatrixFamily(4, 3, tuple(
+        ((0.5 * rng.standard_normal((4, 4))).astype(complex), e) for e in exps
+    ))
+
+
+def reference_constraints(cs, lam):
+    """The per-point det/trace formula, one matrix at a time."""
+    H = np.zeros((cs.order, cs.order), dtype=complex)
+    for M, exps in cs.family.terms:
+        coeff = 1.0
+        for x, e in zip(np.asarray(lam, dtype=float), exps):
+            if e:
+                coeff *= x**e
+        H += coeff * M
+    Ht = H - (np.trace(H) / cs.order) * np.eye(cs.order)
+    vals, P = {}, Ht
+    for k in range(2, cs.order):
+        P = P @ Ht
+        t = complex(np.trace(P))
+        vals[f"Re tr H^{k}"], vals[f"Im tr H^{k}"] = t.real, t.imag
+    d = complex(np.linalg.det(Ht))
+    vals["Re det"], vals["Im det"] = d.real, d.imag
+    return np.array([vals[lab] for lab in cs.labels]), np.array(
+        [vals[lab] for lab in cs.forced_zero]
+    )
+
+
+@pytest.mark.parametrize("family", [dimer, trimer, cubic_family])
+def test_batched_grid_norms_bit_exact(family):
+    f = family()
+    cs = reduced_constraints(f, PH)
+    pts = np.random.default_rng(2).uniform(-2, 2, size=(500, f.num_params))
+    G = cs.evaluate_many(pts)
+    norms = _row_norms(G)
+    F = cs.evaluate_many(pts, cs.forced_zero)
+    for p, g, nrm, forced in zip(pts, G, norms, F):
+        active, ref_forced = reference_constraints(cs, p)
+        assert g.tobytes() == active.tobytes()
+        assert forced.tobytes() == ref_forced.tobytes()
+        assert cs.evaluate(p).tobytes() == active.tobytes()
+        assert nrm == float(np.linalg.norm(cs.evaluate(p)))
+
+
+def test_evaluate_many_chunking_is_invisible(monkeypatch):
+    from nhsim import epfinder
+
+    cs = reduced_constraints(cubic_family(), PH)
+    pts = np.random.default_rng(3).uniform(-2, 2, size=(50, 3))
+    whole = cs.evaluate_many(pts)
+    monkeypatch.setattr(epfinder, "_CHUNK", 7)
+    assert cs.evaluate_many(pts).tobytes() == whole.tobytes()
+
+
+def test_batched_jacobian_bit_exact():
+    f = cubic_family()
+    cs = reduced_constraints(f, PH)
+    for p in np.random.default_rng(4).uniform(-2, 2, size=(20, 3)):
+        a = constraint_jacobian(cs.evaluate, p)
+        b = constraint_jacobian(cs.evaluate_many, p, batched=True)
+        assert a.shape == (3, 3)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_scan_nonfinite_input_raises():
+    with pytest.raises(NonFiniteMatrixError, match="non-finite parameter point"):
+        scan(trimer(), PH, ScanConfig(grid={"gamma": (0, 3, 11)},
+                                      fixed={"k": float("nan")}))
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NonFiniteMatrixError, match="non-finite parameter point"
+    ):
+        scan(dimer(), PH, ScanConfig(grid={"gamma": (0, float("inf"), 11)}))
+
+
+def test_codimension_invariant_is_checked(monkeypatch):
+    from nhsim import epfinder
+
+    monkeypatch.setitem(epfinder.EXPECTED_CODIMENSION, PH, lambda n: n)
+    with pytest.raises(RuntimeError, match="internal error"):
+        epfinder._build_system(trimer(), PH)
 
 
 def test_certify_order_examples():

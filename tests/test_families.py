@@ -10,6 +10,7 @@ from nhsim.families import (
     family_to_json,
     parse_family,
 )
+from nhsim.matrices import parse_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -115,6 +116,66 @@ def test_evaluate_linear_in_coefficients():
     )
 
 
+def reference_evaluate(f, lam):
+    """Direct polynomial summation at one point, scalar powers."""
+    H = np.zeros((f.dim, f.dim), dtype=complex)
+    for M, exps in f.terms:
+        coeff = 1.0
+        for x, e in zip(np.asarray(lam, dtype=float), exps):
+            if e:
+                coeff *= x**e
+        H += coeff * M
+    return H
+
+
+def test_evaluate_batch_rows_bit_exact():
+    rng = np.random.default_rng(7)
+    exps = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1), (4, 0, 2)]
+    f = MatrixFamily(3, 3, tuple(
+        (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), e)
+        for e in exps
+    ))
+    lams = rng.uniform(-3, 3, size=(2000, 3))
+    H = f.evaluate_batch(lams)
+    assert H.shape == (2000, 3, 3)
+    for lam, Hj in zip(lams, H):
+        assert Hj.tobytes() == reference_evaluate(f, lam).tobytes()
+        assert Hj.tobytes() == f.evaluate(lam).tobytes()
+
+
+def test_evaluate_batch_rejects_bad_points():
+    f = parse_family(json.dumps(dimer_doc()))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteMatrixError, match="non-finite parameter point"):
+            f.evaluate_batch([[0.5], [bad], [1.0]])
+    with pytest.raises(ValueError):
+        f.evaluate_batch([[0.5, 1.0]])
+    with pytest.raises(ValueError):
+        f.evaluate_batch([0.5, 1.0])
+    assert f.evaluate_batch(np.empty((0, 1))).shape == (0, 2, 2)
+
+
+def test_parse_rejects_bool_and_non_list_fields():
+    for doc in (
+        {"dim": 2, "entries": 5},
+        {"dim": 2, "entries": [5, 6]},
+        {"dim": 1, "entries": [[{"re": 1}]]},
+        {"dim": 1, "entries": [[[10**400, 0]]]},
+        {"dim": True, "entries": [[[1, 0]]]},
+    ):
+        with pytest.raises(FamilyFormatError):
+            parse_matrix(json.dumps(doc))
+    for key, value in (("dim", True), ("params", True)):
+        doc = dimer_doc()
+        doc[key] = value
+        with pytest.raises(FamilyFormatError, match=f"'{key}' must be"):
+            parse_family(json.dumps(doc))
+    doc = dimer_doc()
+    doc["terms"][1]["exponents"] = [True]
+    with pytest.raises(FamilyFormatError, match=r"terms\[1\]\.exponents\[0\]"):
+        parse_family(json.dumps(doc))
+
+
 def test_constraint_jacobian_polynomials():
     J = constraint_jacobian(lambda x: np.array([x[0] ** 2]), [3.0], h=1e-5)
     assert J[0, 0] == pytest.approx(6.0, abs=1e-8)
@@ -145,6 +206,24 @@ def test_constraint_jacobian_linear_family_is_coefficient():
 
     J = constraint_jacobian(g, [0.4])
     assert np.allclose(J.ravel(), M.ravel(), atol=1e-8)
+
+
+def test_constraint_jacobian_batched_matches_pointwise():
+    def g(x):
+        return np.array([x[0] ** 3 * x[1], np.sin(x[0]) - x[1] ** 2])
+
+    def g_many(xs):
+        return np.array([g(x) for x in xs])
+
+    for lam in ([0.3, -1.7], [25.0, 1e-3]):
+        a = constraint_jacobian(g, lam)
+        b = constraint_jacobian(g_many, lam, batched=True)
+        assert a.tobytes() == b.tobytes()
+    # no parameters: an empty Jacobian with one row per component
+    assert constraint_jacobian(lambda x: np.ones(2), []).shape == (2, 0)
+    assert constraint_jacobian(
+        lambda xs: np.ones((len(xs), 2)), [], batched=True
+    ).shape == (2, 0)
 
 
 def test_constraint_jacobian_nonfinite():
