@@ -11,13 +11,16 @@ class                     defining equation              spectral constraint
 ``SelfSkewSimilar``       ``H = -S H S^-1``              {eps} = {-eps}
 ========================  =============================  ==================
 
-The pseudo-Hermitian and chiral witnesses are built constructively from the
-Jordan decomposition: blocks are grouped into self-symmetric clusters and
-mapped pairs, each group receives a small Hermitian exchange kernel ``G_j``,
-and the witness is ``Q G Q^+``.  The self-skew witness cannot be produced by
-that recipe (``Q G Q^+`` conjugates ``H^+``, not ``H``); it is instead the
-best invertible element of the Hermitian solution space of the linear
-equation ``HS + SH = 0``, which is an exact decision procedure.
+Each defining equation is linear in the transform: ``H eta = eta H^+``,
+``H Gamma = -Gamma H^+`` and ``H S = -S H``.  Restricted to Hermitian
+transforms it is a real linear system in their ``n^2`` real coordinates, so
+one procedure decides all three classes: the nullspace of that system is
+taken from one SVD, and the witness is the best-conditioned element found
+in it.  The class holds within tolerance exactly when that element is
+invertible and solves the equation within ``residual_tol``; the spectral
+constraint is a necessary condition checked first.  No Jordan decomposition
+is involved, so the verdict does not depend on ``cluster_tol`` beyond the
+spectral check, and no dimension cap applies.
 """
 
 from __future__ import annotations
@@ -31,11 +34,9 @@ from .errors import ClassMismatchError
 from .matrices import as_matrix, dagger, frob
 from .spectral import (
     DEFAULT_TOLERANCES,
-    JordanStructure,
     ToleranceConfig,
     eigenvalues,
     is_normal,
-    jordan_decompose,
     multiset_symmetry_match,
 )
 
@@ -87,6 +88,11 @@ CLASS_MAP = {
 
 @dataclass
 class SimilarityWitness:
+    """A Hermitian transform for one class, with its defining-equation
+    residual, relative Hermiticity defect and smallest singular value.
+    Constructed witnesses have unit spectral norm, so ``min_singular_value``
+    is their inverse condition number."""
+
     similarity_class: SimilarityClass
     transform: np.ndarray
     residual: float
@@ -147,282 +153,153 @@ def witness_residual(H: np.ndarray, cls: SimilarityClass, S: np.ndarray) -> floa
     return frob(H + conj) / nH
 
 
-def _witness_from_transform(H, cls, S) -> SimilarityWitness:
-    sv = np.linalg.svd(S, compute_uv=False)
+#: The defining equation of each class as ``H S + sign S R(H) = 0``: the sign,
+#: ``R``, and whether the left side is (anti-)Hermitian for Hermitian ``S``,
+#: in which case its upper triangle determines it.
+_OPERATORS = {
+    SimilarityClass.PSEUDO_HERMITIAN: (-1.0, dagger, True),
+    SimilarityClass.CHIRAL: (1.0, dagger, True),
+    SimilarityClass.SELF_SKEW_SIMILAR: (1.0, lambda H: H, False),
+}
+
+
+def _hermitian_from_coords(C: np.ndarray, n: int) -> np.ndarray:
+    """Exactly Hermitian ``(k, n, n)`` matrices from ``(k, n^2)`` real
+    coordinates: the diagonal, then the real and the imaginary parts of the
+    strict upper triangle in row-major order."""
+    iu, ju = np.triu_indices(n, 1)
+    m = iu.size
+    d = np.arange(n)
+    S = np.zeros((C.shape[0], n, n), dtype=complex)
+    S[:, d, d] = C[:, :n]
+    z = C[:, n : n + m] + 1j * C[:, n + m :]
+    S[:, iu, ju] = z
+    S[:, ju, iu] = z.conj()
+    return S
+
+
+def _spectrum_matches(H, spec, cls: SimilarityClass, cfg: ToleranceConfig) -> bool:
+    """The class's spectral constraint, within ``cluster_tol * |H|_F``."""
+    tol = cfg.cluster_tol * frob(H)
+    return multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is not None
+
+
+def _witness(H, cls, S, min_sv) -> SimilarityWitness:
     return SimilarityWitness(
         similarity_class=cls,
         transform=S,
         residual=witness_residual(H, cls, S),
-        hermiticity_defect=frob(S - dagger(S)) / max(frob(S), 1e-300),
-        min_singular_value=float(sv[-1]),
+        hermiticity_defect=frob(S - dagger(S)) / frob(S),
+        min_singular_value=float(min_sv),
     )
 
 
-# ---------------------------------------------------------------------------
-# exchange kernels for the Jordan-block construction
+def _solve_witness(H, cls: SimilarityClass, cfg: ToleranceConfig) -> SimilarityWitness:
+    """Best-conditioned element of the Hermitian solution space of the class
+    equation, scaled to unit spectral norm.
 
-
-def _exchange(m: int) -> np.ndarray:
-    return np.fliplr(np.eye(m)).astype(complex)
-
-
-def _alt_exchange(m: int) -> np.ndarray:
-    """Anti-diagonal with alternating signs; solves ``N B = -B N^T``."""
-    B = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        B[j, m - 1 - j] = (-1) ** j
-    return B
-
-
-def _cluster_groups(jordan: JordanStructure):
-    """Blocks and column offsets grouped per eigenvalue cluster."""
-    groups: dict[int, list[int]] = {}
-    offs = jordan.offsets
-    for b, ci in enumerate(jordan.cluster_index):
-        groups.setdefault(ci, []).append(b)
-    out = []
-    for ci in sorted(groups):
-        idx = groups[ci]
-        eps = jordan.blocks[idx[0]].eigenvalue
-        sizes = [jordan.blocks[b].size for b in idx]
-        offsets = [offs[b] for b in idx]
-        out.append((eps, sizes, offsets))
-    return out
-
-
-def _pair_clusters(groups, mapped, tol):
-    """Involutive pairing of clusters with their images under the class map.
-
-    Returns ``(self_paired, pairs)`` as lists of group indices; raises
-    ``ClassMismatchError`` when some cluster has no partner or the Jordan
-    block sizes of partners disagree.
-    """
-    k = len(groups)
-    partner = [-1] * k
-    for i in range(k):
-        dists = [abs(groups[i][0] - mapped[j]) for j in range(k)]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            raise ClassMismatchError(
-                f"cluster at {groups[i][0]:.6g} has no spectral partner"
-            )
-        partner[i] = j
-    self_paired, pairs = [], []
-    for i in range(k):
-        j = partner[i]
-        if partner[j] != i:
-            raise ClassMismatchError("cluster pairing is not involutive")
-        if j == i:
-            self_paired.append(i)
-        elif i < j:
-            if sorted(groups[i][1]) != sorted(groups[j][1]):
-                raise ClassMismatchError(
-                    "Jordan block sizes of paired clusters disagree"
-                )
-            pairs.append((i, j))
-    return self_paired, pairs
-
-
-def _build_witness_from_jordan(H, cls, cfg, jordan):
-    """Shared eta/Gamma construction: ``witness = Q G Q^+``.
-
-    For the pseudo-Hermitian case every kernel is the plain exchange
-    matrix; for the chiral case self-symmetric (purely imaginary) clusters
-    get the alternating-sign exchange (times ``i`` for even block sizes,
-    which Hermiticity forces) and mapped pairs get the alternating-sign
-    off-diagonal coupling.
+    The equation is real-linear in the ``n^2`` real coordinates of ``S``;
+    its nullspace is cut at ``residual_tol`` times the largest singular
+    value of one SVD.  The candidates are the nullspace basis and 32
+    deterministic random combinations of it; when the whole operator is
+    negligible against ``H``, the witness is the identity.  Raises
+    ``ClassMismatchError`` when the space is empty or holds no element
+    with ``sigma_min / sigma_max > rank_tol``.
     """
     n = H.shape[0]
-    if jordan is None:
-        jordan = jordan_decompose(H, cfg)
-    groups = _cluster_groups(jordan)
-    f = {"conj": np.conj, "negconj": lambda z: -np.conj(z)}[CLASS_MAP[cls]]
-    mapped = [f(g[0]) for g in groups]
-    scale = max(frob(H), 1.0)
-    self_paired, pairs = _pair_clusters(groups, mapped, 10 * cfg.cluster_tol * scale)
+    sign, R, hermitian_image = _OPERATORS[cls]
+    B = _hermitian_from_coords(np.eye(n * n), n)
+    images = H @ B + sign * (B @ R(H))
+    if hermitian_image:
+        iu, ju = np.triu_indices(n)
+        images = images[:, iu, ju]
+    images = images.reshape(n * n, -1)
+    U, s, _ = np.linalg.svd(
+        np.concatenate([images.real, images.imag], axis=1), full_matrices=False
+    )
+    if s[0] * np.sqrt(n) <= cfg.residual_tol * frob(H):
+        # H is zero or within tolerance of a scalar: every Hermitian
+        # transform solves the equation, the identity best conditioned
+        return _witness(H, cls, np.eye(n, dtype=complex), 1.0)
+    null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
+    if null.shape[0] == 0:
+        raise ClassMismatchError(
+            f"no Hermitian transform solves the {cls.value} equation"
+        )
 
-    chiral = cls is SimilarityClass.CHIRAL
-    G = np.zeros((n, n), dtype=complex)
-    for i in self_paired:
-        _, sizes, offsets = groups[i]
-        for m, p in zip(sizes, offsets):
-            if chiral:
-                K = _alt_exchange(m)
-                if m % 2 == 0:
-                    K = 1j * K
-            else:
-                K = _exchange(m)
-            G[p : p + m, p : p + m] = K
-    for i, j in pairs:
-        _, sizes_i, offs_i = groups[i]
-        _, sizes_j, offs_j = groups[j]
-        # blocks are stored sorted by decreasing size within each cluster
-        for m, pi, pj in zip(sizes_i, offs_i, offs_j):
-            B = _alt_exchange(m) if chiral else _exchange(m)
-            G[pi : pi + m, pj : pj + m] = B
-            G[pj : pj + m, pi : pi + m] = dagger(B)
-
-    Q = jordan.Q
-    S = Q @ G @ dagger(Q)
-    S = (S + dagger(S)) / 2  # discard rounding-level Hermiticity defect
-    return _witness_from_transform(H, cls, S)
+    rng = np.random.default_rng(0)  # deterministic search, part of the contract
+    coords = np.concatenate([null, rng.standard_normal((32, null.shape[0])) @ null])
+    S = _hermitian_from_coords(coords, n)
+    sv = np.abs(np.linalg.eigvalsh(S))  # singular values of Hermitian matrices
+    lo, hi = sv.min(axis=1), sv.max(axis=1)
+    ratio = lo / hi
+    best = int(np.argmax(ratio))
+    if not ratio[best] > cfg.rank_tol:
+        raise ClassMismatchError(
+            f"the Hermitian solutions of the {cls.value} equation are all singular"
+        )
+    return _witness(H, cls, S[best] / hi[best], ratio[best])
 
 
-def _check_spectral_precondition(H, cls, cfg):
-    spec = eigenvalues(H)
-    tol = max(cfg.cluster_tol * frob(H), 10 * cfg.rank_tol)
-    if multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is None:
+def construct_witness(
+    H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> SimilarityWitness:
+    """Hermitian invertible witness of ``cls`` for ``H``, at unit spectral norm.
+
+    The spectral constraint is checked first; then the witness is the
+    best-conditioned element of the Hermitian solution space of the class
+    equation (see the module docstring).  Raises ``ClassMismatchError``
+    when the constraint fails or no invertible Hermitian solution exists:
+    the spectral constraint is necessary but not sufficient.  The returned
+    residual is not checked against ``residual_tol``.
+    """
+    H = as_matrix(H)
+    if not _spectrum_matches(H, eigenvalues(H), cls, cfg):
         raise ClassMismatchError(
             f"spectrum violates the {cls.value} symmetry constraint"
         )
+    return _solve_witness(H, cls, cfg)
 
 
-def construct_eta(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES, jordan=None):
-    """Hermitian invertible ``eta`` with ``H = eta H^+ eta^-1``.
-
-    Requires the spectrum to be closed under conjugation; real-eigenvalue
-    Jordan blocks receive the exchange kernel, conjugate pairs the two-block
-    exchange coupling.
-    """
-    H = as_matrix(H)
-    if H.shape[0] == 1:
-        _check_spectral_precondition(H, SimilarityClass.PSEUDO_HERMITIAN, cfg)
-        return _witness_from_transform(
-            H, SimilarityClass.PSEUDO_HERMITIAN, np.eye(1, dtype=complex)
-        )
-    _check_spectral_precondition(H, SimilarityClass.PSEUDO_HERMITIAN, cfg)
-    return _build_witness_from_jordan(H, SimilarityClass.PSEUDO_HERMITIAN, cfg, jordan)
+def construct_eta(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SimilarityWitness:
+    """Hermitian invertible ``eta`` with ``H = eta H^+ eta^-1``."""
+    return construct_witness(H, SimilarityClass.PSEUDO_HERMITIAN, cfg)
 
 
-def construct_gamma(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES, jordan=None):
-    """Hermitian invertible ``Gamma`` with ``H = -Gamma H^+ Gamma^-1``.
-
-    Requires the spectrum to be mirror-symmetric about the imaginary axis.
-    """
-    H = as_matrix(H)
-    if H.shape[0] == 1:
-        _check_spectral_precondition(H, SimilarityClass.CHIRAL, cfg)
-        return _witness_from_transform(
-            H, SimilarityClass.CHIRAL, np.eye(1, dtype=complex)
-        )
-    _check_spectral_precondition(H, SimilarityClass.CHIRAL, cfg)
-    return _build_witness_from_jordan(H, SimilarityClass.CHIRAL, cfg, jordan)
+def construct_gamma(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SimilarityWitness:
+    """Hermitian invertible ``Gamma`` with ``H = -Gamma H^+ Gamma^-1``."""
+    return construct_witness(H, SimilarityClass.CHIRAL, cfg)
 
 
-def _hermitian_basis(n: int):
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1j
-            E[j, i] = -1j
-            basis.append(E)
-    return basis
-
-
-def construct_skew_witness(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES, jordan=None):
-    """Hermitian invertible ``S`` with ``{H, S} = 0``.
-
-    The anticommutator equation is linear in ``S``; restricting to Hermitian
-    ``S`` gives a real linear system whose nullspace is computed exactly via
-    SVD.  The returned witness is the best-conditioned element found in that
-    solution space (deterministic random combinations).  Raises
-    ``ClassMismatchError`` when the space is empty or contains no invertible
-    element: the spectral constraint {eps} = {-eps} is necessary but not
-    sufficient for a *Hermitian* witness.
-    """
-    H = as_matrix(H)
-    n = H.shape[0]
-    cls = SimilarityClass.SELF_SKEW_SIMILAR
-    scale = frob(H)
-    if scale == 0.0:
-        return _witness_from_transform(H, cls, np.eye(n, dtype=complex))
-    _check_spectral_precondition(H, cls, cfg)
-
-    basis = _hermitian_basis(n)
-    cols = []
-    for B in basis:
-        M = H @ B + B @ H
-        cols.append(np.concatenate([M.real.ravel(), M.imag.ravel()]))
-    A = np.array(cols).T
-    _, s, Vt = np.linalg.svd(A)
-    cut = cfg.residual_tol * (s[0] if s.size else 1.0)
-    null = Vt[int(np.sum(s > cut)) :]
-    if null.shape[0] == 0:
-        raise ClassMismatchError("no Hermitian anticommuting transform exists")
-    sols = np.tensordot(null, np.array(basis), axes=(1, 0))  # (w, n, n)
-
-    rng = np.random.default_rng(0)  # deterministic search, part of the contract
-    best, best_ratio = None, -1.0
-    candidates = list(sols)
-    for _ in range(32):
-        c = rng.standard_normal(sols.shape[0])
-        candidates.append(np.tensordot(c, sols, axes=(0, 0)))
-    for S in candidates:
-        sv = np.linalg.svd(S, compute_uv=False)
-        if sv[0] == 0:
-            continue
-        ratio = sv[-1] / sv[0]
-        if ratio > best_ratio:
-            best_ratio, best = ratio, S
-    if best is None or best_ratio <= cfg.rank_tol:
-        raise ClassMismatchError(
-            "Hermitian anticommutant contains no invertible element"
-        )
-    best = (best + dagger(best)) / 2
-    return _witness_from_transform(H, cls, best)
-
-
-_CONSTRUCTORS = {
-    SimilarityClass.PSEUDO_HERMITIAN: construct_eta,
-    SimilarityClass.CHIRAL: construct_gamma,
-    SimilarityClass.SELF_SKEW_SIMILAR: construct_skew_witness,
-}
-
-
-def construct_witness(H, cls: SimilarityClass, cfg=DEFAULT_TOLERANCES, jordan=None):
-    return _CONSTRUCTORS[cls](H, cfg, jordan)
+def construct_skew_witness(
+    H, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> SimilarityWitness:
+    """Hermitian invertible ``S`` with ``{H, S} = 0``."""
+    return construct_witness(H, SimilarityClass.SELF_SKEW_SIMILAR, cfg)
 
 
 def _witness_ok(w: SimilarityWitness, cfg: ToleranceConfig) -> bool:
-    sv_max = np.linalg.norm(w.transform, 2)
-    return (
-        w.residual <= cfg.residual_tol
-        and w.hermiticity_defect <= cfg.residual_tol
-        and w.min_singular_value > cfg.rank_tol * max(sv_max, 1e-300)
-    )
+    """Acceptance of a witness from :func:`_solve_witness`, which already
+    guarantees ``min_singular_value > rank_tol`` at unit spectral norm."""
+    return w.residual <= cfg.residual_tol and w.hermiticity_defect <= cfg.residual_tol
 
 
 def classify(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ClassificationResult:
     """Classes whose spectral condition holds, split by witness success.
 
-    A class lands in ``confirmed`` when the spectral-symmetry multiset test
-    passes *and* the witness construction succeeds within tolerance;
-    otherwise it is reported in ``spectral_only``.
+    One eigensolve serves the three spectral checks.  A class lands in
+    ``confirmed`` when its spectral-symmetry multiset test passes *and* the
+    witness solves the class equation within ``residual_tol``; otherwise it
+    is reported in ``spectral_only``.
     """
     H = as_matrix(H)
     result = ClassificationResult()
     spec = eigenvalues(H)
-    tol = max(cfg.cluster_tol * frob(H), 10 * cfg.rank_tol)
-    jordan = None
     for cls in SimilarityClass:
-        if multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is None:
+        if not _spectrum_matches(H, spec, cls, cfg):
             continue
-        if (
-            jordan is None
-            and H.shape[0] > 1
-            and cls is not SimilarityClass.SELF_SKEW_SIMILAR
-        ):
-            jordan = jordan_decompose(H, cfg)
         try:
-            w = construct_witness(H, cls, cfg, jordan)
+            w = _solve_witness(H, cls, cfg)
         except ClassMismatchError:
             result.spectral_only.add(cls)
             continue

@@ -3,7 +3,8 @@
 Commands: ``classify``, ``witness``, ``generate``, ``specht``,
 ``specht-generators``, ``scan``, ``certify``.  Matrix and family arguments
 accept ``-`` for standard input.  Exit codes: 0 success, 1 domain failure
-(class mismatch, ambiguous clustering, ...), 2 input or usage error.
+(class mismatch, ambiguous clustering, ...) or a closed output pipe, 2 input
+or usage error.
 
 Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The
@@ -353,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--non-normal", action="store_true")
-    common(sp)
     sp.set_defaults(func=_cmd_generate)
 
     sp = sub.add_parser("specht", help="unitary-similarity verdict for two matrices")
@@ -402,7 +402,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: the reader is gone, so point stdout at
+        # devnull to keep the flush at exit from raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (SystemExit2, FamilyFormatError, NonFiniteMatrixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

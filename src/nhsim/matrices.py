@@ -59,6 +59,10 @@ def is_json_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_json_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
     """Build a matrix from a decoded JSON document."""
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
@@ -73,11 +77,18 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         or any(not isinstance(row, list) or len(row) != n for row in entries)
     ):
         raise FamilyFormatError(f"'entries' is not a {n}x{n} grid")
+    for row in entries:
+        for c in row:
+            pair = isinstance(c, list) and len(c) == 2
+            if not (pair and all(map(_is_json_number, c))):
+                raise FamilyFormatError(
+                    f"matrix entry {c!r} is not a [re, im] pair of numbers"
+                )
     try:
         H = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in entries], dtype=complex
+            [[complex(re, im) for re, im in row] for row in entries], dtype=complex
         )
-    except (TypeError, IndexError, KeyError, OverflowError) as exc:
+    except OverflowError as exc:
         raise FamilyFormatError(f"bad entry in matrix document: {exc}") from exc
     try:
         return as_matrix(H)

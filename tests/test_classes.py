@@ -232,3 +232,29 @@ def test_classify_with_loose_tolerances():
     H = np.array([[1j, 1], [1, -1j]], dtype=complex)  # defective at 0
     result = classify(H, cfg)
     assert CH in result.confirmed
+
+
+@pytest.mark.parametrize("d", [10.0**-k for k in range(6, 16)] + [0.0])
+def test_near_ep_antidiagonal_confirms_all_classes(d):
+    # eta = sx, Gamma = sy and S = sz solve the three equations for every d
+    result = classify([[0, 1], [d, 0]])
+    assert result.confirmed == {PH, CH, SS}
+
+
+def test_split_hermitian_pair_confirms_without_clustering():
+    # pairs split by 3e-7, between one and two clustering radii
+    result = classify(np.diag([1, 1 + 3e-7, -1, -1 - 3e-7]))
+    assert result.confirmed == {PH, CH, SS}
+
+
+def test_classify_beyond_twelve_dimensions():
+    result = classify(generate_random(PH, 13, 0))
+    assert PH in result.confirmed
+    assert result.witnesses[PH].residual <= 1e-8
+
+
+def test_near_scalar_matrix_keeps_its_class():
+    # every Hermitian transform solves H eta = eta H^+ to 2e-9 here, so the
+    # whole class operator sits below the nullspace cut
+    for H in (np.array([[1 + 1e-9j]]), (1 + 1e-9j) * np.eye(3)):
+        assert classify(H).confirmed == {PH}

@@ -263,11 +263,16 @@ def test_flags_registered_only_where_honoured(capsys, dimer_at_1, dimer_family):
     code, _, err = run(capsys, "scan", dimer_family, "--class", "pseudo-hermitian",
                        "--grid", "gamma=-2:2:11", "--threads", "2")
     assert code == 2 and "--threads" in err
+    code, _, err = run(capsys, "generate", "--class", "chiral", "--dim", "2",
+                       "--seed", "1", "--tol", "5")
+    assert code == 2 and "--tol" in err
 
 
 @pytest.mark.parametrize("doc", [
     {"dim": 2, "entries": 5},
     {"dim": True, "entries": [[[1, 0]]]},
+    {"dim": 1, "entries": [[[1, 2, 3]]]},
+    {"dim": 1, "entries": [[[True, False]]]},
 ])
 def test_malformed_matrix_fields_exit_2(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
@@ -289,3 +294,28 @@ def test_bool_family_fields_exit_2(capsys, tmp_path, dimer_family, field):
     p.write_text(json.dumps(doc))
     code, _, err = run(capsys, "certify", str(p), "--at", "1")
     assert code == 2 and field in err and "must be" in err
+
+
+class BrokenPipeStdout:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_1_without_traceback(capsys, monkeypatch, tmp_path,
+                                               dimer_at_1):
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr("sys.stdout", BrokenPipeStdout(fh.fileno()))
+        code = main(["classify", dimer_at_1])
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -176,6 +176,16 @@ def test_parse_rejects_bool_and_non_list_fields():
         parse_family(json.dumps(doc))
 
 
+@pytest.mark.parametrize("entry", [[1, 2, 3], [True, False]])
+def test_parse_rejects_entries_that_are_not_number_pairs(entry):
+    with pytest.raises(FamilyFormatError, match=r"not a \[re, im\] pair"):
+        parse_matrix(json.dumps({"dim": 1, "entries": [[entry]]}))
+    doc = dimer_doc()
+    doc["terms"][0]["matrix"]["entries"][0][1] = entry
+    with pytest.raises(FamilyFormatError, match=r"terms\[0\]\.matrix"):
+        parse_family(json.dumps(doc))
+
+
 def test_constraint_jacobian_polynomials():
     J = constraint_jacobian(lambda x: np.array([x[0] ** 2]), [3.0], h=1e-5)
     assert J[0, 0] == pytest.approx(6.0, abs=1e-8)

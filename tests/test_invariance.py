@@ -1,0 +1,53 @@
+"""Class invariances over seeded in-class samples: rescaling, unitary
+conjugation, and the witness residual of every confirmed class."""
+
+import numpy as np
+import pytest
+
+from nhsim.classes import SimilarityClass, classify, generate_random, witness_residual
+from nhsim.matrices import dagger
+from nhsim.spectral import DEFAULT_TOLERANCES
+
+
+def samples(seeds):
+    for cls in SimilarityClass:
+        for n in range(2, 7):
+            for seed in seeds:
+                yield (cls, n, seed), generate_random(cls, n, seed)
+
+
+def verdict(H):
+    result = classify(H)
+    return result.confirmed, result.spectral_only
+
+
+def haar_unitary(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
+def test_classify_is_scale_invariant(c):
+    for key, H in samples(range(20)):
+        assert verdict(c * H) == verdict(H), key
+
+
+def test_classify_is_unitarily_invariant():
+    rng = np.random.default_rng(0)
+    for key, H in samples(range(10)):
+        U = haar_unitary(rng, H.shape[0])
+        assert verdict(U @ H @ dagger(U)) == verdict(H), key
+
+
+def test_confirmed_implies_witness_residual_within_tolerance():
+    # non-unitary similarities keep some classes and break others
+    rng = np.random.default_rng(1)
+    tol = DEFAULT_TOLERANCES.residual_tol
+    for key, H in samples(range(10)):
+        P = np.eye(H.shape[0]) + 0.5 * rng.standard_normal(H.shape)
+        for M in (H, P @ H @ np.linalg.inv(P)):
+            result = classify(M)
+            for cls in result.confirmed:
+                S = result.witnesses[cls].transform
+                assert witness_residual(M, cls, S) <= tol, (key, cls)
