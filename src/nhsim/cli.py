@@ -190,7 +190,7 @@ def _cmd_specht_generators(args):
     if n == 2:
         payload = {}
         for cls in classes:
-            found = check_similarity_implies_symmetry_2x2(H, cls, cfg, seed=args.seed)
+            found = check_similarity_implies_symmetry_2x2(H, cls, cfg)
             payload[cls.value] = {
                 name: {
                     "generator": matrix_to_json(r.generator),
@@ -368,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("matrix")
     sp.add_argument("--class", dest="cls", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=_cmd_specht_generators)
 

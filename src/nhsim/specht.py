@@ -3,9 +3,16 @@
 Two matrices are unitarily similar iff the traces of all words in
 ``(X, X^+)`` agree; for n = 2 and n = 3 finite canonical word lists
 suffice.  On top of the decision procedure this module recovers explicit
-2x2 symmetry generators (unitary ``U`` with an extra involution property)
+2x2 symmetry generators (unitary ``U`` with ``U U = 1`` or ``U U* = 1``)
 and produces certified counterexamples showing that the generalized
 similarities are strictly larger than the symmetries they enclose.
+
+Generator recovery is closed-form.  Each property has a real basis of
+three 2x2 matrices whose unit-norm real combinations are exactly the
+unitaries with that property (up to a global phase, and besides +-I for
+``U U = 1``).  The similarity ``H U = sign U T`` is linear in the
+coefficients, so one SVD of a real 8x3 matrix gives the generator with the
+smallest similarity residual; the property holds to rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .classes import SimilarityClass, construct_witness, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
@@ -152,20 +158,32 @@ def unitary_similarity_test(A, B, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 # 2x2 symmetry-generator recovery
 
+_I2 = np.eye(2, dtype=complex)
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
-def _unitary_2x2(p: np.ndarray) -> np.ndarray:
-    """U(2) from 5 unconstrained reals: a phase times a normalized
-    quaternion-parameterized SU(2) element."""
-    phi, q = p[0], np.asarray(p[1:5], dtype=float)
-    nq = np.linalg.norm(q)
-    if nq < 1e-300:
-        q, nq = np.array([1.0, 0, 0, 0]), 1.0
-    q = q / nq
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    su2 = q[0] * np.eye(2) + 1j * (q[1] * sx + q[2] * sy + q[3] * sz)
-    return np.exp(1j * phi) * su2
+
+@dataclass(frozen=True, eq=False)
+class GeneratorProperty:
+    """A generator property with a real basis that meets it exactly.
+
+    For every unit real 3-vector ``q`` the matrix ``U = sum_k q_k basis[k]``
+    is unitary and has the property.
+    """
+
+    basis: np.ndarray  # (3, 2, 2)
+    conjugate: bool  # property U U* = 1 if set, U U = 1 otherwise
+
+    def defect(self, U: np.ndarray) -> float:
+        return frob(U @ (U.conj() if self.conjugate else U) - _I2)
+
+
+# U U = 1: the Hermitian unitaries n.sigma; +-I are the only others
+_INVOLUTION = GeneratorProperty(np.array([_SX, _SY, _SZ]), conjugate=False)
+# U U* = 1: the symmetric unitaries, up to a global phase that cancels in
+# both the similarity and the property
+_SYMMETRIC = GeneratorProperty(np.array([_I2, 1j * _SX, 1j * _SZ]), conjugate=True)
 
 
 @dataclass
@@ -179,14 +197,14 @@ class GeneratorSearch:
 
 
 # per symmetry: (map applied to H, sign in H = sign * U map(H) U^+,
-#                property residual of the generator)
+#                generator property)
 SYMMETRY_TARGETS = {
-    "PT": (np.conj, +1, lambda U: U @ U.conj() - np.eye(2)),
-    "pseudo-hermitian-symmetry": (dagger, +1, lambda U: U @ U - np.eye(2)),
-    "CP": (np.conj, -1, lambda U: U @ U.conj() - np.eye(2)),
-    "chiral-symmetry": (dagger, -1, lambda U: U @ U - np.eye(2)),
-    "sublattice": (lambda M: M, -1, lambda U: U @ U - np.eye(2)),
-    "pseudo-chiral": (np.transpose, -1, lambda U: U @ U.conj() - np.eye(2)),
+    "PT": (np.conj, +1, _SYMMETRIC),
+    "pseudo-hermitian-symmetry": (dagger, +1, _INVOLUTION),
+    "CP": (np.conj, -1, _SYMMETRIC),
+    "chiral-symmetry": (dagger, -1, _INVOLUTION),
+    "sublattice": (lambda M: M, -1, _INVOLUTION),
+    "pseudo-chiral": (np.transpose, -1, _SYMMETRIC),
 }
 
 CLASS_SYMMETRIES = {
@@ -196,47 +214,35 @@ CLASS_SYMMETRIES = {
 }
 
 
-def recover_generator(H, symmetry: str, n_starts: int = 10, seed: int = 0):
-    """Multi-start least-squares search for a 2x2 symmetry generator.
+def recover_generator(H, symmetry: str) -> GeneratorSearch:
+    """Closed-form 2x2 symmetry generator with the smallest residual.
 
-    Minimizes the stacked residual of the similarity equation and the
-    generator property over the 5-parameter unitary group; starts are
-    deterministic in ``seed`` and the best defect wins (ties by start
-    order).
+    Over the property's basis, ``U = sum_k q_k B_k`` with unit real ``q``,
+    the defect ``H U - sign U T`` of the similarity ``H = sign U T U^+``
+    (``T`` the mapped target) is linear in ``q``; the minimising ``q`` is
+    the last right singular vector of the real 8x3 matrix that stacks it.
+    ``U`` is unitary, so that defect has the norm of ``H - sign U T U^+``:
+    the result minimises the similarity residual over every generator with
+    the property, and its property defect is at rounding level.  The
+    identity is a second candidate (the only involution outside ``n.sigma``
+    up to sign); the smaller residual wins.
     """
     H = as_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("generator recovery is a 2x2 operation")
     target, sign, prop = SYMMETRY_TARGETS[symmetry]
     T = np.asarray(target(H))
-    scale = max(frob(H), 1e-300)
-
-    def resid(p):
-        U = _unitary_2x2(p)
-        R1 = (H - sign * (U @ T @ dagger(U))) / scale
-        R2 = prop(U)
-        return np.concatenate(
-            [R1.real.ravel(), R1.imag.ravel(), R2.real.ravel(), R2.imag.ravel()]
-        )
-
-    rng = np.random.default_rng(seed)
-    best_cost, best_p = np.inf, None
-    for _ in range(n_starts):
-        p0 = rng.standard_normal(5)
-        sol = least_squares(
-            resid, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000
-        )
-        cost = float(np.linalg.norm(sol.fun))
-        if cost < best_cost:
-            best_cost, best_p = cost, sol.x
-        if cost < 1e-12:
-            break
-    U = _unitary_2x2(best_p)
+    M = (H @ prop.basis - sign * (prop.basis @ T)).reshape(3, 4)
+    q = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1).T)[2][-1]
+    candidates = (np.tensordot(q, prop.basis, axes=1), _I2)
+    residuals = [frob(H - sign * (U @ T @ dagger(U))) for U in candidates]
+    k = int(np.argmin(residuals))  # ties keep the SVD candidate
+    U = candidates[k]
     return GeneratorSearch(
         symmetry=symmetry,
         generator=U,
-        similarity_residual=frob(H - sign * (U @ T @ dagger(U))) / scale,
-        property_defect=frob(prop(U)),
+        similarity_residual=residuals[k] / max(frob(H), 1e-300),
+        property_defect=prop.defect(U),
     )
 
 
@@ -244,15 +250,14 @@ def check_similarity_implies_symmetry_2x2(
     H,
     cls: SimilarityClass,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    n_starts: int = 10,
-    seed: int = 0,
 ) -> dict[str, GeneratorSearch]:
     """Recover both enclosed symmetry generators of a 2x2 class member.
 
     First verifies word-trace equality of ``H`` with the two mapped targets
     (this must hold for pseudo-Hermitian and chiral matrices), then solves
-    for the unitary generators and reports the property defects.  Raises
-    ``ClassMismatchError`` when ``H`` is not in the stated class.
+    for the unitary generators in closed form (``recover_generator``) and
+    reports the property defects.  Raises ``ClassMismatchError`` when ``H``
+    is not in the stated class.
     """
     H = as_matrix(H)
     if H.shape[0] != 2:
@@ -269,7 +274,7 @@ def check_similarity_implies_symmetry_2x2(
                     f"word {w} traces differ ({ta:.6g} vs {tb:.6g}) although the "
                     f"class forces equality"
                 )
-        out[symmetry] = recover_generator(H, symmetry, n_starts, seed)
+        out[symmetry] = recover_generator(H, symmetry)
     return out
 
 

@@ -89,7 +89,7 @@ def test_criterion_3_generator_recovery_2x2():
     for cls in (PH, CH):
         for seed in range(200):
             H = generate_random(cls, 2, seed)
-            found = check_similarity_implies_symmetry_2x2(H, cls, n_starts=10)
+            found = check_similarity_implies_symmetry_2x2(H, cls)
             for r in found.values():
                 if max(r.similarity_residual, r.property_defect) > 1e-8:
                     failures += 1

@@ -266,6 +266,8 @@ def test_flags_registered_only_where_honoured(capsys, dimer_at_1, dimer_family):
     code, _, err = run(capsys, "generate", "--class", "chiral", "--dim", "2",
                        "--seed", "1", "--tol", "5")
     assert code == 2 and "--tol" in err
+    code, _, err = run(capsys, "specht-generators", dimer_at_1, "--seed", "1")
+    assert code == 2 and "--seed" in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -51,3 +51,25 @@ def test_confirmed_implies_witness_residual_within_tolerance():
             for cls in result.confirmed:
                 S = result.witnesses[cls].transform
                 assert witness_residual(M, cls, S) <= tol, (key, cls)
+
+
+def conditioned_similarity(rng, n, cond):
+    """Seeded ``V = W1 diag(s) W2`` with singular values in ``[1, cond]``."""
+    s = np.exp(rng.uniform(0.0, np.log(cond), n))
+    s[0], s[-1] = 1.0, cond
+    return haar_unitary(rng, n) @ np.diag(s) @ haar_unitary(rng, n)
+
+
+def test_pseudo_hermitian_and_chiral_survive_similarity():
+    # both classes are defined by similarity to a mapped target, so any
+    # invertible V keeps them; cond(V) <= 10 keeps the check well posed
+    rng = np.random.default_rng(2)
+    kept = {SimilarityClass.PSEUDO_HERMITIAN, SimilarityClass.CHIRAL}
+    for cls in kept:
+        for n in range(2, 7):
+            for seed in range(40):
+                H = generate_random(cls, n, seed)
+                V = conditioned_similarity(rng, n, 10.0)
+                before = classify(H).confirmed & kept
+                after = classify(V @ H @ np.linalg.inv(V)).confirmed
+                assert cls in before and before <= after, (cls, n, seed)
