@@ -45,7 +45,7 @@ from .errors import (
     NonFiniteMatrixError,
     UnsupportedDimensionError,
 )
-from .families import MatrixFamily, constraint_jacobian, parse_family
+from .families import MatrixFamily, constraint_jacobian, constraint_jacobians, parse_family
 from .matrices import dump_matrix, matrix_to_json, parse_matrix
 from .specht import (
     CounterexampleEvidence,
@@ -58,6 +58,7 @@ from .specht import (
     word_trace,
 )
 from .spectral import (
+    JordanBlock,
     JordanStructure,
     Spectrum,
     ToleranceConfig,
@@ -76,14 +77,14 @@ __all__ = [
     "construct_skew_witness", "construct_witness", "witness_residual",
     "factor", "generate_random", "detect_special_cases",
     # spectral
-    "ToleranceConfig", "Spectrum", "JordanStructure", "eigenvalues",
+    "ToleranceConfig", "Spectrum", "JordanBlock", "JordanStructure", "eigenvalues",
     "power_traces", "multiset_symmetry_match", "is_normal", "jordan_decompose",
     # specht
     "Word", "word_trace", "word_list", "trace_profile",
     "unitary_similarity_test", "check_similarity_implies_symmetry_2x2",
     "CounterexampleEvidence", "n3_counterexample",
     # families
-    "MatrixFamily", "parse_family", "constraint_jacobian",
+    "MatrixFamily", "parse_family", "constraint_jacobian", "constraint_jacobians",
     # ep-finder
     "ConstraintSystem", "class_identity_check", "reduced_constraints",
     "ScanConfig", "EPCandidate", "scan", "OrderCertificate", "certify_order",

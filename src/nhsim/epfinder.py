@@ -14,7 +14,8 @@ the codimension:
 The module builds that reduced real constraint system, verifies the forced
 identities on random samples, scans a parameter grid with Gauss-Newton
 refinement from grid local minima, certifies the Jordan order at converged
-roots and estimates eigenvalue-splitting exponents along rays.
+roots from the rank staircase of the zero cluster and estimates
+eigenvalue-splitting exponents along rays.
 
 The trace shift is a deliberate extension of the bare det/trace casting:
 the unshifted conditions only catch coalescence at zero energy.  Whether
@@ -29,19 +30,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .classes import CLASS_MAP, SimilarityClass
-from .errors import ClusterAmbiguityError, FamilyNotInClassError
-from .families import MatrixFamily, constraint_jacobian
-from .matrices import frob
+from .errors import FamilyNotInClassError
+from .families import MatrixFamily, constraint_jacobians
+from .matrices import as_matrix, frob
 from .spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
+    JordanBlock,
     ToleranceConfig,
-    eigenvalues,
-    is_normal,
-    jordan_decompose,
+    eigenvalues_many,
+    multiset_symmetry_match,
+    nullity_staircase,
+    weyr_block_sizes,
 )
 
 __all__ = [
@@ -169,17 +171,6 @@ class IdentityCheckReport:
     worst_identity: str
 
 
-def _spectral_mismatch(H: np.ndarray, cls: SimilarityClass) -> float:
-    """Smallest max pair distance of any bijection between the spectrum and
-    its class-mapped image, relative to the matrix norm."""
-    vals = eigenvalues(H).values
-    f = SYMMETRY_MAPS[CLASS_MAP[cls]]
-    dist = np.abs(vals[:, None] - f(vals)[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    worst = float(dist[rows, cols].max()) if rows.size else 0.0
-    return worst / max(frob(H), 1.0)
-
-
 def class_identity_check(
     f: MatrixFamily,
     cls: SimilarityClass,
@@ -193,7 +184,9 @@ def class_identity_check(
     Two families of identities are checked at each sampled point: the
     forced-zero det/trace components (relative to the appropriate power of
     the shifted matrix norm) and the spectral multiset symmetry of the
-    class.  The report carries the worst violation and where it occurred.
+    class, measured as the largest pair distance of the optimal pairing of
+    the spectrum with its class-mapped image (relative to the matrix norm).
+    The report carries the worst violation and where it occurred.
     """
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
@@ -202,15 +195,19 @@ def class_identity_check(
     lams = rng.uniform(-box, box, size=(max(samples, 1), f.num_params))
     H = f.evaluate_batch(lams)
     forced = np.abs(cs.evaluate_many(lams, cs.forced_zero))
-    for lam, Hj, Ht, vals in zip(lams, H, _shifted(H), forced):
+    symmetry = CLASS_MAP[cls]
+    fmap = SYMMETRY_MAPS[symmetry]
+    for lam, Hj, Ht, vals, spec in zip(lams, H, _shifted(H), forced,
+                                       eigenvalues_many(H)):
         scale = max(frob(Ht), 1.0)
         for lab, v in zip(cs.forced_zero, vals.tolist()):
             v /= scale ** degree[lab]
             if v > worst:
                 worst, worst_pt, worst_id = v, lam, lab
-        v = _spectral_mismatch(Hj, cls)
+        rows, cols = np.array(multiset_symmetry_match(spec, symmetry, np.inf)).T
+        v = float(np.abs(spec[rows] - fmap(spec[cols])).max()) / max(frob(Hj), 1.0)
         if v > worst:
-            worst, worst_pt, worst_id = v, lam, f"spectrum {CLASS_MAP[cls]} symmetry"
+            worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
     return IdentityCheckReport(
         passed=worst <= rel_tol,
         samples=samples,
@@ -282,7 +279,7 @@ class ScanConfig:
     seed; ``tol`` is also the constraint accuracy handed to
     :func:`certify_order`.  ``merge_radius`` is measured in
     grid-spacing-normalized parameter distance.  ``tolerances`` drive the
-    Jordan-order certification of converged roots.
+    order certification of converged roots.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -299,7 +296,7 @@ class EPCandidate:
     lam: np.ndarray
     order: int
     constraint_residual: float
-    jordan: object | None
+    blocks: tuple[JordanBlock, ...]
     newton_iterations: int
     converged: bool
     single_block: bool = False
@@ -315,38 +312,53 @@ class EPCandidate:
         }
 
 
+#: Line-search step fractions ``2**-j``, j = 0..19.
+_HALVINGS = np.ldexp(1.0, -np.arange(20))
+
+
 def _gauss_newton(g_many, x0, max_iter, tol):
-    """Damped Gauss-Newton on ||g||; pseudo-inverse steps handle both the
-    under- and overdetermined cases (the underdetermined one converges to
-    the nearest point of the solution manifold).  ``g_many`` maps a stack
-    of points to a stack of constraint vectors; each Jacobian costs one
-    call of it."""
+    """Damped Gauss-Newton on ||g|| from a stack of seeds ``x0`` (S, d).
 
-    def g(x):
-        return g_many(x[None])[0]
-
-    x = np.asarray(x0, dtype=float).copy()
-    gx = g(x)
-    nrm = np.linalg.norm(gx)
+    Pseudo-inverse steps handle both the under- and overdetermined cases
+    (the underdetermined one converges to the nearest point of the
+    solution manifold).  ``g_many`` maps a stack of points to a stack of
+    constraint vectors.  All unfinished seeds advance in lock step: each
+    round makes one ``g_many`` call for the Jacobians of all of them and
+    one for the trial points ``x + 2**-j * step`` (j = 0..19) of all their
+    line searches, and each seed takes its first trial point that lowers
+    the norm.  A seed stops when it converges, when its step is zero or
+    not finite, or when no trial point lowers the norm.  Returns the
+    arrays ``(x, norm, iterations, converged)``; ``iterations`` is the
+    round at which a seed converged and ``max_iter`` for every other seed.
+    """
+    x = np.array(x0, dtype=float)
+    gx = g_many(x)
+    nrm = _row_norms(gx)
+    its = np.full(len(x), max_iter)
+    live = np.arange(len(x))
     for it in range(max_iter):
-        if nrm <= tol:
-            return x, nrm, it, True
-        J = constraint_jacobian(g_many, x, batched=True)
-        step, *_ = np.linalg.lstsq(J, -gx, rcond=None)
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
+        done = nrm[live] <= tol
+        its[live[done]] = it
+        live = live[~done]
+        if not live.size:
             break
-        t = 1.0
-        for _ in range(20):
-            xn = x + t * step
-            gn = g(xn)
-            nn = np.linalg.norm(gn)
-            if nn < nrm:
-                x, gx, nrm = xn, gn, nn
-                break
-            t /= 2
-        else:
+        J = constraint_jacobians(g_many, x[live])
+        step = np.array([np.linalg.lstsq(Ji, -gx[i], rcond=None)[0]
+                         for Ji, i in zip(J, live.tolist())])
+        ok = np.all(np.isfinite(step), axis=1) & (_row_norms(step) != 0)
+        live, step = live[ok], step[ok]
+        if not live.size:
             break
-    return x, nrm, max_iter, nrm <= tol
+        trial = x[live][:, None] + _HALVINGS[:, None] * step[:, None]
+        gt = g_many(trial.reshape(-1, x.shape[1])).reshape(trial.shape[:2] + (-1,))
+        nt = _row_norms(gt)
+        lower = nt < nrm[live][:, None]
+        found = np.flatnonzero(lower.any(axis=1))
+        first = lower[found].argmax(axis=1)
+        live = live[found]
+        x[live], gx[live], nrm[live] = (trial[found, first], gt[found, first],
+                                        nt[found, first])
+    return x, nrm, its, nrm <= tol
 
 
 def _row_norms(G: np.ndarray) -> np.ndarray:
@@ -440,50 +452,62 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
 
     norms = _row_norms(g_many(points)).reshape(mesh[0].shape)
 
-    seeds = [np.array([axes[a][idx[a]] for a in range(len(free))])
-             for idx in _local_minima(norms, cfg.seed_threshold)]
-    refined = [_gauss_newton(g_many, s, cfg.max_iterations, cfg.tol) for s in seeds]
+    idx = _local_minima(norms, cfg.seed_threshold)
+    if not len(idx):
+        return []
+    seeds = np.stack([ax[idx[:, a]] for a, ax in enumerate(axes)], axis=-1)
+    x, res, its, ok = _gauss_newton(g_many, seeds, cfg.max_iterations, cfg.tol)
 
-    roots, failures = [], []
-    for x, res, its, ok in refined:
-        (roots if ok else failures).append((x, res, its))
+    roots = _lexsorted(np.flatnonzero(ok), x)
+    roots = roots[_merge_keep(x[roots], spacings, cfg.merge_radius)]
+    failures = _lexsorted(np.flatnonzero(~ok), x)
 
-    merged: list[tuple[np.ndarray, float, int]] = []
-    for x, res, its in sorted(roots, key=lambda r: tuple(r[0])):
-        dup = any(
-            np.linalg.norm((x - y) / spacings) <= cfg.merge_radius
-            for y, _, _ in merged
+    lams = embed(x)
+    certs = _certify_many(f.evaluate_batch(lams[roots]), cfg.tolerances, cfg.tol)
+    out = [
+        EPCandidate(
+            lam=lams[i],
+            order=cert.order,
+            constraint_residual=res[i],
+            blocks=cert.blocks,
+            newton_iterations=int(its[i]),
+            converged=True,
+            single_block=cert.single_block,
         )
-        if not dup:
-            merged.append((x, res, its))
-
-    out = []
-    for x, res, its in merged:
-        lam = embed(x)
-        cert = certify_order(f.evaluate(lam), cfg.tolerances, constraint_tol=cfg.tol)
-        out.append(
-            EPCandidate(
-                lam=lam,
-                order=cert.order,
-                constraint_residual=res,
-                jordan=cert.jordan,
-                newton_iterations=its,
-                converged=True,
-                single_block=cert.single_block,
-            )
+        for i, cert in zip(roots.tolist(), certs)
+    ]
+    out += [
+        EPCandidate(
+            lam=lams[i],
+            order=0,
+            constraint_residual=res[i],
+            blocks=(),
+            newton_iterations=int(its[i]),
+            converged=False,
         )
-    for x, res, its in sorted(failures, key=lambda r: tuple(r[0])):
-        out.append(
-            EPCandidate(
-                lam=embed(x),
-                order=0,
-                constraint_residual=res,
-                jordan=None,
-                newton_iterations=its,
-                converged=False,
-            )
-        )
+        for i in failures.tolist()
+    ]
     return out
+
+
+def _lexsorted(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``idx`` stably sorted by the rows ``x[idx]`` in lexicographic order."""
+    return idx[np.lexsort(x[idx].T[::-1])]
+
+
+def _merge_keep(x: np.ndarray, spacings: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the rows of ``x`` that survive a greedy merge in row order.
+
+    A row is dropped when it lies within ``radius`` (in grid-spacing units)
+    of a kept earlier row.  Each kept row drops its later neighbours with
+    one vectorised distance computation; distances are the
+    :func:`_row_norms` of ``(later - earlier) / spacings``.
+    """
+    keep = np.ones(len(x), dtype=bool)
+    for i in range(len(x)):
+        if keep[i]:
+            keep[i + 1:] &= ~(_row_norms((x[i + 1:] - x[i]) / spacings) <= radius)
+    return np.flatnonzero(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +521,16 @@ class OrderCertificate:
     ``order`` is the largest Jordan block in the cluster; a genuine EPn
     additionally requires ``single_block`` (one block covering the whole
     cluster) -- a cluster split into several blocks is a degeneracy, not an
-    EP of that order.
+    EP of that order.  ``blocks`` lists the cluster's Jordan blocks, largest
+    first, each at the cluster mean; it is empty when no eigenvalue sits at
+    zero.
     """
 
     order: int
     geometric_multiplicity: int
     cluster_size: int
     single_block: bool
-    jordan: object
+    blocks: tuple[JordanBlock, ...]
 
     def to_json(self) -> dict:
         return {
@@ -514,7 +540,7 @@ class OrderCertificate:
             "single_block": self.single_block,
             "blocks": [
                 [[b.eigenvalue.real, b.eigenvalue.imag], b.size]
-                for b in self.jordan.blocks
+                for b in self.blocks
             ],
         }
 
@@ -526,40 +552,57 @@ def certify_order(
 ) -> OrderCertificate:
     """Jordan order of the coalescing cluster at a candidate point.
 
-    The matrix is trace-shifted and the eigenvalues near zero are clustered
-    with a radius adapted to the constraint accuracy: an order-n branch
-    point converts a parameter error of size t into an eigenvalue spread of
-    order t^(1/n), so the radius scales as ``constraint_tol**(1/n)`` rather
-    than linearly.
+    The matrix is trace-shifted and its zero cluster is the set of the
+    eigenvalues within a radius of zero adapted to the constraint accuracy:
+    an order-n branch point converts a parameter error of size t into an
+    eigenvalue spread of order t^(1/n), so the radius scales as
+    ``constraint_tol**(1/n)`` rather than linearly.  With ``m`` the cluster
+    size and ``mu`` its mean, the nullities of ``(H~ - mu I)^k`` under
+    ``cfg.rank_tol`` (:func:`~nhsim.spectral.nullity_staircase`) give the
+    geometric multiplicity (k = 1), the order (the last k at which the
+    nullity grows) and the block sizes (the Weyr differences).  When the
+    nullity stops growing short of ``m``, the cluster is the nullity it
+    settled at.  No other eigenvalue is examined, so nearby non-zero
+    eigenvalues cannot make the certificate ambiguous.
     """
+    return _certify_many(as_matrix(H)[None], cfg, constraint_tol)[0]
+
+
+def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
+    """:func:`certify_order` of a stack of matrices ``(N, n, n)``: one stacked
+    eigensolve and one nullity staircase for all of them."""
+    if not len(H):
+        return []
     Ht = _shifted(np.asarray(H, dtype=complex))
-    n = Ht.shape[0]
-    scale = frob(Ht)
-    if scale == 0.0:
-        # fully degenerate normal point: order 1, multiplicity n
-        jordan = jordan_decompose(Ht)
-        return OrderCertificate(1, n, n, n == 1, jordan)
+    n = Ht.shape[-1]
+    # bit for bit the Frobenius norm of each matrix (see _row_norms)
+    flat = Ht.reshape(len(Ht), -1)
+    scale = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     eps = np.finfo(float).eps
     radius_rel = 10.0 * max(constraint_tol, 100 * eps) ** (1.0 / n)
-    cfg2 = ToleranceConfig(
-        cluster_tol=max(cfg.cluster_tol, radius_rel),
-        residual_tol=cfg.residual_tol,
-        rank_tol=cfg.rank_tol,
-    )
-    jordan = jordan_decompose(Ht, cfg2)
-    radius = cfg2.cluster_tol * scale
-    zero = [b for b in jordan.blocks if abs(b.eigenvalue) <= radius]
-    if not zero:
-        return OrderCertificate(1, 0, 0, False, jordan)
-    cluster_size = sum(b.size for b in zero)
-    order = max(b.size for b in zero)
-    return OrderCertificate(
-        order=order,
-        geometric_multiplicity=len(zero),
-        cluster_size=cluster_size,
-        single_block=(len(zero) == 1),
-        jordan=jordan,
-    )
+    radius = max(cfg.cluster_tol, radius_rel) * scale
+    vals = eigenvalues_many(Ht)
+    zero = np.abs(vals) <= radius[:, None]
+    mean = np.array([complex(np.mean(v[z])) if z.any() else 0j
+                     for v, z in zip(vals, zero)])
+    A = Ht - mean[:, None, None] * np.eye(n)
+    stairs = nullity_staircase(A, zero.sum(axis=1), cfg.rank_tol,
+                               np.maximum(scale, 1.0))
+    certs = []
+    for mu, dims in zip(mean.tolist(), stairs):
+        if dims[-1] == 0:
+            certs.append(OrderCertificate(1, 0, 0, False, ()))
+            continue
+        certs.append(
+            OrderCertificate(
+                order=len(dims) - 1,
+                geometric_multiplicity=dims[1],
+                cluster_size=dims[-1],
+                single_block=dims[1] == 1,
+                blocks=tuple(JordanBlock(mu, k) for k in weyr_block_sizes(dims)),
+            )
+        )
+    return certs
 
 
 def splitting_exponent(
@@ -585,14 +628,12 @@ def splitting_exponent(
         raise ValueError("direction must be nonzero")
     m = cluster_size or f.dim
     scale = max(frob(_shifted(f.evaluate(lam_star))), 1.0)
-    ts, diams = [], []
-    for t in np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), steps):
-        vals = eigenvalues(_shifted(f.evaluate(lam_star + t * direction))).values
-        vals = vals[np.argsort(np.abs(vals))][:m]
-        diam = float(np.max(np.abs(vals[:, None] - vals[None, :])))
-        if diam > 1e-12 * scale:
-            ts.append(t)
-            diams.append(diam)
+    ts = np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), steps)
+    vals = eigenvalues_many(_shifted(f.evaluate_batch(lam_star + ts[:, None] * direction)))
+    near = np.take_along_axis(vals, np.argsort(np.abs(vals), axis=1)[:, :m], axis=1)
+    diams = np.abs(near[:, :, None] - near[:, None, :]).max(axis=(1, 2))
+    above = diams > 1e-12 * scale
+    ts, diams = ts[above], diams[above]
     if len(ts) < 4:
         raise RuntimeError(
             "eigenvalue spread below noise floor along this ray; fit degenerate"

@@ -30,6 +30,7 @@ __all__ = [
     "family_from_json",
     "family_to_json",
     "constraint_jacobian",
+    "constraint_jacobians",
 ]
 
 DEFAULT_FD_STEP = 1e-6
@@ -169,33 +170,45 @@ def family_to_json(f: MatrixFamily) -> dict:
     }
 
 
-def constraint_jacobian(
-    g, lam0, h: float = DEFAULT_FD_STEP, batched: bool = False
-) -> np.ndarray:
+def constraint_jacobian(g, lam0, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of a real vector function of ``lam``.
 
     Per-coordinate step ``h_i = h * max(1, |lam_i|)``; O(h^2) accurate on
-    smooth functions.  With ``batched=True``, ``g`` maps an ``(M, d)`` stack
-    of points to an ``(M, k)`` array and all ``2d`` difference points are
-    evaluated in one call.  Raises ``NonFiniteMatrixError`` when ``g``
-    produces non-finite values near ``lam0``.
+    smooth functions.  ``g`` maps one point to one vector; it is called at
+    each of the ``2d`` difference points of :func:`constraint_jacobians`.
+    Raises ``NonFiniteMatrixError`` when ``g`` produces non-finite values
+    near ``lam0``.
     """
     lam0 = np.asarray(lam0, dtype=float).ravel()
-    d = lam0.size
-    if d == 0:
-        g0 = g(lam0[None])[0] if batched else g(lam0)
-        return np.zeros((np.atleast_1d(g0).size, 0))
-    steps = h * np.maximum(1.0, np.abs(lam0))
-    # rows 2i and 2i + 1 are lam0 + h_i e_i and lam0 - h_i e_i
-    pts = np.repeat(lam0[None], 2 * d, axis=0)
+    if lam0.size == 0:
+        return np.zeros((np.atleast_1d(g(lam0)).size, 0))
+
+    def g_many(pts):
+        return np.array([np.atleast_1d(np.asarray(g(p), dtype=float)) for p in pts])
+
+    return constraint_jacobians(g_many, lam0[None], h)[0]
+
+
+def constraint_jacobians(g_many, lams, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference Jacobians at a stack of points, ``(S, d) -> (S, k, d)``.
+
+    ``g_many`` maps an ``(M, d)`` stack of points to an ``(M, k)`` array;
+    the ``2dS`` difference points of all ``S`` Jacobians are evaluated in
+    one call, so each Jacobian is bit for bit the one
+    :func:`constraint_jacobian` gives at its point when ``g_many``
+    evaluates rows independently.  Raises ``NonFiniteMatrixError`` when
+    any Jacobian is not finite.
+    """
+    lams = np.asarray(lams, dtype=float)
+    S, d = lams.shape
+    steps = h * np.maximum(1.0, np.abs(lams))
+    # rows 2i and 2i + 1 of point s are lam_s + h_i e_i and lam_s - h_i e_i
+    pts = np.repeat(lams[:, None], 2 * d, axis=1)
     i = np.arange(d)
-    pts[2 * i, i] += steps
-    pts[2 * i + 1, i] -= steps
-    if batched:
-        G = np.asarray(g(pts), dtype=float)
-    else:
-        G = np.array([np.atleast_1d(np.asarray(g(p), dtype=float)) for p in pts])
-    J = ((G[0::2] - G[1::2]) / (2 * steps)[:, None]).T
+    pts[:, 2 * i, i] += steps
+    pts[:, 2 * i + 1, i] -= steps
+    G = np.asarray(g_many(pts.reshape(-1, d)), dtype=float).reshape(S, 2 * d, -1)
+    J = ((G[:, 0::2] - G[:, 1::2]) / (2 * steps)[:, :, None]).transpose(0, 2, 1)
     if not np.all(np.isfinite(J)):
         raise NonFiniteMatrixError("non-finite constraint values near the point")
     return J

@@ -1,10 +1,14 @@
-"""Spectral core: eigenvalues, Jordan decomposition and spectral-symmetry tests.
+"""Spectral core: eigenvalues, Jordan structure and spectral-symmetry tests.
 
-Everything here targets small dense matrices (the implementation cap is
-``JORDAN_DIM_CAP = 12``).  The Jordan decomposition is numerically ill-posed
-in general; it is made usable at this scale by clustering eigenvalues with an
-absolute radius derived from ``cluster_tol`` and by deciding block sizes from
-singular-value-gated ranks of ``(H - eps*I)^k``.
+Everything here targets small dense matrices (the cap of the full Jordan
+decomposition is ``JORDAN_DIM_CAP = 12``).  Jordan structure is numerically
+ill-posed in general; it is made usable at this scale by clustering
+eigenvalues with an absolute radius derived from ``cluster_tol`` and by
+deciding block sizes from the rank staircase of ``(H - eps*I)^k``: the
+nullities of the powers, each under a singular-value cutoff
+(:func:`nullity_staircase`), whose differences are the Weyr characteristic
+(:func:`weyr_block_sizes`).  Order certification uses the staircase alone;
+:func:`jordan_decompose` builds chains on top of it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import (
     ClusterAmbiguityError,
     EigensolverError,
+    NonFiniteMatrixError,
     UnsupportedDimensionError,
 )
 from .matrices import as_matrix, dagger, frob
@@ -27,10 +32,13 @@ __all__ = [
     "JordanBlock",
     "JordanStructure",
     "eigenvalues",
+    "eigenvalues_many",
     "power_traces",
     "multiset_symmetry_match",
     "is_normal",
     "jordan_decompose",
+    "nullity_staircase",
+    "weyr_block_sizes",
     "JORDAN_DIM_CAP",
 ]
 
@@ -150,6 +158,22 @@ def eigenvalues(H) -> Spectrum:
     return Spectrum(vals)
 
 
+def eigenvalues_many(H) -> np.ndarray:
+    """Eigenvalues of a stack of matrices, ``(N, n, n) -> (N, n)``.
+
+    One stacked LAPACK call; each row equals :func:`eigenvalues` of that
+    matrix.  Raises ``NonFiniteMatrixError`` for NaN/Inf entries and
+    ``EigensolverError`` if the QR iteration fails to converge.
+    """
+    H = np.asarray(H, dtype=complex)
+    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+        raise NonFiniteMatrixError("matrix contains non-finite entries")
+    try:
+        return np.linalg.eigvals(H)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+
+
 def power_traces(H, k_max: int) -> list[complex]:
     """``tr[H^k]`` for ``k = 1..k_max``, by repeated multiplication."""
     H = as_matrix(H)
@@ -173,7 +197,8 @@ def multiset_symmetry_match(spectrum, map: str, tol: float):
     index pairs ``(i, j)`` with ``|s_i - f(s_j)| <= tol`` for every pair.
     The pairing is found by optimal bipartite assignment on the distance
     matrix, which (unlike greedy matching) is exact: a feasible perfect
-    matching is found whenever one exists.
+    matching is found whenever one exists.  With ``tol = inf`` every pairing
+    is feasible and the one returned minimizes the summed pair distance.
     """
     values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(
         spectrum, dtype=complex
@@ -247,37 +272,78 @@ def _rank_null(M: np.ndarray, cutoff: float):
     return r, Vh[r:].conj().T
 
 
+def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
+    """Rank staircases of a stack of cluster matrices ``A = H - eps*I``.
+
+    For matrix ``r`` the staircase is ``[0, d_1, ..., d_s]``, where ``d_k``
+    is the nullity of ``A_r^k`` under the singular-value cutoff
+    ``rank_tol * base_r**k`` (the cutoff grows as the powers do), clipped at
+    the cluster size ``m_r``.  It stops when ``d_k`` reaches ``m_r`` or
+    stops growing; the stalled step is not recorded, so ``d_s`` is where
+    the nullity settles.  ``m_r = 0`` gives ``[0]``.  ``m`` and ``base``
+    are scalars or one value per matrix.  All matrices climb together: each
+    step is one stacked matmul and one stacked values-only SVD of the
+    matrices still climbing.
+    """
+    A = np.asarray(A, dtype=complex)
+    m = np.broadcast_to(np.asarray(m, dtype=int), A.shape[:1])
+    base = np.broadcast_to(np.asarray(base, dtype=float), A.shape[:1])
+    n = A.shape[-1]
+    dims = [[0] for _ in range(len(A))]
+    live = np.flatnonzero(m > 0)
+    P = A[live]
+    k = 1
+    while live.size:
+        if k > 1:
+            P = P @ A[live]
+        s = np.linalg.svd(P, compute_uv=False)
+        cutoff = rank_tol * base[live] ** k
+        null = np.minimum(n - np.sum(s > cutoff[:, None], axis=1), m[live])
+        climbing = []
+        for j, (r, d) in enumerate(zip(live.tolist(), null.tolist())):
+            if d > dims[r][-1]:
+                dims[r].append(d)
+                if d < m[r]:
+                    climbing.append(j)
+        live, P = live[climbing], P[climbing]
+        k += 1
+    return dims
+
+
+def weyr_block_sizes(dims) -> list[int]:
+    """Jordan block sizes, largest first, of a staircase ``[0, d_1, ..., d_s]``.
+
+    The differences ``w_k = d_k - d_{k-1}`` (the Weyr characteristic) count
+    the blocks of size at least ``k``, so ``w_k - w_{k+1}`` blocks have size
+    exactly ``k``.
+    """
+    w = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    return [k for k in range(len(w) - 1, 0, -1) for _ in range(w[k - 1] - w[k])]
+
+
 def _chains_for_cluster(A: np.ndarray, mult: int, rank_tol: float, base: float):
     """Jordan chains for the (shifted) cluster matrix ``A = H - eps*I``.
 
     Returns a list of chains; each chain is a list of column vectors ordered
     eigenvector first, so that ``A @ chain[i+1] = chain[i]`` up to the rank
-    tolerance.  The singular-value cutoff for ``A^k`` grows as ``base^k``
-    because the powers do.
+    tolerance.  The block sizes come from :func:`nullity_staircase`; the
+    nullspace of ``A^k`` is spanned by the right singular vectors of its
+    ``d_k`` smallest singular values.
     """
     n = A.shape[0]
-    nulls = [np.zeros((n, 0))]
-    dims = [0]
-    P = np.eye(n, dtype=complex)
-    while dims[-1] < mult and len(dims) <= mult:
-        P = P @ A
-        k = len(dims)
-        _, N = _rank_null(P, rank_tol * base ** k)
-        # guard against pulling in a neighbouring cluster's nullspace; keep
-        # the directions with the smallest singular values
-        if N.shape[1] > mult:
-            N = N[:, N.shape[1] - mult :]
-        nulls.append(N)
-        dims.append(N.shape[1])
-    s = len(dims) - 1
+    dims = nullity_staircase(A[None], mult, rank_tol, base)[0]
     if dims[-1] != mult:
         raise ClusterAmbiguityError(
             "rank profile of the cluster is inconsistent with its multiplicity"
         )
-    weyr = [dims[k] - dims[k - 1] for k in range(1, s + 1)]  # w_1..w_s
-    counts = [
-        (weyr[k - 1] - (weyr[k] if k < s else 0)) for k in range(1, s + 1)
-    ]  # chains of exact length k
+    s = len(dims) - 1
+    nulls = [np.zeros((n, 0))]
+    P = np.eye(n, dtype=complex)
+    for k in range(1, s + 1):
+        P = P @ A
+        nulls.append(np.linalg.svd(P)[2][n - dims[k]:].conj().T)
+    sizes = weyr_block_sizes(dims)
+    counts = [sizes.count(k) for k in range(1, s + 1)]  # chains of exact length k
 
     chains = []
     carried: list[np.ndarray] = []  # level-k members of longer chains
@@ -312,8 +378,9 @@ def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStru
     """Jordan decomposition ``H = Q J Q^{-1}`` with tolerance clustering.
 
     Eigenvalues are clustered within an absolute radius
-    ``cfg.cluster_tol * |H|_F``; block sizes follow from the ranks of
-    ``(H - eps*I)^k`` under ``cfg.rank_tol``; ``Q`` is assembled from
+    ``cfg.cluster_tol * |H|_F``; block sizes follow from the rank staircase
+    of ``(H - eps*I)^k`` under ``cfg.rank_tol`` (:func:`nullity_staircase`,
+    the same rule that certifies EP orders); ``Q`` is assembled from
     generalized-eigenvector chains.  The round-trip residual and the
     condition number of ``Q`` are reported on the result, and
     ``ill_conditioned`` is set when ``cond(Q)`` exceeds ``1e8``.

@@ -186,6 +186,16 @@ def test_certify_command(capsys, dimer_family):
     assert 0.45 <= doc["splitting_exponent"] <= 0.55
 
 
+def test_certify_near_trimer_ep3_exits_0(capsys, trimer_family):
+    # the pair +-0.0261 next to the pinned zero eigenvalue used to abort the
+    # certificate with a clustering error (exit 1)
+    code, out, err = run(capsys, "certify", trimer_family,
+                         "--at", "1.413972410123868,1")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["order"] == 1 and doc["cluster_size"] == 1
+
+
 def test_exit_code_2_on_input_errors(capsys, dimer_family):
     code, _, err = run(capsys, "classify", "/no/such/file.json")
     assert code == 2 and "cannot read" in err

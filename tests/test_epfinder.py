@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from nhsim.classes import SimilarityClass, generate_random
+from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
     ScanConfig,
+    _local_minima,
     _row_norms,
     certify_order,
     class_identity_check,
@@ -12,8 +14,8 @@ from nhsim.epfinder import (
     splitting_exponent,
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
-from nhsim.families import MatrixFamily, constraint_jacobian
-from nhsim.spectral import is_normal
+from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
+from nhsim.spectral import SYMMETRY_MAPS, eigenvalues, is_normal
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
 CH = SimilarityClass.CHIRAL
@@ -96,6 +98,29 @@ def test_identity_check_scaled_sigma_z_chiral_passes():
     # valid chiral witness for every lam
     f = MatrixFamily(2, 1, ((SZ, (1,)),), ("lam",))
     assert class_identity_check(f, CH).passed
+
+
+@pytest.mark.parametrize("family, cls", [
+    (lambda: MatrixFamily(2, 1, ((np.diag([1.0, 2.0]).astype(complex), (1,)),),
+                          ("lam",)), CH),
+    (lambda: cubic_family(), SS),
+], ids=["diagonal-chiral", "cubic-self-skew"])
+def test_identity_check_spectral_violation_matches_reference(family, cls):
+    # families whose only violated identity is the spectral one; the
+    # reference pairs each sampled spectrum by its own assignment
+    f = family()
+    fmap = SYMMETRY_MAPS[CLASS_MAP[cls]]
+    lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, f.num_params))
+    worst = 0.0
+    for lam in lams:
+        H = f.evaluate(lam)
+        vals = eigenvalues(H).values
+        dist = np.abs(vals[:, None] - fmap(vals)[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        worst = max(worst, float(dist[rows, cols].max()) / max(np.linalg.norm(H), 1.0))
+    rep = class_identity_check(f, cls)
+    assert "symmetry" in rep.worst_identity and not rep.passed
+    assert rep.worst_violation == worst
 
 
 def test_identity_check_forced_component_violation():
@@ -238,11 +263,103 @@ def test_evaluate_many_chunking_is_invisible(monkeypatch):
 def test_batched_jacobian_bit_exact():
     f = cubic_family()
     cs = reduced_constraints(f, PH)
-    for p in np.random.default_rng(4).uniform(-2, 2, size=(20, 3)):
+    pts = np.random.default_rng(4).uniform(-2, 2, size=(20, 3))
+    for p, b in zip(pts, constraint_jacobians(cs.evaluate_many, pts)):
         a = constraint_jacobian(cs.evaluate, p)
-        b = constraint_jacobian(cs.evaluate_many, p, batched=True)
         assert a.shape == (3, 3)
         assert a.tobytes() == b.tobytes()
+
+
+def reference_scan(f, cls, cfg):
+    """Scan with per-seed Gauss-Newton on one-point evaluations and the
+    pairwise ``any`` merge.  Returns the converged candidates, then the
+    failed ones, as ``(lam, residual, iterations, converged)``; the reason
+    each seed stopped; and the number of merged duplicates."""
+    cs = reduced_constraints(f, cls)
+    names = list(f.param_names)
+    free = [i for i, nm in enumerate(names) if nm in cfg.grid]
+    base = np.array([float(cfg.fixed.get(nm, 0.0)) for nm in names])
+
+    def embed(x):
+        lam = base.copy()
+        lam[free] = x
+        return lam
+
+    def g(x):
+        return cs.evaluate(embed(x))
+
+    def gauss_newton(x):
+        gx = g(x)
+        nrm = np.linalg.norm(gx)
+        for it in range(cfg.max_iterations):
+            if nrm <= cfg.tol:
+                return x, nrm, it, True, "converged"
+            J = constraint_jacobian(g, x)
+            step, *_ = np.linalg.lstsq(J, -gx, rcond=None)
+            if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
+                return x, nrm, cfg.max_iterations, nrm <= cfg.tol, "step"
+            t = 1.0
+            for _ in range(20):
+                xn = x + t * step
+                gn = g(xn)
+                nn = np.linalg.norm(gn)
+                if nn < nrm:
+                    x, gx, nrm = xn, gn, nn
+                    break
+                t /= 2
+            else:
+                return x, nrm, cfg.max_iterations, nrm <= cfg.tol, "line search"
+        return x, nrm, cfg.max_iterations, nrm <= cfg.tol, "max_iterations"
+
+    grids = [cfg.grid[names[i]] for i in free]
+    axes = [np.linspace(lo, hi, pts) for lo, hi, pts in grids]
+    spacings = np.array([(hi - lo) / (pts - 1) for lo, hi, pts in grids])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    norms = np.array([np.linalg.norm(g(np.array(p)))
+                      for p in zip(*(m.ravel() for m in mesh))])
+    seeds = [np.array([axes[a][idx[a]] for a in range(len(free))])
+             for idx in _local_minima(norms.reshape(mesh[0].shape), cfg.seed_threshold)]
+    refined = [gauss_newton(s) for s in seeds]
+    roots = sorted((r for r in refined if r[3]), key=lambda r: tuple(r[0]))
+    merged = []
+    for r in roots:
+        if not any(np.linalg.norm((r[0] - y[0]) / spacings) <= cfg.merge_radius
+                   for y in merged):
+            merged.append(r)
+    failed = sorted((r for r in refined if not r[3]), key=lambda r: tuple(r[0]))
+    cands = [(embed(x), res, its, ok) for x, res, its, ok, _ in merged + failed]
+    return cands, {r[4] for r in refined}, len(roots) - len(merged)
+
+
+TRIMER_2D = {"gamma": (0, 3, 31), "k": (0.2, 1.5, 21)}
+CUBIC_3D = {p: (-2, 2, 9) for p in ("p1", "p2", "p3")}
+
+
+@pytest.mark.parametrize("family, cfg, reasons, merges", [
+    (dimer, ScanConfig(grid={"gamma": (-1.9, 2.1, 61)}), {"converged"}, False),
+    (dimer, ScanConfig(grid={"gamma": (-1.9, 2.1, 61)}, max_iterations=2),
+     {"max_iterations"}, False),
+    (trimer, ScanConfig(grid=TRIMER_2D, tol=1e-15), {"converged", "line search"}, False),
+    (trimer, ScanConfig(grid=TRIMER_2D, tol=0.0), {"line search"}, False),
+    (trimer, ScanConfig(grid=TRIMER_2D, merge_radius=3.0), {"converged"}, True),
+    (cubic_family, ScanConfig(grid=CUBIC_3D),
+     {"converged", "max_iterations", "line search", "step"}, False),
+    (cubic_family, ScanConfig(grid=CUBIC_3D, max_iterations=4),
+     {"max_iterations", "line search", "step"}, False),
+], ids=["dimer", "dimer-max-iterations", "trimer", "trimer-line-search",
+        "trimer-merge", "cubic", "cubic-max-iterations"])
+def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
+    f = family()
+    ref, stopped, merged = reference_scan(f, PH, cfg)
+    assert reasons <= stopped
+    assert (merged > 0) == merges
+    got = scan(f, PH, cfg)
+    assert len(got) == len(ref)
+    for c, (lam, res, its, ok) in zip(got, ref):
+        assert c.lam.tobytes() == lam.tobytes()
+        assert np.float64(c.constraint_residual).tobytes() == np.float64(res).tobytes()
+        assert c.newton_iterations == its
+        assert c.converged == ok
 
 
 def test_scan_nonfinite_input_raises():
@@ -266,12 +383,52 @@ def test_codimension_invariant_is_checked(monkeypatch):
 def test_certify_order_examples():
     cert = certify_order(np.array([[1j, 1], [1, -1j]]))
     assert cert.order == 2 and cert.single_block
+    assert [b.size for b in cert.blocks] == [2]
     cert = certify_order(trimer().evaluate([np.sqrt(2), 1.0]))
     assert cert.order == 3 and cert.single_block
     assert cert.geometric_multiplicity == 1
     cert = certify_order(np.zeros((2, 2)))
     assert cert.order == 1 and cert.geometric_multiplicity == 2
     assert not cert.single_block
+    assert [(b.eigenvalue, b.size) for b in cert.blocks] == [(0, 1), (0, 1)]
+
+
+def test_certify_order_block_sizes_from_staircase():
+    # nilpotent blocks 3 + 1 at zero next to a simple eigenvalue at 5
+    H = np.zeros((5, 5), dtype=complex)
+    H[0, 1] = H[1, 2] = 1.0
+    H[4, 4] = 5.0
+    V = np.random.default_rng(7).standard_normal((5, 5))
+    cert = certify_order(V @ H @ np.linalg.inv(V))
+    assert cert.order == 3 and cert.cluster_size == 4
+    assert cert.geometric_multiplicity == 2 and not cert.single_block
+    assert [b.size for b in cert.blocks] == [3, 1]
+    # no eigenvalue at zero: no blocks
+    cert = certify_order(np.diag([1.0, -1.0]))
+    assert (cert.order, cert.cluster_size, cert.blocks) == (1, 0, ())
+
+
+def test_certify_order_near_trimer_ep3_sweep():
+    # trimer eigenvalues are 0 and +-d at gamma = sqrt(2 - d^2), k = 1; the
+    # pair +-d lies inside the adapted radius for small d, outside it for
+    # large d, and next to it in between; every point gets a certificate
+    f = trimer()
+    bad = []
+    for d in np.linspace(0.001, 0.05, 200):
+        cert = certify_order(f.evaluate([np.sqrt(2 - d**2), 1.0]))
+        if (cert.order, cert.cluster_size, cert.single_block) != (1, 1, True):
+            bad.append((d, cert.order, cert.cluster_size))
+    assert not bad
+    cert = certify_order(f.evaluate([np.sqrt(2), 1.0]))
+    assert (cert.order, cert.cluster_size, cert.geometric_multiplicity) == (3, 3, 1)
+
+
+def test_scan_candidates_carry_zero_cluster_blocks():
+    cfg = ScanConfig(grid={"gamma": (0, 3, 101)}, fixed={"k": 1.0})
+    cand = [c for c in scan(trimer(), PH, cfg) if c.converged][0]
+    cert = certify_order(trimer().evaluate(cand.lam))
+    assert [b.size for b in cand.blocks] == [3]
+    assert cand.blocks == cert.blocks
 
 
 def test_certify_order_json():
@@ -289,6 +446,29 @@ def test_splitting_exponent_crossing_is_linear():
     f = MatrixFamily(2, 1, ((SZ, (1,)),), ("lam",))
     p = splitting_exponent(f, [0.0], [1.0])
     assert 0.9 <= p <= 1.1
+
+
+@pytest.mark.parametrize("lam, direction, m", [
+    ([np.sqrt(2), 1.0], [1.0, 0.0], None),
+    ([np.sqrt(2), 1.0], [0.3, -1.0], 2),
+    ([1.2, 0.7], [1.0, 1.0], 2),
+])
+def test_splitting_exponent_matches_per_point_reference(lam, direction, m):
+    f = trimer()
+    lam, direction = np.array(lam), np.array(direction)
+    H0 = f.evaluate(lam)
+    scale = max(np.linalg.norm(H0 - (np.trace(H0) / 3) * np.eye(3)), 1.0)
+    ts, diams = [], []
+    for t in np.logspace(-9, -3, 12):
+        H = f.evaluate(lam + t * direction)
+        vals = eigenvalues(H - (np.trace(H) / 3) * np.eye(3)).values
+        vals = vals[np.argsort(np.abs(vals))][: m or 3]
+        diam = float(np.max(np.abs(vals[:, None] - vals[None, :])))
+        if diam > 1e-12 * scale:
+            ts.append(t)
+            diams.append(diam)
+    ref = float(np.polyfit(np.log(ts), np.log(diams), 1)[0])
+    assert splitting_exponent(f, lam, direction, cluster_size=m) == ref
 
 
 def test_splitting_exponent_degenerate_ray():

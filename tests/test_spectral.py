@@ -16,7 +16,9 @@ from nhsim.spectral import (
     is_normal,
     jordan_decompose,
     multiset_symmetry_match,
+    nullity_staircase,
     power_traces,
+    weyr_block_sizes,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -202,3 +204,25 @@ def test_jordan_matrix_helper():
     J = j.jordan_matrix()
     assert np.allclose(J, [[0, 1], [0, 0]])
     assert Spectrum(np.diag(J)).dim == 2
+
+
+def test_weyr_block_sizes():
+    assert weyr_block_sizes([0]) == []
+    assert weyr_block_sizes([0, 1, 2, 3]) == [3]
+    assert weyr_block_sizes([0, 2, 3, 4]) == [3, 1]
+    assert weyr_block_sizes([0, 3]) == [1, 1, 1]
+    assert weyr_block_sizes([0, 2, 4]) == [2, 2]
+
+
+def test_nullity_staircase_stack_matches_single_and_stops():
+    N3 = np.diag([1.0, 1.0], 1).astype(complex)      # one block of size 3
+    D = np.diag([0.0, 1e-3, -1e-3]).astype(complex)  # nullity stalls at 1
+    Z = np.zeros((3, 3), dtype=complex)
+    stack = np.array([N3, D, Z, N3])
+    m = [3, 3, 3, 0]
+    got = nullity_staircase(stack, m, 1e-9, 1.0)
+    assert got == [[0, 1, 2, 3], [0, 1], [0, 3], [0]]
+    for A, mr, dims in zip(stack, m, got):
+        assert nullity_staircase(A[None], mr, 1e-9, 1.0) == [dims]
+    # clipped at the cluster size
+    assert nullity_staircase(Z[None], 2, 1e-9, 1.0) == [[0, 2]]
