@@ -21,11 +21,19 @@ invertible and solves the equation within ``residual_tol``; the spectral
 constraint is a necessary condition checked first.  No Jordan decomposition
 is involved, so the verdict does not depend on ``cluster_tol`` beyond the
 spectral check, and no dimension cap applies.
+
+The solver's tables depend only on the dimension ``n`` or on the nullity
+``k`` and are built once per process with ``functools.cache``, read-only:
+the ``(n^2, n, n)`` Hermitian basis (``n^4 * 16`` bytes per dimension seen,
+about 1 MB for all ``n <= 12``), the triangle indices and the ``(32, k)``
+search directions.  ``classify`` and ``construct_witness`` validate ``H``
+and take ``|H|_F`` once per call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,8 +148,11 @@ class ClassificationResult:
 def witness_residual(H: np.ndarray, cls: SimilarityClass, S: np.ndarray) -> float:
     """Relative residual of the class-defining equation for transform ``S``."""
     H = as_matrix(H)
-    S = as_matrix(S)
-    nH = frob(H)
+    return _residual(H, cls, as_matrix(S), frob(H))
+
+
+def _residual(H, cls: SimilarityClass, S, nH: float) -> float:
+    """:func:`witness_residual` of validated ``H`` and ``S``, ``nH = |H|_F``."""
     if cls is SimilarityClass.SELF_SKEW_SIMILAR:
         denom = nH * frob(S)
         return frob(H @ S + S @ H) / denom if denom > 0 else 0.0
@@ -163,13 +174,40 @@ _OPERATORS = {
 }
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _indices(n: int):
+    """``(d, strict, full)`` for an ``n x n`` matrix: the diagonal index and
+    the ``(iu, ju)`` of the strict and of the full upper triangle; read-only."""
+    strict = tuple(map(_read_only, np.triu_indices(n, 1)))
+    full = tuple(map(_read_only, np.triu_indices(n)))
+    return _read_only(np.arange(n)), strict, full
+
+
+@functools.cache
+def _hermitian_basis(n: int) -> np.ndarray:
+    """The ``(n^2, n, n)`` Hermitian matrices of the unit coordinates; read-only."""
+    return _read_only(_hermitian_from_coords(np.eye(n * n), n))
+
+
+@functools.cache
+def _search_directions(k: int) -> np.ndarray:
+    """The ``(32, k)`` coefficients of the random candidates in a nullspace
+    of dimension ``k``: ``default_rng(0)``, fixed as part of the contract;
+    read-only."""
+    return _read_only(np.random.default_rng(0).standard_normal((32, k)))
+
+
 def _hermitian_from_coords(C: np.ndarray, n: int) -> np.ndarray:
     """Exactly Hermitian ``(k, n, n)`` matrices from ``(k, n^2)`` real
     coordinates: the diagonal, then the real and the imaginary parts of the
     strict upper triangle in row-major order."""
-    iu, ju = np.triu_indices(n, 1)
+    d, (iu, ju), _ = _indices(n)
     m = iu.size
-    d = np.arange(n)
     S = np.zeros((C.shape[0], n, n), dtype=complex)
     S[:, d, d] = C[:, :n]
     z = C[:, n : n + m] + 1j * C[:, n + m :]
@@ -178,25 +216,48 @@ def _hermitian_from_coords(C: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
-def _spectrum_matches(H, spec, cls: SimilarityClass, cfg: ToleranceConfig) -> bool:
+def _prepared(H) -> tuple[np.ndarray, float]:
+    """``H`` validated, with its Frobenius norm, which every tolerance scales.
+
+    ``|H|_F^2 <= 2 n^2 m^2``, with ``m`` the largest real or imaginary part
+    of an entry, is finite and normal when ``2**-511 <= m <= 2**511 / n``.
+    Outside that range ``H`` is multiplied by the exact power of two that
+    brings ``m`` into ``[1/2, 1)``; the class equations and spectral
+    constraints are homogeneous, so classes and witnesses are those of
+    ``H``.  Inside it ``H`` is returned as it is.
+    """
+    H = as_matrix(H)
+    m = max(np.max(np.abs(H.real)), np.max(np.abs(H.imag)))
+    if m != 0 and not 2.0**-511 <= m <= 2.0**511 / H.shape[0]:
+        e = -np.frexp(m)[1]
+        scaled = np.empty_like(H)
+        scaled.real, scaled.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
+        H = scaled
+    return H, frob(H)
+
+
+def _spectrum_matches(spec, cls: SimilarityClass, cfg: ToleranceConfig, nH) -> bool:
     """The class's spectral constraint, within ``cluster_tol * |H|_F``."""
-    tol = cfg.cluster_tol * frob(H)
+    tol = cfg.cluster_tol * nH
     return multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is not None
 
 
-def _witness(H, cls, S, min_sv) -> SimilarityWitness:
+def _witness(H, cls, S, min_sv, nH) -> SimilarityWitness:
     return SimilarityWitness(
         similarity_class=cls,
         transform=S,
-        residual=witness_residual(H, cls, S),
+        residual=_residual(H, cls, S, nH),
         hermiticity_defect=frob(S - dagger(S)) / frob(S),
         min_singular_value=float(min_sv),
     )
 
 
-def _solve_witness(H, cls: SimilarityClass, cfg: ToleranceConfig) -> SimilarityWitness:
+def _solve_witness(
+    H, cls: SimilarityClass, cfg: ToleranceConfig, nH: float
+) -> SimilarityWitness:
     """Best-conditioned element of the Hermitian solution space of the class
-    equation, scaled to unit spectral norm.
+    equation, scaled to unit spectral norm; ``H`` comes from
+    :func:`_prepared`, ``nH`` is its Frobenius norm.
 
     The equation is real-linear in the ``n^2`` real coordinates of ``S``;
     its nullspace is cut at ``residual_tol`` times the largest singular
@@ -208,27 +269,26 @@ def _solve_witness(H, cls: SimilarityClass, cfg: ToleranceConfig) -> SimilarityW
     """
     n = H.shape[0]
     sign, R, hermitian_image = _OPERATORS[cls]
-    B = _hermitian_from_coords(np.eye(n * n), n)
+    B = _hermitian_basis(n)
     images = H @ B + sign * (B @ R(H))
     if hermitian_image:
-        iu, ju = np.triu_indices(n)
+        iu, ju = _indices(n)[2]
         images = images[:, iu, ju]
     images = images.reshape(n * n, -1)
     U, s, _ = np.linalg.svd(
         np.concatenate([images.real, images.imag], axis=1), full_matrices=False
     )
-    if s[0] * np.sqrt(n) <= cfg.residual_tol * frob(H):
+    if s[0] * np.sqrt(n) <= cfg.residual_tol * nH:
         # H is zero or within tolerance of a scalar: every Hermitian
         # transform solves the equation, the identity best conditioned
-        return _witness(H, cls, np.eye(n, dtype=complex), 1.0)
+        return _witness(H, cls, np.eye(n, dtype=complex), 1.0, nH)
     null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
     if null.shape[0] == 0:
         raise ClassMismatchError(
             f"no Hermitian transform solves the {cls.value} equation"
         )
 
-    rng = np.random.default_rng(0)  # deterministic search, part of the contract
-    coords = np.concatenate([null, rng.standard_normal((32, null.shape[0])) @ null])
+    coords = np.concatenate([null, _search_directions(null.shape[0]) @ null])
     S = _hermitian_from_coords(coords, n)
     sv = np.abs(np.linalg.eigvalsh(S))  # singular values of Hermitian matrices
     lo, hi = sv.min(axis=1), sv.max(axis=1)
@@ -238,7 +298,7 @@ def _solve_witness(H, cls: SimilarityClass, cfg: ToleranceConfig) -> SimilarityW
         raise ClassMismatchError(
             f"the Hermitian solutions of the {cls.value} equation are all singular"
         )
-    return _witness(H, cls, S[best] / hi[best], ratio[best])
+    return _witness(H, cls, S[best] / hi[best], ratio[best], nH)
 
 
 def construct_witness(
@@ -253,12 +313,12 @@ def construct_witness(
     the spectral constraint is necessary but not sufficient.  The returned
     residual is not checked against ``residual_tol``.
     """
-    H = as_matrix(H)
-    if not _spectrum_matches(H, eigenvalues(H), cls, cfg):
+    H, nH = _prepared(H)
+    if not _spectrum_matches(eigenvalues(H), cls, cfg, nH):
         raise ClassMismatchError(
             f"spectrum violates the {cls.value} symmetry constraint"
         )
-    return _solve_witness(H, cls, cfg)
+    return _solve_witness(H, cls, cfg, nH)
 
 
 def construct_eta(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SimilarityWitness:
@@ -292,14 +352,14 @@ def classify(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ClassificationResu
     witness solves the class equation within ``residual_tol``; otherwise it
     is reported in ``spectral_only``.
     """
-    H = as_matrix(H)
+    H, nH = _prepared(H)
     result = ClassificationResult()
     spec = eigenvalues(H)
     for cls in SimilarityClass:
-        if not _spectrum_matches(H, spec, cls, cfg):
+        if not _spectrum_matches(spec, cls, cfg, nH):
             continue
         try:
-            w = _solve_witness(H, cls, cfg)
+            w = _solve_witness(H, cls, cfg, nH)
         except ClassMismatchError:
             result.spectral_only.add(cls)
             continue

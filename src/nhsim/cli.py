@@ -385,8 +385,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="EP order certificate at a parameter point")
     sp.add_argument("family")
-    sp.add_argument("--at", required=True, metavar="v1,v2,...")
-    sp.add_argument("--direction", default=None, metavar="d1,d2,...")
+    sp.add_argument("--at", required=True, metavar="v1,v2,...",
+                    help="parameter point; attach it with = when it starts "
+                         "with a minus sign: --at=-1.2,0.5")
+    sp.add_argument("--direction", default=None, metavar="d1,d2,...",
+                    help="ray of the splitting exponent (default all ones); "
+                         "attach it with = when it starts with a minus sign: "
+                         "--direction=-0.9,0.4")
     common(sp)
     sp.set_defaults(func=_cmd_certify)
 

@@ -324,12 +324,14 @@ def _gauss_newton(g_many, x0, max_iter, tol):
     solution manifold).  ``g_many`` maps a stack of points to a stack of
     constraint vectors.  All unfinished seeds advance in lock step: each
     round makes one ``g_many`` call for the Jacobians of all of them and
-    one for the trial points ``x + 2**-j * step`` (j = 0..19) of all their
-    line searches, and each seed takes its first trial point that lowers
-    the norm.  A seed stops when it converges, when its step is zero or
-    not finite, or when no trial point lowers the norm.  Returns the
-    arrays ``(x, norm, iterations, converged)``; ``iterations`` is the
-    round at which a seed converged and ``max_iter`` for every other seed.
+    one for the full steps ``x + step`` of all their line searches; only
+    the seeds whose full step does not lower the norm get a second call,
+    for the trial points ``x + 2**-j * step`` (j = 1..19).  Each seed takes
+    its first trial point that lowers the norm.  A seed stops when it
+    converges, when its step is zero or not finite, or when no trial point
+    lowers the norm.  Returns the arrays ``(x, norm, iterations,
+    converged)``; ``iterations`` is the round at which a seed converged and
+    ``max_iter`` for every other seed.
     """
     x = np.array(x0, dtype=float)
     gx = g_many(x)
@@ -349,16 +351,31 @@ def _gauss_newton(g_many, x0, max_iter, tol):
         live, step = live[ok], step[ok]
         if not live.size:
             break
-        trial = x[live][:, None] + _HALVINGS[:, None] * step[:, None]
-        gt = g_many(trial.reshape(-1, x.shape[1])).reshape(trial.shape[:2] + (-1,))
-        nt = _row_norms(gt)
-        lower = nt < nrm[live][:, None]
-        found = np.flatnonzero(lower.any(axis=1))
-        first = lower[found].argmax(axis=1)
-        live = live[found]
-        x[live], gx[live], nrm[live] = (trial[found, first], gt[found, first],
-                                        nt[found, first])
+        found = _first_decrease(g_many, live, step, _HALVINGS[:1], x, gx, nrm)
+        rest = np.setdiff1d(np.arange(live.size), found, assume_unique=True)
+        if rest.size:
+            more = _first_decrease(g_many, live[rest], step[rest], _HALVINGS[1:],
+                                   x, gx, nrm)
+            found = np.concatenate([found, rest[more]])
+        live = np.sort(live[found])
     return x, nrm, its, nrm <= tol
+
+
+def _first_decrease(g_many, rows, step, halvings, x, gx, nrm):
+    """Move each seed ``rows[i]`` to its first trial point
+    ``x + h * step[i]``, ``h`` over ``halvings``, whose norm is below its
+    current one, updating ``x``, ``gx`` and ``nrm`` in place; one ``g_many``
+    call.  Returns the positions in ``rows`` of the seeds that moved."""
+    trial = x[rows][:, None] + halvings[:, None] * step[:, None]
+    gt = g_many(trial.reshape(-1, x.shape[1])).reshape(trial.shape[:2] + (-1,))
+    nt = _row_norms(gt)
+    lower = nt < nrm[rows][:, None]
+    found = np.flatnonzero(lower.any(axis=1))
+    first = lower[found].argmax(axis=1)
+    moved = rows[found]
+    x[moved], gx[moved], nrm[moved] = (trial[found, first], gt[found, first],
+                                       nt[found, first])
+    return found
 
 
 def _row_norms(G: np.ndarray) -> np.ndarray:

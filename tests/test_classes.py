@@ -258,3 +258,118 @@ def test_near_scalar_matrix_keeps_its_class():
     # whole class operator sits below the nullspace cut
     for H in (np.array([[1 + 1e-9j]]), (1 + 1e-9j) * np.eye(3)):
         assert classify(H).confirmed == {PH}
+
+
+# ---------------------------------------------------------------------------
+# the solver's per-dimension tables are built once; results must not change
+
+
+def _reference_solve_witness(H, cls, cfg):
+    """The solver as it was before its tables were cached: basis, triangle
+    indices and search directions rebuilt on every call."""
+    from nhsim.classes import _OPERATORS
+
+    def from_coords(C, n):
+        iu, ju = np.triu_indices(n, 1)
+        m = iu.size
+        d = np.arange(n)
+        S = np.zeros((C.shape[0], n, n), dtype=complex)
+        S[:, d, d] = C[:, :n]
+        z = C[:, n : n + m] + 1j * C[:, n + m :]
+        S[:, iu, ju] = z
+        S[:, ju, iu] = z.conj()
+        return S
+
+    def witness(S, min_sv):
+        defect = frob(S - dagger(S)) / frob(S)
+        return S, witness_residual(H, cls, S), defect, float(min_sv)
+
+    n = H.shape[0]
+    sign, R, hermitian_image = _OPERATORS[cls]
+    B = from_coords(np.eye(n * n), n)
+    images = H @ B + sign * (B @ R(H))
+    if hermitian_image:
+        iu, ju = np.triu_indices(n)
+        images = images[:, iu, ju]
+    images = images.reshape(n * n, -1)
+    U, s, _ = np.linalg.svd(
+        np.concatenate([images.real, images.imag], axis=1), full_matrices=False
+    )
+    if s[0] * np.sqrt(n) <= cfg.residual_tol * frob(H):
+        return witness(np.eye(n, dtype=complex), 1.0)
+    null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
+    if null.shape[0] == 0:
+        return None
+    rng = np.random.default_rng(0)
+    coords = np.concatenate([null, rng.standard_normal((32, null.shape[0])) @ null])
+    S = from_coords(coords, n)
+    sv = np.abs(np.linalg.eigvalsh(S))
+    lo, hi = sv.min(axis=1), sv.max(axis=1)
+    ratio = lo / hi
+    best = int(np.argmax(ratio))
+    if not ratio[best] > cfg.rank_tol:
+        return None
+    return witness(S[best] / hi[best], ratio[best])
+
+
+def _reference_classify(H, cfg):
+    from nhsim.classes import CLASS_MAP
+
+    H = np.asarray(H, dtype=complex)
+    spec = eigenvalues(H)
+    out = {}
+    for cls in SimilarityClass:
+        tol = cfg.cluster_tol * frob(H)
+        if multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is None:
+            continue
+        w = _reference_solve_witness(H, cls, cfg)
+        ok = w is not None and max(w[1], w[2]) <= cfg.residual_tol
+        out[cls] = w if ok else None
+    return out
+
+
+def _table_corpus():
+    rng = np.random.default_rng(7)
+    for n in range(1, 14):
+        for cls in SimilarityClass:
+            yield generate_random(cls, n, n)
+        yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield np.zeros((n, n), dtype=complex)
+        yield (1.5 - 0.5j) * np.eye(n)
+        yield (1 + 1e-9j) * np.eye(n)
+        # a non-unitary similarity keeps the spectrum, not the Hermitian S
+        V = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+        yield V @ generate_random(SS, n, n) @ np.linalg.inv(V)
+    for d in (0.0, 1e-6, 1e-10, 1e-14):
+        V = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+        yield V @ np.array([[0, 1], [d, 0]]) @ np.linalg.inv(V)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        J = np.diag([1.0, 1.0, 1.0], 1) + d * np.eye(4, k=-3)
+        yield Q @ J @ Q.T
+
+
+@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-4, 1e-5, 1e-6)])
+def test_cached_solver_tables_match_uncached_solver(cfg):
+    for i, H in enumerate(_table_corpus()):
+        result = classify(H, cfg)
+        ref = _reference_classify(H, cfg)
+        assert result.candidates == set(ref), i
+        assert result.confirmed == {c for c, w in ref.items() if w is not None}, i
+        for cls, w in result.witnesses.items():
+            S, residual, defect, min_sv = ref[cls]
+            assert w.transform.tobytes() == S.tobytes(), (i, cls)
+            assert (w.residual, w.hermiticity_defect, w.min_singular_value) == (
+                residual, defect, min_sv), (i, cls)
+
+
+def test_cached_solver_tables_are_read_only():
+    from nhsim.classes import _hermitian_basis, _indices, _search_directions
+
+    classify(generate_random(PH, 4, 0))
+    d, strict, full = _indices(4)
+    tables = [_hermitian_basis(4), d, *strict, *full, _search_directions(3)]
+    assert _hermitian_basis(4) is tables[0]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0

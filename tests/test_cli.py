@@ -196,6 +196,44 @@ def test_certify_near_trimer_ep3_exits_0(capsys, trimer_family):
     assert doc["order"] == 1 and doc["cluster_size"] == 1
 
 
+def certify_sweep_points(rng, ratio, params, count):
+    """Seeded points ``gamma = ratio * k * (1 +- 10**-u)``, ``u`` in
+    ``[1, 15]``, with ``k`` of either sign (``k = 1`` for a one-parameter
+    family), and random directions."""
+    for _ in range(count):
+        k = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0) if params == 2 else 1.0
+        u = rng.uniform(1.0, 15.0)
+        gamma = ratio * k * (1.0 + rng.choice([-1.0, 1.0]) * 10.0**-u)
+        yield [float(gamma), float(k)][:params], rng.uniform(-1.0, 1.0, params).tolist()
+
+
+@pytest.mark.parametrize("family, ratio, params", [
+    ("dimer_family", 1.0, 1),
+    ("trimer_family", np.sqrt(2.0), 2),
+])
+def test_certify_sweep_near_eps_never_exits_1(capsys, request, family, ratio, params):
+    # a leading minus reads as an option unless the value is attached with =
+    path = request.getfixturevalue(family)
+    rng = np.random.default_rng(21)
+    for lam, direction in certify_sweep_points(rng, ratio, params, 150):
+        at = ",".join(map(repr, lam))
+        along = ",".join(map(repr, direction))
+        code, out, err = run(capsys, "certify", path, f"--at={at}",
+                             f"--direction={along}")
+        assert code == 0, (at, along, err)
+        doc = json.loads(out)
+        assert doc["lam"] == lam and doc["order"] >= 1, (at, along)
+
+
+def test_certify_reads_negative_values_with_equals(capsys, trimer_family):
+    code, _, err = run(capsys, "certify", trimer_family, "--at", "-1.2,0.5")
+    assert code == 2 and "--at" in err
+    code, out, err = run(capsys, "certify", trimer_family, "--at=-1.2,0.5",
+                         "--direction=-0.9,0.4")
+    assert code == 0, err
+    assert json.loads(out)["lam"] == [-1.2, 0.5]
+
+
 def test_exit_code_2_on_input_errors(capsys, dimer_family):
     code, _, err = run(capsys, "classify", "/no/such/file.json")
     assert code == 2 and "cannot read" in err

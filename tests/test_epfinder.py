@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
     ScanConfig,
+    _gauss_newton,
     _local_minima,
     _row_norms,
     certify_order,
@@ -494,3 +495,20 @@ def test_splitting_exponent_generic_ep3_third_root():
     )
     p = splitting_exponent(f, [np.sqrt(2), 0.0], [0.0, 1.0])
     assert 0.28 <= p <= 0.38
+
+
+def test_line_search_evaluates_halvings_only_where_the_full_step_fails():
+    # g(x) = (x1^2 - 1, x2 - 2): the full step lowers |g| from seeds near
+    # the root; from x1 = 0.05 it overshoots to x1 ~ 10 and needs halving
+    calls = []
+
+    def g_many(pts):
+        calls.append(len(pts))
+        return np.stack([pts[:, 0] ** 2 - 1.0, pts[:, 1] - 2.0], axis=1)
+
+    seeds = np.array([[1.5, 0.0], [0.8, 3.0], [0.05, 2.0]])
+    x, nrm, its, ok = _gauss_newton(g_many, seeds, 1, 1e-12)
+    # seeds, 2d Jacobian points each, the three full steps, then 19
+    # halvings for the one seed whose full step did not lower the norm
+    assert calls == [3, 12, 3, 19]
+    assert np.all(nrm < np.linalg.norm(g_many(seeds), axis=1))

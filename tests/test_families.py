@@ -11,7 +11,7 @@ from nhsim.families import (
     family_to_json,
     parse_family,
 )
-from nhsim.matrices import parse_matrix
+from nhsim.matrices import dump_matrix, parse_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -63,6 +63,46 @@ def test_parse_trimer_round_trip():
     assert f.param_names == ("p1", "p2")  # defaulted
     H = f.evaluate([np.sqrt(2), 1.0])
     assert H[0, 1] == 1 and H[0, 0] == pytest.approx(1j * np.sqrt(2))
+
+
+#: entry parts that a lossy float format would bend: signed zeros,
+#: subnormals, the smallest normal and magnitudes near 1e+-300
+AWKWARD = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e-300]
+
+
+def awkward_matrix(rng, n):
+    """Seeded matrix with log-uniform magnitudes in 1e+-300 and a third of
+    its real and imaginary parts drawn from ``AWKWARD``."""
+    parts = 10.0 ** rng.uniform(-300, 300, (2, n, n)) * rng.choice([-1.0, 1.0], (2, n, n))
+    special = rng.random((2, n, n)) < 1 / 3
+    parts[special] = rng.choice(AWKWARD, special.sum())
+    H = np.empty((n, n), dtype=complex)
+    H.real, H.imag = parts
+    return H
+
+
+def test_matrix_json_round_trips_bit_exactly():
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        H = awkward_matrix(rng, int(rng.integers(1, 7)))
+        assert parse_matrix(dump_matrix(H)).tobytes() == H.tobytes(), i
+
+
+def test_family_json_round_trips_bit_exactly():
+    rng = np.random.default_rng(12)
+    for i in range(100):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        terms = tuple(
+            (awkward_matrix(rng, n), tuple(int(e) for e in rng.integers(0, 4, d)))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        names = () if i % 3 == 0 else tuple(f"λ{j}_{i}" for j in range(d))
+        f = MatrixFamily(dim=n, num_params=d, terms=terms, param_names=names)
+        g = parse_family(json.dumps(family_to_json(f)))
+        assert (g.dim, g.num_params, g.param_names) == (n, d, f.param_names), i
+        assert len(g.terms) == len(terms), i
+        for (M, exps), (M2, exps2) in zip(terms, g.terms):
+            assert M2.tobytes() == M.tobytes() and exps2 == exps, i
 
 
 def test_parse_rejects_dimension_mix():

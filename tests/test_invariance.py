@@ -4,7 +4,13 @@ conjugation, and the witness residual of every confirmed class."""
 import numpy as np
 import pytest
 
-from nhsim.classes import SimilarityClass, classify, generate_random, witness_residual
+from nhsim.classes import (
+    SimilarityClass,
+    classify,
+    construct_witness,
+    generate_random,
+    witness_residual,
+)
 from nhsim.matrices import dagger
 from nhsim.spectral import DEFAULT_TOLERANCES
 
@@ -27,10 +33,33 @@ def haar_unitary(rng, n):
     return Q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("c", [1e-8, 1e-3, 1e3, 1e8])
+SCALES = [1e-300, 1e-8, 1e-3, 1e3, 1e8, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("c", SCALES)
 def test_classify_is_scale_invariant(c):
     for key, H in samples(range(20)):
         assert verdict(c * H) == verdict(H), key
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_generic_matrix_gets_no_class_at_any_scale(c):
+    # beyond about 1e+-154 |H|_F^2 leaves the normal range unless H is
+    # rescaled: an infinite norm would pass every spectral check, and a
+    # zero one would leave no tolerance
+    rng = np.random.default_rng(3)
+    for n in range(2, 7):
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert verdict(c * H) == (set(), set()), n
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+def test_construct_witness_at_extreme_scales(c):
+    tol = DEFAULT_TOLERANCES.residual_tol
+    for (cls, n, seed), H in samples(range(3)):
+        w = construct_witness(c * H, cls)
+        assert w.residual <= tol and w.hermiticity_defect <= tol, (cls, n, seed)
+        assert witness_residual(H, cls, w.transform) <= tol, (cls, n, seed)
 
 
 def test_classify_is_unitarily_invariant():

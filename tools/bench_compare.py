@@ -21,8 +21,11 @@ A metric's direction comes from ``BENCHMARK.json``.  A pair is won when the
 change is strictly better.  ``median_gap_over_base_iqr`` is the distance
 between the two medians in the better direction divided by the
 interquartile range of the base runs (above 1: the gain is larger than the
-base's own spread).  If the output file exists, its entries for other
-workloads are kept, so one file can collect several workloads of one topic.
+base's own spread); with one seed there are no quartiles and it is
+``null``.  ``same_in_every_pair`` records whether base and change had equal
+output digests and equal ``failed`` counts in every pair.  If the output
+file exists, its entries for other workloads are kept, so one file can
+collect several workloads of one topic.
 """
 
 from __future__ import annotations
@@ -95,9 +98,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
+    """Median, quartiles and range; one run has no quartiles (``None``)."""
+    q1 = q3 = iqr = None
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        iqr = q3 - q1
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": iqr,
             "min": min(values), "max": max(values)}
+
+
+def same_outputs(pairs: list[dict]) -> dict:
+    """Whether base and change had equal output digests and equal failed
+    counts in every pair."""
+    return {key: all(p["base"][key] == p["change"][key] for p in pairs)
+            for key in ("output_digest", "failed")}
 
 
 def compare(pairs: list[dict], directions: dict, units: dict) -> dict:
@@ -154,7 +168,9 @@ def main(argv=None) -> int:
             line = "  ".join(
                 f"{name} {pair['base']['metrics'][name]:.4g} -> "
                 f"{pair['change']['metrics'][name]:.4g}" for name in directions)
-            print(f"[{i + 1}/{len(args.seeds)}] seed {seed}: {line}", flush=True)
+            same = "  ".join(f"same {k}: {v}" for k, v in same_outputs([pair]).items())
+            print(f"[{i + 1}/{len(args.seeds)}] seed {seed}: {line}  {same}",
+                  flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -165,6 +181,7 @@ def main(argv=None) -> int:
         "base": base_info,
         "change": change_info,
         "metrics": compare(pairs, directions, units),
+        "same_in_every_pair": same_outputs(pairs),
         "pairs": pairs,
     }
     doc = {"topic": args.topic, "workloads": {}}
@@ -184,6 +201,8 @@ def main(argv=None) -> int:
     for name, m in entry["metrics"].items():
         print(f"{name}: median {m['base']['median']:.4g} -> {m['change']['median']:.4g}, "
               f"change wins {m['wins']}/{m['pairs']}")
+    for key, same in entry["same_in_every_pair"].items():
+        print(f"{key} equal in every pair: {same}")
     print(f"wrote {out_path}")
     return 0
 
