@@ -86,11 +86,19 @@ class SimilarityClass(enum.Enum):
         return aliases[key]
 
 
-#: spectral-symmetry map associated with each class
+#: ``(sign, adjoint)`` of each class equation ``H = sign S R(H) S^-1``:
+#: ``R`` is the adjoint when ``adjoint`` is set and the identity otherwise.
+CLASS_EQUATIONS = {
+    SimilarityClass.PSEUDO_HERMITIAN: (1.0, True),
+    SimilarityClass.CHIRAL: (-1.0, True),
+    SimilarityClass.SELF_SKEW_SIMILAR: (-1.0, False),
+}
+
+#: Name in ``spectral.SYMMETRY_MAPS`` of each class's spectral map
+#: ``eps -> sign R(eps)``.
 CLASS_MAP = {
-    SimilarityClass.PSEUDO_HERMITIAN: "conj",
-    SimilarityClass.CHIRAL: "negconj",
-    SimilarityClass.SELF_SKEW_SIMILAR: "neg",
+    cls: ("neg" if sign < 0 else "") + ("conj" if adjoint else "")
+    for cls, (sign, adjoint) in CLASS_EQUATIONS.items()
 }
 
 
@@ -152,26 +160,17 @@ def witness_residual(H: np.ndarray, cls: SimilarityClass, S: np.ndarray) -> floa
 
 
 def _residual(H, cls: SimilarityClass, S, nH: float) -> float:
-    """:func:`witness_residual` of validated ``H`` and ``S``, ``nH = |H|_F``."""
-    if cls is SimilarityClass.SELF_SKEW_SIMILAR:
+    """:func:`witness_residual` of validated ``H`` and ``S``, ``nH = |H|_F``:
+    ``|H S - sign S R(H)|`` over ``|H| |S|``, or ``|H - sign S R(H) S^-1|``
+    over ``|H|`` when ``R`` is the adjoint."""
+    sign, adjoint = CLASS_EQUATIONS[cls]
+    if not adjoint:
         denom = nH * frob(S)
-        return frob(H @ S + S @ H) / denom if denom > 0 else 0.0
+        return frob(H @ S - sign * (S @ H)) / denom if denom > 0 else 0.0
     if nH == 0:
         return 0.0
     conj = np.linalg.solve(S.T, (S @ dagger(H)).T).T  # S H^+ S^-1
-    if cls is SimilarityClass.PSEUDO_HERMITIAN:
-        return frob(H - conj) / nH
-    return frob(H + conj) / nH
-
-
-#: The defining equation of each class as ``H S + sign S R(H) = 0``: the sign,
-#: ``R``, and whether the left side is (anti-)Hermitian for Hermitian ``S``,
-#: in which case its upper triangle determines it.
-_OPERATORS = {
-    SimilarityClass.PSEUDO_HERMITIAN: (-1.0, dagger, True),
-    SimilarityClass.CHIRAL: (1.0, dagger, True),
-    SimilarityClass.SELF_SKEW_SIMILAR: (1.0, lambda H: H, False),
-}
+    return frob(H - sign * conj) / nH
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -268,10 +267,12 @@ def _solve_witness(
     with ``sigma_min / sigma_max > rank_tol``.
     """
     n = H.shape[0]
-    sign, R, hermitian_image = _OPERATORS[cls]
+    sign, adjoint = CLASS_EQUATIONS[cls]
     B = _hermitian_basis(n)
-    images = H @ B + sign * (B @ R(H))
-    if hermitian_image:
+    # H S - sign S R(H); the sign is negated before the complex product,
+    # since negating after it can flip the sign of a zero the SVD sees
+    images = H @ B + (-sign) * (B @ (dagger(H) if adjoint else H))
+    if adjoint:  # then the image is (anti-)Hermitian: its upper triangle
         iu, ju = _indices(n)[2]
         images = images[:, iu, ju]
     images = images.reshape(n * n, -1)

@@ -46,9 +46,9 @@ from .families import parse_family
 from .matrices import matrix_to_json, parse_matrix
 from .specht import (
     CLASS_SYMMETRIES,
-    SYMMETRY_TARGETS,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
+    mapped_target,
     word_list,
     word_trace,
 )
@@ -206,8 +206,7 @@ def _cmd_specht_generators(args):
         for cls in classes:
             evidence = []
             for symmetry in CLASS_SYMMETRIES[cls]:
-                target, sign, _ = SYMMETRY_TARGETS[symmetry]
-                B = sign * np.asarray(target(H))
+                B = mapped_target(H, symmetry)
                 for w, ta, tb in compare_profiles(H, B, cfg.residual_tol):
                     evidence.append(
                         {

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import CLASS_MAP, SimilarityClass
+from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError
 from .families import MatrixFamily, constraint_jacobians
 from .matrices import as_matrix, frob
@@ -78,14 +78,14 @@ def _shifted(H: np.ndarray) -> np.ndarray:
 
 
 def _raw_components(n: int):
-    """(label, kind, k, part) for every real component of the unreduced
-    system: tr H~^k for 2 <= k < n, then det H~."""
+    """(label, k, part) for every real component of the unreduced system:
+    tr H~^k for 2 <= k < n, then det H~ with k = n."""
     comps = []
     for k in range(2, n):
-        comps.append((f"Re tr H^{k}", "trace", k, "re"))
-        comps.append((f"Im tr H^{k}", "trace", k, "im"))
-    comps.append(("Re det", "det", n, "re"))
-    comps.append(("Im det", "det", n, "im"))
+        comps.append((f"Re tr H^{k}", k, "re"))
+        comps.append((f"Im tr H^{k}", k, "im"))
+    comps.append(("Re det", n, "re"))
+    comps.append(("Im det", n, "im"))
     return comps
 
 
@@ -94,23 +94,15 @@ def _column_index(n: int) -> dict[str, int]:
     return {lab: j for j, (lab, *_rest) in enumerate(_raw_components(n))}
 
 
-def _kept(cls: SimilarityClass, n: int, kind: str, k: int, part: str) -> bool:
-    """Whether the class keeps this component as an active constraint.
-
-    The chiral det parity (real for even n, imaginary for odd n) follows
-    from {eps} = {-eps*} and is double-checked by class_identity_check
-    rather than assumed blindly.
-    """
-    if cls is SimilarityClass.PSEUDO_HERMITIAN:
-        return part == "re"
-    if cls is SimilarityClass.CHIRAL:
-        if kind == "trace":
-            return part == ("re" if k % 2 == 0 else "im")
-        return part == ("re" if n % 2 == 0 else "im")
-    # self-skew-similar
-    if kind == "trace":
-        return k % 2 == 0
-    return n % 2 == 0
+def _kept(cls: SimilarityClass, k: int, part: str) -> bool:
+    """Whether the class keeps this part of ``z = tr H~^k`` (``det H~`` for
+    k = n) as an active constraint.  ``z = sign^k R(z)`` forces ``Im z``
+    (``sign^k = +1``) or ``Re z`` (``sign^k = -1``) to vanish when ``R``
+    conjugates, and ``z`` itself when ``R`` is the identity and
+    ``sign^k = -1``; class_identity_check verifies this on samples."""
+    sign, adjoint = CLASS_EQUATIONS[cls]
+    even = sign**k > 0
+    return part == ("re" if even else "im") if adjoint else even
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,7 @@ def class_identity_check(
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
     worst, worst_pt, worst_id = 0.0, None, ""
-    degree = {lab: k for (lab, _kind, k, _p) in _raw_components(f.dim)}
+    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
     lams = rng.uniform(-box, box, size=(max(samples, 1), f.num_params))
     H = f.evaluate_batch(lams)
     forced = np.abs(cs.evaluate_many(lams, cs.forced_zero))
@@ -220,8 +212,8 @@ def class_identity_check(
 def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
     n = f.dim
     labels, forced = [], []
-    for lab, kind, k, part in _raw_components(n):
-        (labels if _kept(cls, n, kind, k, part) else forced).append(lab)
+    for lab, k, part in _raw_components(n):
+        (labels if _kept(cls, k, part) else forced).append(lab)
     cs = ConstraintSystem(
         similarity_class=cls,
         order=n,

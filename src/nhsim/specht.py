@@ -38,6 +38,7 @@ __all__ = [
     "CounterexampleEvidence",
     "n3_counterexample",
     "SYMMETRY_TARGETS",
+    "mapped_target",
 ]
 
 X = "X"
@@ -214,6 +215,12 @@ CLASS_SYMMETRIES = {
 }
 
 
+def mapped_target(H, symmetry: str) -> np.ndarray:
+    """``sign T(H)``, which the symmetry makes unitarily similar to ``H``."""
+    target, sign, _ = SYMMETRY_TARGETS[symmetry]
+    return sign * np.asarray(target(H))
+
+
 def recover_generator(H, symmetry: str) -> GeneratorSearch:
     """Closed-form 2x2 symmetry generator with the smallest residual.
 
@@ -230,12 +237,12 @@ def recover_generator(H, symmetry: str) -> GeneratorSearch:
     H = as_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("generator recovery is a 2x2 operation")
-    target, sign, prop = SYMMETRY_TARGETS[symmetry]
-    T = np.asarray(target(H))
-    M = (H @ prop.basis - sign * (prop.basis @ T)).reshape(3, 4)
+    prop = SYMMETRY_TARGETS[symmetry][2]
+    B = mapped_target(H, symmetry)
+    M = (H @ prop.basis - prop.basis @ B).reshape(3, 4)
     q = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1).T)[2][-1]
     candidates = (np.tensordot(q, prop.basis, axes=1), _I2)
-    residuals = [frob(H - sign * (U @ T @ dagger(U))) for U in candidates]
+    residuals = [frob(H - U @ B @ dagger(U)) for U in candidates]
     k = int(np.argmin(residuals))  # ties keep the SVD candidate
     U = candidates[k]
     return GeneratorSearch(
@@ -265,9 +272,8 @@ def check_similarity_implies_symmetry_2x2(
     construct_witness(H, cls, cfg)  # raises ClassMismatchError if not in class
     out = {}
     for symmetry in CLASS_SYMMETRIES[cls]:
-        target, sign, _ = SYMMETRY_TARGETS[symmetry]
         if cls is not SimilarityClass.SELF_SKEW_SIMILAR:
-            mism = compare_profiles(H, sign * np.asarray(target(H)), cfg.residual_tol)
+            mism = compare_profiles(H, mapped_target(H, symmetry), cfg.residual_tol)
             if mism:
                 w, ta, tb = mism[0]
                 raise ClassMismatchError(
@@ -333,8 +339,7 @@ def n3_counterexample(
     for attempt in range(max_resamples):
         H = generate_random(cls, 3, seed + 7919 * attempt, non_normal=True)
         for symmetry in CLASS_SYMMETRIES[cls]:
-            target, sign, _ = SYMMETRY_TARGETS[symmetry]
-            B = sign * np.asarray(target(H))
+            B = mapped_target(H, symmetry)
             for w in word_list(3):
                 ta = word_trace(H, w)
                 tb = word_trace(B, w)

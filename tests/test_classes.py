@@ -264,11 +264,20 @@ def test_near_scalar_matrix_keeps_its_class():
 # the solver's per-dimension tables are built once; results must not change
 
 
+#: Each class equation as ``H S + sign S R(H) = 0``: the sign, ``R``, and
+#: whether the left side is (anti-)Hermitian for Hermitian ``S``; and the
+#: class's spectral map.
+_REFERENCE_OPERATORS = {
+    PH: (-1.0, dagger, True),
+    CH: (1.0, dagger, True),
+    SS: (1.0, lambda H: H, False),
+}
+_REFERENCE_MAPS = {PH: "conj", CH: "negconj", SS: "neg"}
+
+
 def _reference_solve_witness(H, cls, cfg):
     """The solver as it was before its tables were cached: basis, triangle
     indices and search directions rebuilt on every call."""
-    from nhsim.classes import _OPERATORS
-
     def from_coords(C, n):
         iu, ju = np.triu_indices(n, 1)
         m = iu.size
@@ -285,7 +294,7 @@ def _reference_solve_witness(H, cls, cfg):
         return S, witness_residual(H, cls, S), defect, float(min_sv)
 
     n = H.shape[0]
-    sign, R, hermitian_image = _OPERATORS[cls]
+    sign, R, hermitian_image = _REFERENCE_OPERATORS[cls]
     B = from_coords(np.eye(n * n), n)
     images = H @ B + sign * (B @ R(H))
     if hermitian_image:
@@ -313,14 +322,12 @@ def _reference_solve_witness(H, cls, cfg):
 
 
 def _reference_classify(H, cfg):
-    from nhsim.classes import CLASS_MAP
-
     H = np.asarray(H, dtype=complex)
     spec = eigenvalues(H)
     out = {}
     for cls in SimilarityClass:
         tol = cfg.cluster_tol * frob(H)
-        if multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is None:
+        if multiset_symmetry_match(spec, _REFERENCE_MAPS[cls], tol) is None:
             continue
         w = _reference_solve_witness(H, cls, cfg)
         ok = w is not None and max(w[1], w[2]) <= cfg.residual_tol

@@ -77,6 +77,31 @@ def test_codimension_counting(n):
     assert _build_system(f, SS).codimension == expected
 
 
+def _written_out_kept(cls, n, kind, k, part):
+    """Each class's kept det/trace components, written out by hand."""
+    if cls is PH:
+        return part == "re"
+    if cls is CH:
+        if kind == "trace":
+            return part == ("re" if k % 2 == 0 else "im")
+        return part == ("re" if n % 2 == 0 else "im")
+    if kind == "trace":
+        return k % 2 == 0
+    return n % 2 == 0
+
+
+@pytest.mark.parametrize("cls", list(SimilarityClass))
+def test_constraints_derived_from_class_table_match_written_out_rule(cls):
+    for n in range(2, 13):
+        comps = [(f"{p} tr H^{k}", "trace", k, p.lower())
+                 for k in range(2, n) for p in ("Re", "Im")]
+        comps += [(f"{p} det", "det", n, p.lower()) for p in ("Re", "Im")]
+        kept = tuple(lab for lab, *c in comps if _written_out_kept(cls, n, *c))
+        forced = tuple(lab for lab, *c in comps if not _written_out_kept(cls, n, *c))
+        cs = reduced_constraints(constant_family(np.zeros((n, n))), cls, check=False)
+        assert (cs.labels, cs.forced_zero) == (kept, forced), n
+
+
 def test_identity_check_dimer_pseudo_hermitian_passes():
     rep = class_identity_check(dimer(), PH)
     assert rep.passed

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from nhsim.classes import SimilarityClass, generate_random
+from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
+from nhsim.spectral import SYMMETRY_MAPS
 from nhsim.specht import (
+    CLASS_SYMMETRIES,
     Word,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
+    mapped_target,
     n3_counterexample,
     recover_generator,
     trace_profile,
@@ -174,6 +178,7 @@ def test_n3_counterexample(cls):
 
     target, sign, _ = SYMMETRY_TARGETS[ev.symmetry]
     B = sign * np.asarray(target(ev.matrix))
+    assert B.tobytes() == mapped_target(ev.matrix, ev.symmetry).tobytes()
     assert abs(word_trace(ev.matrix, ev.word) - word_trace(B, ev.word)) > 1e-6
     doc = ev.to_json()
     assert doc["word"] == str(ev.word)
@@ -187,3 +192,20 @@ def test_selfskew_counterexample_uses_pseudo_chiral():
     assert ev.symmetry == "pseudo-chiral"
     H = generate_random(SS, 3, 4, non_normal=True)
     assert not compare_profiles(H, -H)
+
+
+@pytest.mark.parametrize("cls", list(SimilarityClass))
+def test_enclosed_symmetries_map_the_spectrum_like_their_class(cls):
+    # each enclosed symmetry makes H unitarily similar to sign T(H), so the
+    # spectrum of sign T(M) must be the class's spectral map of that of M,
+    # for any M
+    fmap = SYMMETRY_MAPS[CLASS_MAP[cls]]
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        image = fmap(np.linalg.eigvals(M))
+        for symmetry in CLASS_SYMMETRIES[cls]:
+            spec = np.linalg.eigvals(mapped_target(M, symmetry))
+            dist = np.abs(spec[:, None] - image[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(M), (symmetry, n)
