@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatchError
-from .matrices import as_matrix, dagger, frob
+from .matrices import as_matrix, as_scaled_matrix, dagger, frob
 from .spectral import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -154,9 +154,13 @@ class ClassificationResult:
 
 
 def witness_residual(H: np.ndarray, cls: SimilarityClass, S: np.ndarray) -> float:
-    """Relative residual of the class-defining equation for transform ``S``."""
-    H = as_matrix(H)
-    return _residual(H, cls, as_matrix(S), frob(H))
+    """Relative residual of the class-defining equation for transform ``S``.
+
+    It is homogeneous of degree 0 in ``H`` and in ``S``, so both are
+    rescaled by :func:`~nhsim.matrices.as_scaled_matrix`.
+    """
+    H = as_scaled_matrix(H)
+    return _residual(H, cls, as_scaled_matrix(S), frob(H))
 
 
 def _residual(H, cls: SimilarityClass, S, nH: float) -> float:
@@ -216,22 +220,9 @@ def _hermitian_from_coords(C: np.ndarray, n: int) -> np.ndarray:
 
 
 def _prepared(H) -> tuple[np.ndarray, float]:
-    """``H`` validated, with its Frobenius norm, which every tolerance scales.
-
-    ``|H|_F^2 <= 2 n^2 m^2``, with ``m`` the largest real or imaginary part
-    of an entry, is finite and normal when ``2**-511 <= m <= 2**511 / n``.
-    Outside that range ``H`` is multiplied by the exact power of two that
-    brings ``m`` into ``[1/2, 1)``; the class equations and spectral
-    constraints are homogeneous, so classes and witnesses are those of
-    ``H``.  Inside it ``H`` is returned as it is.
-    """
-    H = as_matrix(H)
-    m = max(np.max(np.abs(H.real)), np.max(np.abs(H.imag)))
-    if m != 0 and not 2.0**-511 <= m <= 2.0**511 / H.shape[0]:
-        e = -np.frexp(m)[1]
-        scaled = np.empty_like(H)
-        scaled.real, scaled.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
-        H = scaled
+    """``H`` validated and rescaled (:func:`~nhsim.matrices.as_scaled_matrix`),
+    with its Frobenius norm, which every tolerance scales."""
+    H = as_scaled_matrix(H)
     return H, frob(H)
 
 
@@ -479,8 +470,9 @@ def detect_special_cases(
     H, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> SpecialCaseReport:
     """Flags for the generator-is-identity special cases, each decided by a
-    defining residual relative to ``|H|_F``."""
-    H = as_matrix(H)
+    defining residual relative to ``|H|_F``, after the rescale of
+    :func:`~nhsim.matrices.as_scaled_matrix`."""
+    H = as_scaled_matrix(H)
     scale = max(frob(H), 1e-300)
     tol = cfg.residual_tol
     flags = set()

@@ -19,6 +19,7 @@ from .errors import FamilyFormatError, NonFiniteMatrixError
 
 __all__ = [
     "as_matrix",
+    "as_scaled_matrix",
     "dagger",
     "frob",
     "matrix_from_json",
@@ -41,6 +42,26 @@ def as_matrix(data) -> np.ndarray:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
         raise NonFiniteMatrixError("matrix contains non-finite entries")
+    return H
+
+
+def as_scaled_matrix(data) -> np.ndarray:
+    """:func:`as_matrix`, rescaled when ``|H|_F^2`` would leave the normal range.
+
+    ``|H|_F^2 <= 2 n^2 m^2``, with ``m`` the largest real or imaginary part
+    of an entry, is finite and normal when ``2**-511 <= m <= 2**511 / n``.
+    Outside that range ``H`` is multiplied by the exact power of two that
+    brings ``m`` into ``[1/2, 1)``; inside it ``H`` is returned as it is.
+    Whatever is homogeneous of degree 0 in ``H`` -- class verdicts,
+    witnesses, relative residuals -- is the same for the result.
+    """
+    H = as_matrix(data)
+    m = max(np.max(np.abs(H.real)), np.max(np.abs(H.imag)))
+    if m != 0 and not 2.0**-511 <= m <= 2.0**511 / H.shape[0]:
+        e = -np.frexp(m)[1]
+        scaled = np.empty_like(H)
+        scaled.real, scaled.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
+        H = scaled
     return H
 
 

@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteMatrixError,
     UnsupportedDimensionError,
 )
-from .matrices import as_matrix, dagger, frob
+from .matrices import as_matrix, as_scaled_matrix, dagger, frob
 
 __all__ = [
     "ToleranceConfig",
@@ -215,8 +215,9 @@ def multiset_symmetry_match(spectrum, map: str, tol: float):
 
 
 def is_normal(H, tol: float = 1e-12) -> bool:
-    """Whether ``[H, H^dagger]`` vanishes relative to ``|H|_F^2``."""
-    H = as_matrix(H)
+    """Whether ``[H, H^dagger]`` vanishes relative to ``|H|_F^2``, after the
+    rescale of :func:`~nhsim.matrices.as_scaled_matrix`."""
+    H = as_scaled_matrix(H)
     scale = frob(H) ** 2
     if scale == 0.0:
         return True

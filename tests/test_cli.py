@@ -75,6 +75,16 @@ def test_classify_dimer_at_1(capsys, dimer_at_1):
     assert doc["witnesses"]["Chiral"]["residual"] <= 1e-10
 
 
+def test_classify_special_cases_at_extreme_scales(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    p = tmp_path / "m.json"
+    for c in (1.0, 1e-300, 1e300):
+        p.write_text(json.dumps(mat_doc(c * H)))
+        code, out, _ = run(capsys, "classify", str(p))
+        assert code == 0 and json.loads(out)["special_cases"] == [], c
+
+
 def test_witness_command(capsys, dimer_at_1):
     code, out, _ = run(capsys, "witness", dimer_at_1, "--class", "chiral")
     assert code == 0

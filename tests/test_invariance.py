@@ -8,11 +8,12 @@ from nhsim.classes import (
     SimilarityClass,
     classify,
     construct_witness,
+    detect_special_cases,
     generate_random,
     witness_residual,
 )
 from nhsim.matrices import dagger
-from nhsim.spectral import DEFAULT_TOLERANCES
+from nhsim.spectral import DEFAULT_TOLERANCES, is_normal
 
 
 def samples(seeds):
@@ -60,6 +61,22 @@ def test_construct_witness_at_extreme_scales(c):
         w = construct_witness(c * H, cls)
         assert w.residual <= tol and w.hermiticity_defect <= tol, (cls, n, seed)
         assert witness_residual(H, cls, w.transform) <= tol, (cls, n, seed)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+def test_flags_and_residuals_at_extreme_scales(c):
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    herm = H + dagger(H)
+    assert not is_normal(c * H) and is_normal(c * herm)
+    assert detect_special_cases(c * H).flags == set()
+    assert detect_special_cases(c * herm).flags == {"Hermitian", "Normal"}
+    # homogeneous of degree 0 in H and in S
+    S = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    for cls in SimilarityClass:
+        ref = witness_residual(H, cls, S)
+        assert witness_residual(c * H, cls, S) == pytest.approx(ref, rel=1e-12)
+        assert witness_residual(H, cls, c * S) == pytest.approx(ref, rel=1e-12)
 
 
 def test_classify_is_unitarily_invariant():
