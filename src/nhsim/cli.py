@@ -68,8 +68,8 @@ def _tolerances(args) -> ToleranceConfig:
                 raise SystemExit2(f"NHSIM_TOL is not a number: {env!r}")
     if tol is None:
         tol = DEFAULT_TOL
-    if tol <= 0:
-        raise SystemExit2(f"--tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise SystemExit2(f"--tol must be positive and finite, got {tol}")
     # one knob scales the whole ladder; the defaults are recovered at 1e-8
     return ToleranceConfig(cluster_tol=10 * tol, residual_tol=tol, rank_tol=tol / 10)
 

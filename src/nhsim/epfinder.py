@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
-from .errors import FamilyNotInClassError
+from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
 from .matrices import as_matrix, frob
 from .spectral import (
@@ -211,6 +211,8 @@ def class_identity_check(
 
 def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
     n = f.dim
+    if n < 2:
+        raise ValueError(f"a {n}x{n} family has no EPs: one eigenvalue cannot coalesce")
     labels, forced = [], []
     for lab, k, part in _raw_components(n):
         (labels if _kept(cls, k, part) else forced).append(lab)
@@ -271,7 +273,9 @@ class ScanConfig:
     seed; ``tol`` is also the constraint accuracy handed to
     :func:`certify_order`.  ``merge_radius`` is measured in
     grid-spacing-normalized parameter distance.  ``tolerances`` drive the
-    order certification of converged roots.
+    order certification of converged roots.  A NaN, infinite or negative
+    ``tol``, a negative ``max_iterations`` or a NaN ``seed_threshold``
+    raises ``ValueError``.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -281,6 +285,14 @@ class ScanConfig:
     tol: float = 1e-10
     merge_radius: float = 1e-4
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES
+
+    def __post_init__(self):
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.seed_threshold is not None and np.isnan(self.seed_threshold):
+            raise ValueError("seed_threshold must not be NaN")
 
 
 @dataclass
@@ -413,7 +425,8 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     end of the list with ``converged=False``.  When the family has fewer
     parameters than the codimension the scan returns no candidates and
     warns, since generic solutions cannot exist.  A non-finite fixed value
-    or grid node raises ``NonFiniteMatrixError``.
+    or grid bound raises ``NonFiniteMatrixError``; a family of dimension 1
+    raises ``ValueError``.
     """
     cs = reduced_constraints(f, cls)
     names = list(f.param_names)
@@ -451,6 +464,8 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     axes, spacings = [], []
     for i in free:
         lo, hi, pts = cfg.grid[names[i]]
+        if not np.isfinite([lo, hi]).all():
+            raise NonFiniteMatrixError("non-finite parameter point")
         if pts < 2 or hi <= lo:
             raise ValueError(f"bad grid for {names[i]}: {(lo, hi, pts)}")
         axes.append(np.linspace(lo, hi, pts))

@@ -77,8 +77,9 @@ class ToleranceConfig:
     rank_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.cluster_tol, self.residual_tol, self.rank_tol) <= 0:
-            raise ValueError("all tolerances must be strictly positive")
+        tols = (self.cluster_tol, self.residual_tol, self.rank_tol)
+        if not all(0 < t < np.inf for t in tols):
+            raise ValueError(f"all tolerances must be positive and finite, got {tols}")
         if self.cluster_tol < self.rank_tol:
             raise ValueError("cluster_tol must be >= rank_tol")
 

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,60 @@ def test_scan_nonfinite_input_exit_2(capsys, trimer_family):
         )
     assert code == 2 and out == ""
     assert "non-finite parameter point" in err
+
+
+@pytest.fixture()
+def point_family(tmp_path):
+    doc = {"dim": 1, "params": 1, "param_names": ["a"],
+           "terms": [{"matrix": mat_doc([[1.0]]), "exponents": [1]}]}
+    p = tmp_path / "point.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("cls", ["pseudo-hermitian", "chiral", "self-skew"])
+def test_scan_of_one_by_one_family_exits_2(capsys, point_family, cls):
+    code, out, err = run(capsys, "scan", point_family, "--class", cls,
+                         "--grid", "a=-1:1:11")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "cannot coalesce" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--tol", "nan"], None),
+    (["--tol", "inf"], None),
+    ([], "nan"),
+    ([], "inf"),
+    (["--max-iterations", "-3"], None),
+    (["--newton-tol", "nan"], None),
+    (["--newton-tol", "inf"], None),
+    (["--newton-tol=-1e-10"], None),
+    (["--seed-threshold", "nan"], None),
+    (["--grid", "k=0:inf:11"], None),
+    (["--grid", "k=nan:1:11"], None),
+])
+def test_scan_nonfinite_or_negative_numbers_exit_2(capsys, monkeypatch, trimer_family,
+                                                   argv, env):
+    if env is not None:
+        monkeypatch.setenv("NHSIM_TOL", env)
+    grid = [] if "--grid" in argv else ["--grid", "k=0.5:1.5:11"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error
+        code, out, err = run(capsys, "scan", trimer_family, "--class",
+                             "pseudo-hermitian", "--grid", "gamma=0:3:11",
+                             *grid, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_classify_nonfinite_tol_exits_2(capsys, monkeypatch, dimer_at_1, tol):
+    code, out, err = run(capsys, "classify", dimer_at_1, "--tol", tol)
+    assert code == 2 and out == "" and "--tol" in err
+    monkeypatch.setenv("NHSIM_TOL", tol)
+    code, out, err = run(capsys, "classify", dimer_at_1)
+    assert code == 2 and out == ""
 
 
 def test_flags_registered_only_where_honoured(capsys, dimer_at_1, dimer_family):

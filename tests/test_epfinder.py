@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -388,10 +390,36 @@ def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
         assert c.converged == ok
 
 
+@pytest.mark.parametrize("cls", list(SimilarityClass))
+def test_one_by_one_family_has_no_constraint_system(cls):
+    f = MatrixFamily(1, 1, ((np.ones((1, 1), dtype=complex), (1,)),), ("a",))
+    with pytest.raises(ValueError, match="one eigenvalue cannot coalesce"):
+        reduced_constraints(f, cls)
+    with pytest.raises(ValueError, match="one eigenvalue cannot coalesce"):
+        scan(f, cls, ScanConfig(grid={"a": (-1, 1, 11)}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", np.nan), ("tol", np.inf), ("tol", -1e-10),
+    ("max_iterations", -3), ("seed_threshold", np.nan),
+])
+def test_scan_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScanConfig(grid={"gamma": (0, 3, 11)}, **{field: value})
+    ScanConfig(grid={"gamma": (0, 3, 11)}, tol=0.0, max_iterations=0,
+               seed_threshold=np.inf)
+
+
 def test_scan_nonfinite_input_raises():
     with pytest.raises(NonFiniteMatrixError, match="non-finite parameter point"):
         scan(trimer(), PH, ScanConfig(grid={"gamma": (0, 3, 11)},
                                       fixed={"k": float("nan")}))
+    for lo, hi in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before np.linspace warns
+            with pytest.raises(NonFiniteMatrixError,
+                               match="non-finite parameter point"):
+                scan(dimer(), PH, ScanConfig(grid={"gamma": (lo, hi, 11)}))
     with np.errstate(invalid="ignore"), pytest.raises(
         NonFiniteMatrixError, match="non-finite parameter point"
     ):

@@ -39,6 +39,10 @@ def test_tolerance_config_validation():
         ToleranceConfig(cluster_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(cluster_tol=1e-10, rank_tol=1e-9)
+    for bad in (np.nan, np.inf):
+        for field in ("cluster_tol", "residual_tol", "rank_tol"):
+            with pytest.raises(ValueError, match="finite"):
+                ToleranceConfig(**{field: bad})
     cfg = ToleranceConfig()
     assert cfg.cluster_tol >= cfg.rank_tol
 
