@@ -1,26 +1,32 @@
 """The three generalized similarity classes and their Hermitian witnesses.
 
-A matrix belongs to a class when an invertible Hermitian transform exists
-satisfying the defining equation:
+A matrix belongs to a class when an invertible Hermitian transform ``S``
+satisfies ``H = sign S R(H) S^-1``, where ``R`` is the adjoint or the
+identity.  The pair ``(sign, R)`` in :data:`CLASS_EQUATIONS` is all that
+tells the classes apart:
 
-========================  =============================  ==================
-class                     defining equation              spectral constraint
-========================  =============================  ==================
-``PseudoHermitian``       ``H = eta H^+ eta^-1``         {eps} = {eps*}
-``Chiral``                ``H = -Gamma H^+ Gamma^-1``    {eps} = {-eps*}
-``SelfSkewSimilar``       ``H = -S H S^-1``              {eps} = {-eps}
-========================  =============================  ==================
+===================  ====  ========  ===========================  ===============
+class                sign  R         defining equation            spectral map
+===================  ====  ========  ===========================  ===============
+``PseudoHermitian``  +1    adjoint   ``H = eta H^+ eta^-1``       {eps} = {eps*}
+``Chiral``           -1    adjoint   ``H = -Gamma H^+ Gamma^-1``  {eps} = {-eps*}
+``SelfSkewSimilar``  -1    identity  ``H = -S H S^-1``            {eps} = {-eps}
+===================  ====  ========  ===========================  ===============
 
-Each defining equation is linear in the transform: ``H eta = eta H^+``,
-``H Gamma = -Gamma H^+`` and ``H S = -S H``.  Restricted to Hermitian
-transforms it is a real linear system in their ``n^2`` real coordinates, so
-one procedure decides all three classes: the nullspace of that system is
-taken from one SVD, and the witness is the best-conditioned element found
-in it.  The class holds within tolerance exactly when that element is
-invertible and solves the equation within ``residual_tol``; the spectral
-constraint is a necessary condition checked first.  No Jordan decomposition
-is involved, so the verdict does not depend on ``cluster_tol`` beyond the
-spectral check, and no dimension cap applies.
+Similar matrices share their spectrum, so the spectrum is closed under
+``eps -> sign R(eps)``, with ``R`` acting on a number as conjugation or as
+the identity (:data:`CLASS_MAP`); :mod:`nhsim.epfinder` derives from the
+same pair which det/trace components vanish, and so the EP codimension.
+
+The defining equation is linear in the transform: ``H S - sign S R(H) = 0``.
+Restricted to Hermitian transforms it is a real linear system in their
+``n^2`` real coordinates, so one procedure decides all three classes: the
+nullspace of that system is taken from one SVD, and the witness is the
+best-conditioned element found in it.  The class holds within tolerance
+exactly when that element is invertible and solves the equation within
+``residual_tol``; the spectral constraint is a necessary condition checked
+first.  No Jordan decomposition is involved, so the verdict does not depend
+on ``cluster_tol`` beyond the spectral check, and no dimension cap applies.
 
 The solver's tables depend only on the dimension ``n`` or on the nullity
 ``k`` and are built once per process with ``functools.cache``, read-only:

@@ -3,8 +3,10 @@
 Commands: ``classify``, ``witness``, ``generate``, ``specht``,
 ``specht-generators``, ``scan``, ``certify``.  Matrix and family arguments
 accept ``-`` for standard input.  Exit codes: 0 success, 1 domain failure
-(class mismatch, ambiguous clustering, ...) or a closed output pipe, 2 input
-or usage error.
+(the matrix is not in the class, a family fails its class identity check,
+a dimension the word lists or generator analysis do not cover, or an
+eigensolver that does not converge) or a closed output pipe, 2 input or
+usage error.
 
 Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The

@@ -3,9 +3,11 @@
 An EPn of a family H(lam) is a parameter point where all n eigenvalues and
 their eigenvectors coalesce.  After shifting to H~ = H - (tr H / n) I the
 coalescence point sits at eigenvalue zero and is characterized by the real
-and imaginary parts of det H~ and tr H~^k for 2 <= k < n.  Each similarity
-class forces some of those components to vanish identically, which lowers
-the codimension:
+and imaginary parts of det H~ and tr H~^k for 2 <= k < n.  A class
+H = sign S R(H) S^-1 (``classes.CLASS_EQUATIONS``) gives
+tr H~^k = sign^k R(tr H~^k), and det H~ = sign^n R(det H~), so it forces
+some of those components to vanish identically, which lowers the
+codimension:
 
     PseudoHermitian   n - 1   (all imaginary parts forced)
     Chiral            n - 1   (parity-alternating components forced)
