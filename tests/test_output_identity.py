@@ -2,16 +2,14 @@
 running the workloads."""
 
 import importlib.util
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-sys.path.insert(0, str(TOOLS))
-spec = importlib.util.spec_from_file_location("output_identity",
-                                              TOOLS / "output_identity.py")
+spec = importlib.util.spec_from_file_location(
+    "output_identity", Path(__file__).resolve().parent.parent / "tools" / "output_identity.py"
+)
 output_identity = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(output_identity)
 digest = output_identity.digest

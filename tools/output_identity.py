@@ -31,6 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -39,8 +41,6 @@ from bench_compare import export, parse_seeds  # noqa: E402
 
 def feed(h, x) -> None:
     """Hash ``x`` canonically: type tags, exact float bits, sets sorted."""
-    import numpy as np
-
     if isinstance(x, BaseException):
         h.update(f"raise {type(x).__name__}: {x}".encode())
     elif isinstance(x, np.ndarray):
