@@ -12,6 +12,13 @@ Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The
 default tolerance can be overridden by the ``NHSIM_TOL`` environment
 variable; an explicit ``--tol`` flag wins over the environment.
+
+``specht`` and the n = 3 evidence of ``specht-generators`` print the word
+traces of the matrices as given and exit 2 when one of them, or the
+difference of two, overflows; their match verdicts use the relative
+tolerance of :func:`nhsim.specht.trace_mismatches`.  The 2x2 recovery of
+``specht-generators`` is one stacked pass per class
+(:func:`nhsim.specht.check_similarity_implies_symmetry_2x2`).
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ from .matrices import matrix_to_json, parse_matrix
 from .specht import (
     CLASS_SYMMETRIES,
     check_similarity_implies_symmetry_2x2,
-    compare_profiles,
     mapped_target,
+    trace_mismatches,
     word_list,
-    word_trace,
+    word_traces,
 )
 from .spectral import ToleranceConfig
 
@@ -148,23 +155,41 @@ def _cmd_generate(args):
     return 0
 
 
+def _word_profile(stack, tol):
+    """Words, word traces of ``stack`` and, for each ``i >= 1``, the
+    mismatching word positions of ``(stack[0], stack[i])``.
+
+    Exits 2 when a trace or a trace difference overflows, since it could
+    not be printed as a JSON number.
+    """
+    words = word_list(stack.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = word_traces(stack, words)
+        # row 0 reads |t - t|, which is NaN exactly when a trace of stack[0]
+        # is not finite
+        printed = np.abs(traces - traces[0])
+    if not np.isfinite(printed).all():
+        raise SystemExit2("word traces overflow; rescale the matrices")
+    return words, traces, trace_mismatches(stack, traces, words, tol)
+
+
 def _cmd_specht(args):
     A = _load_matrix(args.a)
     B = _load_matrix(args.b)
     if A.shape != B.shape:
         raise SystemExit2("matrices must have the same dimension")
     tol = _tolerances(args).residual_tol
-    bad = {str(w) for (w, _, _) in compare_profiles(A, B, tol)}
+    words, traces, (bad,) = _word_profile(np.stack([A, B]), tol)
     rows = []
-    for w in word_list(A.shape[0]):
-        ta, tb = word_trace(A, w), word_trace(B, w)
+    for j, w in enumerate(words):
+        ta, tb = complex(traces[0, j]), complex(traces[1, j])
         rows.append(
             {
                 "word": str(w),
                 "trace_a": _complex_pair(ta),
                 "trace_b": _complex_pair(tb),
                 "difference": abs(ta - tb),
-                "match": str(w) not in bad,
+                "match": j not in bad,
             }
         )
     if args.output == "csv":
@@ -206,14 +231,17 @@ def _cmd_specht_generators(args):
     if n == 3:
         payload = {}
         for cls in classes:
+            symmetries = CLASS_SYMMETRIES[cls]
+            stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
+            words, traces, mismatches = _word_profile(stack, cfg.residual_tol)
             evidence = []
-            for symmetry in CLASS_SYMMETRIES[cls]:
-                B = mapped_target(H, symmetry)
-                for w, ta, tb in compare_profiles(H, B, cfg.residual_tol):
+            for i, (symmetry, bad) in enumerate(zip(symmetries, mismatches), start=1):
+                for j in bad:
+                    ta, tb = complex(traces[0, j]), complex(traces[i, j])
                     evidence.append(
                         {
                             "symmetry": symmetry,
-                            "word": str(w),
+                            "word": str(words[j]),
                             "trace_lhs": _complex_pair(ta),
                             "trace_rhs": _complex_pair(tb),
                             "mismatch": abs(ta - tb),

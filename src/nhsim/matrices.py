@@ -48,21 +48,32 @@ def as_matrix(data) -> np.ndarray:
 def as_scaled_matrix(data) -> np.ndarray:
     """:func:`as_matrix`, rescaled when ``|H|_F^2`` would leave the normal range.
 
-    ``|H|_F^2 <= 2 n^2 m^2``, with ``m`` the largest real or imaginary part
-    of an entry, is finite and normal when ``2**-511 <= m <= 2**511 / n``.
-    Outside that range ``H`` is multiplied by the exact power of two that
-    brings ``m`` into ``[1/2, 1)``; inside it ``H`` is returned as it is.
-    Whatever is homogeneous of degree 0 in ``H`` -- class verdicts,
-    witnesses, relative residuals -- is the same for the result.
+    The rescale is :func:`scaled_stack` with ``degree = 2``.  Whatever is
+    homogeneous of degree 0 in ``H`` -- class verdicts, witnesses, relative
+    residuals -- is the same for the result.
     """
-    H = as_matrix(data)
-    m = max(np.max(np.abs(H.real)), np.max(np.abs(H.imag)))
-    if m != 0 and not 2.0**-511 <= m <= 2.0**511 / H.shape[0]:
+    return scaled_stack(as_matrix(data))
+
+
+def scaled_stack(stack: np.ndarray, degree: int = 2) -> np.ndarray:
+    """A validated matrix or ``(m, n, n)`` stack, rescaled when ``|H|_F^degree``
+    would leave the normal range.
+
+    ``|H|_F^d <= (sqrt(2) n m)^d``, with ``m`` the largest real or imaginary
+    part of an entry of the stack, is finite and normal when
+    ``2**(-1022/d) <= m <= 2**(1023/d - 1/2) / n`` (for ``d = 2``:
+    ``2**-511 <= m <= 2**511 / n``).  Outside that range the whole stack is
+    multiplied by the one exact power of two that brings ``m`` into
+    ``[1/2, 1)``; inside it the stack is returned as it is.
+    """
+    m = max(np.abs(stack.real).max(), np.abs(stack.imag).max())
+    n = stack.shape[-1]
+    if m != 0 and not 2.0 ** (-1022 / degree) <= m <= 2.0 ** (1023 / degree - 0.5) / n:
         e = -np.frexp(m)[1]
-        scaled = np.empty_like(H)
-        scaled.real, scaled.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
-        H = scaled
-    return H
+        scaled = np.empty_like(stack)
+        scaled.real, scaled.imag = np.ldexp(stack.real, e), np.ldexp(stack.imag, e)
+        stack = scaled
+    return stack
 
 
 def dagger(H: np.ndarray) -> np.ndarray:

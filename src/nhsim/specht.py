@@ -13,6 +13,23 @@ unitaries with that property (up to a global phase, and besides +-I for
 ``U U = 1``).  The similarity ``H U = sign U T`` is linear in the
 coefficients, so one SVD of a real 8x3 matrix gives the generator with the
 smallest similarity residual; the property holds to rounding.
+
+Everything runs on stacks.  :func:`word_traces` evaluates a word list for
+a whole stack of matrices in one left-to-right pass that forms each shared
+prefix product once, :func:`trace_mismatches` compares the traces of the
+first matrix with those of the others, and :func:`solve_generators`
+solves several symmetries of one ``H`` in one stacked SVD.  The 2x2 check
+(:func:`check_similarity_implies_symmetry_2x2`) is one such pass per
+class: ``H`` is validated once, each mapped target ``sign T(H)`` is formed
+once, one word pass covers ``(H, T_1, T_2)`` and one SVD of shape
+``(2, 8, 3)`` gives both generators.  numpy runs the same BLAS or LAPACK
+call per matrix of a stack, so every trace and generator has the bytes of
+a one-matrix evaluation.
+
+A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
+length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
+``c B`` at any scale ``c > 0``.  Where the traces would overflow or lose
+precision the verdict is decided on the pair times one exact power of two.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ import numpy as np
 
 from .classes import SimilarityClass, construct_witness, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
-from .matrices import as_matrix, dagger, frob
+from .matrices import as_matrix, as_scaled_matrix, dagger, frob, scaled_stack
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -113,42 +130,81 @@ def word_list(n: int) -> list[Word]:
     return list(_WORDS[n])
 
 
+def word_traces(stack: np.ndarray, words) -> np.ndarray:
+    """Traces of ``words`` for each matrix of a validated ``(m, n, n)`` stack.
+
+    Returns the ``(m, len(words))`` complex traces, with ``X -> H`` and
+    ``Xdag -> H^+``.  Every word is multiplied out left to right from
+    ``eye @ X_1``, and each prefix product is formed once, for the whole
+    stack, for all the words that share it.  numpy runs the same BLAS call
+    for each matrix of a stack, so every trace has the bytes of a
+    one-matrix evaluation.
+    """
+    letters = {X: stack, XDAG: stack.conj().transpose(0, 2, 1)}
+    products = {(): np.eye(stack.shape[-1], dtype=complex)}
+    out = np.empty((stack.shape[0], len(words)), dtype=complex)
+    for j, w in enumerate(words):
+        for k in range(1, len(w) + 1):
+            prefix = w.letters[:k]
+            if prefix not in products:
+                products[prefix] = products[prefix[:-1]] @ letters[prefix[-1]]
+        out[:, j] = np.trace(products[w.letters], axis1=1, axis2=2)
+    return out
+
+
+def trace_mismatches(
+    stack: np.ndarray, traces: np.ndarray, words, tol: float
+) -> list[list[int]]:
+    """Positions of the words whose traces differ between ``stack[0]`` and
+    each later matrix of a validated stack.
+
+    ``traces`` are the :func:`word_traces` of ``stack``.  For the pair
+    ``(A, B) = (stack[0], stack[i])`` word ``w`` mismatches when the traces
+    differ by more than ``tol max(|A|_F, |B|_F)^|w|``, because word traces
+    grow with word degree; a zero pair matches.  The verdict is decided on
+    the stack times one power of two (:func:`~nhsim.matrices.scaled_stack`
+    for the longest word's degree), so it does not depend on the scale; a
+    stack in range is decided on ``traces`` as given.
+    """
+    scaled = scaled_stack(stack, max(map(len, words)))
+    if scaled is not stack:
+        traces = word_traces(scaled, words)
+    norms = np.array([frob(M) for M in scaled])
+    degrees = np.array([len(w) for w in words])
+    bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
+    differ = np.abs(traces[1:] - traces[0]) > bound
+    return [np.flatnonzero(row).tolist() for row in differ]
+
+
 def word_trace(H, w: Word) -> complex:
     """Trace of the word evaluated with ``X -> H`` and ``Xdag -> H^+``."""
-    H = as_matrix(H)
-    Hd = dagger(H)
-    M = np.eye(H.shape[0], dtype=complex)
-    for letter in w.letters:
-        M = M @ (H if letter == X else Hd)
-    return complex(np.trace(M))
+    return complex(word_traces(as_matrix(H)[None], [w])[0, 0])
 
 
 def trace_profile(H, n: int | None = None) -> list[tuple[Word, complex]]:
     H = as_matrix(H)
-    if n is None:
-        n = H.shape[0]
-    return [(w, word_trace(H, w)) for w in word_list(n)]
+    words = word_list(H.shape[0] if n is None else n)
+    return [(w, complex(t)) for w, t in zip(words, word_traces(H[None], words)[0])]
 
 
 def compare_profiles(A, B, tol: float = 1e-8):
     """Word-by-word trace comparison; returns the list of mismatches.
 
-    The tolerance for each word is scaled by ``max(|A|_F, |B|_F, 1)^|w|``
-    because word traces grow with word degree.
+    Each mismatch is ``(word, trace of A, trace of B)``, with the traces of
+    ``A`` and ``B`` as given (they may overflow or underflow where the
+    pair's scale does); the test is :func:`trace_mismatches`, which does
+    not depend on the scale.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise ValueError("matrices must have equal dimension")
-    n = A.shape[0]
-    scale = max(frob(A), frob(B), 1.0)
-    mismatches = []
-    for w in word_list(n):
-        ta = word_trace(A, w)
-        tb = word_trace(B, w)
-        if abs(ta - tb) > tol * scale ** len(w):
-            mismatches.append((w, ta, tb))
-    return mismatches
+    words = word_list(A.shape[0])
+    pair = np.stack([A, B])
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled for the test
+        traces = word_traces(pair, words)
+    (bad,) = trace_mismatches(pair, traces, words, tol)
+    return [(words[j], complex(traces[0, j]), complex(traces[1, j])) for j in bad]
 
 
 def unitary_similarity_test(A, B, tol: float = 1e-8) -> bool:
@@ -232,25 +288,43 @@ def recover_generator(H, symmetry: str) -> GeneratorSearch:
     the result minimises the similarity residual over every generator with
     the property, and its property defect is at rounding level.  The
     identity is a second candidate (the only involution outside ``n.sigma``
-    up to sign); the smaller residual wins.
+    up to sign); the smaller residual wins.  ``H`` is rescaled by
+    :func:`~nhsim.matrices.as_scaled_matrix`, which changes neither the
+    generator nor the relative residual.
     """
-    H = as_matrix(H)
+    H = as_scaled_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("generator recovery is a 2x2 operation")
-    prop = SYMMETRY_TARGETS[symmetry][2]
-    B = mapped_target(H, symmetry)
-    M = (H @ prop.basis - prop.basis @ B).reshape(3, 4)
-    q = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1).T)[2][-1]
-    candidates = (np.tensordot(q, prop.basis, axes=1), _I2)
-    residuals = [frob(H - U @ B @ dagger(U)) for U in candidates]
-    k = int(np.argmin(residuals))  # ties keep the SVD candidate
-    U = candidates[k]
-    return GeneratorSearch(
-        symmetry=symmetry,
-        generator=U,
-        similarity_residual=residuals[k] / max(frob(H), 1e-300),
-        property_defect=prop.defect(U),
-    )
+    return solve_generators(H, (symmetry,), [mapped_target(H, symmetry)])[symmetry]
+
+
+def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorSearch]:
+    """:func:`recover_generator` for several symmetries of one validated 2x2
+    ``H``, given their mapped targets, in one stacked SVD.
+
+    numpy runs the same LAPACK call for each 8x3 matrix of the stack, so
+    each generator has the bytes of a one-symmetry solve.
+    """
+    props = [SYMMETRY_TARGETS[s][2] for s in symmetries]
+    bases = np.stack([p.basis for p in props])
+    M = (H @ bases - bases @ np.stack(targets)[:, None]).reshape(len(props), 3, 4)
+    A = np.concatenate([M.real, M.imag], axis=2).transpose(0, 2, 1)
+    q = np.linalg.svd(A)[2][:, -1]
+    norm = max(frob(H), 1e-300)
+    out = {}
+    for symmetry, prop, B, qk in zip(symmetries, props, targets, q):
+        # np.tensordot(qk, prop.basis, axes=1) without its shape bookkeeping
+        candidates = (np.dot(qk[None], prop.basis.reshape(3, 4)).reshape(2, 2), _I2)
+        residuals = [frob(H - U @ B @ dagger(U)) for U in candidates]
+        k = int(np.argmin(residuals))  # ties keep the SVD candidate
+        U = candidates[k]
+        out[symmetry] = GeneratorSearch(
+            symmetry=symmetry,
+            generator=U,
+            similarity_residual=residuals[k] / norm,
+            property_defect=prop.defect(U),
+        )
+    return out
 
 
 def check_similarity_implies_symmetry_2x2(
@@ -262,26 +336,33 @@ def check_similarity_implies_symmetry_2x2(
 
     First verifies word-trace equality of ``H`` with the two mapped targets
     (this must hold for pseudo-Hermitian and chiral matrices), then solves
-    for the unitary generators in closed form (``recover_generator``) and
-    reports the property defects.  Raises ``ClassMismatchError`` when ``H``
-    is not in the stated class.
+    for the unitary generators in closed form (:func:`solve_generators`)
+    and reports the property defects.  ``H`` is validated and rescaled once
+    (:func:`~nhsim.matrices.as_scaled_matrix`), each mapped target is formed
+    once, the traces of ``H`` and both targets come from one stacked word
+    pass and both generators from one stacked SVD.  Raises
+    ``ClassMismatchError`` when ``H`` is not in the stated class.
     """
-    H = as_matrix(H)
+    H = as_scaled_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("this check is a 2x2 statement")
     construct_witness(H, cls, cfg)  # raises ClassMismatchError if not in class
-    out = {}
-    for symmetry in CLASS_SYMMETRIES[cls]:
-        if cls is not SimilarityClass.SELF_SKEW_SIMILAR:
-            mism = compare_profiles(H, mapped_target(H, symmetry), cfg.residual_tol)
-            if mism:
-                w, ta, tb = mism[0]
+    symmetries = CLASS_SYMMETRIES[cls]
+    targets = [mapped_target(H, symmetry) for symmetry in symmetries]
+    if cls is not SimilarityClass.SELF_SKEW_SIMILAR:
+        words = word_list(2)
+        stack = np.stack([H, *targets])
+        traces = word_traces(stack, words)
+        mismatches = trace_mismatches(stack, traces, words, cfg.residual_tol)
+        for i, bad in enumerate(mismatches, start=1):
+            if bad:
+                j = bad[0]
+                ta, tb = complex(traces[0, j]), complex(traces[i, j])
                 raise ClassMismatchError(
-                    f"word {w} traces differ ({ta:.6g} vs {tb:.6g}) although the "
-                    f"class forces equality"
+                    f"word {words[j]} traces differ ({ta:.6g} vs {tb:.6g}) although "
+                    f"the class forces equality"
                 )
-        out[symmetry] = recover_generator(H, symmetry)
-    return out
+    return solve_generators(H, symmetries, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +417,15 @@ def n3_counterexample(
     self-skew-similar matrix (odd word traces vanish identically), so for
     that class the evidence always comes from the pseudo-chiral target.
     """
+    words = word_list(3)
+    symmetries = CLASS_SYMMETRIES[cls]
     for attempt in range(max_resamples):
         H = generate_random(cls, 3, seed + 7919 * attempt, non_normal=True)
-        for symmetry in CLASS_SYMMETRIES[cls]:
-            B = mapped_target(H, symmetry)
-            for w in word_list(3):
-                ta = word_trace(H, w)
-                tb = word_trace(B, w)
+        stack = np.stack([H] + [mapped_target(H, symmetry) for symmetry in symmetries])
+        traces = word_traces(stack, words)
+        for i, symmetry in enumerate(symmetries, start=1):
+            for j, w in enumerate(words):
+                ta, tb = complex(traces[0, j]), complex(traces[i, j])
                 if abs(ta - tb) > threshold:
                     return CounterexampleEvidence(
                         similarity_class=cls,

@@ -141,6 +141,47 @@ def test_specht_csv_output(capsys, dimer_at_1):
     assert len(lines) == 4
 
 
+G = np.array([[1, 2], [3, 4j]])
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300])
+def test_specht_overflowing_traces_exit_2(capsys, tmp_path, c):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(mat_doc(c * G)))
+    b.write_text(json.dumps(mat_doc(np.conj(c * G))))
+    for output in ("json", "csv"):
+        code, out, err = run(capsys, "specht", str(a), str(b), "--output", output)
+        assert code == 2 and out == "", output
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-9])
+def test_specht_tolerance_is_relative(capsys, tmp_path, c):
+    # tr X differs by 8c: a mismatch at every scale, not only above 1e-8
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(mat_doc(c * G)))
+    b.write_text(json.dumps(mat_doc(np.conj(c * G))))
+    code, out, _ = run(capsys, "specht", str(a), str(b))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["unitarily_similar"] is False
+    assert doc["traces"][0]["match"] is False
+    b.write_text(json.dumps(mat_doc((c * G).T)))
+    code, out, _ = run(capsys, "specht", str(a), str(b))
+    assert code == 0 and json.loads(out)["unitarily_similar"] is True
+
+
+def test_specht_generators_3x3_overflowing_traces_exit_2(capsys, tmp_path):
+    _, gen, _ = run(capsys, "generate", "--class", "chiral", "--dim", "3",
+                    "--seed", "5", "--non-normal")
+    entries = json.loads(gen)["entries"]
+    H = 1e200 * np.array([[complex(*z) for z in row] for row in entries])
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(mat_doc(H)))
+    code, out, err = run(capsys, "specht-generators", str(p), "--class", "chiral")
+    assert code == 2 and out == "" and "overflow" in err
+
+
 def test_specht_generators_2x2(capsys, tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(mat_doc([[0, 1], [4, 0]])))

@@ -7,16 +7,19 @@ from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
 from nhsim.spectral import SYMMETRY_MAPS
 from nhsim.specht import (
     CLASS_SYMMETRIES,
+    SYMMETRY_TARGETS,
     Word,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
     mapped_target,
     n3_counterexample,
     recover_generator,
+    solve_generators,
     trace_profile,
     unitary_similarity_test,
     word_list,
     word_trace,
+    word_traces,
 )
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
@@ -174,8 +177,6 @@ def test_n3_counterexample(cls):
     assert ev.mismatch > 1e-6
     assert ev.attempts <= 100
     # the evidence is reproducible from the returned matrix
-    from nhsim.specht import SYMMETRY_TARGETS
-
     target, sign, _ = SYMMETRY_TARGETS[ev.symmetry]
     B = sign * np.asarray(target(ev.matrix))
     assert B.tobytes() == mapped_target(ev.matrix, ev.symmetry).tobytes()
@@ -209,3 +210,160 @@ def test_enclosed_symmetries_map_the_spectrum_like_their_class(cls):
             dist = np.abs(spec[:, None] - image[None, :])
             rows, cols = linear_sum_assignment(dist)
             assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(M), (symmetry, n)
+
+
+# ---------------------------------------------------------------------------
+# the stacked word pass and the stacked generator solve keep the bytes of the
+# one-matrix, one-word and one-symmetry evaluations they replace
+
+
+def _reference_word_trace(H, w):
+    # one matrix, one word, multiplied out left to right from eye @ X_1
+    Hd = H.conj().T
+    M = np.eye(H.shape[0], dtype=complex)
+    for letter in w.letters:
+        M = M @ (H if letter == "X" else Hd)
+    return complex(np.trace(M))
+
+
+def _reference_generator(H, symmetry):
+    # one symmetry, one real 8x3 SVD
+    target, sign, prop = SYMMETRY_TARGETS[symmetry]
+    B = sign * np.asarray(target(H))
+    M = (H @ prop.basis - prop.basis @ B).reshape(3, 4)
+    q = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1).T)[2][-1]
+    candidates = (np.tensordot(q, prop.basis, axes=1), np.eye(2, dtype=complex))
+    residuals = [np.linalg.norm(H - U @ B @ U.conj().T) for U in candidates]
+    k = int(np.argmin(residuals))
+    U = candidates[k]
+    defect = np.linalg.norm(U @ (U.conj() if prop.conjugate else U) - np.eye(2))
+    return U, float(residuals[k]) / max(float(np.linalg.norm(H)), 1e-300), float(defect)
+
+
+def _bit_corpus(n, count, seed):
+    """Seeded n x n inputs: generic, integer, sparse, signed zeros, mixed
+    magnitudes and in-class members."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        kind = i % 6
+        if kind == 1:
+            M = np.round(2 * M)
+        elif kind == 2:
+            M = M * (rng.random((n, n)) < 0.5)
+        elif kind == 3:
+            M = np.where(rng.random((n, n)) < 0.4, -0.0, M)
+            M.imag[rng.random((n, n)) < 0.5] = -0.0
+        elif kind == 4:
+            M = M * 10.0 ** rng.integers(-6, 7, (n, n))
+        elif kind == 5:
+            M = generate_random(list(SimilarityClass)[i % 3], n, i, non_normal=True)
+        out.append(M)
+    return out
+
+
+def _bytes(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_word_traces_keep_the_one_matrix_bytes(n):
+    words = word_list(n)
+    for i, H in enumerate(_bit_corpus(n, 300, seed=n)):
+        # H with all six mapped targets: C- and F-ordered, negated, conjugated
+        stack = [H] + [mapped_target(H, s) for s in SYMMETRY_TARGETS]
+        traces = word_traces(np.stack(stack), words)
+        for k, M in enumerate(stack):
+            ref = [_reference_word_trace(M, w) for w in words]
+            assert _bytes(traces[k]) == _bytes(ref), (i, k)
+        assert _bytes([word_trace(H, w) for w in words]) == _bytes(traces[0]), i
+        assert _bytes([t for _, t in trace_profile(H)]) == _bytes(traces[0]), i
+        for w, ta, tb in compare_profiles(H, stack[1]):
+            assert _bytes([ta, tb]) == _bytes(
+                [_reference_word_trace(H, w), _reference_word_trace(stack[1], w)])
+
+
+def _generator_corpus():
+    degenerate = [np.asarray(H, dtype=complex) for H, _ in DEGENERATE_2X2.values()]
+    return degenerate + _bit_corpus(2, 300, seed=7)
+
+
+def test_stacked_generators_keep_the_one_symmetry_bytes():
+    symmetries = list(SYMMETRY_TARGETS)
+    for i, H in enumerate(_generator_corpus()):
+        targets = [mapped_target(H, s) for s in symmetries]
+        found = solve_generators(H, symmetries, targets)
+        for s in symmetries:
+            U, residual, defect = _reference_generator(H, s)
+            for r in (found[s], recover_generator(H, s)):
+                assert _bytes(r.generator) == _bytes(U), (i, s)
+                assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                    [residual, defect]), (i, s)
+
+
+def test_class_check_keeps_the_one_symmetry_bytes():
+    for i, H in enumerate(_generator_corpus()):
+        for cls in SimilarityClass:
+            try:
+                found = check_similarity_implies_symmetry_2x2(H, cls)
+            except ClassMismatchError:
+                continue
+            for s, r in found.items():
+                U, residual, defect = _reference_generator(H, s)
+                assert _bytes(r.generator) == _bytes(U), (i, cls, s)
+                assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                    [residual, defect]), (i, cls, s)
+
+
+# ---------------------------------------------------------------------------
+# word-trace verdicts and generators do not depend on the scale
+
+G = np.array([[1, 2], [3, 4j]])
+EXTREME_SCALES = [1e-300, 1e-9, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("c", EXTREME_SCALES)
+def test_unitary_similarity_is_scale_invariant(c):
+    # tr X is 1+4i against 1-4i: never unitarily similar, at any scale
+    assert not unitary_similarity_test(c * G, np.conj(c * G))
+    assert compare_profiles(c * G, np.conj(c * G))[0][0] == Word.parse("X")
+    # a 2x2 matrix is unitarily similar to its transpose
+    assert unitary_similarity_test(c * G, (c * G).T)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        assert unitary_similarity_test(c * H, U @ (c * H) @ U.conj().T)
+        assert not unitary_similarity_test(c * H, c * H.T)
+
+
+def test_a_zero_pair_matches():
+    Z = np.zeros((2, 2))
+    assert unitary_similarity_test(Z, Z)
+    assert not unitary_similarity_test(Z, 1e-300 * G)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+def test_recover_generator_is_scale_invariant(c):
+    # below about 1e-154 or above 1e+154 |H|_F leaves the normal range
+    # unless H is rescaled: the residual then reads 0 or NaN
+    for seed in range(5):
+        H = generate_random(PH, 2, seed, non_normal=True)
+        r = recover_generator(c * H, "PT")
+        assert 0 < r.similarity_residual <= 1e-8 and r.property_defect <= 1e-8, seed
+        # a pseudo-chiral generator generically does not exist: its residual
+        # is the same relative number at every scale
+        S = generate_random(SS, 2, seed, non_normal=True)
+        ref = recover_generator(S, "pseudo-chiral").similarity_residual
+        got = recover_generator(c * S, "pseudo-chiral").similarity_residual
+        assert ref > 1e-3 and got == pytest.approx(ref, rel=1e-6), seed
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+def test_generator_check_at_extreme_scales(c):
+    for cls in (PH, CH):
+        H = generate_random(cls, 2, 3, non_normal=True)
+        for s, r in check_similarity_implies_symmetry_2x2(c * H, cls).items():
+            assert 0 < r.similarity_residual <= 1e-8 and r.property_defect <= 1e-8, s
