@@ -1,4 +1,4 @@
-"""Compare a base revision with the working tree on one benchmark workload.
+"""Compare a base revision with a change on one benchmark workload.
 
 Runs ``perfbench/run.py`` in alternating pairs, base and change, one pair
 per seed, and writes ``BENCH_<topic>.json`` at the root of the repository
@@ -11,9 +11,11 @@ Usage, from the root of the repository::
 
 The base is a git revision, exported with ``git archive`` under
 ``.bench_build/`` (committed files only, as a fresh checkout sees them) and
-removed afterwards; the change is the working tree.  Pair ``i`` runs the
-base first when ``i`` is even and the change first when it is odd, so that
-a drift of the machine within a pair favours neither.  Each tree runs its
+removed afterwards.  The change is the working tree, or with ``--change
+REV`` a second revision exported the same way; ``--base REV --change REV``
+is an A/A run, which shows the noise floor of a comparison.  Pair ``i``
+runs the base first when ``i`` is even and the change first when it is
+odd, so that a drift of the machine within a pair favours neither.  Each tree runs its
 own ``perfbench/run.py`` on its own ``src/``, for the run length
 ``BENCHMARK.json`` sets.
 
@@ -142,6 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds,
                     help="one pair per seed: 501-510 or 1,4,9")
     ap.add_argument("--base", required=True, help="git revision of the base")
+    ap.add_argument("--change", default=None,
+                    help="git revision of the change (default: the working tree)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -154,8 +158,13 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="compare_", dir=ROOT / ".bench_build"))
     try:
         base_info = {"rev": args.base, "commit": export(args.base, workdir / "base")}
-        change_info = working_tree()
         trees = {"base": workdir / "base", "change": ROOT}
+        if args.change is None:
+            change_info = working_tree()
+        else:
+            trees["change"] = workdir / "change"
+            change_info = {"rev": args.change,
+                           "commit": export(args.change, trees["change"])}
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
