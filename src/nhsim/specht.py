@@ -201,7 +201,9 @@ def compare_profiles(A, B, tol: float = 1e-8):
         raise ValueError("matrices must have equal dimension")
     words = word_list(A.shape[0])
     pair = np.stack([A, B])
-    with np.errstate(over="ignore", invalid="ignore"):  # rescaled for the test
+    # the traces as given may overflow; trace_mismatches then decides on the
+    # rescaled pair
+    with np.errstate(over="ignore", invalid="ignore"):
         traces = word_traces(pair, words)
     (bad,) = trace_mismatches(pair, traces, words, tol)
     return [(words[j], complex(traces[0, j]), complex(traces[1, j])) for j in bad]
