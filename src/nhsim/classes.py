@@ -45,7 +45,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatchError
-from .matrices import as_matrix, as_scaled_matrix, dagger, frob
+from .matrices import (
+    as_matrix,
+    as_scaled_matrix,
+    dagger,
+    frob,
+    ldexp_complex,
+    scale_exponents,
+)
 from .spectral import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -376,9 +383,14 @@ def factor(H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     Chiral: ``(Gamma, C)`` with ``H = i Gamma C`` and ``C`` Hermitian.
     SelfSkewSimilar: ``(S, H)`` -- the anticommuting witness; no
     factorization is claimed for this class.
+
+    The factor is computed and gated on ``H`` times the power of two of
+    :func:`~nhsim.matrices.as_scaled_matrix`, then scaled back.
     """
     H = as_matrix(H)
-    w = construct_witness(H, cls, cfg)
+    e = int(scale_exponents(H[None])[0])
+    Hs = ldexp_complex(H, e)  # as_scaled_matrix(H)
+    w = construct_witness(Hs, cls, cfg)
     if not _witness_ok(w, cfg):
         raise ClassMismatchError(
             f"witness for {cls.value} exceeds tolerance (residual {w.residual:.3g})"
@@ -387,16 +399,15 @@ def factor(H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     if cls is SimilarityClass.SELF_SKEW_SIMILAR:
         return T, H
     if cls is SimilarityClass.PSEUDO_HERMITIAN:
-        A = np.linalg.solve(T, H)
+        A = np.linalg.solve(T, Hs)
     else:
-        A = -1j * np.linalg.solve(T, H)
+        A = -1j * np.linalg.solve(T, Hs)
     defect = frob(A - dagger(A)) / max(frob(A), 1e-300)
     if defect > 10 * cfg.residual_tol * max(np.linalg.cond(T), 1.0):
         raise ClassMismatchError(
             f"factor is not Hermitian within tolerance (defect {defect:.3g})"
         )
-    A = (A + dagger(A)) / 2
-    return T, A
+    return T, ldexp_complex((A + dagger(A)) / 2, -e)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,14 @@ representation, so every number reparses to the identical double.  The
 default tolerance can be overridden by the ``NHSIM_TOL`` environment
 variable; an explicit ``--tol`` flag wins over the environment.
 
+A ``scan`` that the library warns about (a family with fewer parameters
+than the codimension) prints the warning as one ``warning:`` line on
+stderr and exits 0.
+
 ``specht`` and the n = 3 evidence of ``specht-generators`` print the word
 traces of the matrices as given and exit 2 when one of them, or the
-difference of two, overflows; their match verdicts use the relative
+difference of two, overflows, or when the printed difference of a
+mismatching word underflows to 0; their match verdicts use the relative
 tolerance of :func:`nhsim.specht.trace_mismatches`.  The 2x2 recovery of
 ``specht-generators`` is one stacked pass per class
 (:func:`nhsim.specht.check_similarity_implies_symmetry_2x2`).
@@ -27,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -160,7 +166,8 @@ def _word_profile(stack, tol):
     mismatching word positions of ``(stack[0], stack[i])``.
 
     Exits 2 when a trace or a trace difference overflows, since it could
-    not be printed as a JSON number.
+    not be printed as a JSON number, and when a mismatching word's printed
+    difference underflows to 0, since it would contradict its verdict.
     """
     words = word_list(stack.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -170,7 +177,10 @@ def _word_profile(stack, tol):
         printed = np.abs(traces - traces[0])
     if not np.isfinite(printed).all():
         raise SystemExit2("word traces overflow; rescale the matrices")
-    return words, traces, trace_mismatches(stack, traces, words, tol)
+    mismatches = trace_mismatches(stack, traces, words, tol)
+    if any((printed[i, bad] == 0).any() for i, bad in enumerate(mismatches, 1)):
+        raise SystemExit2("word traces underflow; rescale the matrices")
+    return words, traces, mismatches
 
 
 def _cmd_specht(args):
@@ -290,9 +300,13 @@ def _cmd_scan(args):
         tolerances=_tolerances(args),
     )
     try:
-        candidates = scan(fam, cls, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            candidates = scan(fam, cls, cfg)
     except ValueError as exc:
         raise SystemExit2(str(exc))
+    for w in caught:  # e.g. too few parameters for the codimension
+        print(f"warning: {w.message}", file=sys.stderr)
     names = fam.param_names
     if args.output == "csv":
         print(

@@ -36,7 +36,7 @@ import numpy as np
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
-from .matrices import as_matrix, frob
+from .matrices import as_matrix, frob, ldexp_complex, scale_exponents
 from .spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
@@ -73,10 +73,15 @@ EXPECTED_CODIMENSION = {
 
 
 def _shifted(H: np.ndarray) -> np.ndarray:
-    """``H - (tr H / n) I`` for one matrix or a stack of them."""
+    """``H - (tr H / n) I`` for one matrix or a stack of them.
+
+    Where the trace overflows, the matrix comes back non-finite, and every
+    caller checks for that.
+    """
     n = H.shape[-1]
-    tr = np.trace(H, axis1=-2, axis2=-1)
-    return H - (tr / n)[..., None, None] * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(H, axis1=-2, axis2=-1)
+        return H - (tr / n)[..., None, None] * np.eye(n)
 
 
 def _raw_components(n: int):
@@ -127,7 +132,9 @@ class ConstraintSystem:
         ``labels`` selects components by name (default: the active
         constraints ``self.labels``; ``self.forced_zero`` gives the ones
         the class forces to vanish).  Points are processed in chunks of
-        ``_CHUNK`` so that memory stays bounded on large grids.
+        ``_CHUNK`` so that memory stays bounded on large grids.  The row of
+        a point where the family or a component overflows is not finite;
+        every caller checks for that.
         """
         lams = np.asarray(lams, dtype=float)
         column = _column_index(self.order)
@@ -135,15 +142,7 @@ class ConstraintSystem:
         out = np.empty((len(lams), len(cols)))
         for start in range(0, len(lams), _CHUNK):
             Ht = _shifted(self.family.evaluate_batch(lams[start:start + _CHUNK]))
-            # tr H~^k for 2 <= k < n, then det H~; viewed as floats the
-            # columns are Re, Im interleaved: the order of _raw_components
-            C = np.empty((len(Ht), self.order - 1), dtype=complex)
-            P = Ht
-            for j in range(self.order - 2):
-                P = P @ Ht
-                C[:, j] = np.trace(P, axis1=1, axis2=2)
-            C[:, -1] = np.linalg.det(Ht)
-            out[start:start + _CHUNK] = C.view(float)[:, cols]
+            out[start:start + _CHUNK] = _components(Ht, cols)
         return out
 
     def evaluate(self, lam) -> np.ndarray:
@@ -152,6 +151,22 @@ class ConstraintSystem:
 
     def __call__(self, lam) -> np.ndarray:
         return self.evaluate(lam)
+
+
+def _components(Ht: np.ndarray, cols) -> np.ndarray:
+    """Columns ``cols`` of the unreduced components of a stack of
+    trace-shifted matrices: tr H~^k for 2 <= k < n, then det H~; viewed as
+    floats the columns are Re, Im interleaved, the order of
+    :func:`_raw_components`."""
+    n = Ht.shape[-1]
+    C = np.empty((len(Ht), n - 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        P = Ht
+        for j in range(n - 2):
+            P = P @ Ht
+            C[:, j] = np.trace(P, axis1=1, axis2=2)
+        C[:, -1] = np.linalg.det(Ht)
+    return C.view(float)[:, cols]
 
 
 @dataclass
@@ -180,7 +195,10 @@ def class_identity_check(
     the shifted matrix norm) and the spectral multiset symmetry of the
     class, measured as the largest pair distance of the optimal pairing of
     the spectrum with its class-mapped image (relative to the matrix norm).
-    The report carries the worst violation and where it occurred.
+    The report carries the worst violation and where it occurred.  Each
+    sample is checked times its own power of two (the rule of
+    :func:`certify_order`), which leaves the violations as they are; a
+    family value that overflows raises ``NonFiniteMatrixError``.
     """
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
@@ -188,11 +206,15 @@ def class_identity_check(
     degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
     lams = rng.uniform(-box, box, size=(max(samples, 1), f.num_params))
     H = f.evaluate_batch(lams)
-    forced = np.abs(cs.evaluate_many(lams, cs.forced_zero))
+    if not np.isfinite(H).all():
+        raise NonFiniteMatrixError("family values overflow at the sampled points")
+    H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
+    column = _column_index(f.dim)
+    Hts = _shifted(H)
+    forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
     symmetry = CLASS_MAP[cls]
     fmap = SYMMETRY_MAPS[symmetry]
-    for lam, Hj, Ht, vals, spec in zip(lams, H, _shifted(H), forced,
-                                       eigenvalues_many(H)):
+    for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
         scale = max(frob(Ht), 1.0)
         for lab, v in zip(cs.forced_zero, vals.tolist()):
             v /= scale ** degree[lab]
@@ -388,9 +410,11 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row, bit for bit.
 
     ``norm`` of one vector is ``sqrt(dot(g, g))``, which ``vecdot`` repeats
-    per row; ``norm(G, axis=-1)`` rounds differently.
+    per row; ``norm(G, axis=-1)`` rounds differently.  A norm that
+    overflows is inf, which no caller takes for a decrease or a root.
     """
-    return np.sqrt(np.vecdot(G, G))
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(G, G))
 
 
 def _local_minima(norms: np.ndarray, threshold: float | None):
@@ -477,6 +501,8 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     points = np.stack([m.ravel() for m in mesh], axis=-1)
 
     norms = _row_norms(g_many(points)).reshape(mesh[0].shape)
+    if not np.isfinite(norms).all():
+        raise NonFiniteMatrixError("constraint values overflow on the grid")
 
     idx = _local_minima(norms, cfg.seed_threshold)
     if not len(idx):
@@ -589,7 +615,10 @@ def certify_order(
     nullity grows) and the block sizes (the Weyr differences).  When the
     nullity stops growing short of ``m``, the cluster is the nullity it
     settled at.  No other eigenvalue is examined, so nearby non-zero
-    eigenvalues cannot make the certificate ambiguous.
+    eigenvalues cannot make the certificate ambiguous.  A matrix whose
+    norm or powers up to ``H~^n`` would leave the normal range is decided
+    times its own power of two (:func:`~nhsim.matrices.scale_exponents`
+    with degree ``max(n, 2)``), and the block means are scaled back.
     """
     return _certify_many(as_matrix(H)[None], cfg, constraint_tol)[0]
 
@@ -601,6 +630,11 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
         return []
     Ht = _shifted(np.asarray(H, dtype=complex))
     n = Ht.shape[-1]
+    # each matrix times its own power of two where its norm or the
+    # staircase's powers up to H~^n would leave the normal range
+    e = scale_exponents(Ht, max(n, 2))
+    if e.any():
+        Ht = ldexp_complex(Ht, e[:, None, None])
     # bit for bit the Frobenius norm of each matrix (see _row_norms)
     flat = Ht.reshape(len(Ht), -1)
     scale = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
@@ -615,7 +649,7 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
     stairs = nullity_staircase(A, zero.sum(axis=1), cfg.rank_tol,
                                np.maximum(scale, 1.0))
     certs = []
-    for mu, dims in zip(mean.tolist(), stairs):
+    for mu, dims in zip(ldexp_complex(mean, -e).tolist(), stairs):
         if dims[-1] == 0:
             certs.append(OrderCertificate(1, 0, 0, False, ()))
             continue
@@ -646,19 +680,28 @@ def splitting_exponent(
     their diameter is fitted against ``t`` on a log-log grid.  A branch
     point of order m yields a slope near 1/m; an analytic crossing yields
     slope near 1.  Raises ``RuntimeError`` when the spread stays below the
-    noise floor and no fit is possible.
+    noise floor, so that no fit is possible, or overflows.
     """
     lam_star = np.asarray(lam_star, dtype=float).ravel()
     direction = np.asarray(direction, dtype=float).ravel()
-    if np.linalg.norm(direction) == 0:
+    if not direction.any():
         raise ValueError("direction must be nonzero")
     m = cluster_size or f.dim
-    scale = max(frob(_shifted(f.evaluate(lam_star))), 1.0)
+    # the noise floor is taken on H~(lam*) times the power of two of
+    # certify_order, and the spreads are compared in the same units
+    Ht = as_matrix(_shifted(f.evaluate(lam_star)))
+    e = int(scale_exponents(Ht[None], max(f.dim, 2))[0])
+    scale = max(frob(ldexp_complex(Ht, e)), 1.0)
     ts = np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), steps)
-    vals = eigenvalues_many(_shifted(f.evaluate_batch(lam_star + ts[:, None] * direction)))
-    near = np.take_along_axis(vals, np.argsort(np.abs(vals), axis=1)[:, :m], axis=1)
-    diams = np.abs(near[:, :, None] - near[:, None, :]).max(axis=(1, 2))
-    above = diams > 1e-12 * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a point or a spread that overflows is reported below
+        points = lam_star + ts[:, None] * direction
+        vals = eigenvalues_many(_shifted(f.evaluate_batch(points)))
+        near = np.take_along_axis(vals, np.argsort(np.abs(vals), axis=1)[:, :m], axis=1)
+        diams = np.abs(near[:, :, None] - near[:, None, :]).max(axis=(1, 2))
+    if not np.isfinite(diams).all():
+        raise RuntimeError("eigenvalue spread overflows along this ray")
+    above = np.ldexp(diams, e) > 1e-12 * scale
     ts, diams = ts[above], diams[above]
     if len(ts) < 4:
         raise RuntimeError(

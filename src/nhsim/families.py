@@ -69,7 +69,8 @@ class MatrixFamily:
         product of its powers in parameter order.  Powers ``e >= 2`` are
         taken one scalar at a time, because numpy's array power differs
         from the scalar ``pow`` in the last bit for some inputs.  Raises
-        ``NonFiniteMatrixError`` if any point is not finite.
+        ``NonFiniteMatrixError`` if any point is not finite; a value that
+        overflows comes back non-finite, and every caller checks for that.
         """
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 2 or lams.shape[1] != self.num_params:
@@ -80,14 +81,15 @@ class MatrixFamily:
         if not np.isfinite(lams).all():
             raise NonFiniteMatrixError("non-finite parameter point")
         H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
-        for M, exps in self.terms:
-            coeff = np.ones(len(lams))
-            for col, e in zip(lams.T, exps):
-                if e == 1:
-                    coeff *= col
-                elif e:
-                    coeff *= [x**e for x in col]
-            H += coeff[:, None, None] * M
+        with np.errstate(over="ignore", invalid="ignore"):
+            for M, exps in self.terms:
+                coeff = np.ones(len(lams))
+                for col, e in zip(lams.T, exps):
+                    if e == 1:
+                        coeff *= col
+                    elif e:
+                        coeff *= [x**e for x in col]
+                H += coeff[:, None, None] * M
         return H
 
     __call__ = evaluate
@@ -208,7 +210,8 @@ def constraint_jacobians(g_many, lams, h: float = DEFAULT_FD_STEP) -> np.ndarray
     pts[:, 2 * i, i] += steps
     pts[:, 2 * i + 1, i] -= steps
     G = np.asarray(g_many(pts.reshape(-1, d)), dtype=float).reshape(S, 2 * d, -1)
-    J = ((G[:, 0::2] - G[:, 1::2]) / (2 * steps)[:, :, None]).transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = ((G[:, 0::2] - G[:, 1::2]) / (2 * steps)[:, :, None]).transpose(0, 2, 1)
     if not np.all(np.isfinite(J)):
         raise NonFiniteMatrixError("non-finite constraint values near the point")
     return J

@@ -67,13 +67,33 @@ def scaled_stack(stack: np.ndarray, degree: int = 2) -> np.ndarray:
     ``[1/2, 1)``; inside it the stack is returned as it is.
     """
     m = max(np.abs(stack.real).max(), np.abs(stack.imag).max())
-    n = stack.shape[-1]
-    if m != 0 and not 2.0 ** (-1022 / degree) <= m <= 2.0 ** (1023 / degree - 0.5) / n:
-        e = -np.frexp(m)[1]
-        scaled = np.empty_like(stack)
-        scaled.real, scaled.imag = np.ldexp(stack.real, e), np.ldexp(stack.imag, e)
-        stack = scaled
+    lo, hi = _normal_window(stack.shape[-1], degree)
+    if m != 0 and not lo <= m <= hi:
+        stack = ldexp_complex(stack, -np.frexp(m)[1])
     return stack
+
+
+def _normal_window(n: int, degree: int) -> tuple[float, float]:
+    """The range of ``m`` in which :func:`scaled_stack` leaves a stack as it is."""
+    return 2.0 ** (-1022 / degree), 2.0 ** (1023 / degree - 0.5) / n
+
+
+def scale_exponents(stack: np.ndarray, degree: int = 2) -> np.ndarray:
+    """The exponent of the :func:`scaled_stack` rule for each matrix of an
+    ``(m, n, n)`` stack on its own: ``e`` with ``2**e`` times the largest
+    real or imaginary part in ``[1/2, 1)``, or 0 for a matrix in range."""
+    m = np.maximum(np.abs(stack.real).max(axis=(-2, -1)),
+                   np.abs(stack.imag).max(axis=(-2, -1)))
+    lo, hi = _normal_window(stack.shape[-1], degree)
+    return np.where((m == 0) | ((lo <= m) & (m <= hi)), 0, -np.frexp(m)[1])
+
+
+def ldexp_complex(Z: np.ndarray, e) -> np.ndarray:
+    """``Z * 2**e``, taken on the real and imaginary parts, so it is exact
+    unless a part leaves the normal range; ``e`` broadcasts against ``Z``."""
+    out = np.empty_like(Z)
+    out.real, out.imag = np.ldexp(Z.real, e), np.ldexp(Z.imag, e)
+    return out
 
 
 def dagger(H: np.ndarray) -> np.ndarray:

@@ -7,13 +7,13 @@ eigenvalues with an absolute radius derived from ``cluster_tol`` and by
 deciding block sizes from the rank staircase of ``(H - eps*I)^k``: the
 nullities of the powers, each under a singular-value cutoff
 (:func:`nullity_staircase`), whose differences are the Weyr characteristic
-(:func:`weyr_block_sizes`).  Order certification uses the staircase alone;
-:func:`jordan_decompose` builds chains on top of it.
+(:func:`weyr_block_sizes`).  Order certification and
+:func:`jordan_decompose` both read their blocks off the staircase alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -44,10 +44,6 @@ __all__ = [
 
 #: Largest dimension accepted by :func:`jordan_decompose`.
 JORDAN_DIM_CAP = 12
-
-#: Condition number of the generalized-eigenvector basis above which the
-#: decomposition is flagged as ill-conditioned.
-COND_WARN = 1e8
 
 SYMMETRY_MAPS = {
     "conj": np.conj,
@@ -109,41 +105,15 @@ class JordanBlock:
 
 @dataclass
 class JordanStructure:
-    """Result of :func:`jordan_decompose`: ``H = Q J Q^{-1}``.
+    """Result of :func:`jordan_decompose`: the Jordan blocks of ``H``.
 
-    ``blocks`` are listed in the column order of ``Q``; block ``b`` occupies
-    columns ``offsets[b] : offsets[b] + blocks[b].size``.  Blocks belonging to
+    Clusters are listed in order of their mean (real part, then imaginary
+    part), and the blocks of a cluster largest first; blocks belonging to
     one eigenvalue cluster share the same ``cluster_index``.
     """
 
     blocks: list[JordanBlock]
-    Q: np.ndarray
-    residual: float
-    cond_Q: float
-    cluster_index: list[int] = field(default_factory=list)
-
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.cond_Q > COND_WARN
-
-    @property
-    def offsets(self) -> list[int]:
-        out, pos = [], 0
-        for b in self.blocks:
-            out.append(pos)
-            pos += b.size
-        return out
-
-    def jordan_matrix(self) -> np.ndarray:
-        n = sum(b.size for b in self.blocks)
-        J = np.zeros((n, n), dtype=complex)
-        pos = 0
-        for b in self.blocks:
-            J[pos : pos + b.size, pos : pos + b.size] = b.eigenvalue * np.eye(
-                b.size
-            ) + np.diag(np.ones(b.size - 1), 1)
-            pos += b.size
-        return J
+    cluster_index: list[int]
 
 
 def eigenvalues(H) -> Spectrum:
@@ -266,14 +236,6 @@ def _cluster_eigenvalues(vals: np.ndarray, radius: float):
     return clusters
 
 
-def _rank_null(M: np.ndarray, cutoff: float):
-    """Rank of ``M`` under an absolute singular-value cutoff, plus an
-    orthonormal nullspace basis (columns)."""
-    U, s, Vh = np.linalg.svd(M)
-    r = int(np.sum(s > cutoff))
-    return r, Vh[r:].conj().T
-
-
 def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
     """Rank staircases of a stack of cluster matrices ``A = H - eps*I``.
 
@@ -323,69 +285,16 @@ def weyr_block_sizes(dims) -> list[int]:
     return [k for k in range(len(w) - 1, 0, -1) for _ in range(w[k - 1] - w[k])]
 
 
-def _chains_for_cluster(A: np.ndarray, mult: int, rank_tol: float, base: float):
-    """Jordan chains for the (shifted) cluster matrix ``A = H - eps*I``.
-
-    Returns a list of chains; each chain is a list of column vectors ordered
-    eigenvector first, so that ``A @ chain[i+1] = chain[i]`` up to the rank
-    tolerance.  The block sizes come from :func:`nullity_staircase`; the
-    nullspace of ``A^k`` is spanned by the right singular vectors of its
-    ``d_k`` smallest singular values.
-    """
-    n = A.shape[0]
-    dims = nullity_staircase(A[None], mult, rank_tol, base)[0]
-    if dims[-1] != mult:
-        raise ClusterAmbiguityError(
-            "rank profile of the cluster is inconsistent with its multiplicity"
-        )
-    s = len(dims) - 1
-    nulls = [np.zeros((n, 0))]
-    P = np.eye(n, dtype=complex)
-    for k in range(1, s + 1):
-        P = P @ A
-        nulls.append(np.linalg.svd(P)[2][n - dims[k]:].conj().T)
-    sizes = weyr_block_sizes(dims)
-    counts = [sizes.count(k) for k in range(1, s + 1)]  # chains of exact length k
-
-    chains = []
-    carried: list[np.ndarray] = []  # level-k members of longer chains
-    for k in range(s, 0, -1):
-        ck = counts[k - 1]
-        if ck > 0:
-            excl = np.hstack([nulls[k - 1]] + [c.reshape(-1, 1) for c in carried]) \
-                if (nulls[k - 1].shape[1] or carried) else np.zeros((n, 0))
-            if excl.shape[1]:
-                Qe, _ = np.linalg.qr(excl)
-                proj = nulls[k] - Qe @ (Qe.conj().T @ nulls[k])
-            else:
-                proj = nulls[k]
-            U, sv, _ = np.linalg.svd(proj, full_matrices=False)
-            tops = [U[:, i] for i in range(ck)]
-            for t in tops:
-                chain = [t]
-                for _ in range(k - 1):
-                    chain.append(A @ chain[-1])
-                chain.reverse()  # eigenvector first
-                nrm = max(np.linalg.norm(v) for v in chain)
-                chains.append([v / nrm for v in chain])
-        # descend: members of all chains of length >= k at level k-1
-        carried = [A @ c for c in carried] + [
-            A @ ch[-1] for ch in chains if len(ch) == k
-        ]
-        carried = [c for c in carried if np.linalg.norm(c) > 0]
-    return chains
-
-
 def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStructure:
-    """Jordan decomposition ``H = Q J Q^{-1}`` with tolerance clustering.
+    """Jordan blocks of ``H`` with tolerance clustering.
 
     Eigenvalues are clustered within an absolute radius
-    ``cfg.cluster_tol * |H|_F``; block sizes follow from the rank staircase
-    of ``(H - eps*I)^k`` under ``cfg.rank_tol`` (:func:`nullity_staircase`,
-    the same rule that certifies EP orders); ``Q`` is assembled from
-    generalized-eigenvector chains.  The round-trip residual and the
-    condition number of ``Q`` are reported on the result, and
-    ``ill_conditioned`` is set when ``cond(Q)`` exceeds ``1e8``.
+    ``cfg.cluster_tol * |H|_F``; a simple eigenvalue is one block of size
+    1, and the blocks of a multiple one follow from the rank staircase of
+    ``(H - eps*I)^k`` under ``cfg.rank_tol`` (:func:`nullity_staircase`,
+    the same rule that certifies EP orders), one stacked call for all
+    clusters.  Raises ``ClusterAmbiguityError`` when two clusters overlap
+    or a staircase stops short of its cluster's size.
     """
     H = as_matrix(H)
     n = H.shape[0]
@@ -395,51 +304,21 @@ def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStru
         )
     scale = frob(H)
     if scale == 0.0:
-        return JordanStructure(
-            blocks=[JordanBlock(0.0 + 0.0j, 1) for _ in range(n)],
-            Q=np.eye(n, dtype=complex),
-            residual=0.0,
-            cond_Q=1.0,
-            cluster_index=[0] * n,
-        )
-    radius = cfg.cluster_tol * scale
-    vals = eigenvalues(H).values
-    clusters = _cluster_eigenvalues(vals, radius)
-
+        return JordanStructure([JordanBlock(0.0 + 0.0j, 1) for _ in range(n)], [0] * n)
+    clusters = _cluster_eigenvalues(eigenvalues(H).values, cfg.cluster_tol * scale)
+    means = np.array([mean for mean, _ in clusters])
+    # a simple eigenvalue climbs no staircase
+    climb = [len(members) if len(members) > 1 else 0 for _, members in clusters]
+    stairs = nullity_staircase(H - means[:, None, None] * np.eye(n), climb,
+                               cfg.rank_tol, max(scale, 1.0))
     blocks: list[JordanBlock] = []
     cluster_index: list[int] = []
-    cols: list[np.ndarray] = []
-    base = max(scale, 1.0)
-    for ci, (mean, members) in enumerate(clusters):
-        mult = len(members)
-        A = H - mean * np.eye(n)
-        if mult == 1:
-            _, N = _rank_null(A, cfg.rank_tol * base)
-            if N.shape[1] >= 1:
-                v = N[:, 0]
-            else:  # simple eigenvalue: smallest right singular vector
-                _, _, Vh = np.linalg.svd(A)
-                v = Vh[-1].conj()
-            blocks.append(JordanBlock(mean, 1))
-            cluster_index.append(ci)
-            cols.append(v.reshape(-1, 1))
-            continue
-        chains = _chains_for_cluster(A, mult, cfg.rank_tol, base)
-        chains.sort(key=len, reverse=True)
-        for ch in chains:
-            blocks.append(JordanBlock(mean, len(ch)))
-            cluster_index.append(ci)
-            cols.append(np.column_stack(ch))
-
-    Q = np.hstack(cols)
-    result = JordanStructure(blocks=blocks, Q=Q, residual=0.0, cond_Q=np.inf,
-                             cluster_index=cluster_index)
-    J = result.jordan_matrix()
-    sv = np.linalg.svd(Q, compute_uv=False)
-    result.cond_Q = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    try:
-        recon = Q @ np.linalg.solve(Q.T, J.T).T  # Q J Q^{-1}
-        result.residual = frob(H - recon) / scale
-    except np.linalg.LinAlgError:
-        result.residual = np.inf
-    return result
+    for ci, ((mean, members), dims) in enumerate(zip(clusters, stairs)):
+        sizes = weyr_block_sizes(dims) if len(members) > 1 else [1]
+        if sum(sizes) != len(members):
+            raise ClusterAmbiguityError(
+                "rank profile of the cluster is inconsistent with its multiplicity"
+            )
+        blocks += [JordanBlock(mean, k) for k in sizes]
+        cluster_index += [ci] * len(sizes)
+    return JordanStructure(blocks, cluster_index)

@@ -171,6 +171,17 @@ def test_specht_tolerance_is_relative(capsys, tmp_path, c):
     assert code == 0 and json.loads(out)["unitarily_similar"] is True
 
 
+def test_specht_underflowing_difference_exits_2(capsys, tmp_path):
+    # XX mismatches (traces 2c^2 and -2c^2), but c^2 prints as 0.0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(mat_doc(1e-300 * SZ)))
+    b.write_text(json.dumps(mat_doc(1e-300j * SZ)))
+    for output in ("json", "csv"):
+        code, out, err = run(capsys, "specht", str(a), str(b), "--output", output)
+        assert code == 2 and out == "", output
+        assert err == "error: word traces underflow; rescale the matrices\n"
+
+
 def test_specht_generators_3x3_overflowing_traces_exit_2(capsys, tmp_path):
     _, gen, _ = run(capsys, "generate", "--class", "chiral", "--dim", "3",
                     "--seed", "5", "--non-normal")
@@ -238,6 +249,15 @@ def test_certify_command(capsys, dimer_family):
     assert 0.45 <= doc["splitting_exponent"] <= 0.55
 
 
+def test_scan_with_too_few_parameters_warns_in_one_line(capsys, dimer_family):
+    # self-skew at n = 2 has codimension 2; the dimer has one parameter
+    code, out, err = run(capsys, "scan", dimer_family, "--class", "self-skew",
+                         "--grid", "gamma=0:2:11")
+    assert code == 0 and out == ""
+    assert err == ("warning: family has 1 parameters but the SelfSkewSimilar "
+                   "codimension is 2; no generic solutions exist\n")
+
+
 def test_certify_near_trimer_ep3_exits_0(capsys, trimer_family):
     # the pair +-0.0261 next to the pinned zero eigenvalue used to abort the
     # certificate with a clustering error (exit 1)
@@ -246,6 +266,18 @@ def test_certify_near_trimer_ep3_exits_0(capsys, trimer_family):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["order"] == 1 and doc["cluster_size"] == 1
+
+
+@pytest.mark.parametrize("gamma", ["1e160", "1e300"])
+def test_certify_far_from_the_ep_exits_0_quietly(capsys, trimer_family, gamma):
+    # eigenvalues 0 and about +-i*gamma: the zero cluster is one eigenvalue
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "certify", trimer_family, f"--at={gamma},1")
+    assert code == 0 and err == "" and not caught, [str(w.message) for w in caught]
+    assert len(out.splitlines()) == 1
+    doc = json.loads(out)
+    assert (doc["cluster_size"], doc["order"], doc["geometric_multiplicity"]) == (1, 1, 1)
 
 
 def certify_sweep_points(rng, ratio, params, count):

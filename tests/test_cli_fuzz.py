@@ -63,7 +63,9 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run_cli(workdir, docs, *argv):
+def run_cli(workdir, docs, *argv, warning=False):
+    """Run the command; with ``warning``, exit 0 may also print one line
+    ``warning: ...`` on stderr."""
     paths = []
     for i, doc in enumerate(docs):
         p = workdir / f"m{i}.json"
@@ -77,7 +79,10 @@ def run_cli(workdir, docs, *argv):
     # a warning would reach stderr of the command-line program
     stderr = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (0, 1, 2)
-    assert len(stderr) == (0 if code == 0 else 1), stderr
+    if code == 0 and warning and stderr:
+        assert len(stderr) == 1 and stderr[0].startswith("warning: "), stderr
+    else:
+        assert len(stderr) == (0 if code == 0 else 1), stderr
     assert "Traceback" not in err.getvalue()
     if code == 0:
         for line in out.getvalue().splitlines():
@@ -109,3 +114,85 @@ def test_specht_generators_fuzz(workdir, m, cls):
 
 def test_overflowing_pair_exits_2(workdir):
     assert run_cli(workdir, [as_doc(G), as_doc(np.conj(G))], "specht") == 2
+
+
+# ---------------------------------------------------------------------------
+# families for scan and certify
+
+CLASSES = ["pseudo-hermitian", "chiral", "self-skew"]
+text_value = st.one_of(number.map(repr), st.floats(-3, 3).map(repr),
+                       st.sampled_from(["nan", "inf", "-inf", "1e999", "x", ""]))
+points = st.one_of(st.integers(2, 20), st.sampled_from([-1, 0, 1])).map(str)
+
+
+@st.composite
+def family_docs(draw):
+    """Documents with dims 1-4, 0-3 parameters and exponents 0-3, or the
+    trimer times 10**k; returns the document and its parameter names."""
+    if draw(st.booleans()):
+        k = draw(st.integers(-320, 307))
+        doc = trimer_doc(10.0**k)
+        return doc, doc["param_names"]
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    exponents = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    terms = draw(st.lists(st.tuples(matrix, exponents), min_size=1, max_size=3))
+    doc = {"dim": n, "params": d,
+           "terms": [{"matrix": grid_doc(M), "exponents": e} for M, e in terms]}
+    return doc, [f"p{i + 1}" for i in range(d)]
+
+
+def trimer_doc(scale):
+    E = np.eye(3)
+    K = scale * (np.outer(E[0], E[1]) + np.outer(E[1], E[0])
+                 + np.outer(E[1], E[2]) + np.outer(E[2], E[1]))
+    D = scale * 1j * (np.outer(E[0], E[0]) - np.outer(E[2], E[2]))
+    return {"dim": 3, "params": 2, "param_names": ["gamma", "k"],
+            "terms": [{"matrix": as_doc(K), "exponents": [0, 1]},
+                      {"matrix": as_doc(D), "exponents": [1, 0]}]}
+
+
+@st.composite
+def scan_argv(draw, names):
+    grid, fix = [], []
+    for name in names:
+        if draw(st.booleans()):
+            grid.append(f"--grid={name}={draw(text_value)}:{draw(text_value)}"
+                        f":{draw(points)}")
+        else:
+            fix.append(f"--fix={name}={draw(text_value)}")
+    if not grid:  # --grid is required; p1 may not exist
+        grid.append(f"--grid={draw(st.sampled_from(names or ['p1']))}=0:1:5")
+    return ["--class", draw(st.sampled_from(CLASSES)), *grid, *fix]
+
+
+@st.composite
+def certify_argv(draw, names):
+    def vector():
+        size = draw(st.sampled_from([len(names), len(names), max(len(names) - 1, 0),
+                                     len(names) + 1]))
+        return ",".join(draw(text_value) for _ in range(size))
+
+    argv = [f"--at={vector()}"]
+    if draw(st.booleans()):
+        argv.append(f"--direction={vector()}")
+    return argv
+
+
+@FUZZ
+@given(data=st.data())
+def test_scan_fuzz(workdir, data):
+    doc, names = data.draw(family_docs())
+    run_cli(workdir, [doc], "scan", *data.draw(scan_argv(names)), warning=True)
+
+
+@FUZZ
+@given(data=st.data())
+def test_certify_fuzz(workdir, data):
+    doc, names = data.draw(family_docs())
+    run_cli(workdir, [doc], "certify", *data.draw(certify_argv(names)))
+
+
+def test_overflowing_scan_grid_exits_2(workdir):
+    argv = ["--class", "pseudo-hermitian", "--grid=gamma=0:1e300:5", "--fix=k=1"]
+    assert run_cli(workdir, [trimer_doc(1.0)], "scan", *argv) == 2

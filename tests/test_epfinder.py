@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
     ScanConfig,
+    _certify_many,
     _gauss_newton,
     _local_minima,
     _row_norms,
@@ -18,7 +19,7 @@ from nhsim.epfinder import (
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
 from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
-from nhsim.spectral import SYMMETRY_MAPS, eigenvalues, is_normal
+from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS, eigenvalues, is_normal
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
 CH = SimilarityClass.CHIRAL
@@ -426,6 +427,34 @@ def test_scan_nonfinite_input_raises():
         scan(dimer(), PH, ScanConfig(grid={"gamma": (0, float("inf"), 11)}))
 
 
+def scaled(f, c):
+    return MatrixFamily(f.dim, f.num_params, tuple((c * M, e) for M, e in f.terms),
+                        f.param_names)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-300, 1e120, 1e300])
+def test_identity_check_is_scale_invariant(c):
+    # each sample is checked times its own power of two; unscaled, 1e120
+    # raised OverflowError from the norm powers, and at 1e300 the
+    # overflowing components made NaN violations that passed as 0.0
+    ref = class_identity_check(trimer(), PH)
+    report = class_identity_check(scaled(trimer(), c), PH)
+    assert report.passed and report.worst_violation <= 1e-12
+    assert ref.passed and ref.worst_violation <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_family_values_raise():
+    with pytest.raises(NonFiniteMatrixError, match="sampled points"):
+        class_identity_check(scaled(trimer(), 1e308), PH)
+    with pytest.raises(NonFiniteMatrixError, match="overflow on the grid"):
+        scan(trimer(), PH, ScanConfig(grid={"gamma": (0, 1e300, 5)}, fixed={"k": 1.0}))
+    # eigenvalues near +-1e308: finite, but their spread is not
+    with pytest.raises(RuntimeError, match="spread overflows"):
+        splitting_exponent(scaled(dimer(), 1e308), [0.0], [1.0])
+
+
 def test_codimension_invariant_is_checked(monkeypatch):
     from nhsim import epfinder
 
@@ -475,6 +504,27 @@ def test_certify_order_near_trimer_ep3_sweep():
     assert not bad
     cert = certify_order(f.evaluate([np.sqrt(2), 1.0]))
     assert (cert.order, cert.cluster_size, cert.geometric_multiplicity) == (3, 3, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+def test_certify_order_at_extreme_scales(c):
+    # beyond about 1e+-154 |H~|_F, and with it the cluster radius, overflows
+    # or underflows unless each matrix is rescaled
+    def fields(cert):
+        return (cert.order, cert.cluster_size, cert.geometric_multiplicity,
+                cert.single_block, [b.size for b in cert.blocks])
+
+    ep3 = trimer().evaluate([np.sqrt(2), 1.0])
+    simple = np.diag([1.0, 0.0, -1.0]) + np.diag([1.0, 1.0], 1)
+    assert fields(certify_order(ep3)) == (3, 3, 1, True, [3])
+    assert fields(certify_order(simple)) == (1, 1, 1, True, [1])
+    for H in (ep3, simple):
+        assert fields(certify_order(c * H)) == fields(certify_order(H))
+        # each matrix of a stack is rescaled on its own
+        pair = _certify_many(np.stack([c * H, H]), DEFAULT_TOLERANCES, 1e-10)
+        assert pair[1] == certify_order(H)
+        assert fields(pair[0]) == fields(pair[1])
 
 
 def test_scan_candidates_carry_zero_cluster_blocks():

@@ -9,6 +9,7 @@ from nhsim.classes import (
     classify,
     construct_witness,
     detect_special_cases,
+    factor,
     generate_random,
     witness_residual,
 )
@@ -61,6 +62,21 @@ def test_construct_witness_at_extreme_scales(c):
         w = construct_witness(c * H, cls)
         assert w.residual <= tol and w.hermiticity_defect <= tol, (cls, n, seed)
         assert witness_residual(H, cls, w.transform) <= tol, (cls, n, seed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
+def test_factor_at_extreme_scales(c):
+    # beyond about 1e154 |A|_F overflows, and a Hermiticity gate of
+    # x/inf or inf/inf checks nothing
+    for cls in (SimilarityClass.PSEUDO_HERMITIAN, SimilarityClass.CHIRAL):
+        for n in range(2, 5):
+            H = generate_random(cls, n, n, non_normal=True)
+            T, A = factor(c * H, cls)
+            assert np.array_equal(A, dagger(A)), (cls, n)
+            sign = 1 if cls is SimilarityClass.PSEUDO_HERMITIAN else 1j
+            back = sign * T @ (A / c)
+            assert np.linalg.norm(back - H) <= 1e-8 * np.linalg.norm(H), (cls, n)
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e160, 1e300])
