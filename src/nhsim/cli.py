@@ -22,8 +22,8 @@ traces of the matrices as given and exit 2 when one of them, or the
 difference of two, overflows, or when the printed difference of a
 mismatching word underflows to 0; their match verdicts use the relative
 tolerance of :func:`nhsim.specht.trace_mismatches`.  The 2x2 recovery of
-``specht-generators`` is one stacked pass per class
-(:func:`nhsim.specht.check_similarity_implies_symmetry_2x2`).
+``specht-generators`` checks membership by word traces for ``--class``
+only; without it, the classes are those ``classify`` has confirmed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .families import parse_family
 from .matrices import matrix_to_json, parse_matrix
 from .specht import (
     CLASS_SYMMETRIES,
-    check_similarity_implies_symmetry_2x2,
+    _class_generators,
     mapped_target,
     trace_mismatches,
     word_list,
@@ -227,7 +227,7 @@ def _cmd_specht_generators(args):
     if n == 2:
         payload = {}
         for cls in classes:
-            found = check_similarity_implies_symmetry_2x2(H, cls, cfg)
+            found = _class_generators(H, cls, cfg.residual_tol if args.cls else None)
             payload[cls.value] = {
                 name: {
                     "generator": matrix_to_json(r.generator),

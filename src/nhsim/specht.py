@@ -19,12 +19,11 @@ a whole stack of matrices in one left-to-right pass that forms each shared
 prefix product once, :func:`trace_mismatches` compares the traces of the
 first matrix with those of the others, and :func:`solve_generators`
 solves several symmetries of one ``H`` in one stacked SVD.  The 2x2 check
-(:func:`check_similarity_implies_symmetry_2x2`) is one such pass per
-class: ``H`` is validated once, each mapped target ``sign T(H)`` is formed
-once, one word pass covers ``(H, T_1, T_2)`` and one SVD of shape
-``(2, 8, 3)`` gives both generators.  numpy runs the same BLAS or LAPACK
-call per matrix of a stack, so every trace and generator has the bytes of
-a one-matrix evaluation.
+(:func:`check_similarity_implies_symmetry_2x2`) decides class membership
+from one word pass over ``H`` and its mapped targets ``sign T(H)`` and
+gets both generators from one SVD of shape ``(2, 8, 3)``.  numpy runs the
+same BLAS or LAPACK call per matrix of a stack, so every trace and
+generator has the bytes of a one-matrix evaluation.
 
 A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
 length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import SimilarityClass, construct_witness, generate_random
+from .classes import SimilarityClass, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
 from .matrices import as_matrix, as_scaled_matrix, dagger, frob, scaled_stack
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
@@ -336,34 +335,34 @@ def check_similarity_implies_symmetry_2x2(
 ) -> dict[str, GeneratorSearch]:
     """Recover both enclosed symmetry generators of a 2x2 class member.
 
-    First verifies word-trace equality of ``H`` with the two mapped targets
-    (this must hold for pseudo-Hermitian and chiral matrices), then solves
-    for the unitary generators in closed form (:func:`solve_generators`)
-    and reports the property defects.  ``H`` is validated and rescaled once
-    (:func:`~nhsim.matrices.as_scaled_matrix`), each mapped target is formed
-    once, the traces of ``H`` and both targets come from one stacked word
-    pass and both generators from one stacked SVD.  Raises
-    ``ClassMismatchError`` when ``H`` is not in the stated class.
+    The word traces of ``H`` and its two mapped targets decide membership
+    (:func:`trace_mismatches` at ``residual_tol``), exactly for n = 2: ``H``
+    is pseudo-Hermitian iff ``tr H`` and ``tr H^2`` are real (Mostafazadeh,
+    J. Math. Phys. 43 (2002) 205), chiral iff ``tr H`` is imaginary and
+    ``tr H^2`` real, self-skew-similar iff ``tr H = 0``.  A non-member raises
+    ``ClassMismatchError`` naming the class and the first mismatching word.
     """
+    return _class_generators(H, cls, cfg.residual_tol)
+
+
+def _class_generators(H, cls: SimilarityClass, tol: float | None):
+    """Generators of ``cls`` for a 2x2 ``H``; with ``tol``, after one word
+    pass over ``(H, T_1, T_2)`` has decided that ``H`` is in ``cls``."""
     H = as_scaled_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("this check is a 2x2 statement")
-    construct_witness(H, cls, cfg)  # raises ClassMismatchError if not in class
     symmetries = CLASS_SYMMETRIES[cls]
     targets = [mapped_target(H, symmetry) for symmetry in symmetries]
-    if cls is not SimilarityClass.SELF_SKEW_SIMILAR:
+    if tol is not None:
         words = word_list(2)
         stack = np.stack([H, *targets])
         traces = word_traces(stack, words)
-        mismatches = trace_mismatches(stack, traces, words, cfg.residual_tol)
-        for i, bad in enumerate(mismatches, start=1):
+        for i, bad in enumerate(trace_mismatches(stack, traces, words, tol), 1):
             if bad:
                 j = bad[0]
-                ta, tb = complex(traces[0, j]), complex(traces[i, j])
                 raise ClassMismatchError(
-                    f"word {words[j]} traces differ ({ta:.6g} vs {tb:.6g}) although "
-                    f"the class forces equality"
-                )
+                    f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
+                    f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
     return solve_generators(H, symmetries, targets)
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nhsim.classes import SimilarityClass, classify, generate_random
 from nhsim.cli import main
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -203,6 +204,30 @@ def test_specht_generators_2x2(capsys, tmp_path):
     assert doc["mode"] == "generators"
     results = doc["results"]["PseudoHermitian"]
     assert results["PT"]["property_defect"] <= 1e-8
+
+
+def test_specht_generators_lists_every_confirmed_class(capsys, tmp_path):
+    # near the class boundaries: members plus relative noise.  Without --class
+    # the classes are those classify confirms, and the command does not decide
+    # their membership again, by a test that may disagree at the boundary
+    p = tmp_path / "m.json"
+    listed = 0
+    for cls in SimilarityClass:
+        for seed in range(8):
+            H0 = generate_random(cls, 2, seed, non_normal=bool(seed % 2))
+            E = np.random.default_rng(seed).standard_normal((2, 2, 2)) @ [1, 1j]
+            for delta in (1e-9, 1e-8, 1e-7):
+                H = H0 + delta * np.linalg.norm(H0) * E / np.linalg.norm(E)
+                confirmed = sorted(c.value for c in classify(H).confirmed)
+                p.write_text(json.dumps(mat_doc(H)))
+                code, out, err = run(capsys, "specht-generators", str(p))
+                if not confirmed:
+                    assert code == 1 and "not confirmed" in err
+                    continue
+                assert code == 0, (cls, seed, delta, err)
+                assert sorted(json.loads(out)["results"]) == confirmed
+                listed += 1
+    assert listed >= 36
 
 
 def test_specht_generators_3x3_evidence(capsys, monkeypatch):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
+from nhsim.classes import CLASS_MAP, SimilarityClass, construct_witness, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
+from nhsim.matrices import as_scaled_matrix
 from nhsim.spectral import SYMMETRY_MAPS
 from nhsim.specht import (
     CLASS_SYMMETRIES,
@@ -367,3 +368,129 @@ def test_generator_check_at_extreme_scales(c):
         H = generate_random(cls, 2, 3, non_normal=True)
         for s, r in check_similarity_implies_symmetry_2x2(c * H, cls).items():
             assert 0 < r.similarity_residual <= 1e-8 and r.property_defect <= 1e-8, s
+
+
+# ---------------------------------------------------------------------------
+# 2x2 membership from the word traces alone: PH iff tr H and tr H^2 are real,
+# CH iff tr H is imaginary and tr H^2 real, SSS iff tr H = 0
+
+MEMBERSHIP_SCALES = [1e-300, 1e-9, 1.0, 1e160, 1e300]
+
+
+def _member(H, cls):
+    try:
+        check_similarity_implies_symmetry_2x2(H, cls)
+    except ClassMismatchError:
+        return False
+    return True
+
+
+def _conjugated_jordan_blocks():
+    """(H, classes) for S (lam I + N) S^-1 with a seeded complex S."""
+    rng = np.random.default_rng(11)
+    out = []
+    for lam, classes in [(0, (PH, CH, SS)), (1.5, (PH,)), (-0.3, (PH,)),
+                         (2j, (CH,)), (-0.7j, (CH,))]:
+        for _ in range(5):
+            S = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            out.append((S @ (lam * np.eye(2) + N) @ np.linalg.inv(S), classes))
+    return out
+
+
+def _membership_members():
+    out = _conjugated_jordan_blocks()
+    for H, classes in DEGENERATE_2X2.values():
+        traceless = bool(np.trace(H) == 0)  # then self-skew-similar as well
+        out.append((np.asarray(H, dtype=complex), classes + (SS,) * traceless))
+    return out
+
+
+def _membership_non_members():
+    """(H, classes H is not in): generic matrices, and self-skew-similar
+    matrices shifted by eps |S|_F I, so that 2 |tr H| = 4 eps |S|_F."""
+    rng = np.random.default_rng(12)
+    out = [(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), (PH, CH, SS))
+           for _ in range(10)]
+    for seed in range(10):
+        S = generate_random(SS, 2, seed, non_normal=bool(seed % 2))
+        for eps in (1e-8, 1e-7, 1e-3):
+            out.append((S + eps * np.linalg.norm(S) * np.eye(2), (SS,)))
+    return out
+
+
+def test_class_check_accepts_degenerate_members_and_jordan_blocks():
+    for H, classes in _membership_members():
+        for cls in classes:
+            assert _member(H, cls), (H, cls)
+
+
+def test_class_check_rejects_generic_and_shifted_self_skew_matrices():
+    for H, classes in _membership_non_members():
+        for cls in classes:
+            with pytest.raises(ClassMismatchError, match=f"not {cls.value}: word X "):
+                check_similarity_implies_symmetry_2x2(H, cls)
+
+
+def test_self_skew_check_rejects_noisy_non_members():
+    # a member plus relative noise 1e-8 keeps its spectrum within cluster_tol
+    # of its negation, but |tr H| exceeds the trace tolerance
+    rejected = 0
+    for seed in range(20):
+        S = generate_random(SS, 2, seed, non_normal=True)
+        E = np.random.default_rng(seed).standard_normal((2, 2)) * (1 + 1j)
+        H = S + 1e-8 * np.linalg.norm(S) * E / np.linalg.norm(E)
+        exact = bool(2 * abs(np.trace(H)) > 1e-8 * np.linalg.norm(H))
+        assert _member(H, SS) != exact, seed
+        rejected += exact
+    assert rejected >= 5
+
+
+@pytest.mark.parametrize("c", MEMBERSHIP_SCALES)
+def test_membership_verdict_is_scale_invariant(c):
+    for H, classes in _membership_members():
+        for cls in classes:
+            assert _member(c * H, cls), (H, cls, c)
+    for H, classes in _membership_non_members():
+        for cls in classes:
+            assert not _member(c * H, cls), (H, cls, c)
+
+
+def _witness_route(H, cls):
+    """The membership test the class check made before it read traces only:
+    a Hermitian witness, then word-trace equality with both mapped targets."""
+    H = as_scaled_matrix(H)
+    try:
+        construct_witness(H, cls)
+    except ClassMismatchError:
+        return False
+    return not any(compare_profiles(H, mapped_target(H, s)) for s in CLASS_SYMMETRIES[cls])
+
+
+@pytest.mark.parametrize("cls", [PH, CH])
+def test_trace_membership_keeps_the_witness_route_verdicts(cls):
+    # members plus relative noise delta, and generic matrices.  The witness
+    # route adds a solve whose rank gate is about tol/10, so the routes may
+    # differ only where a trace defect lies between tol/10 and tol; there the
+    # traces accept
+    words = word_list(2)
+    inputs = []
+    for seed in range(60):
+        H = generate_random(cls, 2, seed, non_normal=bool(seed % 2))
+        E = np.random.default_rng(seed).standard_normal((2, 2, 2)) @ [1, 1j]
+        inputs += [H + d * np.linalg.norm(H) * E / np.linalg.norm(E)
+                   for d in (0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)]
+        inputs.append(np.random.default_rng(100 + seed).standard_normal((2, 2, 2))
+                      @ [1, 1j])
+    accepted = differ = 0
+    for i, H in enumerate(inputs):
+        new, old = _member(H, cls), _witness_route(H, cls)
+        accepted += new
+        if new != old:
+            differ += 1
+            assert new, i  # the traces never reject what the witness route accepted
+            stack = np.stack([H] + [mapped_target(H, s) for s in CLASS_SYMMETRIES[cls]])
+            traces = word_traces(stack, words)
+            defect = np.abs(traces[1:] - traces[0]) / np.linalg.norm(H) ** np.array(
+                [len(w) for w in words])
+            assert defect.max() > 1e-9, i
+    assert accepted >= len(inputs) // 3 and differ <= len(inputs) // 100
