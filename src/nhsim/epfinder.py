@@ -39,12 +39,11 @@ from .families import MatrixFamily, constraint_jacobians
 from .matrices import as_matrix, frob, ldexp_complex, scale_exponents
 from .spectral import (
     DEFAULT_TOLERANCES,
-    SYMMETRY_MAPS,
     JordanBlock,
     ToleranceConfig,
     eigenvalues_many,
-    multiset_symmetry_match,
     nullity_staircase,
+    symmetry_bottleneck,
     weyr_block_sizes,
 )
 
@@ -193,12 +192,12 @@ def class_identity_check(
     Two families of identities are checked at each sampled point: the
     forced-zero det/trace components (relative to the appropriate power of
     the shifted matrix norm) and the spectral multiset symmetry of the
-    class, measured as the largest pair distance of the optimal pairing of
-    the spectrum with its class-mapped image (relative to the matrix norm).
-    The report carries the worst violation and where it occurred.  Each
-    sample is checked times its own power of two (the rule of
-    :func:`certify_order`), which leaves the violations as they are; a
-    family value that overflows raises ``NonFiniteMatrixError``.
+    class, measured as the smallest tolerance at which ``classify``'s
+    spectral test passes (:func:`~nhsim.spectral.symmetry_bottleneck`),
+    relative to the matrix norm.  The report carries the worst violation
+    and where it occurred.  Each sample is checked times its own power of
+    two (the rule of :func:`certify_order`), which leaves the violations as
+    they are; a family value that overflows raises ``NonFiniteMatrixError``.
     """
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
@@ -213,15 +212,13 @@ def class_identity_check(
     Hts = _shifted(H)
     forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
     symmetry = CLASS_MAP[cls]
-    fmap = SYMMETRY_MAPS[symmetry]
     for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
         scale = max(frob(Ht), 1.0)
         for lab, v in zip(cs.forced_zero, vals.tolist()):
             v /= scale ** degree[lab]
             if v > worst:
                 worst, worst_pt, worst_id = v, lam, lab
-        rows, cols = np.array(multiset_symmetry_match(spec, symmetry, np.inf)).T
-        v = float(np.abs(spec[rows] - fmap(spec[cols])).max()) / max(frob(Hj), 1.0)
+        v = symmetry_bottleneck(spec, symmetry) / max(frob(Hj), 1.0)
         if v > worst:
             worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
     return IdentityCheckReport(

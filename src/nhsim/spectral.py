@@ -13,10 +13,10 @@ nullities of the powers, each under a singular-value cutoff
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ClusterAmbiguityError,
@@ -35,6 +35,7 @@ __all__ = [
     "eigenvalues_many",
     "power_traces",
     "multiset_symmetry_match",
+    "symmetry_bottleneck",
     "is_normal",
     "jordan_decompose",
     "nullity_staircase",
@@ -160,29 +161,60 @@ def power_traces(H, k_max: int) -> list[complex]:
     return out
 
 
+def _symmetry_distances(spectrum, map: str) -> np.ndarray:
+    """``|s_i - f(s_j)|`` for the spectrum ``s`` and the map ``f`` named ``map``."""
+    s = np.asarray(getattr(spectrum, "values", spectrum), dtype=complex)
+    return np.abs(s[:, None] - SYMMETRY_MAPS[map](s)[None, :])
+
+
 def multiset_symmetry_match(spectrum, map: str, tol: float):
     """Bijective pairing between a spectrum and its mapped image, or ``None``.
 
     ``map`` is one of ``conj`` ({eps} = {eps*}), ``negconj``
-    ({eps} = {-eps*}) or ``neg`` ({eps} = {-eps}).  A pairing is a list of
-    index pairs ``(i, j)`` with ``|s_i - f(s_j)| <= tol`` for every pair.
-    The pairing is found by optimal bipartite assignment on the distance
-    matrix, which (unlike greedy matching) is exact: a feasible perfect
-    matching is found whenever one exists.  With ``tol = inf`` every pairing
-    is feasible and the one returned minimizes the summed pair distance.
+    ({eps} = {-eps*}) or ``neg`` ({eps} = {-eps}).  The pairing lists index
+    pairs ``(i, j)``, ``i`` ascending, with ``|s_i - f(s_j)| <= tol``;
+    augmenting paths find one whenever one exists.  A NaN or negative
+    ``tol`` raises ``ValueError``.
     """
-    values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(
-        spectrum, dtype=complex
-    )
-    f = SYMMETRY_MAPS[map]
-    dist = np.abs(values[:, None] - f(values)[None, :])
-    # penalize infeasible edges so the assignment avoids them when possible
-    big = 1.0 + dist.max()
-    cost = np.where(dist <= tol, dist, big * values.size + 1.0)
-    rows, cols = linear_sum_assignment(cost)
-    if np.any(dist[rows, cols] > tol):
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    dist = _symmetry_distances(spectrum, map)
+    n = len(dist)
+    rows, cols = (a.tolist() for a in np.nonzero(dist <= tol))
+    nbrs = [[] for _ in range(n)]
+    for i, j in zip(rows, cols):
+        nbrs[i].append(j)
+    owner = [-1] * n  # the row paired with each column
+
+    def augment(i, seen):
+        for j in nbrs[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    if len(set(cols)) < n or not all(augment(i, set()) for i in range(n)):
         return None
-    return list(zip(rows.tolist(), cols.tolist()))
+    return sorted((i, j) for j, i in enumerate(owner))
+
+
+def symmetry_bottleneck(spectrum, map: str) -> float:
+    """Smallest ``tol`` at which :func:`multiset_symmetry_match` succeeds,
+    the spectral violation that ``class_identity_check`` reports.  Every
+    pairing's largest distance is at least each value's and each image's
+    nearest-partner distance, so the largest of those is tried first; the
+    larger distances are bisected only when it fails."""
+    def pairs(tol):
+        return multiset_symmetry_match(spectrum, map, tol) is not None
+
+    dist = _symmetry_distances(spectrum, map)
+    bound = float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
+    if pairs(bound):
+        return bound
+    cands = np.unique(dist[dist > bound]).tolist()
+    return cands[bisect.bisect_left(cands, True, key=pairs)]
 
 
 def is_normal(H, tol: float = 1e-12) -> bool:

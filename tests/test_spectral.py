@@ -18,6 +18,7 @@ from nhsim.spectral import (
     multiset_symmetry_match,
     nullity_staircase,
     power_traces,
+    symmetry_bottleneck,
     weyr_block_sizes,
 )
 
@@ -25,13 +26,38 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def brute_force_match(values, fmap, tol):
-    """Factorial oracle for multiset_symmetry_match."""
+    """Exhaustive oracle for multiset_symmetry_match: a depth-first search
+    over the permutations, cut where a pair is farther than ``tol``."""
     values = np.asarray(values, dtype=complex)
-    target = fmap(values)
-    for perm in itertools.permutations(range(values.size)):
-        if all(abs(values[i] - target[j]) <= tol for i, j in enumerate(perm)):
-            return True
-    return False
+    dist = np.abs(values[:, None] - fmap(values)[None, :])
+
+    def extend(i, free):
+        return i == values.size or any(
+            dist[i, j] <= tol and extend(i + 1, free - {j}) for j in free
+        )
+
+    return extend(0, frozenset(range(values.size)))
+
+
+def brute_force_bottleneck(values, fmap):
+    """The minimum over permutations of the largest pair distance."""
+    values = np.asarray(values, dtype=complex)
+    dist = np.abs(values[:, None] - fmap(values)[None, :])
+    perms = np.array(list(itertools.permutations(range(values.size))))
+    return float(dist[np.arange(values.size), perms].max(axis=1).min())
+
+
+def degenerate_spectrum(rng, n, fmap):
+    """Random values of which about half are mapped images of the others,
+    some of them exactly repeated or exactly zero."""
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if rng.random() < 0.5:
+        vals = np.concatenate([vals[: n // 2], fmap(vals[: n - n // 2])])
+    if rng.random() < 0.3:
+        vals[rng.integers(n)] = vals[rng.integers(n)]
+    if rng.random() < 0.2:
+        vals[rng.integers(n)] = 0.0
+    return vals
 
 
 def test_tolerance_config_validation():
@@ -116,16 +142,63 @@ def test_multiset_symmetry_match_brute_force_oracle():
     from nhsim.spectral import SYMMETRY_MAPS
 
     rng = np.random.default_rng(3)
-    tol = 1e-6
-    for _ in range(300):
-        n = rng.integers(1, 7)
-        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        # bias towards near-symmetric spectra so both outcomes occur
-        if rng.random() < 0.5:
-            vals = np.concatenate([vals[: n // 2], -vals[: n - n // 2]])
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
         for name, fmap in SYMMETRY_MAPS.items():
-            got = multiset_symmetry_match(vals, name, tol) is not None
-            assert got == brute_force_match(vals, fmap, tol)
+            vals = degenerate_spectrum(rng, n, fmap)
+            dist = np.abs(vals[:, None] - fmap(vals)[None, :])
+            # a fixed tolerance, and one that equals a pair distance exactly
+            for tol in (1e-6, dist.flat[rng.integers(dist.size)]):
+                got = multiset_symmetry_match(vals, name, tol) is not None
+                assert got == brute_force_match(vals, fmap, tol), (vals, name, tol)
+
+
+def test_multiset_symmetry_match_exact_repeats_and_zeros():
+    assert multiset_symmetry_match([0, 0, 1j, -1j], "neg", 0.0) is not None
+    assert multiset_symmetry_match([0, 0, 0], "negconj", 0.0) is not None
+    assert multiset_symmetry_match([2, 2, -2], "neg", 0.0) is None
+    twice = [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j]
+    assert multiset_symmetry_match(twice, "conj", 0.0) is not None
+    assert multiset_symmetry_match(twice[:3], "conj", 0.0) is None
+    # [0, 1] against [0, -1]: the crossed pairing has both distances 1
+    assert multiset_symmetry_match([0, 1], "neg", 1.0) == [(0, 1), (1, 0)]
+    assert multiset_symmetry_match([0, 1], "neg", np.nextafter(1.0, 0)) is None
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-300, -1.0, -np.inf])
+def test_multiset_symmetry_match_rejects_nan_and_negative_tol(tol):
+    with pytest.raises(ValueError, match="non-negative"):
+        multiset_symmetry_match([1 + 1j, 2], "conj", tol)
+
+
+def test_multiset_symmetry_match_pairs_anything_at_infinite_tol():
+    pairing = multiset_symmetry_match([1 + 1j, 2, 3j], "conj", np.inf)
+    assert sorted(i for i, _ in pairing) == sorted(j for _, j in pairing) == [0, 1, 2]
+
+
+def test_symmetry_bottleneck_brute_force_oracle():
+    from nhsim.spectral import SYMMETRY_MAPS
+
+    rng = np.random.default_rng(4)
+    bisected = at_bound = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        for name, fmap in SYMMETRY_MAPS.items():
+            vals = degenerate_spectrum(rng, n, fmap)
+            if rng.random() < 0.5:
+                vals = vals + 1e-6 * rng.standard_normal(n)
+            v = symmetry_bottleneck(vals, name)
+            assert v == brute_force_bottleneck(vals, fmap), (vals, name)
+            # the violation is the smallest tolerance that is accepted
+            assert multiset_symmetry_match(vals, name, v) is not None
+            if v > 0:
+                assert multiset_symmetry_match(vals, name, np.nextafter(v, 0)) is None
+            dist = np.abs(vals[:, None] - fmap(vals)[None, :])
+            bound = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+            at_bound += v == bound
+            bisected += v > bound
+    # both the nearest-partner bound and the bisection decide some inputs
+    assert at_bound > 50 and bisected > 50
 
 
 def test_is_normal():
