@@ -41,8 +41,8 @@ from .spectral import (
     DEFAULT_TOLERANCES,
     JordanBlock,
     ToleranceConfig,
+    _cluster_staircases,
     eigenvalues_many,
-    nullity_staircase,
     symmetry_bottleneck,
     weyr_block_sizes,
 )
@@ -190,14 +190,17 @@ def class_identity_check(
     """Verify the class-forced identities at random parameter points.
 
     Two families of identities are checked at each sampled point: the
-    forced-zero det/trace components (relative to the appropriate power of
+    forced-zero det/trace components (relative to the power ``|H~|_F^k`` of
     the shifted matrix norm) and the spectral multiset symmetry of the
     class, measured as the smallest tolerance at which ``classify``'s
     spectral test passes (:func:`~nhsim.spectral.symmetry_bottleneck`),
-    relative to the matrix norm.  The report carries the worst violation
-    and where it occurred.  Each sample is checked times its own power of
-    two (the rule of :func:`certify_order`), which leaves the violations as
-    they are; a family value that overflows raises ``NonFiniteMatrixError``.
+    relative to ``|H|_F``.  Both are relative with no floor, so a family
+    times ``c > 0`` gets the same report at every scale; a zero ``H`` or
+    ``H~`` has violation 0.  The report carries the worst violation and
+    where it occurred.  Each sample, and its shifted matrix, is checked
+    times its own power of two (:func:`~nhsim.matrices.scale_exponents`),
+    which leaves the violations as they are; a family value that overflows
+    raises ``NonFiniteMatrixError``.
     """
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
@@ -208,17 +211,20 @@ def class_identity_check(
     if not np.isfinite(H).all():
         raise NonFiniteMatrixError("family values overflow at the sampled points")
     H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
-    column = _column_index(f.dim)
     Hts = _shifted(H)
+    Hts = ldexp_complex(Hts, scale_exponents(Hts, f.dim)[:, None, None])
+    column = _column_index(f.dim)
     forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
     symmetry = CLASS_MAP[cls]
     for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
-        scale = max(frob(Ht), 1.0)
+        # a violation is 0 where its matrix is zero, so nothing divides by 0
+        scale = frob(Ht)
         for lab, v in zip(cs.forced_zero, vals.tolist()):
-            v /= scale ** degree[lab]
+            v = v / scale ** degree[lab] if v else 0.0
             if v > worst:
                 worst, worst_pt, worst_id = v, lam, lab
-        v = symmetry_bottleneck(spec, symmetry) / max(frob(Hj), 1.0)
+        v = symmetry_bottleneck(spec, symmetry)
+        v = v / frob(Hj) if v else 0.0
         if v > worst:
             worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
     return IdentityCheckReport(
@@ -606,16 +612,18 @@ def certify_order(
     an order-n branch point converts a parameter error of size t into an
     eigenvalue spread of order t^(1/n), so the radius scales as
     ``constraint_tol**(1/n)`` rather than linearly.  With ``m`` the cluster
-    size and ``mu`` its mean, the nullities of ``(H~ - mu I)^k`` under
-    ``cfg.rank_tol`` (:func:`~nhsim.spectral.nullity_staircase`) give the
-    geometric multiplicity (k = 1), the order (the last k at which the
-    nullity grows) and the block sizes (the Weyr differences).  When the
-    nullity stops growing short of ``m``, the cluster is the nullity it
-    settled at.  No other eigenvalue is examined, so nearby non-zero
-    eigenvalues cannot make the certificate ambiguous.  A matrix whose
-    norm or powers up to ``H~^n`` would leave the normal range is decided
-    times its own power of two (:func:`~nhsim.matrices.scale_exponents`
-    with degree ``max(n, 2)``), and the block means are scaled back.
+    size and ``mu`` its mean, the nullities of ``(H~ - mu I)^k`` under the
+    cutoff ``cfg.rank_tol * |H~|_F**k`` give the geometric multiplicity
+    (k = 1), the order (the last k at which the nullity grows) and the
+    block sizes (the Weyr differences).  When the nullity stops growing
+    short of ``m``, the cluster is the nullity it settled at.  No other
+    eigenvalue is examined, so nearby non-zero eigenvalues cannot make the
+    certificate ambiguous.  The radius and the cutoff are relative with no
+    floor, and the matrix is decided times its own power of two where its
+    norm or powers up to ``H~^n`` would leave the normal range (the rule of
+    :func:`~nhsim.spectral.jordan_decompose`), so ``c H`` gets the
+    certificate of ``H`` at every scale ``c > 0``, its block means times
+    ``c``.
     """
     return _certify_many(as_matrix(H)[None], cfg, constraint_tol)[0]
 
@@ -627,26 +635,16 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
         return []
     Ht = _shifted(np.asarray(H, dtype=complex))
     n = Ht.shape[-1]
-    # each matrix times its own power of two where its norm or the
-    # staircase's powers up to H~^n would leave the normal range
-    e = scale_exponents(Ht, max(n, 2))
-    if e.any():
-        Ht = ldexp_complex(Ht, e[:, None, None])
-    # bit for bit the Frobenius norm of each matrix (see _row_norms)
-    flat = Ht.reshape(len(Ht), -1)
-    scale = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     eps = np.finfo(float).eps
-    radius_rel = 10.0 * max(constraint_tol, 100 * eps) ** (1.0 / n)
-    radius = max(cfg.cluster_tol, radius_rel) * scale
-    vals = eigenvalues_many(Ht)
-    zero = np.abs(vals) <= radius[:, None]
-    mean = np.array([complex(np.mean(v[z])) if z.any() else 0j
-                     for v, z in zip(vals, zero)])
-    A = Ht - mean[:, None, None] * np.eye(n)
-    stairs = nullity_staircase(A, zero.sum(axis=1), cfg.rank_tol,
-                               np.maximum(scale, 1.0))
+    rel_radius = max(cfg.cluster_tol, 10.0 * max(constraint_tol, 100 * eps) ** (1.0 / n))
+
+    def zero_clusters(vals, norm):
+        zero = np.abs(vals) <= rel_radius * norm[:, None]
+        means = [complex(np.mean(v[z])) if z.any() else 0j for v, z in zip(vals, zero)]
+        return np.arange(len(vals)), np.array(means), zero.sum(axis=1)
+
     certs = []
-    for mu, dims in zip(ldexp_complex(mean, -e).tolist(), stairs):
+    for mu, _m, dims in _cluster_staircases(Ht, zero_clusters, cfg.rank_tol):
         if dims[-1] == 0:
             certs.append(OrderCertificate(1, 0, 0, False, ()))
             continue
@@ -688,7 +686,7 @@ def splitting_exponent(
     # certify_order, and the spreads are compared in the same units
     Ht = as_matrix(_shifted(f.evaluate(lam_star)))
     e = int(scale_exponents(Ht[None], max(f.dim, 2))[0])
-    scale = max(frob(ldexp_complex(Ht, e)), 1.0)
+    scale = frob(ldexp_complex(Ht, e))
     ts = np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), steps)
     with np.errstate(over="ignore", invalid="ignore"):
         # a point or a spread that overflows is reported below

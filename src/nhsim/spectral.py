@@ -8,7 +8,7 @@ deciding block sizes from the rank staircase of ``(H - eps*I)^k``: the
 nullities of the powers, each under a singular-value cutoff
 (:func:`nullity_staircase`), whose differences are the Weyr characteristic
 (:func:`weyr_block_sizes`).  Order certification and
-:func:`jordan_decompose` both read their blocks off the staircase alone.
+:func:`jordan_decompose` read their blocks off one scale-free staircase.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from .errors import (
     NonFiniteMatrixError,
     UnsupportedDimensionError,
 )
-from .matrices import as_matrix, as_scaled_matrix, dagger, frob
+from .matrices import (
+    as_matrix,
+    as_scaled_matrix,
+    dagger,
+    frob,
+    ldexp_complex,
+    scale_exponents,
+)
 
 __all__ = [
     "ToleranceConfig",
@@ -57,9 +64,10 @@ SYMMETRY_MAPS = {
 class ToleranceConfig:
     """Tolerances used throughout classification and decomposition.
 
-    All three are *relative* to the Frobenius norm of the matrix at hand
-    (scale invariance of the classification); they are turned into absolute
-    cutoffs internally.
+    All three are *relative* to the Frobenius norm of the matrix at hand,
+    with no absolute floor, so every decision is the same for ``c H`` at
+    any scale ``c > 0``; they are turned into absolute cutoffs internally
+    (a rank decision on the ``k``-th power takes ``rank_tol * |H|_F**k``).
 
     cluster_tol
         Eigenvalue clustering radius.
@@ -277,7 +285,9 @@ def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
     the cluster size ``m_r``.  It stops when ``d_k`` reaches ``m_r`` or
     stops growing; the stalled step is not recorded, so ``d_s`` is where
     the nullity settles.  ``m_r = 0`` gives ``[0]``.  ``m`` and ``base``
-    are scalars or one value per matrix.  All matrices climb together: each
+    are scalars or one value per matrix; :func:`jordan_decompose` and
+    ``certify_order`` pass ``|H|_F`` as ``base``, so the cutoff is
+    relative.  All matrices climb together: each
     step is one stacked matmul and one stacked values-only SVD of the
     matrices still climbing.
     """
@@ -317,16 +327,45 @@ def weyr_block_sizes(dims) -> list[int]:
     return [k for k in range(len(w) - 1, 0, -1) for _ in range(w[k - 1] - w[k])]
 
 
+def _cluster_staircases(H, clusters, rank_tol: float) -> list[tuple]:
+    """Rank staircases of chosen eigenvalue clusters of a stack ``H``
+    ``(N, n, n)``, decided the same way at every scale.
+
+    Each matrix is multiplied by its own power of two
+    (:func:`~nhsim.matrices.scale_exponents` with degree ``max(n, 2)``), so
+    its norm and its powers up to ``H^n`` stay in the normal range.
+    ``clusters(vals, norm)`` gets the ``(N, n)`` eigenvalues of the
+    rescaled matrices (one stacked eigensolve) and their ``(N,)`` Frobenius
+    norms, and returns the matrix index, the mean and the size ``m`` of
+    each cluster to climb: the staircase of ``(H - mean I)^k`` under the
+    cutoff ``rank_tol * norm**k`` (:func:`nullity_staircase`), with no
+    other floor.  Returns the ``(mean, m, staircase)`` of every cluster,
+    each mean scaled back.
+    """
+    n = H.shape[-1]
+    e = scale_exponents(H, max(n, 2))
+    H = ldexp_complex(H, e[:, None, None])
+    # bit for bit the Frobenius norm of each matrix: np.linalg.norm's
+    # sqrt(re.re + im.im), repeated per row by vecdot
+    flat = H.reshape(len(H), -1)
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    owner, means, sizes = clusters(eigenvalues_many(H), norm)
+    stairs = nullity_staircase(H[owner] - means[:, None, None] * np.eye(n), sizes,
+                               rank_tol, norm[owner])
+    return list(zip(ldexp_complex(means, -e[owner]).tolist(), sizes, stairs))
+
+
 def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStructure:
     """Jordan blocks of ``H`` with tolerance clustering.
 
     Eigenvalues are clustered within an absolute radius
     ``cfg.cluster_tol * |H|_F``; a simple eigenvalue is one block of size
     1, and the blocks of a multiple one follow from the rank staircase of
-    ``(H - eps*I)^k`` under ``cfg.rank_tol`` (:func:`nullity_staircase`,
-    the same rule that certifies EP orders), one stacked call for all
-    clusters.  Raises ``ClusterAmbiguityError`` when two clusters overlap
-    or a staircase stops short of its cluster's size.
+    ``(H - eps*I)^k`` under ``cfg.rank_tol``, by the rule that certifies
+    EP orders (:func:`_cluster_staircases`, which clusters and climbs on
+    ``H`` times a power of two where its powers would leave the normal
+    range).  Raises ``ClusterAmbiguityError`` when two clusters overlap or
+    a staircase stops short of its cluster's size.
     """
     H = as_matrix(H)
     n = H.shape[0]
@@ -334,20 +373,19 @@ def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStru
         raise UnsupportedDimensionError(
             f"jordan_decompose supports n <= {JORDAN_DIM_CAP}, got {n}"
         )
-    scale = frob(H)
-    if scale == 0.0:
-        return JordanStructure([JordanBlock(0.0 + 0.0j, 1) for _ in range(n)], [0] * n)
-    clusters = _cluster_eigenvalues(eigenvalues(H).values, cfg.cluster_tol * scale)
-    means = np.array([mean for mean, _ in clusters])
-    # a simple eigenvalue climbs no staircase
-    climb = [len(members) if len(members) > 1 else 0 for _, members in clusters]
-    stairs = nullity_staircase(H - means[:, None, None] * np.eye(n), climb,
-                               cfg.rank_tol, max(scale, 1.0))
+
+    def clusters(vals, norm):
+        groups = _cluster_eigenvalues(vals[0], cfg.cluster_tol * norm[0])
+        # a simple eigenvalue climbs no staircase
+        return ([0] * len(groups), np.array([mean for mean, _ in groups]),
+                [len(idx) if len(idx) > 1 else 0 for _, idx in groups])
+
     blocks: list[JordanBlock] = []
     cluster_index: list[int] = []
-    for ci, ((mean, members), dims) in enumerate(zip(clusters, stairs)):
-        sizes = weyr_block_sizes(dims) if len(members) > 1 else [1]
-        if sum(sizes) != len(members):
+    found = _cluster_staircases(H[None], clusters, cfg.rank_tol)
+    for ci, (mean, m, dims) in enumerate(found):
+        sizes = weyr_block_sizes(dims) if m else [1]
+        if m and sum(sizes) != m:
             raise ClusterAmbiguityError(
                 "rank profile of the cluster is inconsistent with its multiplicity"
             )

@@ -1,5 +1,6 @@
 """Class invariances over seeded in-class samples: rescaling, unitary
-conjugation, and the witness residual of every confirmed class."""
+conjugation, and the witness residual of every confirmed class; and the
+scale invariance of the rank staircase and of the family identity check."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from nhsim.classes import (
     generate_random,
     witness_residual,
 )
+from nhsim.epfinder import certify_order, class_identity_check
+from nhsim.families import MatrixFamily
 from nhsim.matrices import dagger
-from nhsim.spectral import DEFAULT_TOLERANCES, is_normal
+from nhsim.spectral import DEFAULT_TOLERANCES, ToleranceConfig, is_normal, jordan_decompose
 
 
 def samples(seeds):
@@ -135,3 +138,128 @@ def test_pseudo_hermitian_and_chiral_survive_similarity():
                 before = classify(H).confirmed & kept
                 after = classify(V @ H @ np.linalg.inv(V)).confirmed
                 assert cls in before and before <= after, (cls, n, seed)
+
+
+# ---------------------------------------------------------------------------
+# one rank rule at every scale: a class member, an EP or a Jordan pattern
+# times c > 0 keeps its class, order and blocks
+
+RANK_SCALES = [10.0**k for k in (-300, -160, -100, -20, -10, -5, -1, 0, 5, 100, 160, 300)]
+
+
+def trimer_ep3():
+    r = np.sqrt(2)
+    return np.array([[1j * r, 1, 0], [1, 0, 1], [0, 1, -1j * r]])
+
+
+def jordan_2_1():
+    # a triple eigenvalue with blocks 2 and 1, conjugated by a seeded V
+    J = (0.4 + 0.2j) * np.eye(3)
+    J[0, 1] = 1.0
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return V @ J @ np.linalg.inv(V)
+
+
+PATTERNS = {"trimer-ep3": (trimer_ep3, (3, 1, 3), [3]),
+            "jordan-2+1": (jordan_2_1, (2, 2, 3), [2, 1])}
+
+
+def certificate(H):
+    cert = certify_order(H)
+    return (cert.order, cert.geometric_multiplicity, cert.cluster_size,
+            cert.single_block, [b.size for b in cert.blocks])
+
+
+@pytest.mark.parametrize("pattern", list(PATTERNS))
+@pytest.mark.parametrize("c", RANK_SCALES)
+def test_certify_order_is_scale_invariant(pattern, c):
+    make, (order, gm, size), sizes = PATTERNS[pattern]
+    H = make()
+    assert certificate(H) == (order, gm, size, gm == 1, sizes)
+    assert certificate(c * H) == certificate(H)
+
+
+@pytest.mark.parametrize("pattern", list(PATTERNS))
+@pytest.mark.parametrize("c", RANK_SCALES)
+def test_jordan_decompose_is_scale_invariant(pattern, c):
+    make, _, sizes = PATTERNS[pattern]
+    H = make()
+    cfg = ToleranceConfig(cluster_tol=1e-4)
+    ref = jordan_decompose(H, cfg)
+    got = jordan_decompose(c * H, cfg)
+    assert [b.size for b in ref.blocks] == sizes
+    assert [b.size for b in got.blocks] == sizes
+    assert got.cluster_index == ref.cluster_index
+    for a, b in zip(got.blocks, ref.blocks):
+        assert abs(a.eigenvalue - c * b.eigenvalue) <= 1e-6 * c * np.linalg.norm(H)
+
+
+def linear_family(coeffs):
+    """``A_0 + sum_i lam_i A_i``."""
+    d = len(coeffs) - 1
+    return MatrixFamily(coeffs[0].shape[0], d, tuple(
+        (A, tuple(int(j == i - 1) for j in range(d))) for i, A in enumerate(coeffs)))
+
+
+def class_family(cls, rng, n=3, d=2):
+    """``A_i = W B_i`` (W = eta, or i Gamma) with Hermitian ``B_i``, or the
+    off-diagonal blocks of ``generate_random``'s self-skew samples."""
+    def hermitian():
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return A + dagger(A)
+
+    if cls is SimilarityClass.SELF_SKEW_SIMILAR:
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        p = n // 2
+        coeffs = []
+        for _ in range(d + 1):
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            M[:p, :p] = M[p:, p:] = 0
+            coeffs.append(U @ M @ dagger(U))
+        return linear_family(coeffs)
+    W = hermitian() + 10 * np.eye(n)
+    if cls is SimilarityClass.CHIRAL:
+        W = 1j * W
+    return linear_family([W @ hermitian() for _ in range(d + 1)])
+
+
+@pytest.mark.parametrize("c", RANK_SCALES)
+def test_identity_check_is_scale_invariant(c):
+    # the relative violations of a generic family are of order 1 and those
+    # of a class family at rounding level, whatever the scale
+    rng = np.random.default_rng(1)
+    generic = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+               for _ in range(3)]
+    for cls in SimilarityClass:
+        rep = class_identity_check(linear_family([c * A for A in generic]), cls)
+        assert not rep.passed and rep.worst_violation > 0.1, (cls, rep)
+        f = class_family(cls, np.random.default_rng(2))
+        scaled = linear_family([c * A for A, _ in f.terms])
+        rep = class_identity_check(scaled, cls)
+        assert rep.passed and rep.worst_violation <= 1e-12, (cls, rep)
+
+
+def test_identity_check_of_zero_values_is_exactly_zero():
+    # H = 0, and H = lam I whose shifted matrix is 0: nothing to divide by
+    zero = linear_family([np.zeros((3, 3), dtype=complex)] * 2)
+    scalar = linear_family([np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)])
+    for f, classes in ((zero, list(SimilarityClass)),
+                       (scalar, [SimilarityClass.PSEUDO_HERMITIAN])):
+        for cls in classes:
+            rep = class_identity_check(f, cls)
+            assert rep.passed and rep.worst_violation == 0.0, (cls, rep)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-120])
+def test_identity_check_measures_a_small_shifted_matrix_on_its_own_scale(eps):
+    # H = I + eps C, C the companion matrix of z^3 - i (zero diagonal, so
+    # H~ = eps C exactly): tr H~^2 = 0 and the spectrum is conjugate-
+    # symmetric within eps |H|_F, but Im det H~ = |H~|_F^3 / 3^1.5 is
+    # 1e-360, below the subnormals, at 1e-120 unless H~ is checked times
+    # its own power of two
+    C = np.array([[0, 0, 1j], [1, 0, 0], [0, 1, 0]])
+    f = linear_family([np.eye(3) + eps * C, np.zeros((3, 3), dtype=complex)])
+    rep = class_identity_check(f, SimilarityClass.PSEUDO_HERMITIAN)
+    assert not rep.passed and rep.worst_identity == "Im det", rep
+    assert rep.worst_violation == pytest.approx(3**-1.5, rel=1e-6)
