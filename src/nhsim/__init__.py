@@ -15,9 +15,6 @@ from .classes import (
     SimilarityWitness,
     SpecialCaseReport,
     classify,
-    construct_eta,
-    construct_gamma,
-    construct_skew_witness,
     construct_witness,
     detect_special_cases,
     factor,
@@ -73,8 +70,7 @@ __all__ = [
     "__version__",
     # classes
     "SimilarityClass", "SimilarityWitness", "ClassificationResult",
-    "SpecialCaseReport", "classify", "construct_eta", "construct_gamma",
-    "construct_skew_witness", "construct_witness", "witness_residual",
+    "SpecialCaseReport", "classify", "construct_witness", "witness_residual",
     "factor", "generate_random", "detect_special_cases",
     # spectral
     "ToleranceConfig", "Spectrum", "JordanBlock", "JordanStructure", "eigenvalues",

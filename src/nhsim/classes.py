@@ -67,9 +67,6 @@ __all__ = [
     "SpecialCaseReport",
     "ClassificationResult",
     "classify",
-    "construct_eta",
-    "construct_gamma",
-    "construct_skew_witness",
     "construct_witness",
     "witness_residual",
     "factor",
@@ -324,23 +321,6 @@ def construct_witness(
             f"spectrum violates the {cls.value} symmetry constraint"
         )
     return _solve_witness(H, cls, cfg, nH)
-
-
-def construct_eta(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SimilarityWitness:
-    """Hermitian invertible ``eta`` with ``H = eta H^+ eta^-1``."""
-    return construct_witness(H, SimilarityClass.PSEUDO_HERMITIAN, cfg)
-
-
-def construct_gamma(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SimilarityWitness:
-    """Hermitian invertible ``Gamma`` with ``H = -Gamma H^+ Gamma^-1``."""
-    return construct_witness(H, SimilarityClass.CHIRAL, cfg)
-
-
-def construct_skew_witness(
-    H, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> SimilarityWitness:
-    """Hermitian invertible ``S`` with ``{H, S} = 0``."""
-    return construct_witness(H, SimilarityClass.SELF_SKEW_SIMILAR, cfg)
 
 
 def _witness_ok(w: SimilarityWitness, cfg: ToleranceConfig) -> bool:

@@ -4,9 +4,6 @@ import pytest
 from nhsim.classes import (
     SimilarityClass,
     classify,
-    construct_eta,
-    construct_gamma,
-    construct_skew_witness,
     construct_witness,
     detect_special_cases,
     factor,
@@ -53,40 +50,40 @@ def test_classify_real_spectrum_upper_triangular():
 
 
 def test_construct_eta_examples():
-    w = construct_eta(np.array([[0, 1], [4, 0]], dtype=complex))
+    w = construct_witness(np.array([[0, 1], [4, 0]], dtype=complex), PH)
     assert w.residual <= 1e-10
     assert w.hermiticity_defect <= 1e-12
-    w = construct_eta(SX)
+    w = construct_witness(SX, PH)
     assert w.residual <= 1e-12
-    w = construct_eta(np.array([[1, 1], [0, 1]], dtype=complex))
+    w = construct_witness(np.array([[1, 1], [0, 1]], dtype=complex), PH)
     assert w.residual <= 1e-10
 
 
 def test_construct_eta_rejects_wrong_spectrum():
     with pytest.raises(ClassMismatchError):
-        construct_eta(np.diag([1j, 2j]))
+        construct_witness(np.diag([1j, 2j]), PH)
 
 
 def test_construct_gamma_examples():
-    w = construct_gamma(1j * SZ)
+    w = construct_witness(1j * SZ, CH)
     assert w.residual <= 1e-12
-    w = construct_gamma(np.array([[1j, 1], [1, -1j]], dtype=complex))
+    w = construct_witness(np.array([[1j, 1], [1, -1j]], dtype=complex), CH)
     assert w.residual <= 1e-10
-    w = construct_gamma(np.diag([1 + 1j, -1 + 1j]))
+    w = construct_witness(np.diag([1 + 1j, -1 + 1j]), CH)
     assert w.residual <= 1e-12
 
 
 def test_construct_gamma_rejects_wrong_spectrum():
     with pytest.raises(ClassMismatchError):
-        construct_gamma(np.diag([1.0, 2.0]))
+        construct_witness(np.diag([1.0, 2.0]), CH)
 
 
 def test_construct_skew_witness_examples():
-    w = construct_skew_witness(np.array([[0, 2.5], [0.7, 0]], dtype=complex))
+    w = construct_witness(np.array([[0, 2.5], [0.7, 0]], dtype=complex), SS)
     assert w.residual <= 1e-12
-    w = construct_skew_witness(np.array([[0, 1], [0, 0]], dtype=complex))
+    w = construct_witness(np.array([[0, 1], [0, 0]], dtype=complex), SS)
     assert w.residual <= 1e-12
-    w = construct_skew_witness(np.diag([3.0, -3.0]))
+    w = construct_witness(np.diag([3.0, -3.0]), SS)
     assert w.residual <= 1e-12
 
 
@@ -99,7 +96,7 @@ def test_construct_skew_witness_requires_hermitian_solution():
     H = P @ H0 @ np.linalg.inv(P)
     assert multiset_symmetry_match(eigenvalues(H).values, "neg", 1e-6) is not None
     with pytest.raises(ClassMismatchError):
-        construct_skew_witness(H)
+        construct_witness(H, SS)
 
 
 @pytest.mark.parametrize("cls", list(SimilarityClass))
@@ -168,13 +165,13 @@ def test_generate_random_non_normal_flag():
 
 
 def test_n1_degenerate_cases():
-    assert construct_eta(np.array([[2.5]])).residual <= 1e-12
-    assert construct_gamma(np.array([[1.5j]])).residual <= 1e-12
-    assert construct_skew_witness(np.zeros((1, 1))).residual == 0.0
+    assert construct_witness(np.array([[2.5]]), PH).residual <= 1e-12
+    assert construct_witness(np.array([[1.5j]]), CH).residual <= 1e-12
+    assert construct_witness(np.zeros((1, 1)), SS).residual == 0.0
     with pytest.raises(ClassMismatchError):
-        construct_eta(np.array([[1j]]))
+        construct_witness(np.array([[1j]]), PH)
     with pytest.raises(ClassMismatchError):
-        construct_skew_witness(np.array([[1.0]]))
+        construct_witness(np.array([[1.0]]), SS)
 
 
 def test_explicit_symmetry_generators_land_in_class():
