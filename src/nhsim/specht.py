@@ -278,8 +278,10 @@ def mapped_target(H, symmetry: str) -> np.ndarray:
     return sign * np.asarray(target(H))
 
 
-def recover_generator(H, symmetry: str) -> GeneratorSearch:
-    """Closed-form 2x2 symmetry generator with the smallest residual.
+def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorSearch]:
+    """Closed-form 2x2 generators with the smallest residual for several
+    symmetries of one validated 2x2 ``H``, given their mapped targets
+    (:func:`mapped_target`), in one stacked SVD.
 
     Over the property's basis, ``U = sum_k q_k B_k`` with unit real ``q``,
     the defect ``H U - sign U T`` of the similarity ``H = sign U T U^+``
@@ -289,22 +291,11 @@ def recover_generator(H, symmetry: str) -> GeneratorSearch:
     the result minimises the similarity residual over every generator with
     the property, and its property defect is at rounding level.  The
     identity is a second candidate (the only involution outside ``n.sigma``
-    up to sign); the smaller residual wins.  ``H`` is rescaled by
-    :func:`~nhsim.matrices.as_scaled_matrix`, which changes neither the
-    generator nor the relative residual.
-    """
-    H = as_scaled_matrix(H)
-    if H.shape[0] != 2:
-        raise UnsupportedDimensionError("generator recovery is a 2x2 operation")
-    return solve_generators(H, (symmetry,), [mapped_target(H, symmetry)])[symmetry]
-
-
-def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorSearch]:
-    """:func:`recover_generator` for several symmetries of one validated 2x2
-    ``H``, given their mapped targets, in one stacked SVD.
-
-    numpy runs the same LAPACK call for each 8x3 matrix of the stack, so
-    each generator has the bytes of a one-symmetry solve.
+    up to sign); the smaller residual wins.  Neither the generator nor the
+    relative residual depends on the scale of ``H``, so callers pass ``H``
+    rescaled by :func:`~nhsim.matrices.as_scaled_matrix`.  numpy runs the
+    same LAPACK call for each 8x3 matrix of the stack, so each generator
+    has the bytes of a one-symmetry solve.
     """
     props = [SYMMETRY_TARGETS[s][2] for s in symmetries]
     bases = np.stack([p.basis for p in props])

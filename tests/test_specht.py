@@ -15,7 +15,6 @@ from nhsim.specht import (
     compare_profiles,
     mapped_target,
     n3_counterexample,
-    recover_generator,
     solve_generators,
     trace_profile,
     unitary_similarity_test,
@@ -107,8 +106,15 @@ def test_generator_recovery_chiral_example():
         assert r.property_defect <= 1e-8
 
 
+def recover(H, symmetry):
+    """The generator of one symmetry of a 2x2 ``H``, solved on ``H``
+    rescaled as the class check does."""
+    H = as_scaled_matrix(H)
+    return solve_generators(H, (symmetry,), [mapped_target(H, symmetry)])[symmetry]
+
+
 def test_generator_recovery_hermitian_identity_case():
-    r = recover_generator(SX, "pseudo-hermitian-symmetry")
+    r = recover(SX, "pseudo-hermitian-symmetry")
     assert r.similarity_residual <= 1e-10
     assert r.property_defect <= 1e-10
 
@@ -301,7 +307,7 @@ def test_stacked_generators_keep_the_one_symmetry_bytes():
         found = solve_generators(H, symmetries, targets)
         for s in symmetries:
             U, residual, defect = _reference_generator(H, s)
-            for r in (found[s], recover_generator(H, s)):
+            for r in (found[s], recover(H, s)):
                 assert _bytes(r.generator) == _bytes(U), (i, s)
                 assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
                     [residual, defect]), (i, s)
@@ -356,13 +362,13 @@ def test_recover_generator_is_scale_invariant(c):
     # unless H is rescaled: the residual then reads 0 or NaN
     for seed in range(5):
         H = generate_random(PH, 2, seed, non_normal=True)
-        r = recover_generator(c * H, "PT")
+        r = recover(c * H, "PT")
         assert 0 < r.similarity_residual <= 1e-8 and r.property_defect <= 1e-8, seed
         # a pseudo-chiral generator generically does not exist: its residual
         # is the same relative number at every scale
         S = generate_random(SS, 2, seed, non_normal=True)
-        ref = recover_generator(S, "pseudo-chiral").similarity_residual
-        got = recover_generator(c * S, "pseudo-chiral").similarity_residual
+        ref = recover(S, "pseudo-chiral").similarity_residual
+        got = recover(c * S, "pseudo-chiral").similarity_residual
         assert ref > 1e-3 and got == pytest.approx(ref, rel=1e-6), seed
 
 
