@@ -376,14 +376,14 @@ def factor(H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
             f"witness for {cls.value} exceeds tolerance (residual {w.residual:.3g})"
         )
     T = w.transform
-    if cls is SimilarityClass.SELF_SKEW_SIMILAR:
+    sign, adjoint = CLASS_EQUATIONS[cls]
+    if not adjoint:
         return T, H
-    if cls is SimilarityClass.PSEUDO_HERMITIAN:
-        A = np.linalg.solve(T, Hs)
-    else:
-        A = -1j * np.linalg.solve(T, Hs)
+    A = np.linalg.solve(T, Hs)
+    if sign < 0:  # H = i T A
+        A = -1j * A
     defect = frob(A - dagger(A)) / max(frob(A), 1e-300)
-    if defect > 10 * cfg.residual_tol * max(np.linalg.cond(T), 1.0):
+    if defect > 10 * cfg.residual_tol * np.linalg.cond(T):
         raise ClassMismatchError(
             f"factor is not Hermitian within tolerance (defect {defect:.3g})"
         )
@@ -433,29 +433,24 @@ def generate_random(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    sign, adjoint = CLASS_EQUATIONS[cls]
+    if n == 1 and not adjoint:
+        return np.zeros((1, 1), dtype=complex)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
-        if cls is SimilarityClass.PSEUDO_HERMITIAN:
-            if n == 1:
-                H = np.array([[rng.standard_normal()]], dtype=complex)
-            else:
-                H = _random_hermitian_invertible(rng, n) @ _random_hermitian(rng, n)
-        elif cls is SimilarityClass.CHIRAL:
-            if n == 1:
-                H = np.array([[1j * rng.standard_normal()]], dtype=complex)
-            else:
-                H = 1j * (
-                    _random_hermitian_invertible(rng, n) @ _random_hermitian(rng, n)
-                )
-        else:
-            if n == 1:
-                return np.zeros((1, 1), dtype=complex)
+        if not adjoint:
             p = n // 2
             M = np.zeros((n, n), dtype=complex)
             M[:p, p:] = _random_complex(rng, n)[: p, : n - p]
             M[p:, :p] = _random_complex(rng, n)[: n - p, : p]
             U, _ = np.linalg.qr(_random_complex(rng, n))
             H = U @ M @ dagger(U)
+        elif n == 1:
+            H = np.array([[rng.standard_normal()]], dtype=complex)
+        else:
+            H = _random_hermitian_invertible(rng, n) @ _random_hermitian(rng, n)
+        if adjoint and sign < 0:  # i Gamma C
+            H = 1j * H
         if not non_normal or not is_normal(H, 1e-6):
             return H
     raise RuntimeError(
