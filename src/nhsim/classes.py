@@ -429,10 +429,15 @@ def generate_random(
     ``S = diag(I_p, -I_q)``; unitary (rather than arbitrary invertible)
     conjugation is required to keep a *Hermitian* witness in existence.
     With ``non_normal=True``, samples whose commutator ``[H, H^+]`` falls
-    below ``1e-6 |H|_F^2`` are rejected and redrawn.
+    below ``1e-6 |H|_F^2`` are rejected and redrawn; a 1x1 matrix is always
+    normal, so ``n = 1`` with ``non_normal=True`` raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n == 1 and non_normal:
+        raise ValueError(
+            "a 1x1 matrix is always normal; a non-normal sample needs n >= 2"
+        )
     sign, adjoint = CLASS_EQUATIONS[cls]
     if n == 1 and not adjoint:
         return np.zeros((1, 1), dtype=complex)

@@ -29,6 +29,7 @@ only; without it, the classes are those ``classify`` has confirmed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,8 +112,11 @@ def _load_family(path: str):
     return parse_family(_read_arg(path))
 
 
-def _emit(doc, stream=None):
-    print(json.dumps(doc, sort_keys=True), file=stream or sys.stdout)
+def _emit(*docs):
+    """Each document as one line of sorted-key JSON, all in one write;
+    no documents print nothing."""
+    if docs:
+        print("\n".join(json.dumps(doc, sort_keys=True) for doc in docs))
 
 
 def _complex_pair(z: complex):
@@ -322,9 +326,8 @@ def _cmd_scan(args):
                 str(c.single_block).lower(),
             ]
             print(",".join(row))
-    else:
-        for c in candidates:  # JSON lines: one candidate per line
-            _emit(c.to_json())
+    else:  # JSON lines: one candidate per line
+        _emit(*(c.to_json() for c in candidates))
     return 0
 
 
@@ -367,7 +370,11 @@ def _cmd_certify(args):
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged
+    (``append`` copies its default list), and help output reads
+    ``COLUMNS`` and the streams when it is printed."""
     p = argparse.ArgumentParser(
         prog="nhsim",
         description="Similarity-class analysis of non-Hermitian matrices",

@@ -550,18 +550,28 @@ def _lexsorted(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     return idx[np.lexsort(x[idx].T[::-1])]
 
 
+#: Row pairs per distance block of :func:`_merge_keep`.
+_MERGE_PAIRS = 1 << 17
+
+
 def _merge_keep(x: np.ndarray, spacings: np.ndarray, radius: float) -> np.ndarray:
     """Indices of the rows of ``x`` that survive a greedy merge in row order.
 
     A row is dropped when it lies within ``radius`` (in grid-spacing units)
-    of a kept earlier row.  Each kept row drops its later neighbours with
-    one vectorised distance computation; distances are the
-    :func:`_row_norms` of ``(later - earlier) / spacings``.
+    of a kept earlier row; distances are the :func:`_row_norms` of
+    ``(later - earlier) / spacings``.  They are computed for a block of later
+    rows against all earlier rows at a time, so memory stays
+    ``O(block * len(x))``; only rows with an earlier neighbour need the
+    greedy decision, which reads the kept flags of the rows before them.
     """
     keep = np.ones(len(x), dtype=bool)
-    for i in range(len(x)):
-        if keep[i]:
-            keep[i + 1:] &= ~(_row_norms((x[i + 1:] - x[i]) / spacings) <= radius)
+    block = max(1, _MERGE_PAIRS // max(len(x), 1))
+    for s in range(0, len(x), block):
+        e = min(s + block, len(x))
+        near = _row_norms((x[s:e, None] - x[None, :e]) / spacings) <= radius
+        near &= np.arange(e) < np.arange(s, e)[:, None]  # earlier rows only
+        for j in s + np.flatnonzero(near.any(axis=1)):
+            keep[j] = not (near[j - s, :j] & keep[:j]).any()
     return np.flatnonzero(keep)
 
 

@@ -18,7 +18,8 @@ def run(ops_per_s, digest="d", failed=0):
 
 def test_one_seed_reports_the_median_without_quartiles():
     pairs = [{"base": run(10.0), "change": run(12.0)}]
-    m = bench_compare.compare(pairs, {"ops_per_s": "higher"}, {"ops_per_s": "1/s"})
+    m = bench_compare.compare(pairs, {"ops_per_s": "higher"}, {"ops_per_s": "1/s"},
+                              {"ops_per_s": 0.15})
     m = m["ops_per_s"]
     assert m["base"]["median"] == 10.0 and m["change"]["median"] == 12.0
     assert m["base"]["iqr"] is None and m["base"]["q1"] is None
@@ -36,3 +37,48 @@ def test_same_outputs_in_every_pair():
     assert bench_compare.same_outputs(same) == {"output_digest": True, "failed": True}
     differ = same + [{"base": run(1.0, failed=1), "change": run(1.0, digest="e")}]
     assert bench_compare.same_outputs(differ) == {"output_digest": False, "failed": False}
+
+
+def verdict(base, change, better="higher", bound=0.15):
+    pairs = [{"base": run(x), "change": run(y)} for x, y in zip(base, change)]
+    m = bench_compare.compare(pairs, {"ops_per_s": better}, {"ops_per_s": "1/s"},
+                              {"ops_per_s": bound})
+    return m["ops_per_s"]["verdict"]
+
+
+BASE = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_base_iqr():
+    assert verdict(BASE, [x + 5 for x in BASE]) == "gain"
+    # nine wins of ten still count; eight do not
+    assert verdict(BASE, [x + 5 for x in BASE[:9]] + [BASE[9] - 5]) == "gain"
+    assert verdict(BASE, [x + 5 for x in BASE[:8]] + [x - 5 for x in BASE[8:]]) \
+        == "within_bound"
+    # every pair won, but by less than the base's interquartile range
+    assert verdict(BASE, [x + 0.1 for x in BASE]) == "within_bound"
+    # fewer than ten pairs never read as a gain
+    assert verdict(BASE[:5], [x + 5 for x in BASE[:5]]) == "within_bound"
+    assert verdict([10.0], [20.0]) == "within_bound"
+
+
+def test_verdict_follows_the_direction_and_the_bound():
+    slower = [x * 1.1 for x in BASE]
+    assert verdict(BASE, slower) == "gain"
+    assert verdict(BASE, slower, better="lower") == "within_bound"
+    assert verdict(BASE, [x * 1.2 for x in BASE], better="lower") == "worse"
+    assert verdict(BASE, [x * 0.8 for x in BASE]) == "worse"
+    assert verdict(BASE, [x * 0.9 for x in BASE]) == "within_bound"
+    assert verdict([1.0] * 3, [1.0] * 3, bound=0.1) == "within_bound"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # five A/A pairs whose spread exceeds a 2 % bound
+    base, change = [0.56, 0.67, 0.65, 0.70, 0.60], [0.65, 0.64, 0.62, 0.66, 0.61]
+    assert verdict(base, change, better="lower", bound=0.02) == "unresolved"
+    assert verdict(base, change, better="lower", bound=0.25) == "within_bound"
+    # unless the runs do not overlap
+    assert verdict(base, [x - 0.2 for x in base], better="lower", bound=0.02) \
+        == "within_bound"
+    assert verdict(base, [x + 0.2 for x in base], better="lower", bound=0.02) \
+        == "worse"

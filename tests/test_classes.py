@@ -164,6 +164,14 @@ def test_generate_random_non_normal_flag():
     assert not is_normal(H, 1e-6)
 
 
+@pytest.mark.parametrize("cls", list(SimilarityClass))
+def test_generate_random_non_normal_needs_two_dimensions(cls):
+    # a 1x1 matrix commutes with its adjoint
+    with pytest.raises(ValueError, match="always normal"):
+        generate_random(cls, 1, 0, non_normal=True)
+    assert generate_random(cls, 1, 0).shape == (1, 1)
+
+
 def test_n1_degenerate_cases():
     assert construct_witness(np.array([[2.5]]), PH).residual <= 1e-12
     assert construct_witness(np.array([[1.5j]]), CH).residual <= 1e-12

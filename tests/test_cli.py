@@ -1,12 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nhsim import cli
 from nhsim.classes import SimilarityClass, classify, generate_random
 from nhsim.cli import main
+from nhsim.epfinder import ScanConfig, scan
+from nhsim.families import parse_family
+from nhsim.spectral import ToleranceConfig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -114,6 +122,35 @@ def test_generate_deterministic_byte_identical(capsys):
     _, b, _ = run(capsys, "generate", "--class", "chiral", "--dim", "4",
                   "--seed", "3")
     assert a == b
+
+
+@pytest.mark.parametrize("cls, entry", [
+    ("pseudo-hermitian", [0.1257302210933933, 0.0]),
+    ("chiral", [0.0, 0.1257302210933933]),
+    ("self-skew", [0.0, 0.0]),
+])
+def test_generate_non_normal_one_by_one_exits_2(capsys, cls, entry):
+    code, out, err = run(capsys, "generate", "--class", cls, "--dim", "1",
+                         "--seed", "0", "--non-normal")
+    assert code == 2 and out == ""
+    assert err == ("error: a 1x1 matrix is always normal; a non-normal sample "
+                   "needs n >= 2\n")
+    code, out, _ = run(capsys, "generate", "--class", cls, "--dim", "1", "--seed", "0")
+    assert code == 0
+    assert out == json.dumps({"dim": 1, "entries": [[entry]]}) + "\n"
+
+
+def test_generate_non_normal_one_by_one_prints_no_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhsim.cli", "generate", "--class", "chiral",
+         "--dim", "1", "--seed", "0", "--non-normal"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_generate_output_round_trips(capsys):
@@ -266,6 +303,47 @@ def test_scan_csv(capsys, dimer_family):
     assert len(lines) == 3  # header + two roots
 
 
+@pytest.fixture()
+def hermitian_family(tmp_path):
+    doc = {
+        "dim": 2,
+        "params": 1,
+        "param_names": ["lam"],
+        "terms": [
+            {"matrix": mat_doc(SZ), "exponents": [0]},
+            {"matrix": mat_doc(SX), "exponents": [1]},
+        ],
+    }
+    p = tmp_path / "hermitian.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("family, grid, extra, count", [
+    # one seed at lam = 0, where the constraint norm is 1: the threshold drops it
+    ("hermitian_family", {"lam": (-2.0, 2.0, 101)}, ["--seed-threshold", "0.5"], 0),
+    ("dimer_family", {"gamma": (0.0, 2.0, 101)}, [], 1),
+    ("trimer_family", {"gamma": (0.0, 3.0, 31), "k": (0.2, 1.5, 21)}, [], 19),
+])
+def test_scan_jsonl_is_one_sorted_dump_per_candidate(capsys, request, family, grid,
+                                                     extra, count):
+    path = request.getfixturevalue(family)
+    specs = [f"--grid={nm}={lo!r}:{hi!r}:{pts}" for nm, (lo, hi, pts) in grid.items()]
+    code, out, err = run(capsys, "scan", path, "--class", "pseudo-hermitian",
+                         *specs, *extra)
+    assert code == 0 and err == ""
+    with open(path, "rb") as fh:
+        fam = parse_family(fh.read())
+    threshold = float(extra[1]) if extra else None
+    cfg = ScanConfig(grid=grid, seed_threshold=threshold, tolerances=ToleranceConfig(
+        cluster_tol=10 * 1e-8, residual_tol=1e-8, rank_tol=1e-8 / 10))
+    cands = scan(fam, SimilarityClass.PSEUDO_HERMITIAN, cfg)
+    assert len(cands) == count
+    # no candidates print nothing, not an empty line
+    assert out == "".join(json.dumps(c.to_json(), sort_keys=True) + "\n"
+                          for c in cands)
+
+
 def test_certify_command(capsys, dimer_family):
     code, out, _ = run(capsys, "certify", dimer_family, "--at", "1")
     assert code == 0
@@ -370,6 +448,48 @@ def test_exit_code_1_on_class_mismatch(capsys, tmp_path):
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path, dimer_at_1,
+                                      trimer_family):
+    near_dimer = tmp_path / "near_dimer.json"
+    H = np.array([[1j, 1], [1, -1j]]) + 1e-6 * np.diag([1, 2j])
+    near_dimer.write_text(json.dumps(mat_doc(H)))
+    scan_argv = ["scan", trimer_family, "--class", "pseudo-hermitian",
+                 "--grid", "gamma=0:3:31"]
+    calls = [
+        (None, ["frobnicate"]),
+        (None, ["--help"]),
+        (None, ["--version"]),
+        (None, ["scan", "--help"]),
+        (None, scan_argv + ["--fix", "k=1"]),
+        (None, scan_argv + ["--grid", "k=0.5:1.5:11"]),
+        (None, ["scan", trimer_family, "--grid", "gamma=0:3:31"]),
+        (None, ["classify", str(near_dimer)]),
+        ("1e-4", ["classify", str(near_dimer)]),
+        (None, ["classify", dimer_at_1, "--tol", "1e-6"]),
+        (None, ["generate", "--class", "chiral", "--dim", "2", "--seed", "3"]),
+    ]
+
+    def call(env, argv):
+        if env is None:
+            monkeypatch.delenv("NHSIM_TOL", raising=False)
+        else:
+            monkeypatch.setenv("NHSIM_TOL", env)
+        return run(capsys, *argv)
+
+    forward = [call(*c) for c in calls]
+    backward = [call(*c) for c in reversed(calls)][::-1]
+    assert forward == backward
+    assert cli._build_parser() is cli._build_parser()
+    codes = [code for code, _, _ in forward]
+    assert codes == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert "usage: nhsim scan" in forward[3][1]
+    # the fixed and the gridded k give different scans, and NHSIM_TOL is
+    # read at each call: the loose tolerance confirms the perturbed dimer
+    assert forward[4][1] != forward[5][1]
+    assert json.loads(forward[7][1])["classes"] == []
+    assert "PseudoHermitian" in json.loads(forward[8][1])["classes"]
 
 
 def test_tol_env_and_flag_precedence(capsys, dimer_at_1, monkeypatch):

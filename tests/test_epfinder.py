@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from nhsim.epfinder import (
     _certify_many,
     _gauss_newton,
     _local_minima,
+    _merge_keep,
     _row_norms,
     certify_order,
     class_identity_check,
@@ -393,6 +395,75 @@ def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
         assert np.float64(c.constraint_residual).tobytes() == np.float64(res).tobytes()
         assert c.newton_iterations == its
         assert c.converged == ok
+
+
+def greedy_merge_reference(x, spacings, radius):
+    """The per-row merge: each kept row drops its later neighbours."""
+    keep = np.ones(len(x), dtype=bool)
+    for i in range(len(x)):
+        if keep[i]:
+            keep[i + 1:] &= ~(_row_norms((x[i + 1:] - x[i]) / spacings) <= radius)
+    return np.flatnonzero(keep)
+
+
+def root_clouds():
+    """Seeded root clouds with d = 1..3 free parameters: dyadic lattices
+    (duplicates, and rows exactly ``radius`` apart along one axis, exactly
+    representable) and continuous clouds with copied rows, unsorted and in
+    the lexicographic order the scan uses."""
+    rng = np.random.default_rng(11)
+    radius = 1.5
+    for d in (1, 2, 3):
+        spacings = np.array([0.25, 0.5, 0.125][:d])
+        for R in (0, 1, 2, 40, 300):
+            lattice = rng.integers(0, 9, (R, d)) * (spacings / 2)
+            cloud = rng.uniform(0, 6, (R, d)) * spacings
+            if R:
+                cloud[rng.integers(0, R, R // 3)] = cloud[rng.integers(0, R, R // 3)]
+            for x in (lattice, cloud):
+                yield x, spacings, radius
+                yield x[np.lexsort(x.T[::-1])], spacings, radius
+
+
+def test_merge_keeps_the_rows_of_the_per_row_loop(monkeypatch):
+    from nhsim import epfinder
+
+    # a row, its duplicate, a row exactly `radius` away along one axis and one
+    # just beyond: the first and the last survive
+    spacings = np.array([0.25, 0.5])
+    x = np.array([[1.0, 2.0], [1.0, 2.0], [1.375, 2.0],
+                  [np.nextafter(1.375, 2.0), 2.0]])
+    assert _merge_keep(x, spacings, 1.5).tolist() == [0, 3]
+    clouds = list(root_clouds())
+    exact = 0
+    for x, spacings, radius in clouds:
+        dist = _row_norms((x[:, None] - x[None, :]) / spacings)
+        exact += int((np.triu(dist, 1) == radius).any())
+        ref = greedy_merge_reference(x, spacings, radius)
+        assert np.array_equal(_merge_keep(x, spacings, radius), ref)
+    assert exact >= 12  # each lattice of 40 or 300 rows, in both orders
+    # blocks of a few rows against the earlier rows decide the same
+    monkeypatch.setattr(epfinder, "_MERGE_PAIRS", 5)
+    for x, spacings, radius in clouds:
+        ref = greedy_merge_reference(x, spacings, radius)
+        assert np.array_equal(_merge_keep(x, spacings, radius), ref)
+
+
+def test_merge_memory_is_linear_in_the_roots():
+    # all pairwise differences of 3,000 roots would take 3000**2 * 3 * 8 bytes
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, (3000, 3))
+    x[rng.integers(0, 3000, 300)] = x[rng.integers(0, 3000, 300)]
+    spacings = np.full(3, 0.01)
+    tracemalloc.start()
+    try:
+        keep = _merge_keep(x, spacings, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(keep, greedy_merge_reference(x, spacings, 1.5))
+    assert len(keep) < len(x)
 
 
 @pytest.mark.parametrize("cls", list(SimilarityClass))

@@ -24,10 +24,12 @@ change is strictly better.  ``median_gap_over_base_iqr`` is the distance
 between the two medians in the better direction divided by the
 interquartile range of the base runs (above 1: the gain is larger than the
 base's own spread); with one seed there are no quartiles and it is
-``null``.  ``same_in_every_pair`` records whether base and change had equal
-output digests and equal ``failed`` counts in every pair.  If the output
-file exists, its entries for other workloads are kept, so one file can
-collect several workloads of one topic.
+``null``.  ``verdict`` reads ``gain``, ``within_bound``, ``worse`` or
+``unresolved`` by the rule of :func:`verdict` and the metric's bound in
+``BENCHMARK.json``.  ``same_in_every_pair`` records whether base and change
+had equal output digests and equal ``failed`` counts in every pair.  If the
+output file exists, its entries for other workloads are kept, so one file
+can collect several workloads of one topic.
 """
 
 from __future__ import annotations
@@ -116,7 +118,31 @@ def same_outputs(pairs: list[dict]) -> dict:
             for key in ("output_digest", "failed")}
 
 
-def compare(pairs: list[dict], directions: dict, units: dict) -> dict:
+def verdict(m: dict, bound: float) -> str:
+    """The verdict on one metric of :func:`compare`.
+
+    ``gain``: at least ten pairs, the change wins at least nine tenths of
+    them (ties count for neither) and its median is better than the base's
+    by more than the base's interquartile range.  ``unresolved``: otherwise,
+    when the wider of the two interquartile ranges exceeds ``bound`` (a
+    fraction of the base median) and the ranges of the base and change runs
+    overlap.  ``within_bound``: the change's median is worse than the base's
+    by at most ``bound``.  ``worse``: the rest.
+    """
+    b, c = m["base"], m["change"]
+    gap = (c["median"] - b["median"]) * (1.0 if m["better"] == "higher" else -1.0)
+    if m["pairs"] >= 10 and m["wins"] >= 0.9 * m["pairs"] and gap > b["iqr"]:
+        return "gain"
+    allowed = bound * abs(b["median"])
+    spread = max(b["iqr"] or 0.0, c["iqr"] or 0.0)
+    overlap = c["min"] <= b["max"] and b["min"] <= c["max"]
+    if spread > allowed and overlap:
+        return "unresolved"
+    return "within_bound" if -gap <= allowed else "worse"
+
+
+def compare(pairs: list[dict], directions: dict, units: dict, bounds: dict) -> dict:
+    """Per-metric summaries and verdicts of paired runs."""
     out = {}
     for name, better in directions.items():
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -134,6 +160,7 @@ def compare(pairs: list[dict], directions: dict, units: dict) -> dict:
             "pairs": len(pairs),
             "median_gap_over_base_iqr": gap / b["iqr"] if b["iqr"] else None,
         }
+        out[name]["verdict"] = verdict(out[name], bounds[name])
     return out
 
 
@@ -152,6 +179,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out_path = ROOT / f"BENCH_{args.topic}.json"
 
     (ROOT / ".bench_build").mkdir(exist_ok=True)
@@ -189,7 +217,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "base": base_info,
         "change": change_info,
-        "metrics": compare(pairs, directions, units),
+        "metrics": compare(pairs, directions, units, bounds),
         "same_in_every_pair": same_outputs(pairs),
         "pairs": pairs,
     }
@@ -209,7 +237,7 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, m in entry["metrics"].items():
         print(f"{name}: median {m['base']['median']:.4g} -> {m['change']['median']:.4g}, "
-              f"change wins {m['wins']}/{m['pairs']}")
+              f"change wins {m['wins']}/{m['pairs']}: {m['verdict']}")
     for key, same in entry["same_in_every_pair"].items():
         print(f"{key} equal in every pair: {same}")
     print(f"wrote {out_path}")
