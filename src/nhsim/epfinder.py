@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
@@ -79,8 +80,33 @@ def _shifted(H: np.ndarray) -> np.ndarray:
     """
     n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        tr = np.trace(H, axis1=-2, axis2=-1)
-        return H - (tr / n)[..., None, None] * np.eye(n)
+        return H - (_trace(H) / n)[..., None, None] * np.eye(n)
+
+
+def _trace(A: np.ndarray) -> np.ndarray:
+    """``np.trace`` over the last two axes, bit for bit, in elementwise sums.
+
+    numpy sums the n diagonal entries of each matrix in sequence for
+    n < 4; for n >= 4 it keeps four partial sums over the indices mod 4,
+    combines them as ``(r0 + r1) + (r2 + r3)`` and adds the entries left
+    over in sequence; it adds the result to +0, so an all -0 diagonal gives
+    +0.  The same sums taken elementwise across the stack avoid numpy's
+    short-axis reduction, which runs several times slower right after a
+    stacked complex matmul on some CPUs (AVX-512).
+    ``tests/test_epfinder.py::test_trace_matches_numpy`` pins this rule.
+    """
+    n = A.shape[-1]
+    d = [A[..., i, i] for i in range(n)]
+    if n < 4:
+        r, rest = d[0], d[1:]
+    else:
+        part, rest = d[:4], d[n - n % 4:]
+        for i in range(4, n - n % 4):
+            part[i % 4] = part[i % 4] + d[i]
+        r = (part[0] + part[1]) + (part[2] + part[3])
+    for x in rest:
+        r = r + x
+    return r + 0.0
 
 
 def _raw_components(n: int):
@@ -163,7 +189,7 @@ def _components(Ht: np.ndarray, cols) -> np.ndarray:
         P = Ht
         for j in range(n - 2):
             P = P @ Ht
-            C[:, j] = np.trace(P, axis1=1, axis2=2)
+            C[:, j] = _trace(P)
         C[:, -1] = np.linalg.det(Ht)
     return C.view(float)[:, cols]
 
@@ -200,13 +226,16 @@ def class_identity_check(
     where it occurred.  Each sample, and its shifted matrix, is checked
     times its own power of two (:func:`~nhsim.matrices.scale_exponents`),
     which leaves the violations as they are; a family value that overflows
-    raises ``NonFiniteMatrixError``.
+    raises ``NonFiniteMatrixError``, and ``samples < 1`` raises
+    ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
     worst, worst_pt, worst_id = 0.0, None, ""
     degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
-    lams = rng.uniform(-box, box, size=(max(samples, 1), f.num_params))
+    lams = rng.uniform(-box, box, size=(samples, f.num_params))
     H = f.evaluate_batch(lams)
     if not np.isfinite(H).all():
         raise NonFiniteMatrixError("family values overflow at the sampled points")
@@ -301,8 +330,8 @@ class ScanConfig:
     :func:`certify_order`.  ``merge_radius`` is measured in
     grid-spacing-normalized parameter distance.  ``tolerances`` drive the
     order certification of converged roots.  A NaN, infinite or negative
-    ``tol``, a negative ``max_iterations`` or a NaN ``seed_threshold``
-    raises ``ValueError``.
+    ``tol`` or ``merge_radius``, a negative ``max_iterations`` or a NaN
+    ``seed_threshold`` raises ``ValueError``.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -316,6 +345,9 @@ class ScanConfig:
     def __post_init__(self):
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        if not 0 <= self.merge_radius < np.inf:
+            raise ValueError(
+                f"merge_radius must be finite and >= 0, got {self.merge_radius}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.seed_threshold is not None and np.isnan(self.seed_threshold):
@@ -375,9 +407,7 @@ def _gauss_newton(g_many, x0, max_iter, tol):
         live = live[~done]
         if not live.size:
             break
-        J = constraint_jacobians(g_many, x[live])
-        step = np.array([np.linalg.lstsq(Ji, -gx[i], rcond=None)[0]
-                         for Ji, i in zip(J, live.tolist())])
+        step = _lstsq(constraint_jacobians(g_many, x[live]), -gx[live])
         ok = np.all(np.isfinite(step), axis=1) & (_row_norms(step) != 0)
         live, step = live[ok], step[ok]
         if not live.size:
@@ -390,6 +420,28 @@ def _gauss_newton(g_many, x0, max_iter, tol):
             found = np.concatenate([found, rest[more]])
         live = np.sort(live[found])
     return x, nrm, its, nrm <= tol
+
+
+def _lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(J[s], b[s], rcond=None)[0]`` for every ``s`` of a
+    stack ``(S, k, d)``, ``(S, k) -> (S, d)``, bit for bit, in one call.
+
+    It calls the gufunc that ``np.linalg.lstsq`` itself calls, numpy's
+    private ``numpy.linalg._umath_linalg.lstsq`` (signature ``ddd->ddid``),
+    with numpy's default ``rcond = eps * max(k, d)``, and raises
+    ``LinAlgError`` where the SVD does not converge, as numpy does.
+    ``tests/test_epfinder.py::test_stacked_lstsq_matches_numpy`` pins it to
+    numpy's bytes.
+    """
+    rcond = np.finfo(float).eps * max(J.shape[-2:])
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(J, b[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _first_decrease(g_many, rows, step, halvings, x, gx, nrm):
@@ -650,8 +702,8 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
 
     def zero_clusters(vals, norm):
         zero = np.abs(vals) <= rel_radius * norm[:, None]
-        means = [complex(np.mean(v[z])) if z.any() else 0j for v, z in zip(vals, zero)]
-        return np.arange(len(vals)), np.array(means), zero.sum(axis=1)
+        sizes = zero.sum(axis=1)
+        return np.arange(len(vals)), _cluster_means(vals, zero, sizes), sizes
 
     certs = []
     for mu, _m, dims in _cluster_staircases(Ht, zero_clusters, cfg.rank_tol):
@@ -668,6 +720,20 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
             )
         )
     return certs
+
+
+def _cluster_means(vals: np.ndarray, member: np.ndarray, sizes: np.ndarray):
+    """Mean of ``vals[i][member[i]]`` per row, 0 for an empty row; each is
+    ``np.mean`` of the row's members bit for bit.  Rows with the same number
+    of members are gathered into one ``(rows, size)`` array and averaged
+    along its last axis (``tests/test_epfinder.py::
+    test_cluster_means_match_numpy``)."""
+    means = np.zeros(len(vals), dtype=complex)
+    for m in range(1, vals.shape[-1] + 1):
+        rows = np.flatnonzero(sizes == m)
+        if rows.size:
+            means[rows] = vals[rows][member[rows]].reshape(-1, m).mean(axis=1)
+    return means
 
 
 def splitting_exponent(

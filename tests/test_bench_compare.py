@@ -1,8 +1,10 @@
-"""The summary statistics of ``tools/bench_compare.py``, without running
-the benchmark."""
+"""The seed parser and the summary statistics of ``tools/bench_compare.py``,
+without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "bench_compare", Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
@@ -82,3 +84,21 @@ def test_spread_wider_than_the_bound_is_unresolved():
         == "within_bound"
     assert verdict(base, [x + 0.2 for x in base], better="lower", bound=0.02) \
         == "worse"
+
+
+def test_parse_seeds_ranges_and_lists():
+    assert bench_compare.parse_seeds("501-503") == [501, 502, 503]
+    assert bench_compare.parse_seeds("1,4,9") == [1, 4, 9]
+    assert bench_compare.parse_seeds("7,10-11,3") == [7, 10, 11, 3]
+    assert bench_compare.parse_seeds("5-5") == [5]
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("101,110-103", "reversed"),   # would run seed 101 alone
+    ("7,7", "repeated"),           # one seed's runs counted as two pairs
+    ("101-105,103", "repeated"),
+    ("1-3,2-4", "repeated"),
+])
+def test_parse_seeds_rejects_reversed_ranges_and_repeats(spec, match):
+    with pytest.raises(ValueError, match=match):
+        bench_compare.parse_seeds(spec)

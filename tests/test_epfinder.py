@@ -9,10 +9,13 @@ from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
     ScanConfig,
     _certify_many,
+    _cluster_means,
     _gauss_newton,
     _local_minima,
     _merge_keep,
+    _lstsq,
     _row_norms,
+    _trace,
     certify_order,
     class_identity_check,
     reduced_constraints,
@@ -478,12 +481,28 @@ def test_one_by_one_family_has_no_constraint_system(cls):
 @pytest.mark.parametrize("field, value", [
     ("tol", np.nan), ("tol", np.inf), ("tol", -1e-10),
     ("max_iterations", -3), ("seed_threshold", np.nan),
+    ("merge_radius", np.nan), ("merge_radius", np.inf), ("merge_radius", -1e-4),
 ])
 def test_scan_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field):
         ScanConfig(grid={"gamma": (0, 3, 11)}, **{field: value})
     ScanConfig(grid={"gamma": (0, 3, 11)}, tol=0.0, max_iterations=0,
-               seed_threshold=np.inf)
+               seed_threshold=np.inf, merge_radius=0.0)
+
+
+def test_zero_merge_radius_merges_exact_duplicates_only():
+    # a NaN or negative radius would keep all three rows
+    x = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+    assert _merge_keep(x, np.array([0.1, 0.1]), 0.0).tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_identity_check_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        class_identity_check(dimer(), PH, samples=samples)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        reduced_constraints(dimer(), PH, samples=samples)
+    assert class_identity_check(dimer(), PH, samples=1).samples == 1
 
 
 def test_scan_nonfinite_input_raises():
@@ -690,3 +709,91 @@ def test_line_search_evaluates_halvings_only_where_the_full_step_fails():
     # halvings for the one seed whose full step did not lower the norm
     assert calls == [3, 12, 3, 19]
     assert np.all(nrm < np.linalg.norm(g_many(seeds), axis=1))
+
+
+# The helpers below reproduce numpy's bytes by other routes; these tests pin
+# them, so that a numpy version that sums or solves differently fails here.
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324,
+                    -2.5e-310, 1.0, -1.0, 3.0])
+
+
+def special_stack(rng, N, n):
+    """Complex ``(N, n, n)`` stack: normals over many decades, with a third
+    of the real and imaginary parts drawn from ``SPECIAL``."""
+    parts = rng.standard_normal((2, N, n, n)) * 10.0 ** rng.integers(-8, 9, (2, N, n, n))
+    special = rng.random((2, N, n, n)) < 1 / 3
+    parts[special] = rng.choice(SPECIAL, special.sum())
+    return parts[0] + 1j * parts[1]
+
+
+def assert_same_or_both_nan(got, want):
+    got, want = np.atleast_1d(got).view(float), np.atleast_1d(want).view(float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_trace_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A in (rng.standard_normal((400, n, n)) * 10.0 ** rng.integers(
+                      -12, 13, (400, n, n)) + 0j,
+                  special_stack(rng, 2000, n),
+                  np.full((3, n, n), -0.0 - 0.0j)):
+            assert_same_or_both_nan(_trace(A), np.trace(A, axis1=1, axis2=2))
+            assert_same_or_both_nan(_trace(A[0]), np.trace(A[0]))
+    # an all -0 diagonal sums to +0, as numpy's does
+    assert not np.signbit(_trace(np.full((3, n, n), -0.0 - 0.0j)).view(float)).any()
+
+
+LSTSQ_SHAPES = [(2, 2), (1, 2), (3, 2), (2, 3), (4, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("k, d", LSTSQ_SHAPES)
+def test_stacked_lstsq_matches_numpy(k, d):
+    rng = np.random.default_rng(10 * k + d)
+    J = rng.standard_normal((300, k, d))
+    b = rng.standard_normal((300, k))
+    J[0::5, :, -1] = J[0::5, :, 0]          # rank deficient when d > 1
+    J[1::5] *= 1e-300
+    b[2::5] *= 1e-300
+    J[3::25] = 0.0
+    if min(k, d) > 1:
+        # singular values 1 and 2.5 eps: numpy's rcond = eps * max(k, d)
+        # cuts the second one, eps * min(k, d) would keep it
+        J[6::25] = 0.0
+        J[6::25, 0, 0] = 1.0
+        J[6::25, 1, 1] = 2.5 * np.finfo(float).eps
+    want = np.array([np.linalg.lstsq(Ji, bi, rcond=None)[0] for Ji, bi in zip(J, b)])
+    got = _lstsq(J, b)
+    assert got.shape == (300, d)
+    assert got.tobytes() == want.tobytes()
+    # a transposed view, the layout constraint_jacobians returns
+    Jt = np.ascontiguousarray(J.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert _lstsq(Jt, b).tobytes() == want.tobytes()
+
+
+def test_stacked_lstsq_raises_on_nan_like_numpy():
+    J = np.random.default_rng(0).standard_normal((4, 2, 2))
+    J[2, 0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(J[2], np.ones(2), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        _lstsq(J, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cluster_means_match_numpy(n):
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
+    vals *= 10.0 ** rng.integers(-6, 7, vals.shape)
+    vals[rng.random(vals.shape) < 0.1] = -0.0 - 0.0j
+    vals[rng.random(vals.shape) < 0.1] = complex(-0.0, 1.0)
+    member = rng.random((1000, n)) < rng.random((1000, 1))
+    member[:5] = False
+    member[5:10] = True
+    sizes = member.sum(axis=1)
+    want = [complex(np.mean(v[z])) if z.any() else 0j for v, z in zip(vals, member)]
+    assert _cluster_means(vals, member, sizes).tobytes() == np.array(want).tobytes()

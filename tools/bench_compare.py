@@ -50,13 +50,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """``"501-510"`` or ``"1,4,9"`` (or a mix) to a list of seeds."""
+    """``"501-510"`` or ``"1,4,9"`` (or a mix) to a list of seeds.
+
+    A reversed range and a seed named twice raise ``ValueError``: the first
+    would drop seeds silently, the second would count one seed's runs as
+    two independent pairs.
+    """
     seeds = []
     for part in spec.split(","):
         lo, sep, hi = part.partition("-")
+        if sep and int(hi) < int(lo):
+            raise ValueError(f"reversed seed range {part!r}")
         seeds += list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
     if not seeds:
         raise ValueError("no seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seed repeated in {spec!r}")
     return seeds
 
 
