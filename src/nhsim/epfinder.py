@@ -724,15 +724,14 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
 
 def _cluster_means(vals: np.ndarray, member: np.ndarray, sizes: np.ndarray):
     """Mean of ``vals[i][member[i]]`` per row, 0 for an empty row; each is
-    ``np.mean`` of the row's members bit for bit.  Rows with the same number
-    of members are gathered into one ``(rows, size)`` array and averaged
-    along its last axis (``tests/test_epfinder.py::
-    test_cluster_means_match_numpy``)."""
+    ``np.mean`` of the row's members bit for bit.  The rows with ``m``
+    members are gathered into one ``(rows, m)`` array, summed along its last
+    axis and divided by ``m``, as ``np.mean`` does
+    (``tests/test_epfinder.py::test_cluster_means_match_numpy``)."""
     means = np.zeros(len(vals), dtype=complex)
-    for m in range(1, vals.shape[-1] + 1):
-        rows = np.flatnonzero(sizes == m)
-        if rows.size:
-            means[rows] = vals[rows][member[rows]].reshape(-1, m).mean(axis=1)
+    for m in set(sizes.tolist()) - {0}:
+        rows = sizes == m
+        means[rows] = vals[rows][member[rows]].reshape(-1, m).sum(axis=1) / m
     return means
 
 

@@ -490,12 +490,6 @@ def test_scan_config_rejects_bad_numbers(field, value):
                seed_threshold=np.inf, merge_radius=0.0)
 
 
-def test_zero_merge_radius_merges_exact_duplicates_only():
-    # a NaN or negative radius would keep all three rows
-    x = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-    assert _merge_keep(x, np.array([0.1, 0.1]), 0.0).tolist() == [0, 2]
-
-
 @pytest.mark.parametrize("samples", [0, -5])
 def test_identity_check_needs_a_sample(samples):
     with pytest.raises(ValueError, match="samples must be >= 1"):
