@@ -32,19 +32,24 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
+
+try:  # numpy's private gufunc behind np.linalg.lstsq; see _lstsq
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
-from .matrices import as_matrix, frob, ldexp_complex, scale_exponents
+from .matrices import as_matrix, frob, frob_many, ldexp_complex, scale_exponents
 from .spectral import (
     DEFAULT_TOLERANCES,
     JordanBlock,
     ToleranceConfig,
     _cluster_staircases,
+    _symmetry_bottlenecks,
     eigenvalues_many,
-    symmetry_bottleneck,
     weyr_block_sizes,
 )
 
@@ -223,46 +228,69 @@ def class_identity_check(
     relative to ``|H|_F``.  Both are relative with no floor, so a family
     times ``c > 0`` gets the same report at every scale; a zero ``H`` or
     ``H~`` has violation 0.  The report carries the worst violation and
-    where it occurred.  Each sample, and its shifted matrix, is checked
-    times its own power of two (:func:`~nhsim.matrices.scale_exponents`),
-    which leaves the violations as they are; a family value that overflows
-    raises ``NonFiniteMatrixError``, and ``samples < 1`` raises
-    ``ValueError``.
+    where it occurred: the first largest one over the samples in order,
+    then the forced components, then the spectrum.  Each sample, and its
+    shifted matrix, is checked times its own power of two
+    (:func:`~nhsim.matrices.scale_exponents`), which leaves the violations
+    as they are; all samples are checked together, in array passes over
+    the stack.  A family value that overflows raises
+    ``NonFiniteMatrixError``; ``samples < 1``, a ``box`` that is not finite
+    and positive and a ``rel_tol`` that is not finite and non-negative
+    raise ``ValueError``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 < box < np.inf:
+        raise ValueError(f"box must be finite and > 0, got {box}")
+    if not 0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     cs = _build_system(f, cls)
     rng = np.random.default_rng(seed)
-    worst, worst_pt, worst_id = 0.0, None, ""
-    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
     lams = rng.uniform(-box, box, size=(samples, f.num_params))
     H = f.evaluate_batch(lams)
     if not np.isfinite(H).all():
         raise NonFiniteMatrixError("family values overflow at the sampled points")
     H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
-    Hts = _shifted(H)
-    Hts = ldexp_complex(Hts, scale_exponents(Hts, f.dim)[:, None, None])
+    Ht = _shifted(H)
+    Ht = ldexp_complex(Ht, scale_exponents(Ht, f.dim)[:, None, None])
     column = _column_index(f.dim)
-    forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
+    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
     symmetry = CLASS_MAP[cls]
-    for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
-        # a violation is 0 where its matrix is zero, so nothing divides by 0
-        scale = frob(Ht)
-        for lab, v in zip(cs.forced_zero, vals.tolist()):
-            v = v / scale ** degree[lab] if v else 0.0
-            if v > worst:
-                worst, worst_pt, worst_id = v, lam, lab
-        v = symmetry_bottleneck(spec, symmetry)
-        v = v / frob(Hj) if v else 0.0
-        if v > worst:
-            worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
+    # one column per forced component, then the spectrum, each over its scale
+    v = np.column_stack([
+        np.abs(_components(Ht, [column[lab] for lab in cs.forced_zero])),
+        _symmetry_bottlenecks(eigenvalues_many(H), symmetry),
+    ])
+    scale = np.column_stack([
+        _powers(frob_many(Ht), [degree[lab] for lab in cs.forced_zero]),
+        frob_many(H),
+    ])
+    # a violation is 0 where its matrix is zero, so nothing divides by 0; a
+    # NaN one never counts as the worst
+    v = np.divide(v, scale, out=np.zeros_like(v), where=v != 0)
+    v = np.where(v > 0, v, 0.0)
+    i, j = divmod(int(v.argmax()), v.shape[1])
+    worst = float(v[i, j])
+    labels = (*cs.forced_zero, f"spectrum {symmetry} symmetry")
     return IdentityCheckReport(
         passed=worst <= rel_tol,
         samples=samples,
         worst_violation=worst,
-        worst_point=worst_pt,
-        worst_identity=worst_id,
+        worst_point=lams[i] if worst else None,
+        worst_identity=labels[j] if worst else "",
     )
+
+
+def _powers(x: np.ndarray, ks) -> np.ndarray:
+    """``x[i] ** ks[j]`` as Python's float pow takes it (libm ``pow``),
+    ``(S,) -> (S, len(ks))``.
+
+    numpy's own float power may take other routes (SIMD code, or ``x*x`` for
+    a square) that differ from ``pow`` in the last bit, so each power is
+    taken on Python floats and ints held in object arrays.
+    ``tests/test_epfinder.py::test_powers_match_python_pow`` pins this.
+    """
+    return np.power(x.astype(object)[:, None], np.array(ks, dtype=object)).astype(float)
 
 
 def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
@@ -431,8 +459,14 @@ def _lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     with numpy's default ``rcond = eps * max(k, d)``, and raises
     ``LinAlgError`` where the SVD does not converge, as numpy does.
     ``tests/test_epfinder.py::test_stacked_lstsq_matches_numpy`` pins it to
-    numpy's bytes.
+    numpy's bytes.  Where a numpy release lacks that private module, it
+    calls ``np.linalg.lstsq`` once per matrix of the stack.
     """
+    if _umath_linalg is None:
+        x = np.empty(J.shape[:-2] + J.shape[-1:])
+        for s, (Js, bs) in enumerate(zip(J, b)):
+            x[s] = np.linalg.lstsq(Js, bs, rcond=None)[0]
+        return x
     rcond = np.finfo(float).eps * max(J.shape[-2:])
     with np.errstate(call=_svd_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):

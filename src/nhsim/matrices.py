@@ -22,6 +22,7 @@ __all__ = [
     "as_scaled_matrix",
     "dagger",
     "frob",
+    "frob_many",
     "matrix_from_json",
     "matrix_to_json",
     "parse_matrix",
@@ -104,6 +105,14 @@ def dagger(H: np.ndarray) -> np.ndarray:
 def frob(H: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(H))
+
+
+def frob_many(stack: np.ndarray) -> np.ndarray:
+    """:func:`frob` of each matrix of an ``(m, n, n)`` stack, bit for bit:
+    ``np.linalg.norm``'s ``sqrt(re.re + im.im)``, repeated per matrix by
+    ``vecdot``."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def is_json_int(v) -> bool:

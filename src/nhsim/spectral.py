@@ -29,6 +29,7 @@ from .matrices import (
     as_scaled_matrix,
     dagger,
     frob,
+    frob_many,
     ldexp_complex,
     scale_exponents,
 )
@@ -170,9 +171,10 @@ def power_traces(H, k_max: int) -> list[complex]:
 
 
 def _symmetry_distances(spectrum, map: str) -> np.ndarray:
-    """``|s_i - f(s_j)|`` for the spectrum ``s`` and the map ``f`` named ``map``."""
+    """``|s_i - f(s_j)|`` for the spectrum ``s`` and the map ``f`` named
+    ``map``; for a stack of spectra ``(S, n)``, one ``(n, n)`` table each."""
     s = np.asarray(getattr(spectrum, "values", spectrum), dtype=complex)
-    return np.abs(s[:, None] - SYMMETRY_MAPS[map](s)[None, :])
+    return np.abs(s[..., :, None] - SYMMETRY_MAPS[map](s)[..., None, :])
 
 
 def multiset_symmetry_match(spectrum, map: str, tol: float):
@@ -210,19 +212,38 @@ def multiset_symmetry_match(spectrum, map: str, tol: float):
 
 def symmetry_bottleneck(spectrum, map: str) -> float:
     """Smallest ``tol`` at which :func:`multiset_symmetry_match` succeeds,
-    the spectral violation that ``class_identity_check`` reports.  Every
-    pairing's largest distance is at least each value's and each image's
-    nearest-partner distance, so the largest of those is tried first; the
-    larger distances are bisected only when it fails."""
-    def pairs(tol):
-        return multiset_symmetry_match(spectrum, map, tol) is not None
+    the spectral violation that ``class_identity_check`` reports; the
+    one-spectrum case of :func:`_symmetry_bottlenecks`."""
+    s = np.asarray(getattr(spectrum, "values", spectrum), dtype=complex)
+    return float(_symmetry_bottlenecks(s[None], map)[0])
 
-    dist = _symmetry_distances(spectrum, map)
-    bound = float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
-    if pairs(bound):
-        return bound
-    cands = np.unique(dist[dist > bound]).tolist()
-    return cands[bisect.bisect_left(cands, True, key=pairs)]
+
+def _symmetry_bottlenecks(spectra, map: str) -> np.ndarray:
+    """:func:`symmetry_bottleneck` of each row of an ``(S, n)`` stack of
+    spectra, ``(S,)``.
+
+    Every pairing's largest distance is at least each value's and each
+    image's nearest-partner distance, so the largest of those, ``bound``,
+    is a lower bound.  Where the nearest images of the ``n`` values are
+    ``n`` different ones, pairing each value with its nearest image is a
+    pairing within ``bound``, so ``bound`` is the bottleneck, with no
+    matcher call.  Only the other rows go to the matcher: at ``bound``
+    first, then bisected over the larger distances when it fails there.
+    """
+    spectra = np.asarray(spectra, dtype=complex)
+    dist = _symmetry_distances(spectra, map)
+    bound = np.maximum(dist.min(axis=-2).max(axis=-1), dist.min(axis=-1).max(axis=-1))
+    nearest = np.sort(dist.argmin(axis=-1), axis=-1)
+    out = bound.copy()
+    for r in np.flatnonzero((nearest != np.arange(spectra.shape[-1])).any(axis=-1)):
+        def pairs(tol, s=spectra[r]):
+            return multiset_symmetry_match(s, map, tol) is not None
+
+        if not pairs(bound[r]):
+            # sorted distinct distances: np.unique would import numpy.ma
+            cands = sorted(set(dist[r][dist[r] > bound[r]].tolist()))
+            out[r] = cands[bisect.bisect_left(cands, True, key=pairs)]
+    return out
 
 
 def is_normal(H, tol: float = 1e-12) -> bool:
@@ -345,10 +366,7 @@ def _cluster_staircases(H, clusters, rank_tol: float) -> list[tuple]:
     n = H.shape[-1]
     e = scale_exponents(H, max(n, 2))
     H = ldexp_complex(H, e[:, None, None])
-    # bit for bit the Frobenius norm of each matrix: np.linalg.norm's
-    # sqrt(re.re + im.im), repeated per row by vecdot
-    flat = H.reshape(len(H), -1)
-    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    norm = frob_many(H)
     owner, means, sizes = clusters(eigenvalues_many(H), norm)
     stairs = nullity_staircase(H[owner] - means[:, None, None] * np.eye(n), sizes,
                                rank_tol, norm[owner])

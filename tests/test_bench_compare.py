@@ -1,16 +1,22 @@
 """The seed parser and the summary statistics of ``tools/bench_compare.py``,
-without running the benchmark."""
+and the seed errors of both tools, without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "bench_compare", Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
-)
-bench_compare = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_compare)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_compare = load("bench_compare")
 
 
 def run(ops_per_s, digest="d", failed=0):
@@ -102,3 +108,28 @@ def test_parse_seeds_ranges_and_lists():
 def test_parse_seeds_rejects_reversed_ranges_and_repeats(spec, match):
     with pytest.raises(ValueError, match=match):
         bench_compare.parse_seeds(spec)
+
+
+def test_parse_seeds_rejects_non_integers():
+    for spec in ("abc", "1-x", "1,,2", "1.5"):
+        with pytest.raises(ValueError, match="not an integer"):
+            bench_compare.parse_seeds(spec)
+
+
+@pytest.mark.parametrize("tool", ["bench_compare", "output_identity"])
+@pytest.mark.parametrize("spec, reason", [
+    ("7,7", "seed repeated in '7,7'"),
+    ("110-103", "reversed seed range '110-103'"),
+    ("101,x", "seed 'x' is not an integer"),
+])
+def test_tools_exit_2_with_the_reason_for_bad_seeds(tool, spec, reason, capsys):
+    # as an argparse type, parse_seeds's reason was lost behind
+    # "invalid parse_seeds value"
+    argv = ["--seeds", spec, "--base", "HEAD"]
+    if tool == "bench_compare":
+        argv += ["--topic", "t", "--workload", "ep-scan"]
+    with pytest.raises(SystemExit) as exc:
+        load(tool).main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --seeds: {reason}" in err

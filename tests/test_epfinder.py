@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import tracemalloc
 import warnings
@@ -10,11 +11,16 @@ from nhsim.epfinder import (
     ScanConfig,
     _certify_many,
     _cluster_means,
+    _column_index,
+    _components,
     _gauss_newton,
     _local_minima,
     _merge_keep,
     _lstsq,
+    _powers,
+    _raw_components,
     _row_norms,
+    _shifted,
     _trace,
     certify_order,
     class_identity_check,
@@ -24,7 +30,15 @@ from nhsim.epfinder import (
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
 from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
-from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS, eigenvalues, is_normal
+from nhsim.matrices import dagger, ldexp_complex, scale_exponents
+from nhsim.spectral import (
+    DEFAULT_TOLERANCES,
+    SYMMETRY_MAPS,
+    eigenvalues,
+    eigenvalues_many,
+    is_normal,
+    multiset_symmetry_match,
+)
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
 CH = SimilarityClass.CHIRAL
@@ -373,7 +387,7 @@ TRIMER_2D = {"gamma": (0, 3, 31), "k": (0.2, 1.5, 21)}
 CUBIC_3D = {p: (-2, 2, 9) for p in ("p1", "p2", "p3")}
 
 
-@pytest.mark.parametrize("family, cfg, reasons, merges", [
+LOCKSTEP_SCANS = [
     (dimer, ScanConfig(grid={"gamma": (-1.9, 2.1, 61)}), {"converged"}, False),
     (dimer, ScanConfig(grid={"gamma": (-1.9, 2.1, 61)}, max_iterations=2),
      {"max_iterations"}, False),
@@ -384,8 +398,12 @@ CUBIC_3D = {p: (-2, 2, 9) for p in ("p1", "p2", "p3")}
      {"converged", "max_iterations", "line search", "step"}, False),
     (cubic_family, ScanConfig(grid=CUBIC_3D, max_iterations=4),
      {"max_iterations", "line search", "step"}, False),
-], ids=["dimer", "dimer-max-iterations", "trimer", "trimer-line-search",
-        "trimer-merge", "cubic", "cubic-max-iterations"])
+]
+LOCKSTEP_IDS = ["dimer", "dimer-max-iterations", "trimer", "trimer-line-search",
+                "trimer-merge", "cubic", "cubic-max-iterations"]
+
+
+@pytest.mark.parametrize("family, cfg, reasons, merges", LOCKSTEP_SCANS, ids=LOCKSTEP_IDS)
 def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
     f = family()
     ref, stopped, merged = reference_scan(f, PH, cfg)
@@ -398,6 +416,32 @@ def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
         assert np.float64(c.constraint_residual).tobytes() == np.float64(res).tobytes()
         assert c.newton_iterations == its
         assert c.converged == ok
+
+
+@pytest.mark.parametrize("family, cfg, _reasons, _merges", LOCKSTEP_SCANS,
+                         ids=LOCKSTEP_IDS)
+def test_scan_without_the_private_lstsq_gives_the_same_bytes(
+        monkeypatch, family, cfg, _reasons, _merges):
+    # without numpy.linalg._umath_linalg, _lstsq takes one np.linalg.lstsq
+    # per seed, and the scans of the lockstep test do not move by a bit
+    from nhsim import epfinder
+
+    f = family()
+    fast = scan(f, PH, cfg)
+    J = np.random.default_rng(9).standard_normal((20, 3, 2))
+    b = np.random.default_rng(10).standard_normal((20, 3))
+    stacked = _lstsq(J, b)
+    monkeypatch.setattr(epfinder, "_umath_linalg", None)
+    assert _lstsq(J, b).tobytes() == stacked.tobytes()
+    assert _lstsq(J[:0], b[:0]).shape == (0, 2)
+    slow = scan(f, PH, cfg)
+    assert len(slow) == len(fast)
+    for a, c in zip(fast, slow):
+        assert c.lam.tobytes() == a.lam.tobytes()
+        assert np.float64(c.constraint_residual).tobytes() == \
+            np.float64(a.constraint_residual).tobytes()
+        assert (c.newton_iterations, c.converged, c.order, c.single_block, c.blocks) \
+            == (a.newton_iterations, a.converged, a.order, a.single_block, a.blocks)
 
 
 def greedy_merge_reference(x, spacings, radius):
@@ -497,6 +541,214 @@ def test_identity_check_needs_a_sample(samples):
     with pytest.raises(ValueError, match="samples must be >= 1"):
         reduced_constraints(dimer(), PH, samples=samples)
     assert class_identity_check(dimer(), PH, samples=1).samples == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"box": np.nan}, {"box": np.inf}, {"box": -np.inf}, {"box": -1.0}, {"box": 0.0},
+    {"rel_tol": np.nan}, {"rel_tol": np.inf}, {"rel_tol": -1e-8},
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_identity_check_rejects_bad_box_and_rel_tol(kwargs):
+    # a NaN or infinite box made numpy's uniform raise OverflowError, a
+    # negative one ValueError('high - low < 0'); a NaN or negative rel_tol
+    # failed every family
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        class_identity_check(trimer(), PH, **kwargs)
+    assert class_identity_check(trimer(), PH, rel_tol=0.0, box=1e-300).samples == 100
+
+
+def reference_bottleneck(spec, name):
+    """The spectral violation as the per-sample loop took it: the matcher
+    at the largest nearest-partner distance, then a bisection over
+    ``np.unique`` of the larger distances."""
+    dist = np.abs(spec[:, None] - SYMMETRY_MAPS[name](spec)[None, :])
+
+    def pairs(tol):
+        return multiset_symmetry_match(spec, name, tol) is not None
+
+    bound = float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
+    if pairs(bound):
+        return bound
+    cands = np.unique(dist[dist > bound]).tolist()
+    return cands[bisect.bisect_left(cands, True, key=pairs)]
+
+
+def reference_identity_check(f, cls, samples, seed=0):
+    """``class_identity_check`` one sample at a time, as a loop from 0.0
+    that takes each strictly larger violation."""
+    cs = reduced_constraints(f, cls, check=False)
+    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
+    lams = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(samples, f.num_params))
+    H = f.evaluate_batch(lams)
+    H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
+    Hts = _shifted(H)
+    Hts = ldexp_complex(Hts, scale_exponents(Hts, f.dim)[:, None, None])
+    column = _column_index(f.dim)
+    forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
+    symmetry = CLASS_MAP[cls]
+    worst, worst_pt, worst_id = 0.0, None, ""
+    for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
+        scale = float(np.linalg.norm(Ht))
+        for lab, v in zip(cs.forced_zero, vals.tolist()):
+            v = v / scale ** degree[lab] if v else 0.0
+            if v > worst:
+                worst, worst_pt, worst_id = v, lam, lab
+        v = reference_bottleneck(spec, symmetry)
+        v = v / float(np.linalg.norm(Hj)) if v else 0.0
+        if v > worst:
+            worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
+    return worst, worst_pt, worst_id
+
+
+def linear_family(coeffs):
+    """``A_0 + sum_i lam_i A_i``."""
+    d = len(coeffs) - 1
+    return MatrixFamily(coeffs[0].shape[0], d, tuple(
+        (np.asarray(A, dtype=complex), tuple(int(j == i - 1) for j in range(d)))
+        for i, A in enumerate(coeffs)))
+
+
+def identity_class_family(cls, n, seed):
+    """Two-parameter family of class ``cls``: ``A_i = eta B_i`` or
+    ``i Gamma B_i`` with Hermitian ``B_i``, or a unitary conjugate of the
+    off-diagonal blocks of ``generate_random``'s self-skew samples."""
+    rng = np.random.default_rng(seed)
+
+    def cplx():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    if cls is SS:
+        U, _ = np.linalg.qr(cplx())
+        coeffs = []
+        for _ in range(3):
+            M = cplx()
+            M[:n // 2, :n // 2] = M[n // 2:, n // 2:] = 0
+            coeffs.append(U @ M @ dagger(U))
+        return linear_family(coeffs)
+    W = cplx()
+    W = W + dagger(W) + 10 * np.eye(n)
+    W = 1j * W if cls is CH else W
+    return linear_family([W @ (B + dagger(B)) for B in (cplx(), cplx(), cplx())])
+
+
+def identity_families():
+    """(id, family, class) of every case the stacked check is pinned on."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for cls in SimilarityClass:
+        for n in (2, 3, 4):
+            cases.append((f"class-{cls.name}-{n}", identity_class_family(cls, n, n), cls))
+            generic = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                       for _ in range(3)]
+            cases.append((f"generic-{cls.name}-{n}", linear_family(generic), cls))
+        cases.append((f"zero-{cls.name}", linear_family([np.zeros((3, 3))] * 2), cls))
+        cases.append((f"trimer-{cls.name}", trimer(), cls))
+    scalar = linear_family([np.zeros((3, 3)), np.eye(3)])
+    cases.append(("scalar-PSEUDO_HERMITIAN", scalar, PH))
+    # I + eps C, C the companion matrix of z^n - i: the spectrum is
+    # conjugate-symmetric within eps |H|_F, and Im det H~ is the worst
+    for n in (3, 4):
+        C = np.eye(n, k=-1, dtype=complex)
+        C[0, -1] = 1j
+        f = linear_family([np.eye(n) + 1e-5 * C, 1e-6 * C])
+        cases.append((f"companion-PSEUDO_HERMITIAN-{n}", f, PH))
+    return cases
+
+
+IDENTITY_FAMILIES = identity_families()
+
+
+@pytest.mark.parametrize("f, cls", [c[1:] for c in IDENTITY_FAMILIES],
+                         ids=[c[0] for c in IDENTITY_FAMILIES])
+def test_stacked_identity_check_matches_the_per_sample_loop(f, cls):
+    for samples in (1, 30, 100):
+        worst, pt, ident = reference_identity_check(f, cls, samples)
+        rep = class_identity_check(f, cls, samples=samples)
+        assert rep.worst_violation == worst and type(rep.worst_violation) is float
+        assert rep.worst_identity == ident
+        assert rep.passed == (worst <= 1e-8)
+        assert rep.samples == samples
+        if pt is None:
+            assert rep.worst_point is None and worst == 0.0
+        else:
+            assert rep.worst_point.tobytes() == pt.tobytes()
+
+
+def count_matcher_calls(monkeypatch):
+    """Count the matcher calls that the spectral module makes."""
+    from nhsim import spectral
+
+    calls = []
+    match = spectral.multiset_symmetry_match
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(spectral, "multiset_symmetry_match", counted)
+    return calls
+
+
+def no_nearest_permutation(f, cls, samples):
+    """How many samples have two values whose nearest mapped image is the same."""
+    lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(samples, f.num_params))
+    fmap = SYMMETRY_MAPS[CLASS_MAP[cls]]
+    count = 0
+    for spec in eigenvalues_many(f.evaluate_batch(lams)):
+        nearest = np.abs(spec[:, None] - fmap(spec)[None, :]).argmin(axis=1)
+        count += len(set(nearest.tolist())) < len(spec)
+    return count
+
+
+def test_identity_check_runs_the_matcher_only_where_nearest_images_collide(monkeypatch):
+    calls = count_matcher_calls(monkeypatch)
+    # the scan's check of the trimer: every sample pairs by nearest images
+    assert class_identity_check(trimer(), PH, samples=30).passed
+    assert calls == []
+    # generic families: some spectra have colliding nearest images, and each
+    # of those goes to the matcher, bisecting where the bound does not pair
+    colliding = 0
+    for case, f, cls in IDENTITY_FAMILIES:
+        if case.startswith("generic"):
+            calls.clear()
+            worst, pt, ident = reference_identity_check(f, cls, 100)
+            rep = class_identity_check(f, cls, samples=100)
+            assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
+            assert rep.worst_point.tobytes() == pt.tobytes()
+            collide = no_nearest_permutation(f, cls, 100)
+            assert len({id(a[0]) for a in calls}) == collide <= len(calls)
+            colliding += collide
+    assert colliding >= 100
+
+
+def test_identity_check_reports_the_first_of_equal_violations():
+    # a constant family has the same violations at every sample: the loop
+    # kept the first sample, and within it the first component that reached
+    # the maximum
+    rng = np.random.default_rng(5)
+    for cls in SimilarityClass:
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        f = constant_family(M, nparams=2)
+        worst, pt, ident = reference_identity_check(f, cls, 30)
+        rep = class_identity_check(f, cls, samples=30)
+        first = np.random.default_rng(0).uniform(-2.0, 2.0, size=(30, 2))[0]
+        assert rep.worst_point.tobytes() == pt.tobytes() == first.tobytes()
+        assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
+    # diag(1, 2, 3) for the conj map: Im tr H~^2 and Im det are 0, and the
+    # spectrum is real, so every violation is 0 and nothing is reported
+    rep = class_identity_check(constant_family(np.diag([1.0, 2.0, 3.0])), PH)
+    assert (rep.worst_violation, rep.worst_point, rep.worst_identity) == (0.0, None, "")
+
+
+def test_powers_match_python_pow():
+    # numpy's float power may round differently from libm pow (SIMD code,
+    # or x*x for a square); the check's scale powers are Python's
+    rng = np.random.default_rng(8)
+    x = np.ldexp(rng.uniform(0.5, 1.0, 100_000), rng.integers(-80, 80, 100_000))
+    ks = list(range(2, 13))
+    ref = np.array([[v ** k for k in ks] for v in x.tolist()])
+    assert _powers(x, ks).tobytes() == ref.tobytes()
+    assert _powers(x[:3], []).shape == (3, 0)
 
 
 def test_scan_nonfinite_input_raises():

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from nhsim.spectral import (
     jordan_decompose,
     multiset_symmetry_match,
     nullity_staircase,
+    SYMMETRY_MAPS,
+    _symmetry_bottlenecks,
     power_traces,
     symmetry_bottleneck,
     weyr_block_sizes,
@@ -199,6 +205,41 @@ def test_symmetry_bottleneck_brute_force_oracle():
             bisected += v > bound
     # both the nearest-partner bound and the bisection decide some inputs
     assert at_bound > 50 and bisected > 50
+
+
+def test_stacked_bottlenecks_brute_force_oracle():
+    # stacks of spectra: rows that pair by nearest images and rows that go to
+    # the matcher, in one call, each against the oracle
+    rng = np.random.default_rng(6)
+    for n in range(1, 6):
+        for name, fmap in SYMMETRY_MAPS.items():
+            stack = np.array([degenerate_spectrum(rng, n, fmap) for _ in range(40)])
+            stack[::2] += 1e-6 * rng.standard_normal((20, n))
+            got = _symmetry_bottlenecks(stack, name)
+            assert got.shape == (40,)
+            assert got.tolist() == [brute_force_bottleneck(s, fmap) for s in stack]
+
+
+# a bottleneck the bisection decides: the nearest-partner bound is
+# sqrt(5)/2, the bottleneck 2, then the first call imports nothing
+BISECTED = r"""
+import sys
+import numpy as np
+from nhsim.spectral import symmetry_bottleneck
+assert "numpy.ma" not in sys.modules
+assert symmetry_bottleneck(np.array([-1 - 0.5j, -0.5 + 1.5j, 1j]), "conj") == 2.0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bisected_bottleneck_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", BISECTED], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_is_normal():

@@ -54,19 +54,37 @@ def parse_seeds(spec: str) -> list[int]:
 
     A reversed range and a seed named twice raise ``ValueError``: the first
     would drop seeds silently, the second would count one seed's runs as
-    two independent pairs.
+    two independent pairs.  So does a seed that is not an integer.
     """
+    def seed(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"seed {text!r} is not an integer") from None
+
     seeds = []
     for part in spec.split(","):
         lo, sep, hi = part.partition("-")
-        if sep and int(hi) < int(lo):
+        lo = seed(lo)
+        hi = seed(hi) if sep else lo
+        if hi < lo:
             raise ValueError(f"reversed seed range {part!r}")
-        seeds += list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+        seeds += range(lo, hi + 1)
     if not seeds:
         raise ValueError("no seeds")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seed repeated in {spec!r}")
     return seeds
+
+
+def seeds_argument(ap: argparse.ArgumentParser, spec: str) -> list[int]:
+    """:func:`parse_seeds`, or exit 2 through ``ap.error`` with its reason
+    (argparse would print only ``invalid parse_seeds value`` for a
+    ``type=parse_seeds`` argument)."""
+    try:
+        return parse_seeds(spec)
+    except ValueError as exc:
+        ap.error(f"argument --seeds: {exc}")
 
 
 def git(*args: str) -> bytes:
@@ -177,12 +195,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--topic", required=True, help="names the output BENCH_<topic>.json")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, type=parse_seeds,
+    ap.add_argument("--seeds", required=True,
                     help="one pair per seed: 501-510 or 1,4,9")
     ap.add_argument("--base", required=True, help="git revision of the base")
     ap.add_argument("--change", default=None,
                     help="git revision of the change (default: the working tree)")
     args = ap.parse_args(argv)
+    args.seeds = seeds_argument(ap, args.seeds)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]

@@ -36,7 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_compare import export, parse_seeds  # noqa: E402
+from bench_compare import export, seeds_argument  # noqa: E402
 
 
 def feed(h, x) -> None:
@@ -126,10 +126,11 @@ def run_side(tree: Path, seeds: list[int]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", help="git revision of the base")
-    ap.add_argument("--seeds", required=True, type=parse_seeds,
+    ap.add_argument("--seeds", required=True,
                     help="workload seeds: 101-103 or 1,4,9")
     ap.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    args.seeds = seeds_argument(ap, args.seeds)
     if args.worker:
         worker(args.worker, args.seeds)
         return 0
