@@ -17,13 +17,15 @@ A ``scan`` that the library warns about (a family with fewer parameters
 than the codimension) prints the warning as one ``warning:`` line on
 stderr and exits 0.
 
-``specht`` and the n = 3 evidence of ``specht-generators`` print the word
-traces of the matrices as given and exit 2 when one of them, or the
+``specht`` and the n = 3 evidence of ``specht-generators`` take their
+words, traces and match verdicts from :func:`nhsim.specht.word_profile`,
+the library's one word-trace comparison (a relative tolerance).  They print
+the traces of the matrices as given and exit 2 when one of them, or the
 difference of two, overflows, or when the printed difference of a
-mismatching word underflows to 0; their match verdicts use the relative
-tolerance of :func:`nhsim.specht.trace_mismatches`.  The 2x2 recovery of
-``specht-generators`` checks membership by word traces for ``--class``
-only; without it, the classes are those ``classify`` has confirmed.
+mismatching word underflows to 0 (``WordProfile.unprintable``).  The 2x2
+recovery of ``specht-generators`` checks membership by word traces for
+``--class`` only; without it, the classes are those ``classify`` has
+confirmed.
 """
 
 from __future__ import annotations
@@ -60,14 +62,7 @@ from .errors import (
 )
 from .families import parse_family
 from .matrices import matrix_to_json, parse_matrix
-from .specht import (
-    CLASS_SYMMETRIES,
-    _class_generators,
-    mapped_target,
-    trace_mismatches,
-    word_list,
-    word_traces,
-)
+from .specht import CLASS_SYMMETRIES, _class_generators, mapped_target, word_profile
 from .spectral import ToleranceConfig
 
 DEFAULT_TOL = 1e-8
@@ -165,35 +160,15 @@ def _cmd_generate(args):
     return 0
 
 
-def _word_profile(stack, tol):
-    """Words, word traces of ``stack`` and, for each ``i >= 1``, the
-    mismatching word positions of ``(stack[0], stack[i])``.
-
-    Exits 2 when a trace or a trace difference overflows, since it could
-    not be printed as a JSON number, and when a mismatching word's printed
-    difference underflows to 0, since it would contradict its verdict.
-    """
-    words = word_list(stack.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        traces = word_traces(stack, words)
-        # row 0 reads |t - t|, which is NaN exactly when a trace of stack[0]
-        # is not finite
-        printed = np.abs(traces - traces[0])
-    if not np.isfinite(printed).all():
-        raise SystemExit2("word traces overflow; rescale the matrices")
-    mismatches = trace_mismatches(stack, traces, words, tol)
-    if any((printed[i, bad] == 0).any() for i, bad in enumerate(mismatches, 1)):
-        raise SystemExit2("word traces underflow; rescale the matrices")
-    return words, traces, mismatches
-
-
 def _cmd_specht(args):
     A = _load_matrix(args.a)
     B = _load_matrix(args.b)
     if A.shape != B.shape:
         raise SystemExit2("matrices must have the same dimension")
-    tol = _tolerances(args).residual_tol
-    words, traces, (bad,) = _word_profile(np.stack([A, B]), tol)
+    profile = word_profile(np.stack([A, B]), _tolerances(args).residual_tol)
+    if why := profile.unprintable():
+        raise SystemExit2(f"word traces {why}; rescale the matrices")
+    words, traces, (bad,) = profile
     rows = []
     for j, w in enumerate(words):
         ta, tb = complex(traces[0, j]), complex(traces[1, j])
@@ -247,7 +222,10 @@ def _cmd_specht_generators(args):
         for cls in classes:
             symmetries = CLASS_SYMMETRIES[cls]
             stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
-            words, traces, mismatches = _word_profile(stack, cfg.residual_tol)
+            profile = word_profile(stack, cfg.residual_tol)
+            if why := profile.unprintable():
+                raise SystemExit2(f"word traces {why}; rescale the matrices")
+            words, traces, mismatches = profile
             evidence = []
             for i, (symmetry, bad) in enumerate(zip(symmetries, mismatches), start=1):
                 for j in bad:

@@ -16,14 +16,14 @@ smallest similarity residual; the property holds to rounding.
 
 Everything runs on stacks.  :func:`word_traces` evaluates a word list for
 a whole stack of matrices in one left-to-right pass that forms each shared
-prefix product once, :func:`trace_mismatches` compares the traces of the
-first matrix with those of the others, and :func:`solve_generators`
-solves several symmetries of one ``H`` in one stacked SVD.  The 2x2 check
-(:func:`check_similarity_implies_symmetry_2x2`) decides class membership
-from one word pass over ``H`` and its mapped targets ``sign T(H)`` and
-gets both generators from one SVD of shape ``(2, 8, 3)``.  numpy runs the
-same BLAS or LAPACK call per matrix of a stack, so every trace and
-generator has the bytes of a one-matrix evaluation.
+prefix product once, :func:`word_profile`, the one word-trace comparison,
+compares the traces of the first matrix with those of the others, and
+:func:`solve_generators` solves several symmetries of one ``H`` in one
+stacked SVD.  The 2x2 check (:func:`check_similarity_implies_symmetry_2x2`)
+decides class membership from one word pass over ``H`` and its mapped
+targets ``sign T(H)`` and gets both generators from one SVD of shape
+``(2, 8, 3)``.  numpy runs the same BLAS or LAPACK call per matrix of a
+stack, so every trace and generator has the bytes of a one-matrix run.
 
 A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
 length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
@@ -34,12 +34,13 @@ precision the verdict is decided on the pair times one exact power of two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .classes import SimilarityClass, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
-from .matrices import as_matrix, as_scaled_matrix, dagger, frob, scaled_stack
+from .matrices import as_matrix, as_scaled_matrix, dagger, frob, frob_many, scaled_stack
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "word_trace",
     "word_list",
     "trace_profile",
+    "word_profile",
     "unitary_similarity_test",
     "compare_profiles",
     "GeneratorSearch",
@@ -151,28 +153,52 @@ def word_traces(stack: np.ndarray, words) -> np.ndarray:
     return out
 
 
-def trace_mismatches(
-    stack: np.ndarray, traces: np.ndarray, words, tol: float
-) -> list[list[int]]:
-    """Positions of the words whose traces differ between ``stack[0]`` and
-    each later matrix of a validated stack.
+class WordProfile(NamedTuple):
+    """Words, traces of the stack as given, mismatches per ``stack[i >= 1]``."""
 
-    ``traces`` are the :func:`word_traces` of ``stack``.  For the pair
-    ``(A, B) = (stack[0], stack[i])`` word ``w`` mismatches when the traces
-    differ by more than ``tol max(|A|_F, |B|_F)^|w|``, because word traces
-    grow with word degree; a zero pair matches.  The verdict is decided on
-    the stack times one power of two (:func:`~nhsim.matrices.scaled_stack`
-    for the longest word's degree), so it does not depend on the scale; a
-    stack in range is decided on ``traces`` as given.
+    words: list[Word]
+    traces: np.ndarray
+    mismatches: list[list[int]]
+
+    def unprintable(self) -> str | None:
+        """Why the traces cannot be printed as JSON numbers that agree with
+        the verdicts: ``"overflow"`` when a trace or its difference from
+        ``stack[0]``'s is not finite, ``"underflow"`` when the difference of
+        a mismatching word reads 0; ``None`` when they can."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            # row 0 is NaN exactly where a trace of stack[0] is not finite
+            printed = np.abs(self.traces - self.traces[0])
+        if not np.isfinite(printed).all():
+            return "overflow"
+        if any((printed[i, bad] == 0).any() for i, bad in enumerate(self.mismatches, 1)):
+            return "underflow"
+        return None
+
+
+def word_profile(stack: np.ndarray, tol: float) -> WordProfile:
+    """The one word-trace comparison: the :class:`WordProfile` of a
+    validated ``(m, n, n)`` stack, n <= 3, at a finite ``tol >= 0``.
+
+    For ``(A, B) = (stack[0], stack[i])`` word ``w`` mismatches when the
+    traces differ by more than ``tol max(|A|_F, |B|_F)^|w|``, because word
+    traces grow with word degree; a zero pair matches.  The verdict is
+    decided on the stack times one power of two
+    (:func:`~nhsim.matrices.scaled_stack` for the longest word's degree), so
+    it does not depend on the scale; a stack in range is decided on the
+    returned traces, which may overflow or underflow where it does not.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    words = word_list(stack.shape[-1])
     scaled = scaled_stack(stack, max(map(len, words)))
-    if scaled is not stack:
-        traces = word_traces(scaled, words)
-    norms = np.array([frob(M) for M in scaled])
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = word_traces(stack, words)
+    decided = traces if scaled is stack else word_traces(scaled, words)
+    norms = frob_many(scaled)
     degrees = np.array([len(w) for w in words])
     bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
-    differ = np.abs(traces[1:] - traces[0]) > bound
-    return [np.flatnonzero(row).tolist() for row in differ]
+    differ = np.abs(decided[1:] - decided[0]) > bound
+    return WordProfile(words, traces, [np.flatnonzero(row).tolist() for row in differ])
 
 
 def word_trace(H, w: Word) -> complex:
@@ -191,20 +217,14 @@ def compare_profiles(A, B, tol: float = 1e-8):
 
     Each mismatch is ``(word, trace of A, trace of B)``, with the traces of
     ``A`` and ``B`` as given (they may overflow or underflow where the
-    pair's scale does); the test is :func:`trace_mismatches`, which does
-    not depend on the scale.
+    pair's scale does); the test is :func:`word_profile`, which does not
+    depend on the scale.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise ValueError("matrices must have equal dimension")
-    words = word_list(A.shape[0])
-    pair = np.stack([A, B])
-    # the traces as given may overflow; trace_mismatches then decides on the
-    # rescaled pair
-    with np.errstate(over="ignore", invalid="ignore"):
-        traces = word_traces(pair, words)
-    (bad,) = trace_mismatches(pair, traces, words, tol)
+    words, traces, (bad,) = word_profile(np.stack([A, B]), tol)
     return [(words[j], complex(traces[0, j]), complex(traces[1, j])) for j in bad]
 
 
@@ -327,7 +347,7 @@ def check_similarity_implies_symmetry_2x2(
     """Recover both enclosed symmetry generators of a 2x2 class member.
 
     The word traces of ``H`` and its two mapped targets decide membership
-    (:func:`trace_mismatches` at ``residual_tol``), exactly for n = 2: ``H``
+    (:func:`word_profile` at ``residual_tol``), exactly for n = 2: ``H``
     is pseudo-Hermitian iff ``tr H`` and ``tr H^2`` are real (Mostafazadeh,
     J. Math. Phys. 43 (2002) 205), chiral iff ``tr H`` is imaginary and
     ``tr H^2`` real, self-skew-similar iff ``tr H = 0``.  A non-member raises
@@ -345,10 +365,8 @@ def _class_generators(H, cls: SimilarityClass, tol: float | None):
     symmetries = CLASS_SYMMETRIES[cls]
     targets = [mapped_target(H, symmetry) for symmetry in symmetries]
     if tol is not None:
-        words = word_list(2)
-        stack = np.stack([H, *targets])
-        traces = word_traces(stack, words)
-        for i, bad in enumerate(trace_mismatches(stack, traces, words, tol), 1):
+        words, traces, mismatches = word_profile(np.stack([H, *targets]), tol)
+        for i, bad in enumerate(mismatches, 1):
             if bad:
                 j = bad[0]
                 raise ClassMismatchError(
@@ -409,6 +427,10 @@ def n3_counterexample(
     self-skew-similar matrix (odd word traces vanish identically), so for
     that class the evidence always comes from the pseudo-chiral target.
     """
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    if max_resamples < 1:
+        raise ValueError(f"max_resamples must be >= 1, got {max_resamples}")
     words = word_list(3)
     symmetries = CLASS_SYMMETRIES[cls]
     for attempt in range(max_resamples):

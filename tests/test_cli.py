@@ -13,7 +13,14 @@ from nhsim import cli
 from nhsim.classes import SimilarityClass, classify, generate_random
 from nhsim.cli import main
 from nhsim.epfinder import ScanConfig, scan
+from nhsim.errors import ClassMismatchError
 from nhsim.families import parse_family
+from nhsim.specht import (
+    CLASS_SYMMETRIES,
+    check_similarity_implies_symmetry_2x2,
+    mapped_target,
+    unitary_similarity_test,
+)
 from nhsim.spectral import ToleranceConfig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -277,6 +284,94 @@ def test_specht_generators_3x3_evidence(capsys, monkeypatch):
     assert doc["mode"] == "counterexample-evidence"
     evidence = doc["results"]["Chiral"]
     assert any(e["mismatch"] > 1e-6 for e in evidence)
+
+
+AGREEMENT_SCALES = (1.0, 2.0**600, 2.0**-600)
+UNPRINTABLE = {"error: word traces overflow; rescale the matrices\n",
+               "error: word traces underflow; rescale the matrices\n"}
+
+
+def _agreement_pairs(n):
+    """Unitarily similar and dissimilar pairs, and class members against their
+    mapped targets, at every scale of ``AGREEMENT_SCALES``."""
+    rng = np.random.default_rng(40 + n)
+    pairs = []
+    for seed in range(4):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        U = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        pairs += [(A, U @ A @ U.conj().T), (A, A.T), (A, A.conj()),
+                  (A, rng.standard_normal((n, n)))]
+        for cls in SimilarityClass:
+            H = generate_random(cls, n, seed, non_normal=True)
+            pairs += [(H, mapped_target(H, s)) for s in CLASS_SYMMETRIES[cls]]
+    return [(c * A, c * B) for A, B in pairs for c in AGREEMENT_SCALES]
+
+
+def _printed_differences_are_python_abs(rows, lhs, rhs, diff):
+    for r in rows:
+        ta, tb = complex(*r[lhs]), complex(*r[rhs])
+        assert r[diff] == abs(ta - tb), r
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_specht_command_agrees_with_the_library(capsys, tmp_path, n):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    printed = {True: 0, False: 0}
+    for i, (A, B) in enumerate(_agreement_pairs(n)):
+        a.write_text(json.dumps(mat_doc(A)))
+        b.write_text(json.dumps(mat_doc(B)))
+        code, out, err = run(capsys, "specht", str(a), str(b))
+        _, csv, csv_err = run(capsys, "specht", str(a), str(b), "--output", "csv")
+        if code == 2:
+            assert err in UNPRINTABLE and csv == "" and csv_err == err, i
+            continue
+        assert code == 0, (i, err)
+        doc = json.loads(out)
+        verdict = unitary_similarity_test(A, B)
+        assert doc["unitarily_similar"] is verdict, i
+        assert all(r["match"] for r in doc["traces"]) is verdict, i
+        _printed_differences_are_python_abs(doc["traces"], "trace_a", "trace_b",
+                                            "difference")
+        rows = [line.split(",") for line in csv.splitlines()[1:]]
+        assert [float(r[5]) for r in rows] == [r["difference"] for r in doc["traces"]]
+        printed[verdict] += 1
+    assert min(printed.values()) >= 8, printed
+
+
+def test_specht_generators_class_check_agrees_with_the_library(capsys, tmp_path):
+    p = tmp_path / "m.json"
+    exits = {0: 0, 1: 0}
+    for i, (H, _) in enumerate(_agreement_pairs(2)):
+        p.write_text(json.dumps(mat_doc(H)))
+        for cls in SimilarityClass:
+            code, out, err = run(capsys, "specht-generators", str(p), "--class", cls.value)
+            try:
+                check_similarity_implies_symmetry_2x2(H, cls)
+                member = True
+            except ClassMismatchError:
+                member = False
+            assert code == (0 if member else 1), (i, cls, err)
+            exits[code] += 1
+    assert min(exits.values()) >= 50, exits
+
+
+def test_specht_generators_evidence_prints_python_abs(capsys, tmp_path):
+    p = tmp_path / "m.json"
+    rows = 0
+    for i, (H, _) in enumerate(_agreement_pairs(3)):
+        p.write_text(json.dumps(mat_doc(H)))
+        for cls in SimilarityClass:
+            code, out, err = run(capsys, "specht-generators", str(p), "--class", cls.value)
+            if code == 2:
+                assert err in UNPRINTABLE, i
+                continue
+            assert code == 0, (i, err)
+            evidence = json.loads(out)["results"][cls.value]
+            _printed_differences_are_python_abs(evidence, "trace_lhs", "trace_rhs",
+                                                "mismatch")
+            rows += len(evidence)
+    assert rows >= 100, rows
 
 
 def test_scan_trimer_jsonl(capsys, trimer_family):

@@ -40,3 +40,29 @@ def test_digest_tells_exceptions_and_types_apart():
     assert digest(1) != digest(1.0) != digest("1")
     assert digest({"k": 1.0}) == digest({"k": 1.0})
     assert digest((1, "a")) != digest((("a",), 1))
+
+
+def _corpus_bytes(seed):
+    return [(command, [M.tobytes() for M in matrices], flags)
+            for command, matrices, flags in output_identity.cli_corpus(seed)]
+
+
+def test_cli_corpus_is_a_pure_function_of_the_seed():
+    first = _corpus_bytes(101)
+    np.random.seed(5)  # the global generator plays no part
+    np.random.standard_normal(3)
+    assert _corpus_bytes(102) != first
+    assert _corpus_bytes(101) == first
+
+
+def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path):
+    from nhsim.cli import main
+
+    results = output_identity.run_cli_corpus(main, 101, tmp_path)
+    assert {code for code, _, _ in results} == {0, 1, 2}
+    errors = {err for _, _, err in results}
+    assert "error: word traces overflow; rescale the matrices\n" in errors
+    assert "error: word traces underflow; rescale the matrices\n" in errors
+    commands = {(command, flags[:1]) for command, _, flags in output_identity.cli_corpus(101)}
+    assert commands == {("specht", ()), ("specht", ("--output",)),
+                        ("specht-generators", ()), ("specht-generators", ("--class",))}

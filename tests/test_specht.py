@@ -5,12 +5,13 @@ import pytest
 
 from nhsim.classes import CLASS_MAP, SimilarityClass, construct_witness, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
-from nhsim.matrices import as_scaled_matrix
+from nhsim.matrices import as_scaled_matrix, frob, frob_many
 from nhsim.spectral import SYMMETRY_MAPS
 from nhsim.specht import (
     CLASS_SYMMETRIES,
     SYMMETRY_TARGETS,
     Word,
+    WordProfile,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
     mapped_target,
@@ -19,6 +20,7 @@ from nhsim.specht import (
     trace_profile,
     unitary_similarity_test,
     word_list,
+    word_profile,
     word_trace,
     word_traces,
 )
@@ -504,3 +506,166 @@ def test_trace_membership_keeps_the_witness_route_verdicts(cls):
                 [len(w) for w in words])
             assert defect.max() > 1e-9, i
     assert accepted >= len(inputs) // 3 and differ <= len(inputs) // 100
+
+
+# ---------------------------------------------------------------------------
+# the one word-trace comparison: word_profile
+
+
+def _reference_mismatches(stack, tol):
+    """The rule as the separate comparisons applied it before word_profile:
+    traces of the stack times one power of two, one frob per matrix."""
+    from nhsim.matrices import scaled_stack
+
+    words = word_list(stack.shape[-1])
+    scaled = scaled_stack(stack, max(map(len, words)))
+    traces = word_traces(scaled, words)
+    norms = np.array([frob(M) for M in scaled])
+    bound = tol * np.maximum(norms[0], norms[1:, None]) ** np.array(
+        [len(w) for w in words])
+    return [np.flatnonzero(row).tolist()
+            for row in np.abs(traces[1:] - traces[0]) > bound]
+
+
+def _profile_corpus():
+    """Stacks of (H, its six mapped targets, a unitary conjugate, a generic
+    matrix) for n = 2, 3, at scales 1, 2^600 and 2^-600, with a zero stack."""
+    rng = np.random.default_rng(17)
+    out = [np.zeros((3, 2, 2), dtype=complex)]
+    for n in (2, 3):
+        for H in _bit_corpus(n, 30, seed=10 + n):
+            U = np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            stack = np.stack([H] + [mapped_target(H, s) for s in SYMMETRY_TARGETS]
+                             + [U @ H @ U.conj().T, G])
+            out += [c * stack for c in (1.0, 2.0**600, 2.0**-600)]
+    return out
+
+
+def test_word_profile_keeps_the_mismatch_rule_and_the_traces():
+    matched = mismatched = 0
+    for i, stack in enumerate(_profile_corpus()):
+        for tol in (0.0, 1e-8, 1e-3):
+            profile = word_profile(stack, tol)
+            assert profile.mismatches == _reference_mismatches(stack, tol), (i, tol)
+            with np.errstate(over="ignore", invalid="ignore"):
+                traces = word_traces(stack, profile.words)
+            assert _bytes(profile.traces) == _bytes(traces), i
+            matched += sum(not bad for bad in profile.mismatches)
+            mismatched += sum(bool(bad) for bad in profile.mismatches)
+    assert matched >= 500 and mismatched >= 500, (matched, mismatched)
+
+
+def test_frob_many_equals_frob():
+    rng = np.random.default_rng(23)
+    stacks = [np.zeros((4, 3, 3), dtype=complex), np.zeros((1, 1, 1), dtype=complex)]
+    for n in range(1, 13):
+        for m in (1, 2, 7):
+            stack = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+            stack[0] *= rng.random() < 0.5  # a zero matrix in some stacks
+            stacks += [stack, 2.0**600 * stack, 2.0**-600 * stack,
+                       stack * 10.0 ** rng.integers(-6, 7, (m, n, n))]
+    with np.errstate(over="ignore"):  # 2^600 matrices have an infinite norm
+        for i, stack in enumerate(stacks):
+            ref = [frob(M) for M in stack]
+            assert frob_many(stack).tolist() == ref, i
+            assert _bytes(frob_many(stack)) == _bytes(ref), i
+
+
+A_TOL = np.array([[1, 2], [0, 3]])
+B_TOL = np.array([[5, 0], [1, -1]])
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, np.inf, -np.inf])
+def test_word_profile_rejects_a_tolerance_outside_zero_to_inf(tol):
+    # NaN accepted every pair, a negative tol rejected A against itself and
+    # inf accepted every pair
+    for A, B in ((A_TOL, B_TOL), (A_TOL, A_TOL)):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            unitary_similarity_test(A, B, tol)
+        with pytest.raises(ValueError, match="tol"):
+            word_profile(np.stack([A, B]).astype(complex), tol)
+
+
+def test_word_profile_accepts_tolerances_from_zero_to_any_finite_value():
+    # tr X is 4 for both; tr XX is 10 against 26, tr XXdag 14 against 27
+    assert unitary_similarity_test(A_TOL, A_TOL, 0.0)
+    assert not unitary_similarity_test(A_TOL, B_TOL, 0.0)
+    assert not unitary_similarity_test(A_TOL, B_TOL, 0.5)
+    assert unitary_similarity_test(A_TOL, B_TOL, 1.0)  # bound 27 > 16
+    assert unitary_similarity_test(A_TOL, B_TOL, 1e300)
+
+
+@pytest.mark.parametrize(
+    "scale, why",
+    [(1.0, None), (2.0**-500, None), (2.0**600, "overflow"), (2.0**-600, "underflow")])
+def test_word_profile_says_why_traces_cannot_be_printed(scale, why):
+    # tr XX of c sz and i c sz is 2c^2 against -2c^2, which reads 0 below
+    # about 2^-537 and inf above 2^511
+    profile = word_profile(scale * np.stack([SZ, 1j * SZ]), 1e-8)
+    assert profile.mismatches == [[1]]
+    assert profile.unprintable() == why
+    # a matching pair is printable unless a trace overflows: its differences
+    # read 0, as its verdict says
+    profile = word_profile(scale * np.stack([SZ, SX]), 1e-8)
+    assert profile.mismatches == [[]]
+    assert profile.unprintable() == (why if why == "overflow" else None)
+
+
+def test_the_library_verdict_and_the_class_check_do_not_ask_for_printability(
+        monkeypatch):
+    def fail(self):
+        raise AssertionError("unprintable() called")
+
+    monkeypatch.setattr(WordProfile, "unprintable", fail)
+    assert unitary_similarity_test(2.0**600 * SX, 2.0**600 * SZ)
+    check_similarity_implies_symmetry_2x2(np.array([[0, 1], [4, 0]]), PH)
+    with pytest.raises(ClassMismatchError):
+        check_similarity_implies_symmetry_2x2(np.diag([1j, 2j]), PH)
+
+
+# ---------------------------------------------------------------------------
+# n3_counterexample: argument checks, and unchanged evidence for valid ones
+
+
+def _reference_n3(cls, seed, threshold, max_resamples):
+    """The search as written before its arguments were checked."""
+    words = word_list(3)
+    symmetries = CLASS_SYMMETRIES[cls]
+    for attempt in range(max_resamples):
+        H = generate_random(cls, 3, seed + 7919 * attempt, non_normal=True)
+        stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
+        traces = word_traces(stack, words)
+        for i, symmetry in enumerate(symmetries, start=1):
+            for j, w in enumerate(words):
+                ta, tb = complex(traces[0, j]), complex(traces[i, j])
+                if abs(ta - tb) > threshold:
+                    return symmetry, str(w), ta, tb, attempt + 1, H.tobytes()
+    return None
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_n3_counterexample_rejects_a_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        n3_counterexample(PH, threshold=threshold)
+
+
+@pytest.mark.parametrize("max_resamples", [0, -1])
+def test_n3_counterexample_rejects_too_few_resamples(max_resamples):
+    with pytest.raises(ValueError, match="max_resamples must be >= 1"):
+        n3_counterexample(CH, max_resamples=max_resamples)
+
+
+def test_n3_counterexample_evidence_is_unchanged_for_valid_arguments():
+    for cls in SimilarityClass:
+        for seed in range(4):
+            for threshold in (1e-12, 1e-6, 1e-1, 3.0):
+                ref = _reference_n3(cls, seed, threshold, 100)
+                ev = n3_counterexample(cls, seed, threshold)
+                assert ref == (ev.symmetry, str(ev.word), ev.trace_lhs, ev.trace_rhs,
+                               ev.attempts, ev.matrix.tobytes()), (cls, seed, threshold)
+    # one resample is enough to search, and a threshold no trace reaches fails
+    assert n3_counterexample(CH, 0, max_resamples=1).attempts == 1
+    with pytest.raises(RuntimeError, match="in 1 samples"):
+        n3_counterexample(CH, 0, threshold=1e300, max_resamples=1)

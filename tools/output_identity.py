@@ -4,8 +4,10 @@ Runs every input of the four benchmark workload pools
 (``perfbench.workloads.WORKLOADS``) once through the workload's ``run``,
 on the base tree and on the working tree, and hashes the full raw results:
 verdict sets, witness and generator bytes, residuals, defects and CLI
-stdout, down to the sign of a zero.  Usage, from the root of the
-repository::
+stdout, down to the sign of a zero.  A fifth digest, ``cli-specht``, hashes
+the exit code, stdout and stderr of ``nhsim specht`` and ``nhsim
+specht-generators`` on :func:`cli_corpus`, which no workload runs.  Usage,
+from the root of the repository::
 
     python3 tools/output_identity.py --base HEAD~1 --seeds 101-103
 
@@ -20,9 +22,11 @@ first input whose result differs, and exits 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -84,6 +88,64 @@ def digest(x) -> str:
     return h.hexdigest()
 
 
+def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]:
+    """``(command, matrices, flags)`` for the word-trace commands of the CLI,
+    built from ``seed`` with numpy alone, so both trees read the same files.
+
+    For n = 2 and 3: ``specht`` in JSON and CSV on unitarily similar and
+    dissimilar pairs, and on pairs times 2^600 (traces overflow: exit 2) and
+    2^-600 (a mismatching word's difference underflows: exit 2, or matches:
+    exit 0), plus a pair of unequal dimensions; ``specht-generators`` with
+    and without ``--class`` on a member of each class (``S R S^-1`` with
+    ``R`` real, ``i`` times that, and ``S diag(a, -a[, 0]) S^-1``), on a
+    generic matrix (exit 1) and on members times 2^±600.
+    """
+    rng = np.random.default_rng([seed, 2])
+
+    def cplx(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    out = []
+    for n in (2, 3):
+        A = cplx(n)
+        U = np.linalg.qr(cplx(n))[0]
+        pairs = [(A, U @ A @ U.conj().T), (A, A.T), (A, A.conj()), (A, cplx(n))]
+        for c in (2.0**600, 2.0**-600):
+            pairs += [(c * A, c * (U @ A @ U.conj().T)), (c * A, c * A.conj())]
+        for pair in pairs:
+            out += [("specht", list(pair), ()),
+                    ("specht", list(pair), ("--output", "csv"))]
+        S = cplx(n)
+        Si = np.linalg.inv(S)
+        real = S @ rng.standard_normal((n, n)) @ Si
+        skew = S @ np.diag(np.array([1, -1, 0][:n]) * cplx(1)[0]) @ Si
+        members = [real, 1j * real, skew, cplx(n), 2.0**600 * real, 2.0**-600 * skew]
+        for M in members:
+            out.append(("specht-generators", [M], ()))
+            out += [("specht-generators", [M], ("--class", tag))
+                    for tag in ("pseudo-hermitian", "chiral", "self-skew")]
+    out.append(("specht", [cplx(2), cplx(3)], ()))
+    return out
+
+
+def run_cli_corpus(main, seed: int, workdir: Path) -> list[tuple[int, str, str]]:
+    """``(exit code, stdout, stderr)`` of ``main`` on each entry of
+    :func:`cli_corpus`, its matrices written as JSON files to ``workdir``."""
+    results = []
+    for command, matrices, flags in cli_corpus(seed):
+        paths = []
+        for k, M in enumerate(matrices):
+            paths.append(str(workdir / f"m{k}.json"))
+            Path(paths[-1]).write_text(json.dumps({
+                "dim": M.shape[0],
+                "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()]}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, *paths, *flags])
+        results.append((code, stdout.getvalue(), stderr.getvalue()))
+    return results
+
+
 def worker(src: Path, seeds: list[int]) -> None:
     """Print ``{workload: [[result digest per input of the pool] per seed]}``
     for ``nhsim`` imported from ``src``."""
@@ -106,6 +168,10 @@ def worker(src: Path, seeds: list[int]) -> None:
                     raw = exc
                 pool.append(digest(raw))
             out[name].append(pool)
+    with tempfile.TemporaryDirectory() as workdir:
+        out["cli-specht"] = [
+            [digest(r) for r in run_cli_corpus(nhsim.cli.main, seed, Path(workdir))]
+            for seed in seeds]
     print(json.dumps(out))
 
 
