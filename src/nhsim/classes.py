@@ -28,12 +28,13 @@ exactly when that element is invertible and solves the equation within
 first.  No Jordan decomposition is involved, so the verdict does not depend
 on ``cluster_tol`` beyond the spectral check, and no dimension cap applies.
 
-The solver's tables depend only on the dimension ``n`` or on the nullity
+``classify`` and ``construct_witness`` (its one-class case) validate ``H``,
+take ``|H|_F`` and solve for its eigenvalues once, decide the spectral
+constraints of all classes in one pass and solve the classes that pass in
+stacked calls.  The solver's tables depend only on ``n`` or on the nullity
 ``k`` and are built once per process with ``functools.cache``, read-only:
-the ``(n^2, n, n)`` Hermitian basis (``n^4 * 16`` bytes per dimension seen,
-about 1 MB for all ``n <= 12``), the triangle indices and the ``(32, k)``
-search directions.  ``classify`` and ``construct_witness`` validate ``H``
-and take ``|H|_F`` once per call.
+the ``(n^2, n, n)`` Hermitian basis (about 1 MB for all ``n <= 12``), the
+triangle indices and the ``(32, k)`` search directions.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .matrices import (
 from .spectral import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    eigenvalues,
+    _eigvals,
+    _symmetry_pairs,
     is_normal,
-    multiset_symmetry_match,
 )
 
 __all__ = [
@@ -236,10 +237,12 @@ def _prepared(H) -> tuple[np.ndarray, float]:
     return H, frob(H)
 
 
-def _spectrum_matches(spec, cls: SimilarityClass, cfg: ToleranceConfig, nH) -> bool:
-    """The class's spectral constraint, within ``cluster_tol * |H|_F``."""
-    tol = cfg.cluster_tol * nH
-    return multiset_symmetry_match(spec, CLASS_MAP[cls], tol) is not None
+def _paired(H, classes: list, cfg: ToleranceConfig, nH: float) -> list:
+    """The ``classes`` whose spectral constraint holds within
+    ``cluster_tol * |H|_F``: one eigensolve and one decision for all."""
+    ok = _symmetry_pairs(_eigvals(H), [CLASS_MAP[c] for c in classes],
+                         cfg.cluster_tol * nH)
+    return [c for c, paired in zip(classes, ok) if paired]
 
 
 def _witness(H, cls, S, min_sv, nH) -> SimilarityWitness:
@@ -252,55 +255,69 @@ def _witness(H, cls, S, min_sv, nH) -> SimilarityWitness:
     )
 
 
-def _solve_witness(
-    H, cls: SimilarityClass, cfg: ToleranceConfig, nH: float
-) -> SimilarityWitness:
-    """Best-conditioned element of the Hermitian solution space of the class
-    equation, scaled to unit spectral norm; ``H`` comes from
-    :func:`_prepared`, ``nH`` is its Frobenius norm.
+def _solve_witnesses(H, classes: list, cfg: ToleranceConfig, nH: float) -> list:
+    """For each class, its witness or the ``ClassMismatchError`` saying why
+    there is none; ``H`` and ``nH = |H|_F`` come from :func:`_prepared`.
 
-    The equation is real-linear in the ``n^2`` real coordinates of ``S``;
-    its nullspace is cut at ``residual_tol`` times the largest singular
-    value of one SVD.  The candidates are the nullspace basis and 32
-    deterministic random combinations of it; when the whole operator is
-    negligible against ``H``, the witness is the identity.  Raises
-    ``ClassMismatchError`` when the space is empty or holds no element
-    with ``sigma_min / sigma_max > rank_tol``.
+    Each class's nullspace is cut at ``residual_tol`` times the largest
+    singular value of its real system's SVD.  The witness is the first
+    candidate (the nullspace basis, then 32 fixed random combinations) with
+    the largest ``sigma_min / sigma_max``, at unit spectral norm, or the
+    identity when the operator is negligible against ``H``; there is none
+    when the space is empty or no ratio exceeds ``rank_tol``.  The adjoint
+    classes share ``H B``, ``B H^+`` and one SVD, all classes one ``eigvalsh``:
+    LAPACK solves each matrix of a stack as it would alone.
     """
+    if not classes:
+        return []
     n = H.shape[0]
-    sign, adjoint = CLASS_EQUATIONS[cls]
     B = _hermitian_basis(n)
-    # H S - sign S R(H); the sign is negated before the complex product,
-    # since negating after it can flip the sign of a zero the SVD sees
-    images = H @ B + (-sign) * (B @ (dagger(H) if adjoint else H))
-    if adjoint:  # then the image is (anti-)Hermitian: its upper triangle
-        iu, ju = _indices(n)[2]
-        images = images[:, iu, ju]
-    images = images.reshape(n * n, -1)
-    U, s, _ = np.linalg.svd(
-        np.concatenate([images.real, images.imag], axis=1), full_matrices=False
-    )
-    if s[0] * np.sqrt(n) <= cfg.residual_tol * nH:
-        # H is zero or within tolerance of a scalar: every Hermitian
-        # transform solves the equation, the identity best conditioned
-        return _witness(H, cls, np.eye(n, dtype=complex), 1.0, nH)
-    null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
-    if null.shape[0] == 0:
-        raise ClassMismatchError(
-            f"no Hermitian transform solves the {cls.value} equation"
-        )
+    HB = H @ B
+    groups, systems = {}, []
+    for cls in classes:
+        groups.setdefault(CLASS_EQUATIONS[cls][1], []).append(cls)
+    for adjoint, group in groups.items():
+        BR = B @ (dagger(H) if adjoint else H)
+        # an adjoint image is (anti-)Hermitian: its upper triangle suffices
+        iu, ju = _indices(n)[2] if adjoint else (slice(None), slice(None))
+        m = n * (n + 1) // 2 if adjoint else n * n
+        A = np.empty((len(group), n * n, 2 * m))
+        for a, cls in zip(A, group):
+            # H S - sign S R(H); the sign is negated before the complex
+            # product, since negating after it can flip the sign of a zero
+            img = (HB + (-CLASS_EQUATIONS[cls][0]) * BR)[:, iu, ju].reshape(n * n, m)
+            a[:, :m], a[:, m:] = img.real, img.imag
+        systems.append((group, A))
+    del HB, BR, img  # before the SVDs, which need the most memory
 
-    coords = np.concatenate([null, _search_directions(null.shape[0]) @ null])
-    S = _hermitian_from_coords(coords, n)
-    sv = np.abs(np.linalg.eigvalsh(S))  # singular values of Hermitian matrices
-    lo, hi = sv.min(axis=1), sv.max(axis=1)
-    ratio = lo / hi
-    best = int(np.argmax(ratio))
-    if not ratio[best] > cfg.rank_tol:
-        raise ClassMismatchError(
-            f"the Hermitian solutions of the {cls.value} equation are all singular"
-        )
-    return _witness(H, cls, S[best] / hi[best], ratio[best], nH)
+    out, pieces, slices = {}, [], {}
+    for group, A in systems:
+        for cls, U, s in zip(group, *np.linalg.svd(A, full_matrices=False)[:2]):
+            null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
+            if s[0] * np.sqrt(n) <= cfg.residual_tol * nH:
+                # H is zero or within tolerance of a scalar: every Hermitian
+                # transform solves the equation, the identity best conditioned
+                out[cls] = _witness(H, cls, np.eye(n, dtype=complex), 1.0, nH)
+            elif not len(null):
+                out[cls] = ClassMismatchError(
+                    f"no Hermitian transform solves the {cls.value} equation")
+            else:
+                start = sum(map(len, pieces))
+                pieces += [null, _search_directions(len(null)) @ null]
+                slices[cls] = slice(start, start + len(null) + 32)
+    if pieces:
+        S = _hermitian_from_coords(np.concatenate(pieces), n)
+        sv = np.abs(np.linalg.eigvalsh(S))  # singular values of Hermitian matrices
+        hi = sv.max(axis=1)
+        ratio = sv.min(axis=1) / hi
+    for cls, rows in slices.items():
+        best = rows.start + int(np.argmax(ratio[rows]))
+        if ratio[best] > cfg.rank_tol:
+            out[cls] = _witness(H, cls, S[best] / hi[best], ratio[best], nH)
+        else:
+            out[cls] = ClassMismatchError(
+                f"the Hermitian solutions of the {cls.value} equation are all singular")
+    return [out[c] for c in classes]
 
 
 def construct_witness(
@@ -310,21 +327,23 @@ def construct_witness(
 
     The spectral constraint is checked first; then the witness is the
     best-conditioned element of the Hermitian solution space of the class
-    equation (see the module docstring).  Raises ``ClassMismatchError``
-    when the constraint fails or no invertible Hermitian solution exists:
-    the spectral constraint is necessary but not sufficient.  The returned
+    equation (see the module docstring): the one-class case of
+    :func:`classify`'s pass.  Raises ``ClassMismatchError`` when the
+    constraint fails or no invertible Hermitian solution exists: the
+    spectral constraint is necessary but not sufficient.  The returned
     residual is not checked against ``residual_tol``.
     """
     H, nH = _prepared(H)
-    if not _spectrum_matches(eigenvalues(H), cls, cfg, nH):
-        raise ClassMismatchError(
-            f"spectrum violates the {cls.value} symmetry constraint"
-        )
-    return _solve_witness(H, cls, cfg, nH)
+    if not _paired(H, [cls], cfg, nH):
+        raise ClassMismatchError(f"spectrum violates the {cls.value} symmetry constraint")
+    (w,) = _solve_witnesses(H, [cls], cfg, nH)
+    if isinstance(w, ClassMismatchError):
+        raise w
+    return w
 
 
 def _witness_ok(w: SimilarityWitness, cfg: ToleranceConfig) -> bool:
-    """Acceptance of a witness from :func:`_solve_witness`, which already
+    """Acceptance of a witness from :func:`_solve_witnesses`, which already
     guarantees ``min_singular_value > rank_tol`` at unit spectral norm."""
     return w.residual <= cfg.residual_tol and w.hermiticity_defect <= cfg.residual_tol
 
@@ -332,27 +351,22 @@ def _witness_ok(w: SimilarityWitness, cfg: ToleranceConfig) -> bool:
 def classify(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ClassificationResult:
     """Classes whose spectral condition holds, split by witness success.
 
-    One eigensolve serves the three spectral checks.  A class lands in
-    ``confirmed`` when its spectral-symmetry multiset test passes *and* the
-    witness solves the class equation within ``residual_tol``; otherwise it
-    is reported in ``spectral_only``.
+    One eigensolve and one stacked decision serve the three spectral
+    checks, and the classes that pass are solved together
+    (:func:`_solve_witnesses`).  A class lands in ``confirmed`` when its
+    spectral-symmetry multiset test passes *and* the witness solves the
+    class equation within ``residual_tol``; otherwise it is reported in
+    ``spectral_only``.
     """
     H, nH = _prepared(H)
     result = ClassificationResult()
-    spec = eigenvalues(H)
-    for cls in SimilarityClass:
-        if not _spectrum_matches(spec, cls, cfg, nH):
-            continue
-        try:
-            w = _solve_witness(H, cls, cfg, nH)
-        except ClassMismatchError:
+    classes = _paired(H, list(SimilarityClass), cfg, nH)
+    for cls, w in zip(classes, _solve_witnesses(H, classes, cfg, nH)):
+        if isinstance(w, ClassMismatchError) or not _witness_ok(w, cfg):
             result.spectral_only.add(cls)
-            continue
-        if _witness_ok(w, cfg):
+        else:
             result.confirmed.add(cls)
             result.witnesses[cls] = w
-        else:
-            result.spectral_only.add(cls)
     return result
 
 

@@ -50,7 +50,6 @@ from .classes import (
 from .epfinder import (
     ScanConfig,
     certify_order,
-    reduced_constraints,
     scan,
     splitting_exponent,
 )
@@ -253,6 +252,8 @@ def _parse_grid(items):
         try:
             name, rng = item.split("=", 1)
             lo, hi, pts = rng.split(":")
+            if name in grid:
+                raise SystemExit2(f"--grid names {name!r} twice")
             grid[name] = (float(lo), float(hi), int(pts))
         except ValueError:
             raise SystemExit2(f"bad grid spec {item!r}; expected name=lo:hi:points")
@@ -264,6 +265,8 @@ def _parse_fix(items):
     for item in items:
         try:
             name, val = item.split("=", 1)
+            if name in fixed:
+                raise SystemExit2(f"--fix names {name!r} twice")
             fixed[name] = float(val)
         except ValueError:
             raise SystemExit2(f"bad fix spec {item!r}; expected name=value")

@@ -552,6 +552,9 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     extra = [nm for nm in list(cfg.grid) + list(cfg.fixed) if nm not in names]
     if extra:
         raise ValueError(f"unknown parameters: {extra}")
+    both = [nm for nm in cfg.grid if nm in cfg.fixed]
+    if both:
+        raise ValueError(f"parameters both scanned and fixed: {both}")
     if f.num_params < cs.codimension:
         warnings.warn(
             f"family has {f.num_params} parameters but the {cls.value} "

@@ -131,12 +131,15 @@ def eigenvalues(H) -> Spectrum:
 
     Raises ``EigensolverError`` if the QR iteration fails to converge.
     """
-    H = as_matrix(H)
+    return Spectrum(_eigvals(as_matrix(H)))
+
+
+def _eigvals(H) -> np.ndarray:
+    """``np.linalg.eigvals``; ``EigensolverError`` if the QR iteration fails."""
     try:
-        vals = np.linalg.eigvals(H)
+        return np.linalg.eigvals(H)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return Spectrum(vals)
 
 
 def eigenvalues_many(H) -> np.ndarray:
@@ -149,10 +152,7 @@ def eigenvalues_many(H) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
         raise NonFiniteMatrixError("matrix contains non-finite entries")
-    try:
-        return np.linalg.eigvals(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+    return _eigvals(H)
 
 
 def power_traces(H, k_max: int) -> list[complex]:
@@ -218,24 +218,44 @@ def symmetry_bottleneck(spectrum, map: str) -> float:
     return float(_symmetry_bottlenecks(s[None], map)[0])
 
 
-def _symmetry_bottlenecks(spectra, map: str) -> np.ndarray:
-    """:func:`symmetry_bottleneck` of each row of an ``(S, n)`` stack of
-    spectra, ``(S,)``.
-
-    Every pairing's largest distance is at least each value's and each
-    image's nearest-partner distance, so the largest of those, ``bound``,
-    is a lower bound.  Where the nearest images of the ``n`` values are
-    ``n`` different ones, pairing each value with its nearest image is a
-    pairing within ``bound``, so ``bound`` is the bottleneck, with no
-    matcher call.  Only the other rows go to the matcher: at ``bound``
-    first, then bisected over the larger distances when it fails there.
-    """
-    spectra = np.asarray(spectra, dtype=complex)
-    dist = _symmetry_distances(spectra, map)
+def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
+    """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
+    stays below ``bound``, the largest nearest-partner distance of any value
+    or image, and where the nearest images of the ``n`` values are ``n``
+    different ones (``certified``), pairing each with its own is within it."""
     bound = np.maximum(dist.min(axis=-2).max(axis=-1), dist.min(axis=-1).max(axis=-1))
     nearest = np.sort(dist.argmin(axis=-1), axis=-1)
+    return bound, (nearest == np.arange(dist.shape[-1])).all(axis=-1)
+
+
+def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
+    """``multiset_symmetry_match(spectrum, map, tol) is not None`` for each
+    name in ``maps``, from one ``(maps, n, n)`` distance table: a map whose
+    ``bound`` exceeds ``tol`` pairs nothing, a certified one pairs
+    (:func:`_nearest_certificate`), and only the others go to the matcher.
+    """
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    s = np.asarray(spectrum, dtype=complex)
+    images = np.empty((len(maps), s.size), dtype=complex)
+    for row, name in zip(images, maps):
+        row[:] = SYMMETRY_MAPS[name](s)
+    bound, certified = _nearest_certificate(np.abs(s[:, None] - images[:, None, :]))
+    return [(ok and b <= tol)
+            or (not b > tol and multiset_symmetry_match(s, name, tol) is not None)
+            for name, b, ok in zip(maps, bound.tolist(), certified.tolist())]
+
+
+def _symmetry_bottlenecks(spectra, map: str) -> np.ndarray:
+    """:func:`symmetry_bottleneck` of each row of an ``(S, n)`` stack of
+    spectra, ``(S,)``: a certified row's ``bound``
+    (:func:`_nearest_certificate`); the other rows go to the matcher, at
+    ``bound`` first, then bisected over the larger distances."""
+    spectra = np.asarray(spectra, dtype=complex)
+    dist = _symmetry_distances(spectra, map)
+    bound, certified = _nearest_certificate(dist)
     out = bound.copy()
-    for r in np.flatnonzero((nearest != np.arange(spectra.shape[-1])).any(axis=-1)):
+    for r in np.flatnonzero(~certified):
         def pairs(tol, s=spectra[r]):
             return multiset_symmetry_match(s, map, tol) is not None
 

@@ -11,7 +11,7 @@ from nhsim.classes import (
     witness_residual,
 )
 from nhsim.errors import ClassMismatchError
-from nhsim.matrices import dagger, frob
+from nhsim.matrices import as_scaled_matrix, dagger, frob, ldexp_complex
 from nhsim.spectral import ToleranceConfig, multiset_symmetry_match, eigenvalues
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
@@ -281,8 +281,10 @@ _REFERENCE_MAPS = {PH: "conj", CH: "negconj", SS: "neg"}
 
 
 def _reference_solve_witness(H, cls, cfg):
-    """The solver as it was before its tables were cached: basis, triangle
-    indices and search directions rebuilt on every call."""
+    """The solver as it was before its tables were cached, and before the
+    classes were solved in one stacked pass: basis, triangle indices and
+    search directions rebuilt on every call, one SVD and one ``eigvalsh``
+    per class, and its ``ClassMismatchError`` messages."""
     def from_coords(C, n):
         iu, ju = np.triu_indices(n, 1)
         m = iu.size
@@ -313,7 +315,7 @@ def _reference_solve_witness(H, cls, cfg):
         return witness(np.eye(n, dtype=complex), 1.0)
     null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
     if null.shape[0] == 0:
-        return None
+        raise ClassMismatchError(f"no Hermitian transform solves the {cls.value} equation")
     rng = np.random.default_rng(0)
     coords = np.concatenate([null, rng.standard_normal((32, null.shape[0])) @ null])
     S = from_coords(coords, n)
@@ -322,7 +324,8 @@ def _reference_solve_witness(H, cls, cfg):
     ratio = lo / hi
     best = int(np.argmax(ratio))
     if not ratio[best] > cfg.rank_tol:
-        return None
+        raise ClassMismatchError(
+            f"the Hermitian solutions of the {cls.value} equation are all singular")
     return witness(S[best] / hi[best], ratio[best])
 
 
@@ -334,7 +337,10 @@ def _reference_classify(H, cfg):
         tol = cfg.cluster_tol * frob(H)
         if multiset_symmetry_match(spec, _REFERENCE_MAPS[cls], tol) is None:
             continue
-        w = _reference_solve_witness(H, cls, cfg)
+        try:
+            w = _reference_solve_witness(H, cls, cfg)
+        except ClassMismatchError:
+            w = None
         ok = w is not None and max(w[1], w[2]) <= cfg.residual_tol
         out[cls] = w if ok else None
     return out
@@ -385,3 +391,163 @@ def test_cached_solver_tables_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# one stacked pass per matrix: one spectral decision, one witness solve
+
+
+def _reference_construct_witness(H, cls, cfg):
+    """``construct_witness`` as a per-class loop: the matcher for the
+    spectral check, then :func:`_reference_solve_witness`."""
+    H = as_scaled_matrix(H)
+    tol = cfg.cluster_tol * frob(H)
+    if multiset_symmetry_match(eigenvalues(H), _REFERENCE_MAPS[cls], tol) is None:
+        raise ClassMismatchError(f"spectrum violates the {cls.value} symmetry constraint")
+    return _reference_solve_witness(H, cls, cfg)
+
+
+def _outcome(fn, *args):
+    """A witness as bytes, or the exception's type and message."""
+    try:
+        w = fn(*args)
+    except ClassMismatchError as exc:
+        return type(exc), str(exc)
+    if not isinstance(w, tuple):
+        w = (w.transform, w.residual, w.hermiticity_defect, w.min_singular_value)
+    S, *numbers = w
+    return S.tobytes(), S.shape, np.array(numbers, dtype=float).tobytes()
+
+
+def _stacked_corpus():
+    """Matrices for the stacked decision and solve: zero and scalar, exactly
+    repeated eigenvalues, conjugated Jordan forms, near-EP 2x2, split
+    Hermitian, seeded members of each class and unstructured matrices."""
+    rng = np.random.default_rng(29)
+
+    def cplx(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    out = []
+    for n in (1, 2, 4):
+        out += [np.zeros((n, n), dtype=complex), (0.5 - 2j) * np.eye(n), 3.0 * np.eye(n)]
+    V = cplx(4)
+    for eigs in ([1, 1, 2j, 2j], [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j], [2, -2, 2, -2],
+                 [1j, -1j, 0, 0]):
+        out.append(V @ np.diag(eigs) @ np.linalg.inv(V))
+    # every value and image has a conjugate partner within sqrt(5)/2, yet
+    # no pairing within 2 exists
+    out.append(np.diag([-1 - 0.5j, -0.5 + 1.5j, 1j]))
+    # e pairs with -e within cluster_tol, but the Hermitian solutions of the
+    # chiral and self-skew equations leave it out: all are singular
+    out += [np.diag([1, -1, e]) for e in (3e-8, 3e-5)]
+    for sizes in ((2,), (3,), (2, 2), (3, 1), (4,)):
+        n = sum(sizes)
+        J = np.zeros((n, n))
+        pos = 0
+        for m, eig in zip(sizes, (0.7, -1.3)):
+            J[pos:pos + m, pos:pos + m] = eig * np.eye(m) + np.eye(m, k=1)
+            pos += m
+        Q = np.linalg.qr(cplx(n))[0]
+        W = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        out += [Q @ J @ dagger(Q), W @ J @ np.linalg.inv(W)]
+    for d in (1e-6, 1e-10, 1e-15, 0.0):
+        U = np.linalg.qr(cplx(2))[0]
+        out.append(U @ np.array([[0, 1], [d, 0]]) @ dagger(U))
+    for n, split in ((2, 1e-9), (4, 1e-6), (5, 1e-8)):
+        U = np.linalg.qr(cplx(n))[0]
+        eigs = np.arange(n, dtype=float)
+        eigs[-1] = eigs[0] + split
+        out.append((U * eigs) @ dagger(U))
+    for n in range(2, 7):
+        out += [generate_random(cls, n, 40 + n) for cls in SimilarityClass]
+        out.append(cplx(n))
+    return out
+
+
+_SCALES = (1.0, 2.0**600, 2.0**-600)
+
+
+def test_stacked_decision_equals_one_matcher_call_per_map():
+    from nhsim.spectral import _nearest_certificate, _symmetry_distances, _symmetry_pairs
+
+    maps = ["conj", "negconj", "neg"]
+    decided = set()
+    for H in _stacked_corpus():
+        for c in _SCALES:
+            s = np.linalg.eigvals(H) * c
+            scale = c * frob(H)
+            for tol in (0.0, 5e-324, 1e-15 * scale, 1e-7 * scale, 0.6 * scale):
+                want = [multiset_symmetry_match(s, m, tol) is not None for m in maps]
+                assert _symmetry_pairs(s, maps, tol) == want, (H, c, tol)
+                for k in range(3):  # one map, and the maps in another order
+                    assert _symmetry_pairs(s, [maps[k]], tol) == [want[k]]
+                assert _symmetry_pairs(s, maps[::-1], tol) == want[::-1]
+                for m, ok in zip(maps, want):
+                    bound, certified = _nearest_certificate(_symmetry_distances(s, m))
+                    decided.add((ok, bool(bound > tol), bool(certified)))
+    # each way of deciding occurs: rejected by the bound, certified, and
+    # left to the matcher with either answer
+    assert {(False, True, False), (False, True, True), (True, False, True),
+            (True, False, False), (False, False, False)} <= decided
+
+
+@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-4, 1e-5, 1e-6)])
+def test_stacked_pass_keeps_the_per_class_bytes(cfg):
+    outcomes = set()
+    for i, H in enumerate(_stacked_corpus()):
+        for c in _SCALES:
+            Hc = ldexp_complex(np.asarray(H, dtype=complex), int(np.log2(c)))
+            result = classify(Hc, cfg)
+            for cls in SimilarityClass:
+                ref = _outcome(_reference_construct_witness, Hc, cls, cfg)
+                assert _outcome(construct_witness, Hc, cls, cfg) == ref, (i, c, cls)
+                outcomes.add(ref[1].split()[0] if ref[0] is ClassMismatchError
+                             else "witness")
+                if ref[0] is ClassMismatchError:
+                    assert cls not in result.confirmed
+                    assert (cls in result.spectral_only) == ("spectrum" not in ref[1])
+                    continue
+                w = _reference_solve_witness(as_scaled_matrix(Hc), cls, cfg)
+                if max(w[1], w[2]) <= cfg.residual_tol:
+                    assert cls in result.confirmed and cls not in result.spectral_only
+                    assert _outcome(lambda: result.witnesses[cls]) == ref, (i, c, cls)
+                else:
+                    assert cls in result.spectral_only and cls not in result.confirmed
+    # a witness, and each of the three messages
+    assert outcomes == {"witness", "spectrum", "no", "the"}
+
+
+def test_classify_is_one_eigensolve_two_svds_one_eigvalsh(monkeypatch):
+    from nhsim import spectral
+
+    calls = {"eigvals": 0, "svd": 0, "eigvalsh": 0, "matcher": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvals", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(spectral, "multiset_symmetry_match",
+                        counted("matcher", spectral.multiset_symmetry_match))
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    near_ep = U @ np.array([[0, 1], [1e-9, 0]]) @ dagger(U)  # in all three classes
+    members = [generate_random(cls, n, n) for cls in SimilarityClass for n in (3, 6)]
+    for H in [near_ep, *members, rng.standard_normal((5, 5))]:
+        for k in calls:
+            calls[k] = 0
+        result = classify(H)
+        assert calls["eigvals"] == 1 and calls["matcher"] == 0
+        assert calls["svd"] <= 2 and calls["eigvalsh"] <= 1
+        if H is near_ep:
+            assert result.confirmed == set(SimilarityClass)
+            assert (calls["svd"], calls["eigvalsh"]) == (2, 1)
+        for cls in result.confirmed:
+            for k in calls:
+                calls[k] = 0
+            construct_witness(H, cls)
+            assert calls == {"eigvals": 1, "svd": 1, "eigvalsh": 1, "matcher": 0}

@@ -666,6 +666,22 @@ def test_scan_nonfinite_or_negative_numbers_exit_2(capsys, monkeypatch, trimer_f
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the fixed k was ignored and k scanned over [1, 2]
+    (["--grid", "gamma=0:3:11", "--grid", "k=1:2:3", "--fix", "k=2"],
+     "error: parameters both scanned and fixed: ['k']\n"),
+    # the last value or grid was used, the earlier dropped
+    (["--grid", "gamma=0:3:11", "--fix", "k=1", "--fix", "k=2"],
+     "error: --fix names 'k' twice\n"),
+    (["--grid", "gamma=0:3:11", "--grid", "gamma=0:1:3", "--fix", "k=1"],
+     "error: --grid names 'gamma' twice\n"),
+])
+def test_scan_parameter_given_twice_exits_2(capsys, trimer_family, argv, message):
+    code, out, err = run(capsys, "scan", trimer_family, "--class",
+                         "pseudo-hermitian", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_classify_nonfinite_tol_exits_2(capsys, monkeypatch, dimer_at_1, tol):
     code, out, err = run(capsys, "classify", dimer_at_1, "--tol", tol)

@@ -251,6 +251,10 @@ def test_scan_argument_validation():
     with pytest.raises(ValueError, match="unknown parameters"):
         scan(dimer(), PH,
              ScanConfig(grid={"gamma": (0, 1, 11)}, fixed={"nope": 1.0}))
+    # a fixed value of a scanned parameter was ignored
+    with pytest.raises(ValueError, match=r"both scanned and fixed: \['k'\]"):
+        scan(trimer(), PH, ScanConfig(grid={"gamma": (0, 3, 11), "k": (1, 2, 3)},
+                                      fixed={"k": 2.0}))
     with pytest.raises(ValueError, match="bad grid"):
         scan(dimer(), PH, ScanConfig(grid={"gamma": (2, -2, 11)}))
 

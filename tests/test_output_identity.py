@@ -66,3 +66,16 @@ def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path)
     commands = {(command, flags[:1]) for command, _, flags in output_identity.cli_corpus(101)}
     assert commands == {("specht", ()), ("specht", ("--output",)),
                         ("specht-generators", ()), ("specht-generators", ("--class",))}
+
+
+def _witness_bytes(seed):
+    return [H.tobytes() for H in output_identity.witness_corpus(seed)]
+
+
+def test_witness_corpus_is_a_pure_function_of_the_seed():
+    first = _witness_bytes(101)
+    assert len(first) == 2 * output_identity.WITNESS_INPUTS
+    np.random.seed(5)  # the global generator plays no part
+    np.random.standard_normal(3)
+    assert _witness_bytes(102) != first
+    assert _witness_bytes(101) == first

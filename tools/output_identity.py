@@ -4,10 +4,12 @@ Runs every input of the four benchmark workload pools
 (``perfbench.workloads.WORKLOADS``) once through the workload's ``run``,
 on the base tree and on the working tree, and hashes the full raw results:
 verdict sets, witness and generator bytes, residuals, defects and CLI
-stdout, down to the sign of a zero.  A fifth digest, ``cli-specht``, hashes
-the exit code, stdout and stderr of ``nhsim specht`` and ``nhsim
-specht-generators`` on :func:`cli_corpus`, which no workload runs.  Usage,
-from the root of the repository::
+stdout, down to the sign of a zero.  Two more digests cover what no
+workload runs: ``cli-specht`` hashes the exit code, stdout and stderr of
+``nhsim specht`` and ``nhsim specht-generators`` on :func:`cli_corpus`, and
+``witness`` hashes ``construct_witness(H, cls)`` -- the witness, or the
+exception -- for each class on :func:`witness_corpus`.  Usage, from the root
+of the repository::
 
     python3 tools/output_identity.py --base HEAD~1 --seeds 101-103
 
@@ -38,7 +40,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+
+#: Inputs that :func:`witness_corpus` takes from the front of each pool.
+WITNESS_INPUTS = 200
 
 from bench_compare import export, seeds_argument  # noqa: E402
 
@@ -128,6 +133,24 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     return out
 
 
+def witness_corpus(seed: int) -> list[np.ndarray]:
+    """The first :data:`WITNESS_INPUTS` matrices of the ``classify`` and of
+    the ``classify-ep`` pool of ``seed``, built by ``perfbench/workloads.py``
+    with numpy alone."""
+    import workloads
+
+    return [item[0] for name in ("classify", "classify-ep")
+            for item in workloads.WORKLOADS[name].inputs(seed)[:WITNESS_INPUTS]]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised: the exception is the output."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 def run_cli_corpus(main, seed: int, workdir: Path) -> list[tuple[int, str, str]]:
     """``(exit code, stdout, stderr)`` of ``main`` on each entry of
     :func:`cli_corpus`, its matrices written as JSON files to ``workdir``."""
@@ -149,7 +172,7 @@ def run_cli_corpus(main, seed: int, workdir: Path) -> list[tuple[int, str, str]]
 def worker(src: Path, seeds: list[int]) -> None:
     """Print ``{workload: [[result digest per input of the pool] per seed]}``
     for ``nhsim`` imported from ``src``."""
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    sys.path.insert(0, str(src))
     import nhsim
     import nhsim.cli  # noqa: F401  (the ep-scan op calls nhsim.cli.main)
     import workloads
@@ -162,16 +185,16 @@ def worker(src: Path, seeds: list[int]) -> None:
         for seed in seeds:
             pool = []
             for item in wl.inputs(seed):
-                try:
-                    raw = wl.run(nhsim, item)
-                except Exception as exc:  # the exception is the output
-                    raw = exc
-                pool.append(digest(raw))
+                pool.append(digest(outcome(wl.run, nhsim, item)))
             out[name].append(pool)
     with tempfile.TemporaryDirectory() as workdir:
         out["cli-specht"] = [
             [digest(r) for r in run_cli_corpus(nhsim.cli.main, seed, Path(workdir))]
             for seed in seeds]
+    out["witness"] = [
+        [digest([outcome(nhsim.construct_witness, H, cls) for cls in nhsim.SimilarityClass])
+         for H in witness_corpus(seed)]
+        for seed in seeds]
     print(json.dumps(out))
 
 
