@@ -221,8 +221,8 @@ def symmetry_bottleneck(spectrum, map: str) -> float:
 def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
-    or image, and where the nearest images of the ``n`` values are ``n``
-    different ones (``certified``), pairing each with its own is within it."""
+    or image; where the nearest images of the ``n`` values are ``n``
+    different ones (``certified``), pairing each with its nearest attains it."""
     bound = np.maximum(dist.min(axis=-2).max(axis=-1), dist.min(axis=-1).max(axis=-1))
     nearest = np.sort(dist.argmin(axis=-1), axis=-1)
     return bound, (nearest == np.arange(dist.shape[-1])).all(axis=-1)
@@ -231,9 +231,9 @@ def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
 def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
     """``multiset_symmetry_match(spectrum, map, tol) is not None`` for each
     name in ``maps``, from one ``(maps, n, n)`` distance table: a map whose
-    ``bound`` exceeds ``tol`` pairs nothing, a certified one pairs
-    (:func:`_nearest_certificate`), and only the others go to the matcher.
-    """
+    ``bound`` exceeds ``tol`` pairs nothing, a certified one pairs within
+    ``bound`` (:func:`_nearest_certificate`), and only the others go to the
+    matcher."""
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     s = np.asarray(spectrum, dtype=complex)
