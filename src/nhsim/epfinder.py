@@ -346,6 +346,11 @@ def reduced_constraints(
 # grid scan + Gauss-Newton refinement
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Grid and refinement settings for :func:`scan`.
@@ -358,8 +363,9 @@ class ScanConfig:
     :func:`certify_order`.  ``merge_radius`` is measured in
     grid-spacing-normalized parameter distance.  ``tolerances`` drive the
     order certification of converged roots.  A NaN, infinite or negative
-    ``tol`` or ``merge_radius``, a negative ``max_iterations`` or a NaN
-    ``seed_threshold`` raises ``ValueError``.
+    ``tol`` or ``merge_radius``, a ``max_iterations`` that is negative or not
+    an integer (a bool is not one) or a NaN ``seed_threshold`` raises
+    ``ValueError``.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -376,8 +382,9 @@ class ScanConfig:
         if not 0 <= self.merge_radius < np.inf:
             raise ValueError(
                 f"merge_radius must be finite and >= 0, got {self.merge_radius}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if not _is_int(self.max_iterations) or self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
         if self.seed_threshold is not None and np.isnan(self.seed_threshold):
             raise ValueError("seed_threshold must not be NaN")
 
@@ -506,42 +513,165 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(G, G))
 
 
-def _local_minima(norms: np.ndarray, threshold: float | None):
-    """Indices of grid nodes that are <= all axis neighbours (and below the
-    seeding threshold if one is set)."""
-    if threshold is not None:
-        below = norms <= threshold
+#: ``|H~|_F`` range in which :func:`_norm_bounds` proves its bound.
+_BOUND_WINDOW = (2.0**-100, 2.0**100)
+
+#: ``C_n`` of :func:`_norm_bounds`, for n = 2 and n = 3.
+_BOUND_C = 2.0**15
+
+
+def _closed_forms(Ht: np.ndarray) -> np.ndarray:
+    """The unreduced components of a stack of 2x2 or 3x3 trace-shifted
+    matrices in the layout of :func:`_components` (complex, ``(N, n - 1)``),
+    as closed forms taken elementwise across the stack: ``det`` for n = 2;
+    ``tr H~^2 = sum_ij a_ij a_ji`` and ``det`` by cofactors along the first
+    row for n = 3.  They differ from :func:`_components` in the last bits,
+    by at most the bound of :func:`_norm_bounds`."""
+    a = Ht.transpose(1, 2, 0)
+    C = np.empty((len(Ht), Ht.shape[-1] - 1), dtype=complex)
+    if Ht.shape[-1] == 2:
+        C[:, 0] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return C
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    C[:, 0] = (a00 * a00 + a11 * a11 + a22 * a22) + 2 * (a01 * a10 + a02 * a20 + a12 * a21)
+    C[:, 1] = (a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
+               + a02 * (a10 * a21 - a11 * a20))
+    return C
+
+
+def _norm_bounds(Ht: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` with ``lo <= N <= hi`` for each matrix of a stack of 2x2
+    or 3x3 trace-shifted matrices, where ``N = _row_norms(_components(Ht,
+    cols))``, or NaN where no bound is proven: where ``s = |H~|_F`` lies
+    outside ``_BOUND_WINDOW`` or a value is not finite.
+
+    The components come from :func:`_closed_forms` of the same ``H~``, and
+    each differs from its :func:`_components` value by at most ``C u s^k``
+    (``C = _BOUND_C``, ``u = 2**-53``, ``k`` the degree: 2 for ``tr H~^2``,
+    n for ``det H~``); the interval is the norm of the closed forms widened
+    by the sum of those bounds.  Both sides are measured against the exact
+    value for the same floating-point ``H~``; a complex product is within
+    ``sqrt(5) u |x||y|`` and a sum within ``u`` of its magnitude, with or
+    without FMA.
+
+    * Closed forms.  ``tr H~^2`` is six products, ``<= 8u s^2`` in all,
+      since ``sum_ij |a_ij a_ji| <= s^2``.  The n = 2 ``det`` is within
+      ``2u s^2``; the n = 3 cofactor ``det`` within ``10u perm|H~|`` and
+      ``perm|H~| <= (n-1)! n^(-n/2) s^n``, ``0.39 s^3``.
+    * ``_components``' trace.  The stacked matmul gives each ``P_ii`` within
+      ``(n + 2)u sum_j |a_ij a_ji|`` in any summation order, and
+      :func:`_trace` adds ``(n - 1)u`` more: ``<= (2n + 1)u s^2``.
+    * ``_components``' determinant.  numpy's ``det`` is LU with
+      ``|re| + |im|`` pivoting, so ``|l_ij| <= sqrt(2)`` and entries of U
+      grow at most by ``(1 + sqrt(2))^(n-1)``; the backward error
+      ``|dA| <= (n + 2)u |L||U|`` moves ``det = prod u_ii`` by less than
+      ``30u s^2`` (n = 2) and ``300u s^3`` (n = 3), by Hadamard's bound on
+      each column.  It then returns ``sign * exp(sum log|u_ii|)``: the sum
+      of logs is off by at most
+      ``(n + 1)u sum |log|u_ii||`` plus a few ulp, and with
+      ``|prod u_ii| <= (s / sqrt(n))^n`` and ``t log(1/t) <= 1/e`` the
+      product times that sum is below ``n^(-n/2) s^n (n |log s| + 5n)``:
+      at the window edge ``|log s| = 69.3``, which gives ``< 230u s^2``
+      (n = 2) and ``< 180u s^3`` (n = 3).
+
+    So every component is within ``500u s^k`` of ``_components``.  Rounding
+    the norms and the bound, and underflow (below ``2**-1000``, against
+    ``C u s^k >= 2**-338`` in the window), add ``O(u)`` relative; the extra
+    ``2**-40`` of the interval covers them, and ``C = 2**15`` leaves a
+    factor above 60 over the sum.  No overflow happens in the window.
+    ``tests/test_epfinder.py::test_closed_forms_stay_inside_the_bound``
+    measures the largest distance on an adversarial corpus.
+    """
+    degree = dict(enumerate(k for _lab, k, _part in _raw_components(Ht.shape[-1])))
+    small, big = _BOUND_WINDOW
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = Ht.reshape(len(Ht), -1).view(float)
+        s2 = np.vecdot(flat, flat)
+        power = {2: s2, 3: s2 * np.sqrt(s2)}
+        err = _BOUND_C * 2.0**-53 * sum(power[degree[c]] for c in cols)
+        nrm = _row_norms(_closed_forms(Ht).view(float)[:, cols])
+        pad = err + 2.0**-40 * (nrm + err)
+        ok = (small**2 <= s2) & (s2 <= big**2) & np.isfinite(nrm)
+        return np.where(ok, nrm - pad, np.nan), np.where(ok, nrm + pad, np.nan)
+
+
+def _local_minima(lo: np.ndarray, hi: np.ndarray, threshold: float | None):
+    """Grid local minima of norms ``N`` known as intervals ``lo <= N <= hi``.
+
+    A node is a minimum when ``N <= threshold`` (if one is set) and its
+    ``N`` is ``<=`` that of each axis neighbour; edges compare only inward.
+    Returns ``(is_min, undecided)``: ``undecided`` marks the nodes of every
+    test the intervals cannot decide (both nodes of a comparison), and
+    ``is_min`` is right wherever no node is undecided.  Exact norms,
+    ``lo = hi``, decide every test.
+    """
+    if threshold is None:
+        is_min = np.ones(lo.shape, dtype=bool)
+        undecided = np.zeros(lo.shape, dtype=bool)
     else:
-        below = np.ones_like(norms, dtype=bool)
-    is_min = below.copy()
-    for ax in range(norms.ndim):
-        if norms.shape[ax] == 1:
-            continue
-        lo = np.roll(norms, 1, axis=ax)
-        hi = np.roll(norms, -1, axis=ax)
-        # non-periodic edges compare only inward
-        sl = [slice(None)] * norms.ndim
-        sl[ax] = 0
-        lo[tuple(sl)] = np.inf
-        sl[ax] = -1
-        hi[tuple(sl)] = np.inf
-        is_min &= (norms <= lo) & (norms <= hi)
-    return np.argwhere(is_min)
+        is_min = hi <= threshold
+        undecided = ~is_min & ~(lo > threshold)
+    for ax in range(lo.ndim):
+        a, b = [slice(None)] * lo.ndim, [slice(None)] * lo.ndim
+        a[ax], b[ax] = slice(None, -1), slice(1, None)
+        a, b = tuple(a), tuple(b)
+        # each pair of axis neighbours a, b: N_a <= N_b and N_b <= N_a
+        ab, ba = hi[a] <= lo[b], hi[b] <= lo[a]
+        open_ = (~ab & ~(lo[a] > hi[b])) | (~ba & ~(lo[b] > hi[a]))
+        is_min[a] &= ab
+        is_min[b] &= ba
+        undecided[a] |= open_
+        undecided[b] |= open_
+    return is_min, undecided
+
+
+def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
+    """Indices of the local minima of ``_row_norms(cs.evaluate_many(lams))``
+    on a grid of ``shape`` (:func:`_local_minima`), with the norms taken
+    from :func:`_norm_bounds` and exactly only at the nodes it leaves
+    unbounded (all of them for n >= 4) and at the nodes of an undecided
+    test.  Raises ``NonFiniteMatrixError`` when an exact norm is not finite,
+    which the bounded nodes never have."""
+    lo = np.full(len(lams), np.nan)
+    hi = lo.copy()
+    if cs.order <= 3:
+        column = _column_index(cs.order)
+        cols = [column[lab] for lab in cs.labels]
+        for start in range(0, len(lams), _CHUNK):
+            Ht = _shifted(cs.family.evaluate_batch(lams[start:start + _CHUNK]))
+            lo[start:start + _CHUNK], hi[start:start + _CHUNK] = _norm_bounds(Ht, cols)
+    exact = np.isnan(lo)
+    while True:
+        if exact.any():
+            lo[exact] = hi[exact] = _row_norms(cs.evaluate_many(lams[exact]))
+            if not np.isfinite(lo[exact]).all():
+                raise NonFiniteMatrixError("constraint values overflow on the grid")
+        is_min, undecided = _local_minima(lo.reshape(shape), hi.reshape(shape), threshold)
+        exact = undecided.ravel()
+        if not exact.any():
+            return np.argwhere(is_min)
 
 
 def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandidate]:
     """Grid-seeded Gauss-Newton search for full-coalescence points.
 
-    The constraint norm is evaluated on the whole grid in one batched call;
-    grid nodes that are local minima seed Gauss-Newton refinement.
+    Grid nodes that are local minima of the constraint norm seed
+    Gauss-Newton refinement.  For n <= 3 the minima are decided on proven
+    intervals around the norm, from closed-form components taken
+    elementwise over the grid (:func:`_norm_bounds`); the exact batched
+    evaluation runs only at nodes where an interval cannot decide a
+    comparison or the ``seed_threshold`` test, or where no bound is proven,
+    and for n >= 4 at every node.  The seeds are those of the exact norms.
     Converged roots are deduplicated within ``cfg.merge_radius`` (grid-
     normalized), sorted lexicographically by parameter values and certified
     with :func:`certify_order`.  Non-convergent seeds are reported at the
     end of the list with ``converged=False``.  When the family has fewer
     parameters than the codimension the scan returns no candidates and
     warns, since generic solutions cannot exist.  A non-finite fixed value
-    or grid bound raises ``NonFiniteMatrixError``; a family of dimension 1
-    raises ``ValueError``.
+    or grid bound, or a constraint norm that overflows on the grid, raises
+    ``NonFiniteMatrixError``; a family of dimension 1, and a grid whose
+    point count is not an integer >= 2 or whose bounds are not increasing,
+    raise ``ValueError``.
     """
     cs = reduced_constraints(f, cls)
     names = list(f.param_names)
@@ -584,19 +714,16 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
         lo, hi, pts = cfg.grid[names[i]]
         if not np.isfinite([lo, hi]).all():
             raise NonFiniteMatrixError("non-finite parameter point")
-        if pts < 2 or hi <= lo:
-            raise ValueError(f"bad grid for {names[i]}: {(lo, hi, pts)}")
+        if not _is_int(pts) or pts < 2 or hi <= lo:
+            raise ValueError(f"bad grid for {names[i]}: {(lo, hi, pts)}; "
+                             "needs lo < hi and an integer points >= 2")
         axes.append(np.linspace(lo, hi, pts))
         spacings.append((hi - lo) / (pts - 1))
     spacings = np.asarray(spacings)
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    norms = _row_norms(g_many(points)).reshape(mesh[0].shape)
-    if not np.isfinite(norms).all():
-        raise NonFiniteMatrixError("constraint values overflow on the grid")
-
-    idx = _local_minima(norms, cfg.seed_threshold)
+    idx = _grid_minima(cs, embed(points), mesh[0].shape, cfg.seed_threshold)
     if not len(idx):
         return []
     seeds = np.stack([ax[idx[:, a]] for a, ax in enumerate(axes)], axis=-1)
@@ -787,12 +914,24 @@ def splitting_exponent(
     their diameter is fitted against ``t`` on a log-log grid.  A branch
     point of order m yields a slope near 1/m; an analytic crossing yields
     slope near 1.  Raises ``RuntimeError`` when the spread stays below the
-    noise floor, so that no fit is possible, or overflows.
+    noise floor, so that no fit is possible, or overflows.  A zero
+    ``direction``, ``steps`` that is not an integer >= 4, a ``t_range`` bound
+    that is not finite and > 0, and a ``cluster_size`` that is not ``None``
+    or an integer from 1 to the dimension raise ``ValueError``.
     """
     lam_star = np.asarray(lam_star, dtype=float).ravel()
     direction = np.asarray(direction, dtype=float).ravel()
     if not direction.any():
         raise ValueError("direction must be nonzero")
+    if not _is_int(steps) or steps < 4:
+        raise ValueError(f"steps must be an integer >= 4, got {steps!r}")
+    if not all(0 < t < np.inf for t in t_range):
+        raise ValueError(f"t_range bounds must be finite and > 0, got {t_range!r}")
+    if cluster_size is not None and not (_is_int(cluster_size)
+                                         and 1 <= cluster_size <= f.dim):
+        raise ValueError(
+            f"cluster_size must be None or an integer from 1 to {f.dim}, "
+            f"got {cluster_size!r}")
     m = cluster_size or f.dim
     # the noise floor is taken on H~(lam*) times the power of two of
     # certify_order, and the spreads are compared in the same units

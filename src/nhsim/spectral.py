@@ -222,8 +222,13 @@ def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
     or image; where the nearest images of the ``n`` values are ``n``
-    different ones (``certified``), pairing each with its nearest attains it."""
-    bound = np.maximum(dist.min(axis=-2).max(axis=-1), dist.min(axis=-1).max(axis=-1))
+    different ones (``certified``), pairing each with its nearest attains it.
+    The tables of the three maps are symmetric bit for bit
+    (``|s_i - f(s_j)| = |s_j - f(s_i)|``: the parts are negated, or summed in
+    swapped order), so the nearest image of each value also gives the
+    nearest value of each image
+    (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``)."""
+    bound = dist.min(axis=-1).max(axis=-1)
     nearest = np.sort(dist.argmin(axis=-1), axis=-1)
     return bound, (nearest == np.arange(dist.shape[-1])).all(axis=-1)
 

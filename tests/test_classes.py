@@ -492,6 +492,19 @@ def test_stacked_decision_equals_one_matcher_call_per_map():
             (True, False, False), (False, False, False)} <= decided
 
 
+def test_symmetry_distance_tables_are_symmetric():
+    # _nearest_certificate reads only the row minima: the column minima of
+    # a table symmetric bit for bit are the same values
+    from nhsim.spectral import _symmetry_distances
+
+    for H in _stacked_corpus():
+        for c in _SCALES:
+            s = np.linalg.eigvals(H) * c
+            for m in ("conj", "negconj", "neg"):
+                dist = _symmetry_distances(s, m)
+                assert dist.tobytes() == dist.swapaxes(-1, -2).tobytes(), (H, c, m)
+
+
 @pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-4, 1e-5, 1e-6)])
 def test_stacked_pass_keeps_the_per_class_bytes(cfg):
     outcomes = set()

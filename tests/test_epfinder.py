@@ -6,17 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
+from nhsim import epfinder
 from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
+    _BOUND_C,
+    _BOUND_WINDOW,
     ScanConfig,
     _certify_many,
+    _closed_forms,
     _cluster_means,
     _column_index,
     _components,
     _gauss_newton,
+    _grid_minima,
     _local_minima,
     _merge_keep,
     _lstsq,
+    _norm_bounds,
     _powers,
     _raw_components,
     _row_norms,
@@ -30,7 +36,7 @@ from nhsim.epfinder import (
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
 from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
-from nhsim.matrices import dagger, ldexp_complex, scale_exponents
+from nhsim.matrices import dagger, frob_many, ldexp_complex, scale_exponents
 from nhsim.spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
@@ -257,6 +263,14 @@ def test_scan_argument_validation():
                                       fixed={"k": 2.0}))
     with pytest.raises(ValueError, match="bad grid"):
         scan(dimer(), PH, ScanConfig(grid={"gamma": (2, -2, 11)}))
+    # a point count that is not an integer reached numpy as a TypeError
+    for pts in (2.5, 11.0, True, 1):
+        with pytest.raises(ValueError, match="bad grid for gamma"):
+            scan(dimer(), PH, ScanConfig(grid={"gamma": (0, 3, pts)}))
+    numpy_int = scan(dimer(), PH, ScanConfig(grid={"gamma": (0, 3, np.int64(11))}))
+    assert [c.to_json() for c in numpy_int] == \
+        [c.to_json() for c in scan(dimer(), PH, ScanConfig(grid={"gamma": (0, 3, 11)}))]
+    assert numpy_int
 
 
 def cubic_family():
@@ -326,6 +340,29 @@ def test_batched_jacobian_bit_exact():
         assert a.tobytes() == b.tobytes()
 
 
+def roll_local_minima(norms, threshold):
+    """The per-node local-minimum rule on exact norms: a node is <= both
+    of its neighbours along every axis, with the array edges compared only
+    inward, and <= the threshold if one is set."""
+    if threshold is not None:
+        below = norms <= threshold
+    else:
+        below = np.ones_like(norms, dtype=bool)
+    is_min = below.copy()
+    for ax in range(norms.ndim):
+        if norms.shape[ax] == 1:
+            continue
+        lo = np.roll(norms, 1, axis=ax)
+        hi = np.roll(norms, -1, axis=ax)
+        sl = [slice(None)] * norms.ndim
+        sl[ax] = 0
+        lo[tuple(sl)] = np.inf
+        sl[ax] = -1
+        hi[tuple(sl)] = np.inf
+        is_min &= (norms <= lo) & (norms <= hi)
+    return np.argwhere(is_min)
+
+
 def reference_scan(f, cls, cfg):
     """Scan with per-seed Gauss-Newton on one-point evaluations and the
     pairwise ``any`` merge.  Returns the converged candidates, then the
@@ -374,7 +411,7 @@ def reference_scan(f, cls, cfg):
     norms = np.array([np.linalg.norm(g(np.array(p)))
                       for p in zip(*(m.ravel() for m in mesh))])
     seeds = [np.array([axes[a][idx[a]] for a in range(len(free))])
-             for idx in _local_minima(norms.reshape(mesh[0].shape), cfg.seed_threshold)]
+             for idx in roll_local_minima(norms.reshape(mesh[0].shape), cfg.seed_threshold)]
     refined = [gauss_newton(s) for s in seeds]
     roots = sorted((r for r in refined if r[3]), key=lambda r: tuple(r[0]))
     merged = []
@@ -446,6 +483,229 @@ def test_scan_without_the_private_lstsq_gives_the_same_bytes(
             np.float64(a.constraint_residual).tobytes()
         assert (c.newton_iterations, c.converged, c.order, c.single_block, c.blocks) \
             == (a.newton_iterations, a.converged, a.order, a.single_block, a.blocks)
+
+
+# ---------------------------------------------------------------------------
+# the certified grid pass: closed forms, norm intervals and exact fallback
+
+
+def bound_corpus(n):
+    """Adversarial trace-shifted stacks for the closed-form bound: Gaussian
+    matrices, rows or columns scaled by powers of two up to 2^+-30, unitary
+    conjugates of near-nilpotent and nilpotent Jordan forms; each matrix
+    also times a power of two that puts ``|H~|_F`` anywhere in the window,
+    and at both of its edges."""
+    rng = np.random.default_rng([41, n])
+    m = 300
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scale = np.ldexp(1.0, rng.integers(-30, 31, size=(2, m, n)))
+    Q = np.linalg.qr(cplx(m, n, n))[0]
+    nudge = np.ldexp(1.0, rng.integers(-52, -4, size=(m, 1, 1)))
+    nudge[: m // 4] = 0.0
+    J = np.eye(n, k=1) + nudge * cplx(m, n, n)
+    stack = _shifted(np.concatenate([
+        cplx(m, n, n),
+        scale[0][:, :, None] * cplx(m, n, n),
+        cplx(m, n, n) * scale[1][:, None, :],
+        Q @ J @ Q.conj().transpose(0, 2, 1),
+    ]))
+    # times 2^e with |H~|_F * 2^e in [1, 2), then 2^j for j across the
+    # window; the edge copies stay a factor 1.25 inside it
+    unit = ldexp_complex(stack, 1 - np.frexp(frob_many(stack))[1][:, None, None])
+    lo, hi = (int(np.log2(w)) for w in _BOUND_WINDOW)
+    copies = [unit, 1.25 * ldexp_complex(unit, lo), 0.75 * ldexp_complex(unit, hi - 1)]
+    copies.append(ldexp_complex(unit, rng.integers(lo, hi - 1, size=len(unit))[:, None, None]))
+    return np.concatenate(copies)
+
+
+def class_columns(n):
+    """The active component columns of each class at dimension n."""
+    return {cls: [j for j, (_lab, k, part) in enumerate(_raw_components(n))
+                  if epfinder._kept(cls, k, part)]
+            for cls in SimilarityClass}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_forms_stay_inside_the_bound(n):
+    Ht = bound_corpus(n)
+    s = frob_many(Ht)
+    assert (_BOUND_WINDOW[0] <= s).all() and (s < _BOUND_WINDOW[1]).all()
+    fast = _closed_forms(Ht).view(float)
+    exact = _components(Ht, list(range(2 * (n - 1))))
+    degree = np.array([k for _lab, k, _part in _raw_components(n)])
+    ratio = np.abs(fast - exact) / (2.0**-53 * s[:, None] ** degree)
+    worst = {lab: ratio[:, j].max() for j, (lab, *_c) in enumerate(_raw_components(n))}
+    # a margin of 100 below C_n; the distances are real, not all zero
+    assert max(worst.values()) <= _BOUND_C / 100, worst
+    assert min(worst.values()) > 0.5, worst
+    # every class's norm lies in its interval, which is proven everywhere here
+    for cls, cols in class_columns(n).items():
+        lo, hi = _norm_bounds(Ht, cols)
+        N = _row_norms(_components(Ht, cols))
+        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+        assert (lo <= N).all() and (N <= hi).all(), cls
+    # outside the window, and where a value is not finite, nothing is proven
+    out = np.stack([np.zeros((n, n), dtype=complex), ldexp_complex(Ht[0], 200),
+                    ldexp_complex(Ht[0], -200), np.full((n, n), np.nan + 0j)])
+    lo, hi = _norm_bounds(out, class_columns(n)[PH])
+    assert np.isnan(lo).all() and np.isnan(hi).all()
+
+
+def pseudo_hermitian_family(n, rng):
+    """``eta (B0 + p B1 + q B2)`` with Hermitian ``eta`` and ``B_i``."""
+    eta = _hermitian(rng, n) + 3 * np.eye(n)
+    return MatrixFamily(n, 2, tuple((eta @ _hermitian(rng, n), e)
+                                    for e in ((0, 0), (1, 0), (0, 1))), ("p", "q"))
+
+
+def chiral_family(n, rng):
+    """``i Gamma (B0 + p B1 + q B2)`` with Hermitian ``Gamma`` and ``B_i``."""
+    gamma = _hermitian(rng, n) + 3 * np.eye(n)
+    return MatrixFamily(n, 2, tuple((1j * gamma @ _hermitian(rng, n), e)
+                                    for e in ((0, 0), (1, 0), (0, 1))), ("p", "q"))
+
+
+def self_skew_family(n, rng):
+    """``V (K0 + p K1 + q K2) V^-1`` with every ``K_i`` anticommuting with
+    ``diag(1, -1[, 1])``, so each value is similar to its negative."""
+    V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Vi = np.linalg.inv(V)
+    odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+    terms = []
+    for e in ((0, 0), (1, 0), (0, 1)):
+        K = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * odd
+        terms.append((V @ K @ Vi, e))
+    return MatrixFamily(n, 2, tuple(terms), ("p", "q"))
+
+
+def _hermitian(rng, n):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2
+
+
+def grid_points(grid):
+    """The scan's grid: nodes as rows in C order, and the grid shape."""
+    mesh = np.meshgrid(*(np.linspace(*g) for g in grid), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1), mesh[0].shape
+
+
+def minima_cases():
+    """``(id, family, class, grid)`` for the minima and fallback tests."""
+    rng = np.random.default_rng(43)
+    box = [(-1.5, 1.5, 41), (-1.2, 1.4, 37)]
+    cases = [(f"trimer-k{k0}", trimer(), PH, [(0, 3, 101), (k0, k0 + 1, 51)])
+             for k0 in (0.2, 0.537, 0.913)]
+    cases += [
+        ("trimer-zero-node", trimer(), PH, [(0, 3, 31), (0, 1.5, 16)]),
+        ("dimer", dimer(), PH, [(-2, 2, 101)]),
+        ("constant", constant_family([[1j, 1], [1, -1j]], 2), PH, box),
+    ]
+    for n in (2, 3):
+        cases += [(f"pseudo-hermitian-{n}", pseudo_hermitian_family(n, rng), PH, box),
+                  (f"chiral-{n}", chiral_family(n, rng), CH, box),
+                  (f"self-skew-{n}", self_skew_family(n, rng), SS, box)]
+    return cases
+
+
+MINIMA_CASES = minima_cases()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, f, cls, grid", MINIMA_CASES,
+                         ids=[c[0] for c in MINIMA_CASES])
+def test_certified_minima_equal_the_exact_rule(name, f, cls, grid):
+    cs = reduced_constraints(f, cls)
+    lams, shape = grid_points(grid)
+    norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
+    for threshold in (None, 0.0, float(np.median(norms)), float(norms.min()), np.inf):
+        want = roll_local_minima(norms, threshold)
+        got = _grid_minima(cs, lams, shape, threshold)
+        assert got.tobytes() == want.tobytes(), (name, threshold)
+    assert len(roll_local_minima(norms, None)) > 0
+
+
+def test_interval_rule_on_exact_norms_is_the_roll_rule():
+    # lo = hi decides every test, as the np.roll rule does, on grids with
+    # ties, axes of length 1 and 2, and thresholds at and between values
+    rng = np.random.default_rng(47)
+    for shape in [(7,), (1, 5), (2, 6), (4, 1, 3), (3, 4, 5)]:
+        norms = rng.integers(0, 4, size=shape).astype(float)
+        for threshold in (None, -1.0, 0.0, 1.5, 2.0, np.inf):
+            is_min, undecided = _local_minima(norms, norms.copy(), threshold)
+            assert not undecided.any()
+            want = roll_local_minima(norms, threshold)
+            assert np.argwhere(is_min).tobytes() == want.tobytes(), (shape, threshold)
+
+
+def count_fallback(monkeypatch):
+    """Record the number of points of every exact evaluation."""
+    calls = []
+    exact = epfinder.ConstraintSystem.evaluate_many
+
+    def counting(self, lams, labels=None):
+        calls.append(len(lams))
+        return exact(self, lams, labels)
+
+    monkeypatch.setattr(epfinder.ConstraintSystem, "evaluate_many", counting)
+    return calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_fallback_counts(monkeypatch):
+    calls = count_fallback(monkeypatch)
+    cs = reduced_constraints(trimer(), PH)
+    # the ep-scan windows: no node needs its exact norm
+    for k0 in np.linspace(0.2, 1.0, 17):
+        lams, shape = grid_points([(0, 3, 101), (k0, k0 + 1, 51)])
+        _grid_minima(cs, lams, shape, None)
+    assert sum(calls) == 0
+    # a constant family ties every comparison: every node
+    box = [(-1.5, 1.5, 41), (-1.2, 1.4, 37)]
+    lams, shape = grid_points(box)
+    for M in ([[1j, 1], [1, -1j]], np.diag([1.0, 0.0, -1.0])):
+        const = reduced_constraints(constant_family(M, 2), PH)
+        calls.clear()
+        _grid_minima(const, lams, shape, None)
+        assert calls == [len(lams)]
+    # nodes outside the window: every node of the trimer times 2^+-300
+    lams, shape = grid_points([(0, 3, 31), (0.2, 1.2, 21)])
+    small = reduced_constraints(scaled(trimer(), 2.0**-300), PH)
+    calls.clear()
+    got = _grid_minima(small, lams, shape, None)
+    assert calls == [len(lams)]
+    norms = _row_norms(small.evaluate_many(lams)).reshape(shape)
+    assert got.tobytes() == roll_local_minima(norms, None).tobytes()
+    big = reduced_constraints(scaled(trimer(), 2.0**300), PH)
+    calls.clear()
+    with pytest.raises(NonFiniteMatrixError, match="overflow on the grid"):
+        _grid_minima(big, lams, shape, None)
+    assert calls == [len(lams)]
+    # the window's lower edge cuts through this grid: the nodes below it,
+    # the zero node among them, take the exact path first
+    edge = reduced_constraints(scaled(trimer(), 2.0**-99), PH)
+    lams, shape = grid_points([(0, 3, 31), (0, 1.5, 16)])
+    s = frob_many(_shifted(edge.family.evaluate_batch(lams)))
+    below = int((s < _BOUND_WINDOW[0]).sum())
+    assert 0 < below < len(lams)
+    calls.clear()
+    got = _grid_minima(edge, lams, shape, None)
+    assert calls[0] == below
+    norms = _row_norms(edge.evaluate_many(lams)).reshape(shape)
+    assert got.tobytes() == roll_local_minima(norms, None).tobytes()
+
+
+def test_four_by_four_grid_takes_exact_norms(monkeypatch):
+    calls = count_fallback(monkeypatch)
+    cs = reduced_constraints(cubic_family(), PH)
+    lams, shape = grid_points([(-2, 2, 9)] * 3)
+    got = _grid_minima(cs, lams, shape, None)
+    assert calls == [len(lams)]
+    norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
+    assert got.tobytes() == roll_local_minima(norms, None).tobytes()
 
 
 def greedy_merge_reference(x, spacings, radius):
@@ -528,7 +788,8 @@ def test_one_by_one_family_has_no_constraint_system(cls):
 
 @pytest.mark.parametrize("field, value", [
     ("tol", np.nan), ("tol", np.inf), ("tol", -1e-10),
-    ("max_iterations", -3), ("seed_threshold", np.nan),
+    ("max_iterations", -3), ("max_iterations", 2.5), ("max_iterations", True),
+    ("seed_threshold", np.nan),
     ("merge_radius", np.nan), ("merge_radius", np.inf), ("merge_radius", -1e-4),
 ])
 def test_scan_config_rejects_bad_numbers(field, value):
@@ -926,6 +1187,36 @@ def test_splitting_exponent_degenerate_ray():
         splitting_exponent(f, [0.0], [1.0])
     with pytest.raises(ValueError):
         splitting_exponent(dimer(), [1.0], [0.0])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("steps", 3), ("steps", 0), ("steps", 6.0), ("steps", True),
+    ("t_range", (0.0, 1e-3)), ("t_range", (1e-9, -1e-3)), ("t_range", (np.nan, 1e-3)),
+    ("t_range", (1e-9, np.inf)),
+    ("cluster_size", -1), ("cluster_size", 0), ("cluster_size", 4), ("cluster_size", 5),
+    ("cluster_size", 2.0),
+])
+def test_splitting_exponent_rejects_bad_arguments(name, value):
+    # steps < 4 read as a spread below the noise floor, a bad t_range as a
+    # non-finite parameter point, and cluster_size -1 dropped the farthest
+    # eigenvalue while 5 took all three
+    with pytest.raises(ValueError, match=name):
+        splitting_exponent(trimer(), [np.sqrt(2), 1.0], [1.0, 0.5], **{name: value})
+
+
+def test_splitting_exponent_accepts_every_cluster_size():
+    lam, direction = [np.sqrt(2), 1.0], [1.0, 0.5]
+    whole = splitting_exponent(trimer(), lam, direction)
+    assert splitting_exponent(trimer(), lam, direction, cluster_size=3) == whole
+    assert abs(whole - 0.5) < 1e-3
+    assert splitting_exponent(trimer(), lam, direction, cluster_size=np.int64(2)) == \
+        splitting_exponent(trimer(), lam, direction, cluster_size=2)
+    # one eigenvalue has no spread; the CLI reports this error for a
+    # cluster of one
+    with pytest.raises(RuntimeError, match="noise floor"):
+        splitting_exponent(trimer(), lam, direction, cluster_size=1)
+    assert splitting_exponent(trimer(), lam, direction, steps=4,
+                              t_range=(1e-6, 1e-3)) > 0
 
 
 def test_splitting_exponent_generic_ep3_third_root():

@@ -2,6 +2,7 @@
 running the workloads."""
 
 import importlib.util
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,3 +80,32 @@ def test_witness_corpus_is_a_pure_function_of_the_seed():
     np.random.standard_normal(3)
     assert _witness_bytes(102) != first
     assert _witness_bytes(101) == first
+
+
+def _scan_corpus_text(seed):
+    return [(json.dumps(doc), flags) for doc, flags in output_identity.scan_corpus(seed)]
+
+
+def test_scan_corpus_is_a_pure_function_of_the_seed():
+    first = _scan_corpus_text(101)
+    np.random.seed(5)  # the global generator plays no part
+    np.random.standard_normal(3)
+    assert _scan_corpus_text(102) != first
+    assert _scan_corpus_text(101) == first
+
+
+def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_path):
+    from nhsim.cli import main
+
+    corpus = output_identity.scan_corpus(101)
+    results = output_identity.run_scan_corpus(main, 101, tmp_path)
+    assert {code for code, _, _ in results} == {0, 2}
+    assert ("error: constraint values overflow on the grid\n"
+            in {err for _, _, err in results})
+    tags = {flags[1] for _, flags in corpus}
+    assert tags == {"pseudo-hermitian", "chiral", "self-skew"}
+    dims = {doc["dim"] for doc, _ in corpus}
+    assert dims == {2, 3}
+    thresholds = {flags[-1] for _, flags in corpus if "--seed-threshold" in flags}
+    assert {"0", "inf"} < thresholds
+    assert sum('"converged": true' in out for _, out, _ in results) >= len(corpus) // 2

@@ -4,12 +4,14 @@ Runs every input of the four benchmark workload pools
 (``perfbench.workloads.WORKLOADS``) once through the workload's ``run``,
 on the base tree and on the working tree, and hashes the full raw results:
 verdict sets, witness and generator bytes, residuals, defects and CLI
-stdout, down to the sign of a zero.  Two more digests cover what no
+stdout, down to the sign of a zero.  Three more digests cover what no
 workload runs: ``cli-specht`` hashes the exit code, stdout and stderr of
-``nhsim specht`` and ``nhsim specht-generators`` on :func:`cli_corpus`, and
-``witness`` hashes ``construct_witness(H, cls)`` -- the witness, or the
-exception -- for each class on :func:`witness_corpus`.  Usage, from the root
-of the repository::
+``nhsim specht`` and ``nhsim specht-generators`` on :func:`cli_corpus`,
+``scan`` hashes the same of ``nhsim scan`` on :func:`scan_corpus` (the
+``ep-scan`` workload scans only the trimer), and ``witness`` hashes
+``construct_witness(H, cls)`` -- the witness, or the exception -- for each
+class on :func:`witness_corpus`.  Usage, from the root of the
+repository::
 
     python3 tools/output_identity.py --base HEAD~1 --seeds 101-103
 
@@ -133,6 +135,93 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     return out
 
 
+def family_doc(terms, names) -> dict:
+    """The family JSON document of ``[(matrix, exponents), ...]``."""
+    def matrix(M):
+        return {"dim": M.shape[0],
+                "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()]}
+
+    return {"dim": terms[0][0].shape[0], "params": len(names), "param_names": list(names),
+            "terms": [{"matrix": matrix(M), "exponents": list(e)} for M, e in terms]}
+
+
+def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
+    """``(family document, flags)`` for ``nhsim scan``, built from ``seed``
+    with numpy alone, so both trees read the same files.
+
+    The trimer on two seeded 101 x 51 windows of the ``ep-scan`` kind, the
+    dimer, and for n = 2 and 3 a seeded family of each class on a 2-d grid:
+    ``eta B_i`` (pseudo-Hermitian), ``i Gamma B_i`` (chiral), with Hermitian
+    ``eta``, ``Gamma`` and ``B_i``, and ``V K_i V^-1`` with each ``K_i``
+    anticommuting with ``diag(1, -1[, 1])`` (self-skew).  Then two constant
+    families, whose grid norms all tie (one at an EP, norm 0); the trimer times 2^-300 (no node in
+    the closed forms' window), 2^-99 (the window's edge crosses the grid)
+    and 2^300 (the norms overflow: exit 2); and ``--seed-threshold`` 0, a
+    seeded value and ``inf`` on the dimer and the trimer.
+    """
+    rng = np.random.default_rng([seed, 3])
+
+    def cplx(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def hermitian(n):
+        A = cplx(n)
+        return (A + A.conj().T) / 2
+
+    E = np.eye(3)
+    K = (np.outer(E[0], E[1]) + np.outer(E[1], E[0])
+         + np.outer(E[1], E[2]) + np.outer(E[2], E[1])).astype(complex)
+    D = 1j * (np.outer(E[0], E[0]) - np.outer(E[2], E[2]))
+
+    def trimer(c=1.0):
+        return family_doc([(c * K, (0, 1)), (c * D, (1, 0))], ("gamma", "k"))
+
+    dimer = family_doc([(np.array([[0, 1], [1, 0]], dtype=complex), (0,)),
+                        (np.diag([1j, -1j]), (1,))], ("gamma",))
+    ph, box = ("--class", "pseudo-hermitian"), ("--grid", "p=-1.5:1.5:41",
+                                                "--grid", "q=-1.2:1.4:37")
+    trimer_grid = ("--grid", "gamma=0:3:31", "--grid", "k=0:1.5:16")
+    out = []
+    for k in rng.uniform(0.2, 1.0, 2):
+        out.append((trimer(), (*ph, "--grid", "gamma=0:3:101",
+                               "--grid", f"k={k:.6f}:{k + 1:.6f}:51")))
+    out.append((dimer, (*ph, "--grid", "gamma=-2:2:101")))
+    exps = ((0, 0), (1, 0), (0, 1))
+    for n in (2, 3):
+        eta, gamma = hermitian(n), hermitian(n)
+        V = cplx(n)
+        Vi = np.linalg.inv(V)
+        odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+        for tag, terms in (
+            ("pseudo-hermitian", [(eta @ hermitian(n), e) for e in exps]),
+            ("chiral", [(1j * gamma @ hermitian(n), e) for e in exps]),
+            ("self-skew", [(V @ (cplx(n) * odd) @ Vi, e) for e in exps]),
+        ):
+            out.append((family_doc(terms, ("p", "q")), ("--class", tag, *box)))
+    for M in (np.array([[1j, 1], [1, -1j]]), np.diag([1.0, 0.0, -1.0]).astype(complex)):
+        out.append((family_doc([(M, (0, 0))], ("p", "q")), (*ph, *box)))
+    for c in (2.0**-300, 2.0**-99, 2.0**300):
+        out.append((trimer(c), (*ph, *trimer_grid)))
+    for threshold in ("0", repr(float(rng.uniform(0.05, 0.5))), "inf"):
+        out.append((dimer, (*ph, "--grid", "gamma=-2:2:101", "--seed-threshold", threshold)))
+        out.append((trimer(), (*ph, *trimer_grid, "--seed-threshold", threshold)))
+    return out
+
+
+def run_scan_corpus(main, seed: int, workdir: Path) -> list[tuple[int, str, str]]:
+    """``(exit code, stdout, stderr)`` of ``main`` on each entry of
+    :func:`scan_corpus`, its family written as a JSON file to ``workdir``."""
+    results = []
+    path = workdir / "family.json"
+    for doc, flags in scan_corpus(seed):
+        path.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["scan", str(path), *flags])
+        results.append((code, stdout.getvalue(), stderr.getvalue()))
+    return results
+
+
 def witness_corpus(seed: int) -> list[np.ndarray]:
     """The first :data:`WITNESS_INPUTS` matrices of the ``classify`` and of
     the ``classify-ep`` pool of ``seed``, built by ``perfbench/workloads.py``
@@ -190,6 +279,9 @@ def worker(src: Path, seeds: list[int]) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         out["cli-specht"] = [
             [digest(r) for r in run_cli_corpus(nhsim.cli.main, seed, Path(workdir))]
+            for seed in seeds]
+        out["scan"] = [
+            [digest(r) for r in run_scan_corpus(nhsim.cli.main, seed, Path(workdir))]
             for seed in seeds]
     out["witness"] = [
         [digest([outcome(nhsim.construct_witness, H, cls) for cls in nhsim.SimilarityClass])
