@@ -135,14 +135,16 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     return out
 
 
+def matrix_doc(M: np.ndarray) -> dict:
+    """The matrix JSON document of ``M``."""
+    return {"dim": M.shape[0],
+            "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()]}
+
+
 def family_doc(terms, names) -> dict:
     """The family JSON document of ``[(matrix, exponents), ...]``."""
-    def matrix(M):
-        return {"dim": M.shape[0],
-                "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()]}
-
     return {"dim": terms[0][0].shape[0], "params": len(names), "param_names": list(names),
-            "terms": [{"matrix": matrix(M), "exponents": list(e)} for M, e in terms]}
+            "terms": [{"matrix": matrix_doc(M), "exponents": list(e)} for M, e in terms]}
 
 
 def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
@@ -154,10 +156,11 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     ``eta B_i`` (pseudo-Hermitian), ``i Gamma B_i`` (chiral), with Hermitian
     ``eta``, ``Gamma`` and ``B_i``, and ``V K_i V^-1`` with each ``K_i``
     anticommuting with ``diag(1, -1[, 1])`` (self-skew).  Then two constant
-    families, whose grid norms all tie (one at an EP, norm 0); the trimer times 2^-300 (no node in
-    the closed forms' window), 2^-99 (the window's edge crosses the grid)
-    and 2^300 (the norms overflow: exit 2); and ``--seed-threshold`` 0, a
-    seeded value and ``inf`` on the dimer and the trimer.
+    families, whose grid norms all tie (one at an EP, norm 0); the trimer
+    times 2^-300 (no node in the closed forms' window), 2^-99 (the window's
+    edge crosses the grid) and 2^300 (the norms overflow: exit 2); and
+    ``--seed-threshold`` 0, a seeded value and ``inf`` on the dimer and the
+    trimer.
     """
     rng = np.random.default_rng([seed, 3])
 
@@ -248,9 +251,7 @@ def run_cli_corpus(main, seed: int, workdir: Path) -> list[tuple[int, str, str]]
         paths = []
         for k, M in enumerate(matrices):
             paths.append(str(workdir / f"m{k}.json"))
-            Path(paths[-1]).write_text(json.dumps({
-                "dim": M.shape[0],
-                "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()]}))
+            Path(paths[-1]).write_text(json.dumps(matrix_doc(M)))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([command, *paths, *flags])
