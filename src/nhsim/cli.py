@@ -4,9 +4,9 @@ Commands: ``classify``, ``witness``, ``generate``, ``specht``,
 ``specht-generators``, ``scan``, ``certify``.  Matrix and family arguments
 accept ``-`` for standard input.  Exit codes: 0 success, 1 domain failure
 (the matrix is not in the class, a family fails its class identity check,
-a dimension the word lists or generator analysis do not cover, or an
-eigensolver that does not converge) or a closed output pipe, 2 input or
-usage error.
+or an eigensolver that does not converge) or a closed output pipe, 2 input
+or usage error, a dimension that the word lists or the generator analysis
+do not cover included.
 
 Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The
@@ -195,6 +195,10 @@ def _cmd_specht(args):
 def _cmd_specht_generators(args):
     H = _load_matrix(args.matrix)
     n = H.shape[0]
+    if n not in (2, 3):
+        raise UnsupportedDimensionError(
+            "generator analysis covers n = 2 (recovery) and n = 3 (evidence)"
+        )
     cfg = _tolerances(args)
     if args.cls:
         classes = [SimilarityClass.from_tag(args.cls)]
@@ -216,34 +220,30 @@ def _cmd_specht_generators(args):
             }
         _emit({"mode": "generators", "results": payload})
         return 0
-    if n == 3:
-        payload = {}
-        for cls in classes:
-            symmetries = CLASS_SYMMETRIES[cls]
-            stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
-            profile = word_profile(stack, cfg.residual_tol)
-            if why := profile.unprintable():
-                raise SystemExit2(f"word traces {why}; rescale the matrices")
-            words, traces, mismatches = profile
-            evidence = []
-            for i, (symmetry, bad) in enumerate(zip(symmetries, mismatches), start=1):
-                for j in bad:
-                    ta, tb = complex(traces[0, j]), complex(traces[i, j])
-                    evidence.append(
-                        {
-                            "symmetry": symmetry,
-                            "word": str(words[j]),
-                            "trace_lhs": _complex_pair(ta),
-                            "trace_rhs": _complex_pair(tb),
-                            "mismatch": abs(ta - tb),
-                        }
-                    )
-            payload[cls.value] = evidence
-        _emit({"mode": "counterexample-evidence", "results": payload})
-        return 0
-    raise UnsupportedDimensionError(
-        "generator analysis covers n = 2 (recovery) and n = 3 (evidence)"
-    )
+    payload = {}
+    for cls in classes:
+        symmetries = CLASS_SYMMETRIES[cls]
+        stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
+        profile = word_profile(stack, cfg.residual_tol)
+        if why := profile.unprintable():
+            raise SystemExit2(f"word traces {why}; rescale the matrices")
+        words, traces, mismatches = profile
+        evidence = []
+        for i, (symmetry, bad) in enumerate(zip(symmetries, mismatches), start=1):
+            for j in bad:
+                ta, tb = complex(traces[0, j]), complex(traces[i, j])
+                evidence.append(
+                    {
+                        "symmetry": symmetry,
+                        "word": str(words[j]),
+                        "trace_lhs": _complex_pair(ta),
+                        "trace_rhs": _complex_pair(tb),
+                        "mismatch": abs(ta - tb),
+                    }
+                )
+        payload[cls.value] = evidence
+    _emit({"mode": "counterexample-evidence", "results": payload})
+    return 0
 
 
 def _parse_grid(items):
@@ -446,7 +446,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (SystemExit2, FamilyFormatError, NonFiniteMatrixError, ValueError) as exc:
+    except (SystemExit2, FamilyFormatError, NonFiniteMatrixError,
+            UnsupportedDimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NhsimError as exc:

@@ -42,7 +42,7 @@ except ImportError:
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
-from .matrices import as_matrix, frob, frob_many, ldexp_complex, scale_exponents
+from .matrices import _trace, as_matrix, frob, frob_many, ldexp_complex, scale_exponents
 from .spectral import (
     DEFAULT_TOLERANCES,
     JordanBlock,
@@ -86,32 +86,6 @@ def _shifted(H: np.ndarray) -> np.ndarray:
     n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         return H - (_trace(H) / n)[..., None, None] * np.eye(n)
-
-
-def _trace(A: np.ndarray) -> np.ndarray:
-    """``np.trace`` over the last two axes, bit for bit, in elementwise sums.
-
-    numpy sums the n diagonal entries of each matrix in sequence for
-    n < 4; for n >= 4 it keeps four partial sums over the indices mod 4,
-    combines them as ``(r0 + r1) + (r2 + r3)`` and adds the entries left
-    over in sequence; it adds the result to +0, so an all -0 diagonal gives
-    +0.  The same sums taken elementwise across the stack avoid numpy's
-    short-axis reduction, which runs several times slower right after a
-    stacked complex matmul on some CPUs (AVX-512).
-    ``tests/test_epfinder.py::test_trace_matches_numpy`` pins this rule.
-    """
-    n = A.shape[-1]
-    d = [A[..., i, i] for i in range(n)]
-    if n < 4:
-        r, rest = d[0], d[1:]
-    else:
-        part, rest = d[:4], d[n - n % 4:]
-        for i in range(4, n - n % 4):
-            part[i % 4] = part[i % 4] + d[i]
-        r = (part[0] + part[1]) + (part[2] + part[3])
-    for x in rest:
-        r = r + x
-    return r + 0.0
 
 
 def _raw_components(n: int):

@@ -41,7 +41,7 @@ def as_matrix(data) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if H.shape[0] == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+    if not np.isfinite(H).all():
         raise NonFiniteMatrixError("matrix contains non-finite entries")
     return H
 
@@ -113,6 +113,32 @@ def frob_many(stack: np.ndarray) -> np.ndarray:
     ``vecdot``."""
     flat = stack.reshape(len(stack), -1)
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _trace(A: np.ndarray) -> np.ndarray:
+    """``np.trace`` over the last two axes, bit for bit, in elementwise sums.
+
+    numpy sums the n diagonal entries of each matrix in sequence for
+    n < 4; for n >= 4 it keeps four partial sums over the indices mod 4,
+    combines them as ``(r0 + r1) + (r2 + r3)`` and adds the entries left
+    over in sequence; it adds the result to +0, so an all -0 diagonal gives
+    +0.  The same sums taken elementwise across the stack avoid numpy's
+    short-axis reduction, which runs several times slower right after a
+    stacked complex matmul on some CPUs (AVX-512).
+    ``tests/test_epfinder.py::test_trace_matches_numpy`` pins this rule.
+    """
+    n = A.shape[-1]
+    d = [A[..., i, i] for i in range(n)]
+    if n < 4:
+        r, rest = d[0], d[1:]
+    else:
+        part, rest = d[:4], d[n - n % 4:]
+        for i in range(4, n - n % 4):
+            part[i % 4] = part[i % 4] + d[i]
+        r = (part[0] + part[1]) + (part[2] + part[3])
+    for x in rest:
+        r = r + x
+    return r + 0.0
 
 
 def is_json_int(v) -> bool:

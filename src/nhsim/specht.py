@@ -14,16 +14,20 @@ unitaries with that property (up to a global phase, and besides +-I for
 coefficients, so one SVD of a real 8x3 matrix gives the generator with the
 smallest similarity residual; the property holds to rounding.
 
-Everything runs on stacks.  :func:`word_traces` evaluates a word list for
-a whole stack of matrices in one left-to-right pass that forms each shared
-prefix product once, :func:`word_profile`, the one word-trace comparison,
-compares the traces of the first matrix with those of the others, and
+Everything runs on stacks, in a fixed number of array passes.
+:func:`word_traces` evaluates a word list for a whole stack of matrices by
+a word program, cached per word tuple: the prefix products, each formed
+once, all those of one length in one stacked matmul, then every trace in
+one pass.  :func:`word_profile`, the one word-trace comparison, compares the
+traces of the first matrix with those of the others, and
 :func:`solve_generators` solves several symmetries of one ``H`` in one
-stacked SVD.  The 2x2 check (:func:`check_similarity_implies_symmetry_2x2`)
-decides class membership from one word pass over ``H`` and its mapped
-targets ``sign T(H)`` and gets both generators from one SVD of shape
-``(2, 8, 3)``.  numpy runs the same BLAS or LAPACK call per matrix of a
-stack, so every trace and generator has the bytes of a one-matrix run.
+stacked SVD and scores every candidate generator, and its property defect,
+in one stacked residual pass.  The 2x2 check
+(:func:`check_similarity_implies_symmetry_2x2`) decides class membership
+from one word pass over ``H`` and its mapped targets ``sign T(H)`` and gets
+both generators from one SVD of shape ``(2, 8, 3)``.  numpy runs the same
+BLAS or LAPACK call per matrix of a stack, so every trace and generator has
+the bytes of a one-matrix run.
 
 A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
 length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
@@ -33,6 +37,7 @@ precision the verdict is decided on the pair times one exact power of two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +45,9 @@ import numpy as np
 
 from .classes import SimilarityClass, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
-from .matrices import as_matrix, as_scaled_matrix, dagger, frob, frob_many, scaled_stack
+from .matrices import (
+    _trace, as_matrix, as_scaled_matrix, dagger, frob, frob_many, scaled_stack,
+)
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -131,26 +138,73 @@ def word_list(n: int) -> list[Word]:
     return list(_WORDS[n])
 
 
+class _WordProgram(NamedTuple):
+    """How :func:`word_traces` multiplies out a word list.
+
+    Product 0 is the identity.  ``steps`` holds one entry per prefix length
+    ``k``: the products of length ``k``, the length ``k - 1`` prefix each
+    extends and the letter it appends (0: ``X``, 1: ``Xdag``).  ``reads``
+    is the product whose trace each word takes and ``degrees`` the length of
+    each word.  Each index is a slice where it can be one (a single index
+    broadcasts), so the pass makes no copies to gather its operands.
+    """
+
+    size: int
+    steps: tuple[tuple[slice, slice | np.ndarray, slice | np.ndarray], ...]
+    reads: slice | np.ndarray
+    degrees: np.ndarray
+
+
+def _span(indices: list[int], broadcast: bool = False) -> slice | np.ndarray:
+    """``indices`` as a slice where one selects the same entries (a run of
+    consecutive indices or, with ``broadcast``, one index repeated), as an
+    index array otherwise."""
+    first = indices[0]
+    if broadcast and len(set(indices)) == 1:
+        return slice(first, first + 1)
+    if indices == list(range(first, first + len(indices))):
+        return slice(first, first + len(indices))
+    return np.array(indices)
+
+
+@functools.lru_cache(maxsize=256)  # bounded: word_trace takes any word
+def _word_program(words: tuple[Word, ...]) -> _WordProgram:
+    index = {(): 0}
+    steps = []
+    for k in range(1, max(map(len, words)) + 1):
+        new = list(dict.fromkeys(w.letters[:k] for w in words if len(w) >= k))
+        start = len(index)
+        index.update((p, start + i) for i, p in enumerate(new))
+        steps.append((slice(start, len(index)),
+                      _span([index[p[:-1]] for p in new], broadcast=True),
+                      _span([int(p[-1] == XDAG) for p in new], broadcast=True)))
+    return _WordProgram(len(index), tuple(steps),
+                        _span([index[w.letters] for w in words]),
+                        np.array([len(w) for w in words]))
+
+
 def word_traces(stack: np.ndarray, words) -> np.ndarray:
     """Traces of ``words`` for each matrix of a validated ``(m, n, n)`` stack.
 
     Returns the ``(m, len(words))`` complex traces, with ``X -> H`` and
     ``Xdag -> H^+``.  Every word is multiplied out left to right from
-    ``eye @ X_1``, and each prefix product is formed once, for the whole
-    stack, for all the words that share it.  numpy runs the same BLAS call
-    for each matrix of a stack, so every trace has the bytes of a
-    one-matrix evaluation.
+    ``eye @ X_1``.  The word program (cached per word tuple) forms each
+    prefix product once, all products of one length in one stacked matmul,
+    and the traces come from one pass in ``np.trace``'s order
+    (:func:`~nhsim.matrices._trace`).  numpy runs the same BLAS call for
+    each matrix of a stack, so every trace has the bytes of a one-matrix,
+    one-word evaluation.
     """
-    letters = {X: stack, XDAG: stack.conj().transpose(0, 2, 1)}
-    products = {(): np.eye(stack.shape[-1], dtype=complex)}
-    out = np.empty((stack.shape[0], len(words)), dtype=complex)
-    for j, w in enumerate(words):
-        for k in range(1, len(w) + 1):
-            prefix = w.letters[:k]
-            if prefix not in products:
-                products[prefix] = products[prefix[:-1]] @ letters[prefix[-1]]
-        out[:, j] = np.trace(products[w.letters], axis1=1, axis2=2)
-    return out
+    program = _word_program(tuple(words))
+    m, n = stack.shape[0], stack.shape[-1]
+    letters = np.empty((m, 2, n, n), dtype=complex)
+    letters[:, 0] = stack
+    np.conjugate(stack.transpose(0, 2, 1), out=letters[:, 1])
+    products = np.empty((m, program.size, n, n), dtype=complex)
+    products[:, 0] = np.eye(n)
+    for new, parents, letter in program.steps:
+        products[:, new] = products[:, parents] @ letters[:, letter]
+    return _trace(products[:, program.reads])
 
 
 class WordProfile(NamedTuple):
@@ -190,15 +244,19 @@ def word_profile(stack: np.ndarray, tol: float) -> WordProfile:
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     words = word_list(stack.shape[-1])
-    scaled = scaled_stack(stack, max(map(len, words)))
+    degrees = _word_program(tuple(words)).degrees
+    scaled = scaled_stack(stack, int(degrees.max()))
     with np.errstate(over="ignore", invalid="ignore"):
         traces = word_traces(stack, words)
     decided = traces if scaled is stack else word_traces(scaled, words)
     norms = frob_many(scaled)
-    degrees = np.array([len(w) for w in words])
     bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
     differ = np.abs(decided[1:] - decided[0]) > bound
-    return WordProfile(words, traces, [np.flatnonzero(row).tolist() for row in differ])
+    if differ.any():
+        mismatches = [np.flatnonzero(row).tolist() for row in differ]
+    else:
+        mismatches = [[] for _ in differ]
+    return WordProfile(words, traces, mismatches)
 
 
 def word_trace(H, w: Word) -> complex:
@@ -253,9 +311,6 @@ class GeneratorProperty:
     basis: np.ndarray  # (3, 2, 2)
     conjugate: bool  # property U U* = 1 if set, U U = 1 otherwise
 
-    def defect(self, U: np.ndarray) -> float:
-        return frob(U @ (U.conj() if self.conjugate else U) - _I2)
-
 
 # U U = 1: the Hermitian unitaries n.sigma; +-I are the only others
 _INVOLUTION = GeneratorProperty(np.array([_SX, _SY, _SZ]), conjugate=False)
@@ -298,6 +353,17 @@ def mapped_target(H, symmetry: str) -> np.ndarray:
     return sign * np.asarray(target(H))
 
 
+@functools.cache
+def _generator_bases(symmetries: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(s, 3, 2, 2)`` property bases of ``symmetries`` and whether
+    each property conjugates (``U U* = 1``), read-only."""
+    props = [SYMMETRY_TARGETS[s][2] for s in symmetries]
+    bases = np.stack([p.basis for p in props])
+    conjugate = np.array([p.conjugate for p in props])
+    bases.flags.writeable = conjugate.flags.writeable = False
+    return bases, conjugate
+
+
 def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorSearch]:
     """Closed-form 2x2 generators with the smallest residual for several
     symmetries of one validated 2x2 ``H``, given their mapped targets
@@ -311,32 +377,40 @@ def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorS
     the result minimises the similarity residual over every generator with
     the property, and its property defect is at rounding level.  The
     identity is a second candidate (the only involution outside ``n.sigma``
-    up to sign); the smaller residual wins.  Neither the generator nor the
-    relative residual depends on the scale of ``H``, so callers pass ``H``
-    rescaled by :func:`~nhsim.matrices.as_scaled_matrix`.  numpy runs the
-    same LAPACK call for each 8x3 matrix of the stack, so each generator
-    has the bytes of a one-symmetry solve.
+    up to sign); the smaller residual wins, a tie keeps the SVD candidate.
+    Neither the generator nor the relative residual depends on the scale of
+    ``H``, so callers pass ``H`` rescaled by
+    :func:`~nhsim.matrices.as_scaled_matrix`.
+
+    The candidates ``C`` of every symmetry are scored in one stacked pass:
+    one :func:`~nhsim.matrices.frob_many` takes the residuals of
+    ``H - C T C^+`` and the property defects together.  numpy runs the same
+    BLAS or LAPACK call for each matrix of a stack, so each generator,
+    residual and defect has the bytes of a one-symmetry, one-candidate
+    solve.
     """
-    props = [SYMMETRY_TARGETS[s][2] for s in symmetries]
-    bases = np.stack([p.basis for p in props])
-    M = (H @ bases - bases @ np.stack(targets)[:, None]).reshape(len(props), 3, 4)
+    bases, conjugate = _generator_bases(tuple(symmetries))
+    s = len(bases)
+    T = np.asarray(targets)
+    M = (H @ bases - bases @ T[:, None]).reshape(s, 3, 4)
     A = np.concatenate([M.real, M.imag], axis=2).transpose(0, 2, 1)
     q = np.linalg.svd(A)[2][:, -1]
+    C = np.empty((s, 2, 2, 2), dtype=complex)  # (symmetry, candidate, 2, 2)
+    C[:, 0] = (q[:, None] @ bases.reshape(s, 3, 4)).reshape(s, 2, 2)
+    C[:, 1] = _I2
+    Cc = C.conj()
+    E = np.empty((2, s, 2, 2, 2), dtype=complex)  # similarity, property
+    E[0] = H - C @ T[:, None] @ Cc.swapaxes(-1, -2)
+    E[1] = C @ np.where(conjugate[:, None, None, None], Cc, C) - _I2
+    residuals, defects = frob_many(E.reshape(-1, 2, 2)).reshape(2, s, 2)
+    best = residuals.argmin(axis=1).tolist()  # ties keep the SVD candidate
     norm = max(frob(H), 1e-300)
-    out = {}
-    for symmetry, prop, B, qk in zip(symmetries, props, targets, q):
-        # np.tensordot(qk, prop.basis, axes=1) without its shape bookkeeping
-        candidates = (np.dot(qk[None], prop.basis.reshape(3, 4)).reshape(2, 2), _I2)
-        residuals = [frob(H - U @ B @ dagger(U)) for U in candidates]
-        k = int(np.argmin(residuals))  # ties keep the SVD candidate
-        U = candidates[k]
-        out[symmetry] = GeneratorSearch(
-            symmetry=symmetry,
-            generator=U,
-            similarity_residual=residuals[k] / norm,
-            property_defect=prop.defect(U),
-        )
-    return out
+    return {
+        symmetry: GeneratorSearch(symmetry=symmetry, generator=C[i, k],
+                                  similarity_residual=float(residuals[i, k]) / norm,
+                                  property_defect=float(defects[i, k]))
+        for i, (symmetry, k) in enumerate(zip(symmetries, best))
+    }
 
 
 def check_similarity_implies_symmetry_2x2(
@@ -363,16 +437,16 @@ def _class_generators(H, cls: SimilarityClass, tol: float | None):
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("this check is a 2x2 statement")
     symmetries = CLASS_SYMMETRIES[cls]
-    targets = [mapped_target(H, symmetry) for symmetry in symmetries]
+    stack = np.stack([H, *(mapped_target(H, symmetry) for symmetry in symmetries)])
     if tol is not None:
-        words, traces, mismatches = word_profile(np.stack([H, *targets]), tol)
+        words, traces, mismatches = word_profile(stack, tol)
         for i, bad in enumerate(mismatches, 1):
             if bad:
                 j = bad[0]
                 raise ClassMismatchError(
                     f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
                     f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
-    return solve_generators(H, symmetries, targets)
+    return solve_generators(H, symmetries, stack[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -221,16 +221,31 @@ def symmetry_bottleneck(spectrum, map: str) -> float:
 def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
-    or image; where the nearest images of the ``n`` values are ``n``
-    different ones (``certified``), pairing each with its nearest attains it.
+    or image; where the ``n`` values can take ``n`` different images each at
+    its own nearest distance (``certified``), that pairing attains it.
     The tables of the three maps are symmetric bit for bit
     (``|s_i - f(s_j)| = |s_j - f(s_i)|``: the parts are negated, or summed in
     swapped order), so the nearest image of each value also gives the
     nearest value of each image
-    (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``)."""
-    bound = dist.min(axis=-1).max(axis=-1)
-    nearest = np.sort(dist.argmin(axis=-1), axis=-1)
-    return bound, (nearest == np.arange(dist.shape[-1])).all(axis=-1)
+    (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``).
+
+    Each value takes its first nearest image.  Where two of them collide, a
+    second pass over those tables lets repeated values, rows of the table
+    that are equal, spread over their tied nearest images: the ``r``-th copy
+    takes the ``r``-th column at the row minimum."""
+    nearest = dist.min(axis=-1)
+    n = dist.shape[-1]
+    certified = (np.sort(dist.argmin(axis=-1), axis=-1) == np.arange(n)).all(axis=-1)
+    certified = certified.reshape(-1)
+    if not certified.all():
+        rows = np.flatnonzero(~certified)
+        D = dist.reshape(-1, n, n)[rows]
+        tied = D == nearest.reshape(-1, n)[rows, :, None]
+        copy = np.tril((D[:, :, None] == D[:, None]).all(axis=-1), -1).sum(axis=-1)
+        pick = tied & (tied.cumsum(axis=-1) == copy[..., None] + 1)
+        spread = np.sort(pick.argmax(axis=-1), axis=-1) == np.arange(n)
+        certified[rows] = (spread & pick.any(axis=-1)).all(axis=-1)
+    return nearest.max(axis=-1), certified.reshape(dist.shape[:-2])
 
 
 def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:

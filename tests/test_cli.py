@@ -238,6 +238,22 @@ def test_specht_generators_3x3_overflowing_traces_exit_2(capsys, tmp_path):
     assert code == 2 and out == "" and "overflow" in err
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_unsupported_dimensions_exit_2(capsys, tmp_path, monkeypatch, n):
+    # the word lists cover n = 2 and 3: any other n is an input error, found
+    # before classify runs
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(mat_doc(np.eye(n))))
+    monkeypatch.setattr(cli, "classify", lambda *args: pytest.fail("classify ran"))
+    words = f"error: word lists are only available for n in (2, 3), got {n}\n"
+    generators = "error: generator analysis covers n = 2 (recovery) and n = 3 (evidence)\n"
+    for argv, err in ((("specht", str(p), str(p)), words),
+                      (("specht", str(p), str(p), "--output", "csv"), words),
+                      (("specht-generators", str(p)), generators),
+                      (("specht-generators", str(p), "--class", "chiral"), generators)):
+        assert run(capsys, *argv) == (2, "", err), argv
+
+
 def test_specht_generators_2x2(capsys, tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(mat_doc([[0, 1], [4, 0]])))

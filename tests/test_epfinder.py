@@ -27,7 +27,6 @@ from nhsim.epfinder import (
     _raw_components,
     _row_norms,
     _shifted,
-    _trace,
     certify_order,
     class_identity_check,
     reduced_constraints,
@@ -36,7 +35,7 @@ from nhsim.epfinder import (
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
 from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
-from nhsim.matrices import dagger, frob_many, ldexp_complex, scale_exponents
+from nhsim.matrices import _trace, dagger, frob_many, ldexp_complex, scale_exponents
 from nhsim.spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
@@ -44,6 +43,7 @@ from nhsim.spectral import (
     eigenvalues_many,
     is_normal,
     multiset_symmetry_match,
+    symmetry_bottleneck,
 )
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
@@ -986,6 +986,46 @@ def test_identity_check_runs_the_matcher_only_where_nearest_images_collide(monke
     assert colliding >= 100
 
 
+def test_repeated_values_spread_over_their_tied_images(monkeypatch):
+    # zero and lambda*I families: every value of every sample is repeated and
+    # all its copies share one nearest image; the r-th copy takes the r-th
+    # tied column, so no sample goes to the matcher
+    calls = count_matcher_calls(monkeypatch)
+    for case, f, cls in IDENTITY_FAMILIES:
+        if case.startswith(("zero", "scalar")):
+            assert no_nearest_permutation(f, cls, 30) == 30
+            assert class_identity_check(f, cls, samples=30).passed
+            assert calls == [], case
+
+
+def test_a_certified_bound_is_the_bottleneck():
+    # spectra drawn with repeats from a few values and their mapped images:
+    # wherever the certificate holds, no pairing does better than its bound
+    # and the matcher pairs at it
+    from nhsim.spectral import _nearest_certificate, _symmetry_distances
+
+    rng = np.random.default_rng(23)
+    certified = spread = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        m = str(rng.choice(["conj", "negconj", "neg"]))
+        pool = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        pool = np.concatenate([pool, SYMMETRY_MAPS[m](pool), [0.0]])
+        s = rng.choice(pool, n)
+        dist = _symmetry_distances(s, m)
+        bound, ok = _nearest_certificate(dist)
+        perms = np.array(list(itertools.permutations(range(n))))
+        bottleneck = dist[np.arange(n), perms].max(axis=1).min()
+        assert bound <= bottleneck
+        if ok:
+            certified += 1
+            # first nearest images that collide: certified by the spread
+            spread += len(set(dist.argmin(axis=1).tolist())) < n
+            assert bound == bottleneck == symmetry_bottleneck(s, m), (s, m)
+            assert multiset_symmetry_match(s, m, float(bound)) is not None
+    assert certified >= 100 and spread >= 30
+
+
 def test_identity_check_reports_the_first_of_equal_violations():
     # a constant family has the same violations at every sample: the loop
     # kept the first sample, and within it the first component that reached
@@ -1285,6 +1325,14 @@ def test_trace_matches_numpy(n):
                   np.full((3, n, n), -0.0 - 0.0j)):
             assert_same_or_both_nan(_trace(A), np.trace(A, axis1=1, axis2=2))
             assert_same_or_both_nan(_trace(A[0]), np.trace(A[0]))
+        if n in (2, 3):
+            # the word traces: (m, words, n, n) stacked products, whole or
+            # as a strided view of some of the products
+            P = special_stack(rng, 400, n).reshape(20, 20, n, n)
+            P = P @ P.conj().swapaxes(-1, -2)
+            for view in (P, P[:, 1:7], P[:, [3, 1, 1, 8]]):
+                got, want = _trace(view), np.trace(view, axis1=-2, axis2=-1)
+                assert_same_or_both_nan(*map(np.ascontiguousarray, (got, want)))
     # an all -0 diagonal sums to +0, as numpy's does
     assert not np.signbit(_trace(np.full((3, n, n), -0.0 - 0.0j)).view(float)).any()
 

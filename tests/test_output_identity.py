@@ -59,12 +59,21 @@ def test_cli_corpus_is_a_pure_function_of_the_seed():
 def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path):
     from nhsim.cli import main
 
+    corpus = output_identity.cli_corpus(101)
     results = output_identity.run_cli_corpus(main, 101, tmp_path)
     assert {code for code, _, _ in results} == {0, 1, 2}
     errors = {err for _, _, err in results}
     assert "error: word traces overflow; rescale the matrices\n" in errors
     assert "error: word traces underflow; rescale the matrices\n" in errors
-    commands = {(command, flags[:1]) for command, _, flags in output_identity.cli_corpus(101)}
+    # the near-boundary 2x2 members close the corpus, after the pair of
+    # unequal dimensions: the trace check accepts some and rejects others
+    last = max(i for i, (_, matrices, _) in enumerate(corpus)
+               if len({M.shape for M in matrices}) == 2)
+    boundary = [(flags, code) for (_, _, flags), (code, _, _) in
+                zip(corpus[last + 1:], results[last + 1:])]
+    assert len(boundary) == 36
+    assert {code for flags, code in boundary if flags} == {0, 1}
+    commands = {(command, flags[:1]) for command, _, flags in corpus}
     assert commands == {("specht", ()), ("specht", ("--output",)),
                         ("specht-generators", ()), ("specht-generators", ("--class",))}
 

@@ -5,8 +5,8 @@ import pytest
 
 from nhsim.classes import CLASS_MAP, SimilarityClass, construct_witness, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
-from nhsim.matrices import as_scaled_matrix, frob, frob_many
-from nhsim.spectral import SYMMETRY_MAPS
+from nhsim.matrices import as_scaled_matrix, frob, frob_many, ldexp_complex, scaled_stack
+from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS
 from nhsim.specht import (
     CLASS_SYMMETRIES,
     SYMMETRY_TARGETS,
@@ -327,6 +327,171 @@ def test_class_check_keeps_the_one_symmetry_bytes():
                 assert _bytes(r.generator) == _bytes(U), (i, cls, s)
                 assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
                     [residual, defect]), (i, cls, s)
+
+
+# ---------------------------------------------------------------------------
+# the word program and the stacked residual pass keep the bytes of the loops
+# they replaced: one matmul and one np.trace per new prefix and word, one
+# residual and one defect per candidate and symmetry
+
+
+def _loop_word_traces(stack, words):
+    letters = {"X": stack, "Xdag": stack.conj().transpose(0, 2, 1)}
+    products = {(): np.eye(stack.shape[-1], dtype=complex)}
+    out = np.empty((stack.shape[0], len(words)), dtype=complex)
+    for j, w in enumerate(words):
+        for k in range(1, len(w) + 1):
+            prefix = w.letters[:k]
+            if prefix not in products:
+                products[prefix] = products[prefix[:-1]] @ letters[prefix[-1]]
+        out[:, j] = np.trace(products[w.letters], axis1=1, axis2=2)
+    return out
+
+
+def _loop_word_profile(stack, tol):
+    words = word_list(stack.shape[-1])
+    scaled = scaled_stack(stack, max(map(len, words)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = _loop_word_traces(stack, words)
+    decided = traces if scaled is stack else _loop_word_traces(scaled, words)
+    norms = frob_many(scaled)
+    degrees = np.array([len(w) for w in words])
+    bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
+    differ = np.abs(decided[1:] - decided[0]) > bound
+    return words, traces, [np.flatnonzero(row).tolist() for row in differ]
+
+
+def _loop_solve_generators(H, symmetries, targets):
+    props = [SYMMETRY_TARGETS[s][2] for s in symmetries]
+    bases = np.stack([p.basis for p in props])
+    M = (H @ bases - bases @ np.stack(targets)[:, None]).reshape(len(props), 3, 4)
+    A = np.concatenate([M.real, M.imag], axis=2).transpose(0, 2, 1)
+    q = np.linalg.svd(A)[2][:, -1]
+    norm = max(frob(H), 1e-300)
+    I2 = np.eye(2, dtype=complex)
+    out = {}
+    for symmetry, prop, B, qk in zip(symmetries, props, targets, q):
+        candidates = (np.dot(qk[None], prop.basis.reshape(3, 4)).reshape(2, 2), I2)
+        residuals = [frob(H - U @ B @ U.conj().T) for U in candidates]
+        k = int(np.argmin(residuals))
+        U = candidates[k]
+        defect = frob(U @ (U.conj() if prop.conjugate else U) - I2)
+        out[symmetry] = (U, residuals[k] / norm, defect)
+    return out
+
+
+def _loop_class_generators(H, cls, tol):
+    """The generators, or the text of the ClassMismatchError."""
+    H = as_scaled_matrix(H)
+    symmetries = CLASS_SYMMETRIES[cls]
+    targets = [mapped_target(H, symmetry) for symmetry in symmetries]
+    words, traces, mismatches = _loop_word_profile(np.stack([H, *targets]), tol)
+    for i, bad in enumerate(mismatches, 1):
+        if bad:
+            j = bad[0]
+            return (f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
+                    f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
+    return _loop_solve_generators(H, symmetries, targets)
+
+
+def _pin_corpus(n):
+    """Members of each class and non-members, members times 1 + eps noise
+    (eps 1e-9 to 1e-7, at the membership boundary), all of those times
+    2^600 and 2^-600, zero matrices and -0.0 entries."""
+    rng = np.random.default_rng([n, 20])
+
+    def cplx():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    members = [generate_random(cls, n, seed, non_normal=seed % 2 == 1)
+               for cls in SimilarityClass for seed in range(4)]
+    generic = [cplx() for _ in range(4)]
+    noisy = [M * (1 + eps * cplx()) for M in members for eps in (1e-9, 1e-8, 1e-7)]
+    out = members + generic + noisy
+    out += [ldexp_complex(M, e) for M in out for e in (600, -600)]
+    signed = generate_random(CH, n, 9)
+    signed.real[rng.random((n, n)) < 0.5] = -0.0
+    out += [np.zeros((n, n), dtype=complex), np.full((n, n), -0.0 - 0.0j), signed]
+    return out
+
+
+def _same_bits(a, b):
+    # equal bytes; a NaN (an overflowing trace) matches any NaN
+    a, b = (np.ascontiguousarray(x).view(float) for x in (a, b))
+    nan = np.isnan(b)
+    return np.array_equal(np.isnan(a), nan) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# every word list the program can meet: the canonical ones, one that repeats a
+# word, and one whose prefixes and reads are no runs of consecutive products
+_PIN_WORDS = [word_list(2), word_list(3),
+              [Word.parse(w) for w in ("XdagX", "X", "XdagXdagX", "X", "XXdagX")]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_word_program_keeps_the_per_word_loop_bytes(n):
+    for i, H in enumerate(_pin_corpus(n)):
+        targets = [mapped_target(H, s) for s in SYMMETRY_TARGETS]
+        for m in range(1, 5):
+            stack = np.stack([H, *targets[:m - 1]])
+            for words in _PIN_WORDS:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = word_traces(stack, words), _loop_word_traces(stack, words)
+                assert got.shape == want.shape and _same_bits(got, want), (i, m, words)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_word_profile_keeps_the_loop_verdicts(n):
+    mismatched = 0
+    for i, H in enumerate(_pin_corpus(n)):
+        targets = [mapped_target(H, s) for s in SYMMETRY_TARGETS]
+        for m in range(2, 5):
+            stack = np.stack([H, *targets[:m - 1]])
+            for tol in (0.0, 1e-8, 1e-6):
+                words, traces, mismatches = word_profile(stack, tol)
+                ref_words, ref_traces, ref_mismatches = _loop_word_profile(stack, tol)
+                assert words == ref_words and mismatches == ref_mismatches, (i, m, tol)
+                assert _same_bits(traces, ref_traces), (i, m, tol)
+                mismatched += any(mismatches)
+    assert mismatched > 0
+
+
+def test_stacked_residual_pass_keeps_the_loop_bytes():
+    pairs = [*CLASS_SYMMETRIES.values(), tuple(SYMMETRY_TARGETS)]
+    for i, H in enumerate(_pin_corpus(2)):
+        H = as_scaled_matrix(H)
+        for symmetries in pairs:
+            targets = [mapped_target(H, s) for s in symmetries]
+            found = solve_generators(H, symmetries, targets)
+            ref = _loop_solve_generators(H, symmetries, targets)
+            assert list(found) == list(ref)
+            for s, (U, residual, defect) in ref.items():
+                r = found[s]
+                assert _bytes(r.generator) == _bytes(U), (i, s)
+                assert type(r.similarity_residual) is type(r.property_defect) is float
+                assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                    [residual, defect]), (i, s)
+
+
+def test_class_check_keeps_the_loop_bytes_and_errors():
+    outcomes = set()
+    for i, H in enumerate(_pin_corpus(2)):
+        for cls in SimilarityClass:
+            ref = _loop_class_generators(H, cls, DEFAULT_TOLERANCES.residual_tol)
+            try:
+                found = check_similarity_implies_symmetry_2x2(H, cls)
+            except ClassMismatchError as exc:
+                assert str(exc) == ref, (i, cls)
+                outcomes.add("rejected")
+                continue
+            assert list(found) == list(ref), (i, cls)
+            for s, (U, residual, defect) in ref.items():
+                r = found[s]
+                assert _bytes(r.generator) == _bytes(U), (i, cls, s)
+                assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                    [residual, defect]), (i, cls, s)
+            outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected"}
 
 
 # ---------------------------------------------------------------------------

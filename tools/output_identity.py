@@ -105,7 +105,11 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     exit 0), plus a pair of unequal dimensions; ``specht-generators`` with
     and without ``--class`` on a member of each class (``S R S^-1`` with
     ``R`` real, ``i`` times that, and ``S diag(a, -a[, 0]) S^-1``), on a
-    generic matrix (exit 1) and on members times 2^±600.
+    generic matrix (exit 1) and on members times 2^±600.  Last, 2x2 members
+    of each class times ``1 + eps noise`` (entrywise, complex normal noise,
+    eps = 1e-9, 1e-8, 1e-7), with and without ``--class``: near the class
+    boundary, where the word-trace check of ``--class`` can reject a class
+    that ``classify`` confirms.
     """
     rng = np.random.default_rng([seed, 2])
 
@@ -132,6 +136,15 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
             out += [("specht-generators", [M], ("--class", tag))
                     for tag in ("pseudo-hermitian", "chiral", "self-skew")]
     out.append(("specht", [cplx(2), cplx(3)], ()))
+    S = cplx(2)
+    real = S @ rng.standard_normal((2, 2)) @ np.linalg.inv(S)
+    skew = S @ np.diag(np.array([1, -1]) * cplx(1)[0]) @ np.linalg.inv(S)
+    for M in (real, 1j * real, skew):
+        for eps in (1e-9, 1e-8, 1e-7):
+            near = M * (1 + eps * cplx(2))
+            out.append(("specht-generators", [near], ()))
+            out += [("specht-generators", [near], ("--class", tag))
+                    for tag in ("pseudo-hermitian", "chiral", "self-skew")]
     return out
 
 
