@@ -218,7 +218,7 @@ def symmetry_bottleneck(spectrum, map: str) -> float:
     return float(_symmetry_bottlenecks(s[None], map)[0])
 
 
-def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_certificate(dist, tol: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
     or image; where the ``n`` values can take ``n`` different images each at
@@ -229,23 +229,24 @@ def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
     nearest value of each image
     (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``).
 
-    Each value takes its first nearest image.  Where two of them collide, a
-    second pass over those tables lets repeated values, rows of the table
-    that are equal, spread over their tied nearest images: the ``r``-th copy
-    takes the ``r``-th column at the row minimum."""
+    Each value takes its first nearest image.  Where two of them collide and
+    ``bound <= tol``, a second pass over those tables alone lets repeated
+    values (equal rows of the table) spread over their tied nearest images:
+    the ``r``-th copy takes the ``r``-th column at the row minimum."""
     nearest = dist.min(axis=-1)
+    bound = nearest.max(axis=-1)
     n = dist.shape[-1]
     certified = (np.sort(dist.argmin(axis=-1), axis=-1) == np.arange(n)).all(axis=-1)
     certified = certified.reshape(-1)
-    if not certified.all():
-        rows = np.flatnonzero(~certified)
-        D = dist.reshape(-1, n, n)[rows]
-        tied = D == nearest.reshape(-1, n)[rows, :, None]
+    left = np.flatnonzero(~certified & (bound.reshape(-1) <= tol))
+    if left.size:
+        D = dist.reshape(-1, n, n)[left]
+        tied = D == nearest.reshape(-1, n)[left, :, None]
         copy = np.tril((D[:, :, None] == D[:, None]).all(axis=-1), -1).sum(axis=-1)
         pick = tied & (tied.cumsum(axis=-1) == copy[..., None] + 1)
         spread = np.sort(pick.argmax(axis=-1), axis=-1) == np.arange(n)
-        certified[rows] = (spread & pick.any(axis=-1)).all(axis=-1)
-    return nearest.max(axis=-1), certified.reshape(dist.shape[:-2])
+        certified[left] = (spread & pick.any(axis=-1)).all(axis=-1)
+    return bound, certified.reshape(bound.shape)
 
 
 def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
@@ -260,7 +261,7 @@ def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
     images = np.empty((len(maps), s.size), dtype=complex)
     for row, name in zip(images, maps):
         row[:] = SYMMETRY_MAPS[name](s)
-    bound, certified = _nearest_certificate(np.abs(s[:, None] - images[:, None, :]))
+    bound, certified = _nearest_certificate(np.abs(s[:, None] - images[:, None, :]), tol)
     return [(ok and b <= tol)
             or (not b > tol and multiset_symmetry_match(s, name, tol) is not None)
             for name, b, ok in zip(maps, bound.tolist(), certified.tolist())]
