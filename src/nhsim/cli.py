@@ -68,18 +68,22 @@ DEFAULT_TOL = 1e-8
 
 
 def _tolerances(args) -> ToleranceConfig:
-    tol = args.tol
+    tol, source = args.tol, "--tol"
     if tol is None:
         env = os.environ.get("NHSIM_TOL")
         if env is not None:
+            source = "NHSIM_TOL"
             try:
                 tol = float(env)
             except ValueError:
                 raise SystemExit2(f"NHSIM_TOL is not a number: {env!r}")
     if tol is None:
         tol = DEFAULT_TOL
-    if not 0 < tol < np.inf:
-        raise SystemExit2(f"--tol must be positive and finite, got {tol}")
+    # the ladder below needs 10 tol finite and tol / 10 positive; both
+    # comparisons are false for NaN
+    if not (tol / 10 > 0 and 10 * tol < np.inf):
+        raise SystemExit2(
+            f"{source} must have 10*tol finite and tol/10 > 0, got {tol}")
     # one knob scales the whole ladder; the defaults are recovered at 1e-8
     return ToleranceConfig(cluster_tol=10 * tol, residual_tol=tol, rank_tol=tol / 10)
 

@@ -30,17 +30,23 @@ __all__ = [
 ]
 
 
+def _square(data) -> np.ndarray:
+    """``data`` as a nonempty square complex matrix, or ``ValueError``."""
+    H = np.asarray(data, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.shape[0] == 0:
+        raise ValueError("empty matrix")
+    return H
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a finite square complex matrix.
 
     Raises ``ValueError`` for non-square input and
     ``NonFiniteMatrixError`` for NaN/Inf entries.
     """
-    H = np.asarray(data, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if H.shape[0] == 0:
-        raise ValueError("empty matrix")
+    H = _square(data)
     if not np.isfinite(H).all():
         raise NonFiniteMatrixError("matrix contains non-finite entries")
     return H
@@ -49,11 +55,18 @@ def as_matrix(data) -> np.ndarray:
 def as_scaled_matrix(data) -> np.ndarray:
     """:func:`as_matrix`, rescaled when ``|H|_F^2`` would leave the normal range.
 
-    The rescale is :func:`scaled_stack` with ``degree = 2``.  Whatever is
-    homogeneous of degree 0 in ``H`` -- class verdicts, witnesses, relative
-    residuals -- is the same for the result.
+    The rescale is :func:`scaled_stack` with ``degree = 2``, with the same
+    bytes.  One pass takes the largest real and imaginary part of ``H``;
+    that pair decides both the ``NonFiniteMatrixError`` and the rescale.
+    Whatever is homogeneous of degree 0 in ``H`` -- class verdicts,
+    witnesses, relative residuals -- is the same for the result.
     """
-    return scaled_stack(as_matrix(data))
+    H = _square(data)
+    re, im = np.abs(H.real).max(), np.abs(H.imag).max()
+    # each part on its own: NaN compares false, and max(1.0, nan) is 1.0
+    if not (re < np.inf and im < np.inf):
+        raise NonFiniteMatrixError("matrix contains non-finite entries")
+    return _rescaled(H, max(re, im), 2)
 
 
 def scaled_stack(stack: np.ndarray, degree: int = 2) -> np.ndarray:
@@ -67,7 +80,13 @@ def scaled_stack(stack: np.ndarray, degree: int = 2) -> np.ndarray:
     multiplied by the one exact power of two that brings ``m`` into
     ``[1/2, 1)``; inside it the stack is returned as it is.
     """
-    m = max(np.abs(stack.real).max(), np.abs(stack.imag).max())
+    return _rescaled(stack, max(np.abs(stack.real).max(), np.abs(stack.imag).max()),
+                     degree)
+
+
+def _rescaled(stack: np.ndarray, m, degree: int) -> np.ndarray:
+    """The :func:`scaled_stack` rule for a stack whose largest real or
+    imaginary part is ``m``."""
     lo, hi = _normal_window(stack.shape[-1], degree)
     if m != 0 and not lo <= m <= hi:
         stack = ldexp_complex(stack, -np.frexp(m)[1])

@@ -240,23 +240,36 @@ def word_profile(stack: np.ndarray, tol: float) -> WordProfile:
     (:func:`~nhsim.matrices.scaled_stack` for the longest word's degree), so
     it does not depend on the scale; a stack in range is decided on the
     returned traces, which may overflow or underflow where it does not.
+    :func:`_compare_in_range` applies the rule; the 2x2 class check, whose
+    stack is in range by construction, calls it directly.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     words = word_list(stack.shape[-1])
+    scaled = scaled_stack(stack, int(_word_program(tuple(words)).degrees.max()))
+    decided, mismatches, _ = _compare_in_range(scaled, words, tol)
+    if scaled is stack:
+        return WordProfile(words, decided, mismatches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return WordProfile(words, word_traces(stack, words), mismatches)
+
+
+def _compare_in_range(stack: np.ndarray, words, tol: float):
+    """The rule of :func:`word_profile` on a stack that
+    :func:`~nhsim.matrices.scaled_stack` leaves as it is for the longest of
+    ``words``: the traces of the stack, the mismatching words of each
+    ``stack[i >= 1]`` and the :func:`~nhsim.matrices.frob_many` norms."""
     degrees = _word_program(tuple(words)).degrees
-    scaled = scaled_stack(stack, int(degrees.max()))
     with np.errstate(over="ignore", invalid="ignore"):
         traces = word_traces(stack, words)
-    decided = traces if scaled is stack else word_traces(scaled, words)
-    norms = frob_many(scaled)
+    norms = frob_many(stack)
     bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
-    differ = np.abs(decided[1:] - decided[0]) > bound
+    differ = np.abs(traces[1:] - traces[0]) > bound
     if differ.any():
         mismatches = [np.flatnonzero(row).tolist() for row in differ]
     else:
         mismatches = [[] for _ in differ]
-    return WordProfile(words, traces, mismatches)
+    return traces, mismatches, norms
 
 
 def word_trace(H, w: Word) -> complex:
@@ -364,10 +377,11 @@ def _generator_bases(symmetries: tuple[str, ...]) -> tuple[np.ndarray, np.ndarra
     return bases, conjugate
 
 
-def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorSearch]:
+def solve_generators(H: np.ndarray, symmetries, targets,
+                     norm: float) -> dict[str, GeneratorSearch]:
     """Closed-form 2x2 generators with the smallest residual for several
     symmetries of one validated 2x2 ``H``, given their mapped targets
-    (:func:`mapped_target`), in one stacked SVD.
+    (:func:`mapped_target`) and ``norm = |H|_F``, in one stacked SVD.
 
     Over the property's basis, ``U = sum_k q_k B_k`` with unit real ``q``,
     the defect ``H U - sign U T`` of the similarity ``H = sign U T U^+``
@@ -404,7 +418,7 @@ def solve_generators(H: np.ndarray, symmetries, targets) -> dict[str, GeneratorS
     E[1] = C @ np.where(conjugate[:, None, None, None], Cc, C) - _I2
     residuals, defects = frob_many(E.reshape(-1, 2, 2)).reshape(2, s, 2)
     best = residuals.argmin(axis=1).tolist()  # ties keep the SVD candidate
-    norm = max(frob(H), 1e-300)
+    norm = max(norm, 1e-300)
     return {
         symmetry: GeneratorSearch(symmetry=symmetry, generator=C[i, k],
                                   similarity_residual=float(residuals[i, k]) / norm,
@@ -432,21 +446,34 @@ def check_similarity_implies_symmetry_2x2(
 
 def _class_generators(H, cls: SimilarityClass, tol: float | None):
     """Generators of ``cls`` for a 2x2 ``H``; with ``tol``, after one word
-    pass over ``(H, T_1, T_2)`` has decided that ``H`` is in ``cls``."""
+    pass over ``(H, T_1, T_2)`` has decided that ``H`` is in ``cls``.
+
+    :func:`~nhsim.matrices.as_scaled_matrix` brings ``H`` into range for
+    degree 2, the longest word for n = 2, and each target ``sign T(H)``
+    holds the entries of ``H`` up to sign, conjugation and transposition,
+    so the stack is decided as it is, without a second rescale, and its
+    norm row 0 is ``|H|_F``.
+    """
     H = as_scaled_matrix(H)
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("this check is a 2x2 statement")
     symmetries = CLASS_SYMMETRIES[cls]
-    stack = np.stack([H, *(mapped_target(H, symmetry) for symmetry in symmetries)])
-    if tol is not None:
-        words, traces, mismatches = word_profile(stack, tol)
-        for i, bad in enumerate(mismatches, 1):
-            if bad:
-                j = bad[0]
-                raise ClassMismatchError(
-                    f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
-                    f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
-    return solve_generators(H, symmetries, stack[1:])
+    stack = np.empty((3, 2, 2), dtype=complex)
+    stack[0] = H
+    for out, symmetry in zip(stack[1:], symmetries):
+        target, sign, _ = SYMMETRY_TARGETS[symmetry]
+        np.multiply(sign, target(H), out=out)  # mapped_target(H, symmetry)
+    if tol is None:
+        return solve_generators(H, symmetries, stack[1:], frob(H))
+    words = word_list(2)
+    traces, mismatches, norms = _compare_in_range(stack, words, tol)
+    for i, bad in enumerate(mismatches, 1):
+        if bad:
+            j = bad[0]
+            raise ClassMismatchError(
+                f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
+                f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
+    return solve_generators(H, symmetries, stack[1:], float(norms[0]))
 
 
 # ---------------------------------------------------------------------------

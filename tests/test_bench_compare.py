@@ -1,7 +1,9 @@
-"""The seed parser and the summary statistics of ``tools/bench_compare.py``,
-and the seed errors of both tools, without running the benchmark."""
+"""The seed parser, the summary statistics and the working-tree snapshot of
+``tools/bench_compare.py``, and the seed errors of both tools, without
+running the benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,41 @@ def test_tools_exit_2_with_the_reason_for_bad_seeds(tool, spec, reason, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument --seeds: {reason}" in err
+
+
+def test_the_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch):
+    # the change ran from the root of the repository while the base ran
+    # from an export, and unchanged code read slower from the root
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("build/\n")
+    (repo / "src" / "a.py").write_text("committed\n")
+    (repo / "gone.py").write_text("deleted after the commit\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "a.py").write_text("uncommitted edit\n")
+    (repo / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "build").mkdir()
+    (repo / "build" / "out.o").write_text("ignored\n")
+    monkeypatch.setattr(bench_compare, "ROOT", repo)
+
+    dest = tmp_path / "snap"
+    info = bench_compare.snapshot(dest)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert info == {"rev": "working tree", "head": head, "dirty": True}
+    assert dest.resolve() != repo.resolve()
+    files = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/a.py", "src/new.py"]
+    assert (dest / "src" / "a.py").read_text() == "uncommitted edit\n"
+    # the copy is independent of the working tree
+    (repo / "src" / "a.py").write_text("edited again\n")
+    assert (dest / "src" / "a.py").read_text() == "uncommitted edit\n"

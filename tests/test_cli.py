@@ -698,13 +698,42 @@ def test_scan_parameter_given_twice_exits_2(capsys, trimer_family, argv, message
     assert (code, out, err) == (2, "", message)
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e308", "5e-324"])
 def test_classify_nonfinite_tol_exits_2(capsys, monkeypatch, dimer_at_1, tol):
-    code, out, err = run(capsys, "classify", dimer_at_1, "--tol", tol)
-    assert code == 2 and out == "" and "--tol" in err
+    # 1e308 and 5e-324 are positive and finite, but 10 tol overflows and
+    # tol / 10 underflows to 0; the error names the setting that supplied tol
+    # (it named --tol for NHSIM_TOL and ToleranceConfig for these two)
+    rule = f"must have 10*tol finite and tol/10 > 0, got {float(tol)}\n"
+    monkeypatch.delenv("NHSIM_TOL", raising=False)
+    code, out, err = run(capsys, "classify", dimer_at_1, f"--tol={tol}")
+    assert (code, out, err) == (2, "", "error: --tol " + rule)
     monkeypatch.setenv("NHSIM_TOL", tol)
     code, out, err = run(capsys, "classify", dimer_at_1)
-    assert code == 2 and out == ""
+    assert (code, out, err) == (2, "", "error: NHSIM_TOL " + rule)
+
+
+@pytest.mark.parametrize("tol", ["1e307", "5e-323"])
+def test_classify_accepts_tol_at_the_ends_of_its_range(capsys, monkeypatch,
+                                                        dimer_at_1, tol):
+    monkeypatch.setenv("NHSIM_TOL", tol)
+    assert run(capsys, "classify", dimer_at_1)[0] == 0
+    monkeypatch.delenv("NHSIM_TOL")
+    assert run(capsys, "classify", dimer_at_1, f"--tol={tol}")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["classify", "specht-generators"])
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_entry_exits_2(capsys, tmp_path, command, part, bad):
+    # Python's json reads these literals; one part of one entry is enough
+    pair = ["0.5", "0.5"]
+    pair[part] = bad
+    p = tmp_path / "m.json"
+    p.write_text('{"dim": 2, "entries": [[[1, 0], [%s, %s]], [[0, 0], [1, 0]]]}'
+                 % tuple(pair))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix contains non-finite entries\n"
 
 
 def test_flags_registered_only_where_honoured(capsys, dimer_at_1, dimer_family):

@@ -6,12 +6,13 @@ import pytest
 from nhsim.classes import CLASS_MAP, SimilarityClass, construct_witness, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
 from nhsim.matrices import as_scaled_matrix, frob, frob_many, ldexp_complex, scaled_stack
-from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS
+from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS, ToleranceConfig
 from nhsim.specht import (
     CLASS_SYMMETRIES,
     SYMMETRY_TARGETS,
     Word,
     WordProfile,
+    _compare_in_range,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
     mapped_target,
@@ -112,7 +113,8 @@ def recover(H, symmetry):
     """The generator of one symmetry of a 2x2 ``H``, solved on ``H``
     rescaled as the class check does."""
     H = as_scaled_matrix(H)
-    return solve_generators(H, (symmetry,), [mapped_target(H, symmetry)])[symmetry]
+    found = solve_generators(H, (symmetry,), [mapped_target(H, symmetry)], frob(H))
+    return found[symmetry]
 
 
 def test_generator_recovery_hermitian_identity_case():
@@ -306,7 +308,7 @@ def test_stacked_generators_keep_the_one_symmetry_bytes():
     symmetries = list(SYMMETRY_TARGETS)
     for i, H in enumerate(_generator_corpus()):
         targets = [mapped_target(H, s) for s in symmetries]
-        found = solve_generators(H, symmetries, targets)
+        found = solve_generators(H, symmetries, targets, frob(H))
         for s in symmetries:
             U, residual, defect = _reference_generator(H, s)
             for r in (found[s], recover(H, s)):
@@ -462,7 +464,7 @@ def test_stacked_residual_pass_keeps_the_loop_bytes():
         H = as_scaled_matrix(H)
         for symmetries in pairs:
             targets = [mapped_target(H, s) for s in symmetries]
-            found = solve_generators(H, symmetries, targets)
+            found = solve_generators(H, symmetries, targets, frob(H))
             ref = _loop_solve_generators(H, symmetries, targets)
             assert list(found) == list(ref)
             for s, (U, residual, defect) in ref.items():
@@ -491,6 +493,68 @@ def test_class_check_keeps_the_loop_bytes_and_errors():
                 assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
                     [residual, defect]), (i, cls, s)
             outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected"}
+
+
+def _two_pass_class_generators(H, cls, tol):
+    """The class check as it ran before it took the range and norm of H
+    once: as_scaled_matrix, a stacked word_profile that rescales the stack
+    again, and solve_generators with a second frob(H).  Returns the stack,
+    the mismatches and either the generators or the ClassMismatchError text."""
+    H = scaled_stack(np.asarray(H, dtype=complex))
+    symmetries = CLASS_SYMMETRIES[cls]
+    stack = np.stack([H, *(mapped_target(H, symmetry) for symmetry in symmetries)])
+    words = word_list(2)
+    scaled = scaled_stack(stack, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = word_traces(stack, words)
+    decided = traces if scaled is stack else word_traces(scaled, words)
+    norms = frob_many(scaled)
+    degrees = np.array([len(w) for w in words])
+    bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
+    mismatches = [np.flatnonzero(row).tolist()
+                  for row in np.abs(decided[1:] - decided[0]) > bound]
+    for i, bad in enumerate(mismatches, 1):
+        if bad:
+            j = bad[0]
+            return stack, mismatches, (
+                f"not {cls.value}: word {words[j]} traces {traces[0, j]:.6g} "
+                f"vs {traces[i, j]:.6g} for the {symmetries[i - 1]} target")
+    return stack, mismatches, solve_generators(H, symmetries, stack[1:], frob(H))
+
+
+def test_class_check_keeps_the_two_pass_bytes_and_errors():
+    # _pin_corpus(2): PH, CH and SSS members, non-members, members times
+    # 1 + eps noise (eps 1e-9 to 1e-7), all at 2^+-600, zero and -0.0
+    # entries; here also at 2^+-1000
+    corpus = _pin_corpus(2)
+    corpus += [ldexp_complex(M, e) for M in corpus[:40] for e in (1000, -1000)]
+    outcomes = set()
+    for i, H in enumerate(corpus):
+        for cls in SimilarityClass:
+            for tol in (DEFAULT_TOLERANCES.residual_tol, 1e-6):
+                stack, mismatches, ref = _two_pass_class_generators(H, cls, tol)
+                # the stack is in range: the comparison runs on it as it is
+                assert scaled_stack(stack, 2) is stack, i
+                traces, got, norms = _compare_in_range(stack, word_list(2), tol)
+                assert got == mismatches, (i, cls, tol)
+                assert _bytes(norms[:1]) == _bytes([frob(stack[0])]), i
+                cfg = ToleranceConfig(10 * tol, tol, tol / 10)
+                try:
+                    found = check_similarity_implies_symmetry_2x2(H, cls, cfg)
+                except ClassMismatchError as exc:
+                    assert str(exc) == ref, (i, cls, tol)
+                    outcomes.add("rejected")
+                    continue
+                assert not isinstance(ref, str), (i, cls, tol, ref)
+                assert list(found) == list(ref), (i, cls)
+                for s, want in ref.items():
+                    r = found[s]
+                    assert _bytes(r.generator) == _bytes(want.generator), (i, cls, s)
+                    assert type(r.similarity_residual) is float
+                    assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                        [want.similarity_residual, want.property_defect]), (i, cls, s)
+                outcomes.add("accepted")
     assert outcomes == {"accepted", "rejected"}
 
 

@@ -11,9 +11,12 @@ Usage, from the root of the repository::
 
 The base is a git revision, exported with ``git archive`` under
 ``.bench_build/`` (committed files only, as a fresh checkout sees them) and
-removed afterwards.  The change is the working tree, or with ``--change
-REV`` a second revision exported the same way; ``--base REV --change REV``
-is an A/A run, which shows the noise floor of a comparison.  Pair ``i``
+removed afterwards.  The change is a snapshot of the working tree copied
+there the same way (tracked files as they are on disk, and untracked files
+that ``.gitignore`` does not exclude), or with ``--change REV`` a second
+revision exported like the base; so both sides run from the same kind of
+directory.  ``--base REV --change REV`` is an A/A run, which shows the
+noise floor of a comparison.  Pair ``i``
 runs the base first when ``i`` is even and the change first when it is
 odd, so that a drift of the machine within a pair favours neither.  Each tree runs its
 own ``perfbench/run.py`` on its own ``src/``, for the run length
@@ -100,9 +103,19 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def working_tree() -> dict:
+def snapshot(dest: Path) -> dict:
+    """The working tree under ``dest``: tracked files as they are on disk
+    (a deleted one is left out) and untracked files that ``.gitignore`` does
+    not exclude.  Returns HEAD and whether tracked files differ from it."""
     sha = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in sorted(set(filter(None, names.split(b"\0")))):
+        src = ROOT / os.fsdecode(name)
+        if src.is_file():
+            target = dest / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
     return {"rev": "working tree", "head": sha, "dirty": dirty}
 
 
@@ -214,11 +227,10 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="compare_", dir=ROOT / ".bench_build"))
     try:
         base_info = {"rev": args.base, "commit": export(args.base, workdir / "base")}
-        trees = {"base": workdir / "base", "change": ROOT}
+        trees = {"base": workdir / "base", "change": workdir / "change"}
         if args.change is None:
-            change_info = working_tree()
+            change_info = snapshot(trees["change"])
         else:
-            trees["change"] = workdir / "change"
             change_info = {"rev": args.change,
                            "commit": export(args.change, trees["change"])}
         pairs = []
