@@ -82,19 +82,17 @@ def test_one_pass_as_scaled_matrix_keeps_the_two_pass_bytes():
     assert rescaled > 50
 
 
-@pytest.mark.parametrize("data, error", [
-    (np.zeros((2, 3)), ValueError),
-    (np.zeros((0, 0)), ValueError),
-    (np.zeros(4), ValueError),
-    ([[1, np.nan]], ValueError),  # the shape is checked first
+@pytest.mark.parametrize("data", [
+    np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4),
+    [[1, np.nan]],  # the shape is checked first
 ])
-def test_as_scaled_matrix_checks_the_shape_as_as_matrix_does(data, error):
+def test_as_scaled_matrix_checks_the_shape_as_as_matrix_does(data):
+    errors = []
     for f in (as_matrix, as_scaled_matrix, _two_pass_as_scaled_matrix):
-        with pytest.raises(error) as exc:
+        with pytest.raises(ValueError) as exc:
             f(data)
-        assert type(exc.value) is error
-    assert str(pytest.raises(error, as_scaled_matrix, data).value) == str(
-        pytest.raises(error, _two_pass_as_scaled_matrix, data).value)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0][0] is ValueError and errors.count(errors[0]) == 3
 
 
 # ---------------------------------------------------------------------------
