@@ -34,7 +34,6 @@ from .epfinder import (
 )
 from .errors import (
     ClassMismatchError,
-    ClusterAmbiguityError,
     EigensolverError,
     FamilyFormatError,
     FamilyNotInClassError,
@@ -56,12 +55,10 @@ from .specht import (
 )
 from .spectral import (
     JordanBlock,
-    JordanStructure,
     Spectrum,
     ToleranceConfig,
     eigenvalues,
     is_normal,
-    jordan_decompose,
     multiset_symmetry_match,
     power_traces,
 )
@@ -73,8 +70,8 @@ __all__ = [
     "SpecialCaseReport", "classify", "construct_witness", "witness_residual",
     "factor", "generate_random", "detect_special_cases",
     # spectral
-    "ToleranceConfig", "Spectrum", "JordanBlock", "JordanStructure", "eigenvalues",
-    "power_traces", "multiset_symmetry_match", "is_normal", "jordan_decompose",
+    "ToleranceConfig", "Spectrum", "JordanBlock", "eigenvalues",
+    "power_traces", "multiset_symmetry_match", "is_normal",
     # specht
     "Word", "word_trace", "word_list", "trace_profile",
     "unitary_similarity_test", "check_similarity_implies_symmetry_2x2",
@@ -89,6 +86,6 @@ __all__ = [
     "parse_matrix", "dump_matrix", "matrix_to_json",
     # errors
     "NhsimError", "NonFiniteMatrixError", "EigensolverError",
-    "ClusterAmbiguityError", "ClassMismatchError", "UnsupportedDimensionError",
+    "ClassMismatchError", "UnsupportedDimensionError",
     "FamilyFormatError", "FamilyNotInClassError",
 ]

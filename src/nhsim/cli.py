@@ -6,7 +6,7 @@ accept ``-`` for standard input.  Exit codes: 0 success, 1 domain failure
 (the matrix is not in the class, a family fails its class identity check,
 or an eigensolver that does not converge) or a closed output pipe, 2 input
 or usage error, a dimension that the word lists or the generator analysis
-do not cover included.
+do not cover and a grid or dimension too large to allocate included.
 
 Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The
@@ -453,6 +453,9 @@ def main(argv=None) -> int:
     except (SystemExit2, FamilyFormatError, NonFiniteMatrixError,
             UnsupportedDimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or dimension too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NhsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,9 +47,9 @@ from .spectral import (
     DEFAULT_TOLERANCES,
     JordanBlock,
     ToleranceConfig,
-    _cluster_staircases,
     _symmetry_bottlenecks,
     eigenvalues_many,
+    nullity_staircase,
     weyr_block_sizes,
 )
 
@@ -820,31 +820,39 @@ def certify_order(
     eigenvalue is examined, so nearby non-zero eigenvalues cannot make the
     certificate ambiguous.  The radius and the cutoff are relative with no
     floor, and the matrix is decided times its own power of two where its
-    norm or powers up to ``H~^n`` would leave the normal range (the rule of
-    :func:`~nhsim.spectral.jordan_decompose`), so ``c H`` gets the
-    certificate of ``H`` at every scale ``c > 0``, its block means times
-    ``c``.
+    norm or powers up to ``H~^n`` would leave the normal range, so ``c H``
+    gets the certificate of ``H`` at every scale ``c > 0``, its block means
+    times ``c``.
     """
     return _certify_many(as_matrix(H)[None], cfg, constraint_tol)[0]
 
 
 def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
     """:func:`certify_order` of a stack of matrices ``(N, n, n)``: one stacked
-    eigensolve and one nullity staircase for all of them."""
+    eigensolve and one nullity staircase for all of them.
+
+    Each trace-shifted matrix is multiplied by its own power of two
+    (:func:`~nhsim.matrices.scale_exponents` with degree ``max(n, 2)``), so
+    its norm and its powers up to ``H~^n`` stay in the normal range; the
+    zero cluster is found and climbed on the rescaled matrix, and its mean
+    is scaled back."""
     if not len(H):
         return []
     Ht = _shifted(np.asarray(H, dtype=complex))
     n = Ht.shape[-1]
     eps = np.finfo(float).eps
     rel_radius = max(cfg.cluster_tol, 10.0 * max(constraint_tol, 100 * eps) ** (1.0 / n))
-
-    def zero_clusters(vals, norm):
-        zero = np.abs(vals) <= rel_radius * norm[:, None]
-        sizes = zero.sum(axis=1)
-        return np.arange(len(vals)), _cluster_means(vals, zero, sizes), sizes
-
+    e = scale_exponents(Ht, max(n, 2))
+    Ht = ldexp_complex(Ht, e[:, None, None])
+    norm = frob_many(Ht)
+    vals = eigenvalues_many(Ht)
+    zero = np.abs(vals) <= rel_radius * norm[:, None]
+    sizes = zero.sum(axis=1)
+    means = _cluster_means(vals, zero, sizes)
+    stairs = nullity_staircase(Ht - means[:, None, None] * np.eye(n), sizes,
+                               cfg.rank_tol, norm)
     certs = []
-    for mu, _m, dims in _cluster_staircases(Ht, zero_clusters, cfg.rank_tol):
+    for mu, dims in zip(ldexp_complex(means, -e).tolist(), stairs):
         if dims[-1] == 0:
             certs.append(OrderCertificate(1, 0, 0, False, ()))
             continue

@@ -13,10 +13,6 @@ class EigensolverError(NhsimError):
     """The eigenvalue iteration failed to converge."""
 
 
-class ClusterAmbiguityError(NhsimError):
-    """Two eigenvalue clusters are too close to separate reliably."""
-
-
 class ClassMismatchError(NhsimError):
     """The matrix does not satisfy the requested similarity-class condition."""
 

@@ -1,14 +1,13 @@
-"""Spectral core: eigenvalues, Jordan structure and spectral-symmetry tests.
+"""Spectral core: eigenvalues, spectral-symmetry tests and the rank
+staircase from which Jordan blocks are read.
 
-Everything here targets small dense matrices (the cap of the full Jordan
-decomposition is ``JORDAN_DIM_CAP = 12``).  Jordan structure is numerically
-ill-posed in general; it is made usable at this scale by clustering
-eigenvalues with an absolute radius derived from ``cluster_tol`` and by
-deciding block sizes from the rank staircase of ``(H - eps*I)^k``: the
-nullities of the powers, each under a singular-value cutoff
-(:func:`nullity_staircase`), whose differences are the Weyr characteristic
-(:func:`weyr_block_sizes`).  Order certification and
-:func:`jordan_decompose` read their blocks off one scale-free staircase.
+Everything here targets small dense matrices.  Jordan structure is
+numerically ill-posed in general; at this scale it is decided from the rank
+staircase of ``(H - eps*I)^k``: the nullities of the powers, each under a
+singular-value cutoff (:func:`nullity_staircase`), whose differences are
+the Weyr characteristic (:func:`weyr_block_sizes`).
+Within the package only :func:`~nhsim.epfinder.certify_order` climbs it;
+it chooses the cluster and its mean ``eps``.
 """
 
 from __future__ import annotations
@@ -18,41 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClusterAmbiguityError,
-    EigensolverError,
-    NonFiniteMatrixError,
-    UnsupportedDimensionError,
-)
-from .matrices import (
-    as_matrix,
-    as_scaled_matrix,
-    dagger,
-    frob,
-    frob_many,
-    ldexp_complex,
-    scale_exponents,
-)
+from .errors import EigensolverError, NonFiniteMatrixError
+from .matrices import as_matrix, as_scaled_matrix, dagger, frob
 
 __all__ = [
     "ToleranceConfig",
     "Spectrum",
     "JordanBlock",
-    "JordanStructure",
     "eigenvalues",
     "eigenvalues_many",
     "power_traces",
     "multiset_symmetry_match",
     "symmetry_bottleneck",
     "is_normal",
-    "jordan_decompose",
     "nullity_staircase",
     "weyr_block_sizes",
-    "JORDAN_DIM_CAP",
 ]
-
-#: Largest dimension accepted by :func:`jordan_decompose`.
-JORDAN_DIM_CAP = 12
 
 SYMMETRY_MAPS = {
     "conj": np.conj,
@@ -111,19 +91,6 @@ class Spectrum:
 class JordanBlock:
     eigenvalue: complex
     size: int
-
-
-@dataclass
-class JordanStructure:
-    """Result of :func:`jordan_decompose`: the Jordan blocks of ``H``.
-
-    Clusters are listed in order of their mean (real part, then imaginary
-    part), and the blocks of a cluster largest first; blocks belonging to
-    one eigenvalue cluster share the same ``cluster_index``.
-    """
-
-    blocks: list[JordanBlock]
-    cluster_index: list[int]
 
 
 def eigenvalues(H) -> Spectrum:
@@ -299,43 +266,7 @@ def is_normal(H, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Jordan decomposition
-
-
-def _cluster_eigenvalues(vals: np.ndarray, radius: float):
-    """Greedy union of eigenvalues within ``radius`` of each other.
-
-    Returns a list of ``(mean, member_indices)``; raises
-    ``ClusterAmbiguityError`` when two distinct cluster means end up within
-    ``2 * radius`` of each other.
-    """
-    n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= radius:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [(complex(np.mean(vals[idx])), idx) for idx in groups.values()]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            if abs(clusters[a][0] - clusters[b][0]) < 2 * radius:
-                raise ClusterAmbiguityError(
-                    f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
-                    f"are closer than twice the clustering radius {radius:.3g}"
-                )
-    return clusters
+# Jordan blocks from a rank staircase
 
 
 def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
@@ -347,10 +278,9 @@ def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
     the cluster size ``m_r``.  It stops when ``d_k`` reaches ``m_r`` or
     stops growing; the stalled step is not recorded, so ``d_s`` is where
     the nullity settles.  ``m_r = 0`` gives ``[0]``.  ``m`` and ``base``
-    are scalars or one value per matrix; :func:`jordan_decompose` and
-    ``certify_order`` pass ``|H|_F`` as ``base``, so the cutoff is
-    relative.  All matrices climb together: each
-    step is one stacked matmul and one stacked values-only SVD of the
+    are scalars or one value per matrix; ``certify_order`` passes ``|H|_F``
+    as ``base``, so the cutoff is relative.  All matrices climb together:
+    each step is one stacked matmul and one stacked values-only SVD of the
     matrices still climbing.
     """
     A = np.asarray(A, dtype=complex)
@@ -387,67 +317,3 @@ def weyr_block_sizes(dims) -> list[int]:
     """
     w = [b - a for a, b in zip(dims, dims[1:])] + [0]
     return [k for k in range(len(w) - 1, 0, -1) for _ in range(w[k - 1] - w[k])]
-
-
-def _cluster_staircases(H, clusters, rank_tol: float) -> list[tuple]:
-    """Rank staircases of chosen eigenvalue clusters of a stack ``H``
-    ``(N, n, n)``, decided the same way at every scale.
-
-    Each matrix is multiplied by its own power of two
-    (:func:`~nhsim.matrices.scale_exponents` with degree ``max(n, 2)``), so
-    its norm and its powers up to ``H^n`` stay in the normal range.
-    ``clusters(vals, norm)`` gets the ``(N, n)`` eigenvalues of the
-    rescaled matrices (one stacked eigensolve) and their ``(N,)`` Frobenius
-    norms, and returns the matrix index, the mean and the size ``m`` of
-    each cluster to climb: the staircase of ``(H - mean I)^k`` under the
-    cutoff ``rank_tol * norm**k`` (:func:`nullity_staircase`), with no
-    other floor.  Returns the ``(mean, m, staircase)`` of every cluster,
-    each mean scaled back.
-    """
-    n = H.shape[-1]
-    e = scale_exponents(H, max(n, 2))
-    H = ldexp_complex(H, e[:, None, None])
-    norm = frob_many(H)
-    owner, means, sizes = clusters(eigenvalues_many(H), norm)
-    stairs = nullity_staircase(H[owner] - means[:, None, None] * np.eye(n), sizes,
-                               rank_tol, norm[owner])
-    return list(zip(ldexp_complex(means, -e[owner]).tolist(), sizes, stairs))
-
-
-def jordan_decompose(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> JordanStructure:
-    """Jordan blocks of ``H`` with tolerance clustering.
-
-    Eigenvalues are clustered within an absolute radius
-    ``cfg.cluster_tol * |H|_F``; a simple eigenvalue is one block of size
-    1, and the blocks of a multiple one follow from the rank staircase of
-    ``(H - eps*I)^k`` under ``cfg.rank_tol``, by the rule that certifies
-    EP orders (:func:`_cluster_staircases`, which clusters and climbs on
-    ``H`` times a power of two where its powers would leave the normal
-    range).  Raises ``ClusterAmbiguityError`` when two clusters overlap or
-    a staircase stops short of its cluster's size.
-    """
-    H = as_matrix(H)
-    n = H.shape[0]
-    if n > JORDAN_DIM_CAP:
-        raise UnsupportedDimensionError(
-            f"jordan_decompose supports n <= {JORDAN_DIM_CAP}, got {n}"
-        )
-
-    def clusters(vals, norm):
-        groups = _cluster_eigenvalues(vals[0], cfg.cluster_tol * norm[0])
-        # a simple eigenvalue climbs no staircase
-        return ([0] * len(groups), np.array([mean for mean, _ in groups]),
-                [len(idx) if len(idx) > 1 else 0 for _, idx in groups])
-
-    blocks: list[JordanBlock] = []
-    cluster_index: list[int] = []
-    found = _cluster_staircases(H[None], clusters, cfg.rank_tol)
-    for ci, (mean, m, dims) in enumerate(found):
-        sizes = weyr_block_sizes(dims) if m else [1]
-        if m and sum(sizes) != m:
-            raise ClusterAmbiguityError(
-                "rank profile of the cluster is inconsistent with its multiplicity"
-            )
-        blocks += [JordanBlock(mean, k) for k in sizes]
-        cluster_index += [ci] * len(sizes)
-    return JordanStructure(blocks, cluster_index)

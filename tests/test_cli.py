@@ -549,6 +549,18 @@ def test_exit_code_2_on_malformed_matrix(capsys, tmp_path):
     assert code == 2 and "entries" in err
 
 
+def test_impossible_allocation_exits_2(capsys, trimer_family):
+    # each array exceeds any 57-bit address space (over 600 PiB), so the
+    # allocator refuses it at once, whatever the overcommit policy
+    for argv in (["scan", trimer_family, "--class", "pseudo-hermitian",
+                  "--grid", "gamma=0:3:5", "--grid", f"k=0:1:{10**17}"],
+                 ["generate", "--class", "pseudo-hermitian", "--dim", str(3 * 10**8),
+                  "--seed", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_exit_code_1_on_class_mismatch(capsys, tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(mat_doc(np.diag([1j, 2j]))))

@@ -1151,6 +1151,59 @@ def test_certify_order_near_trimer_ep3_sweep():
     assert (cert.order, cert.cluster_size, cert.geometric_multiplicity) == (3, 3, 1)
 
 
+# the Jordan patterns of the classify-ep benchmark workload, written out
+JORDAN_PATTERNS = (
+    (2,), (3,), (4,), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (4, 4),
+    (2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 3, 2), (2, 2, 2, 2),
+)
+
+
+def haar_unitary(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+def jordan_conjugate(rng, pattern):
+    """The blocks of ``pattern`` at one random complex eigenvalue,
+    conjugated by a Haar unitary."""
+    n = sum(pattern)
+    eig = complex(*rng.uniform(-2.0, 2.0, 2))
+    J = eig * np.eye(n, dtype=complex)
+    pos = 0
+    for m in pattern:
+        J[pos : pos + m - 1, pos + 1 : pos + m] += np.eye(m - 1)
+        pos += m
+    U = haar_unitary(rng, n)
+    return U @ J @ dagger(U)
+
+
+@pytest.mark.parametrize("pattern", JORDAN_PATTERNS, ids=str)
+def test_certify_order_reads_every_jordan_pattern(pattern):
+    # default tolerances; the order-adaptive radius takes in the whole
+    # spread of every block, up to 4x4
+    bad = []
+    for seed in range(20):
+        cert = certify_order(jordan_conjugate(np.random.default_rng(seed), pattern))
+        got = ([b.size for b in cert.blocks], cert.order, cert.geometric_multiplicity)
+        if got != (list(pattern), pattern[0], len(pattern)):
+            bad.append((seed, got))
+    assert not bad
+
+
+def test_certify_order_reads_one_block_of_size_3():
+    # the trimer EP3 and unitary conjugates of the nilpotent 3x3 block: one
+    # block of order 3, not three simple eigenvalues ~1e-5 apart
+    N3 = np.diag([1.0, 1.0], 1).astype(complex)
+    rng = np.random.default_rng(11)
+    cases = [trimer().evaluate([np.sqrt(2), 1.0])]
+    cases += [U @ N3 @ dagger(U) for U in (haar_unitary(rng, 3) for _ in range(5))]
+    for H in cases:
+        cert = certify_order(H)
+        assert ([b.size for b in cert.blocks], cert.order) == ([3], 3)
+        assert cert.geometric_multiplicity == 1 and cert.single_block
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
 def test_certify_order_at_extreme_scales(c):

@@ -1,13 +1,17 @@
 """``nhsim`` runs on the standard library and numpy alone."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+import nhsim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,3 +68,17 @@ def test_sources_import_only_stdlib_numpy_and_nhsim():
                 continue
             bad += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert bad == []
+
+
+def test_every_exported_name_resolves_once():
+    modules = [nhsim] + [importlib.import_module(f"nhsim.{m.name}")
+                         for m in pkgutil.iter_modules(nhsim.__path__)]
+    checked = 0
+    for mod in modules:
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        assert [n for n in names if not hasattr(mod, n)] == [], mod.__name__
+        assert len(set(names)) == len(names), mod.__name__
+    assert checked > 1

@@ -17,7 +17,7 @@ from nhsim.classes import (
 from nhsim.epfinder import certify_order, class_identity_check
 from nhsim.families import MatrixFamily
 from nhsim.matrices import dagger
-from nhsim.spectral import DEFAULT_TOLERANCES, ToleranceConfig, is_normal, jordan_decompose
+from nhsim.spectral import DEFAULT_TOLERANCES, is_normal
 
 
 def samples(seeds):
@@ -178,21 +178,6 @@ def test_certify_order_is_scale_invariant(pattern, c):
     H = make()
     assert certificate(H) == (order, gm, size, gm == 1, sizes)
     assert certificate(c * H) == certificate(H)
-
-
-@pytest.mark.parametrize("pattern", list(PATTERNS))
-@pytest.mark.parametrize("c", RANK_SCALES)
-def test_jordan_decompose_is_scale_invariant(pattern, c):
-    make, _, sizes = PATTERNS[pattern]
-    H = make()
-    cfg = ToleranceConfig(cluster_tol=1e-4)
-    ref = jordan_decompose(H, cfg)
-    got = jordan_decompose(c * H, cfg)
-    assert [b.size for b in ref.blocks] == sizes
-    assert [b.size for b in got.blocks] == sizes
-    assert got.cluster_index == ref.cluster_index
-    for a, b in zip(got.blocks, ref.blocks):
-        assert abs(a.eigenvalue - c * b.eigenvalue) <= 1e-6 * c * np.linalg.norm(H)
 
 
 def linear_family(coeffs):

@@ -7,18 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhsim.errors import (
-    ClusterAmbiguityError,
-    NonFiniteMatrixError,
-    UnsupportedDimensionError,
-)
+from nhsim.errors import NonFiniteMatrixError
 from nhsim.spectral import (
-    JORDAN_DIM_CAP,
-    Spectrum,
     ToleranceConfig,
     eigenvalues,
     is_normal,
-    jordan_decompose,
     multiset_symmetry_match,
     nullity_staircase,
     SYMMETRY_MAPS,
@@ -247,70 +240,6 @@ def test_is_normal():
     assert not is_normal([[0, 1], [0, 0]])
     assert not is_normal([[1j, 1], [1, -1j]])
     assert is_normal(np.zeros((3, 3)))
-
-
-def test_jordan_canonical_nilpotent():
-    j = jordan_decompose([[0, 1], [0, 0]])
-    assert [(b.eigenvalue, b.size) for b in j.blocks] == [(0, 2)]
-    assert Spectrum([b.eigenvalue for b in j.blocks for _ in range(b.size)]).dim == 2
-
-
-def test_jordan_diagonal():
-    j = jordan_decompose(np.diag([1.0, 2.0, 3.0]))
-    assert sorted(b.eigenvalue.real for b in j.blocks) == pytest.approx([1, 2, 3])
-    assert all(b.size == 1 for b in j.blocks)
-
-
-def test_jordan_trimer_ep3():
-    # characteristic polynomial -e^3 + (2k^2-g^2)e at k=1, g=sqrt(2): rank 2,
-    # so a single length-3 chain at eigenvalue 0
-    H = np.array(
-        [[1j * np.sqrt(2), 1, 0], [1, 0, 1], [0, 1, -1j * np.sqrt(2)]], dtype=complex
-    )
-    cfg = ToleranceConfig(cluster_tol=1e-4)
-    j = jordan_decompose(H, cfg)
-    assert [(abs(b.eigenvalue) < 1e-4, b.size) for b in j.blocks] == [(True, 3)]
-
-
-def synthesize(blocks, seed):
-    """Matrix with prescribed Jordan data and a moderate-condition basis."""
-    rng = np.random.default_rng(seed)
-    n = sum(m for _, m in blocks)
-    J = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for eps, m in blocks:
-        J[pos : pos + m, pos : pos + m] = eps * np.eye(m) + np.diag(np.ones(m - 1), 1)
-        pos += m
-    while True:
-        Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(Q) <= 1e3:
-            break
-    return Q @ J @ np.linalg.inv(Q)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_jordan_round_trip_synthesized(seed):
-    blocks = [(1.2, 3), (0.5 - 0.3j, 2)]
-    H = synthesize(blocks, seed)
-    cfg = ToleranceConfig(cluster_tol=1e-5)
-    j = jordan_decompose(H, cfg)
-    got = sorted((round(b.eigenvalue.real, 3), b.size) for b in j.blocks)
-    assert got == sorted((round(e.real, 3), m) for e, m in blocks)
-
-
-def test_jordan_zero_matrix_and_dim_cap():
-    j = jordan_decompose(np.zeros((3, 3)))
-    assert len(j.blocks) == 3 and all(b.size == 1 for b in j.blocks)
-    with pytest.raises(UnsupportedDimensionError):
-        jordan_decompose(np.eye(JORDAN_DIM_CAP + 1))
-
-
-def test_jordan_cluster_ambiguity():
-    # two eigenvalues separated by just over the clustering radius
-    cfg = ToleranceConfig(cluster_tol=1e-3)
-    H = np.diag([1.0, 1.0 + 1.5e-3])
-    with pytest.raises(ClusterAmbiguityError):
-        jordan_decompose(H, cfg)
 
 
 def test_weyr_block_sizes():
