@@ -1178,17 +1178,14 @@ def jordan_conjugate(rng, pattern):
     return U @ J @ dagger(U)
 
 
+@pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("pattern", JORDAN_PATTERNS, ids=str)
-def test_certify_order_reads_every_jordan_pattern(pattern):
+def test_certify_order_reads_every_jordan_pattern(pattern, seed):
     # default tolerances; the order-adaptive radius takes in the whole
     # spread of every block, up to 4x4
-    bad = []
-    for seed in range(20):
-        cert = certify_order(jordan_conjugate(np.random.default_rng(seed), pattern))
-        got = ([b.size for b in cert.blocks], cert.order, cert.geometric_multiplicity)
-        if got != (list(pattern), pattern[0], len(pattern)):
-            bad.append((seed, got))
-    assert not bad
+    cert = certify_order(jordan_conjugate(np.random.default_rng(seed), pattern))
+    got = ([b.size for b in cert.blocks], cert.order, cert.geometric_multiplicity)
+    assert got == (list(pattern), pattern[0], len(pattern))
 
 
 def test_certify_order_reads_one_block_of_size_3():
