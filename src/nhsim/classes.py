@@ -34,7 +34,10 @@ constraints of all classes in one pass and solve the classes that pass in
 stacked calls.  The solver's tables depend only on ``n`` or on the nullity
 ``k`` and are built once per process with ``functools.cache``, read-only:
 the ``(n^2, n, n)`` Hermitian basis (about 1 MB for all ``n <= 12``), the
-triangle indices and the ``(32, k)`` search directions.
+triangle indices and the ``(32, k)`` search directions.  The eigensolve,
+the SVDs, the ``eigvalsh`` of the candidates and the solves of the
+adjoint residual and of :func:`factor` go through :mod:`nhsim._lapack`
+(numpy's gufuncs without the ``np.linalg`` wrappers, numpy's bytes).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import ClassMismatchError
 from .matrices import (
     as_matrix,
@@ -184,7 +188,7 @@ def _residual(H, cls: SimilarityClass, S, nH: float) -> float:
         return frob(H @ S - sign * (S @ H)) / denom if denom > 0 else 0.0
     if nH == 0:
         return 0.0
-    conj = np.linalg.solve(S.T, (S @ dagger(H)).T).T  # S H^+ S^-1
+    conj = _lapack.solve(S.T, (S @ dagger(H)).T).T  # S H^+ S^-1
     return frob(H - sign * conj) / nH
 
 
@@ -292,7 +296,7 @@ def _solve_witnesses(H, classes: list, cfg: ToleranceConfig, nH: float) -> list:
 
     out, pieces, slices = {}, [], {}
     for group, A in systems:
-        for cls, U, s in zip(group, *np.linalg.svd(A, full_matrices=False)[:2]):
+        for cls, U, s in zip(group, *_lapack.svd(A, full_matrices=False)[:2]):
             null = U[:, int(np.sum(s > cfg.residual_tol * s[0])) :].T
             if s[0] * np.sqrt(n) <= cfg.residual_tol * nH:
                 # H is zero or within tolerance of a scalar: every Hermitian
@@ -307,7 +311,7 @@ def _solve_witnesses(H, classes: list, cfg: ToleranceConfig, nH: float) -> list:
                 slices[cls] = slice(start, start + len(null) + 32)
     if pieces:
         S = _hermitian_from_coords(np.concatenate(pieces), n)
-        sv = np.abs(np.linalg.eigvalsh(S))  # singular values of Hermitian matrices
+        sv = np.abs(_lapack.eigvalsh(S))  # singular values of Hermitian matrices
         hi = sv.max(axis=1)
         ratio = sv.min(axis=1) / hi
     for cls, rows in slices.items():
@@ -393,7 +397,7 @@ def factor(H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     sign, adjoint = CLASS_EQUATIONS[cls]
     if not adjoint:
         return T, H
-    A = np.linalg.solve(T, Hs)
+    A = _lapack.solve(T, Hs)
     if sign < 0:  # H = i T A
         A = -1j * A
     defect = frob(A - dagger(A)) / max(frob(A), 1e-300)

@@ -412,9 +412,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", action="append", required=True,
                     metavar="name=lo:hi:points")
     sp.add_argument("--fix", action="append", default=[], metavar="name=value")
-    sp.add_argument("--seed-threshold", type=float, default=None)
+    sp.add_argument("--seed-threshold", type=float, default=None,
+                    help="seed only grid minima whose constraint norm is at "
+                         "most this; absolute, see --newton-tol")
     sp.add_argument("--max-iterations", type=int, default=50)
-    sp.add_argument("--newton-tol", type=float, default=1e-10)
+    sp.add_argument("--newton-tol", type=float, default=1e-10,
+                    help="Gauss-Newton tolerance on the constraint norm "
+                         "(default 1e-10); absolute like --seed-threshold and "
+                         "constraint_residual: tr H~^k and det H~ have degree "
+                         "k in H, so a family scaled by c needs scaled values")
     common(sp, output=True)
     sp.set_defaults(func=_cmd_scan)
 

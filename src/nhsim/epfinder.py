@@ -17,7 +17,10 @@ The module builds that reduced real constraint system, verifies the forced
 identities on random samples, scans a parameter grid with Gauss-Newton
 refinement from grid local minima, certifies the Jordan order at converged
 roots from the rank staircase of the zero cluster and estimates
-eigenvalue-splitting exponents along rays.
+eigenvalue-splitting exponents along rays.  Its determinants, eigenvalues,
+rank staircases and Gauss-Newton least squares go through
+:mod:`nhsim._lapack` (numpy's gufuncs without the ``np.linalg`` wrappers,
+numpy's bytes).
 
 The trace shift is a deliberate extension of the bare det/trace casting:
 the unshifted conditions only catch coalescence at zero energy.  Whether
@@ -32,13 +35,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-try:  # numpy's private gufunc behind np.linalg.lstsq; see _lstsq
-    from numpy.linalg import _umath_linalg
-except ImportError:
-    _umath_linalg = None
-
+from . import _lapack
 from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
@@ -169,7 +167,7 @@ def _components(Ht: np.ndarray, cols) -> np.ndarray:
         for j in range(n - 2):
             P = P @ Ht
             C[:, j] = _trace(P)
-        C[:, -1] = np.linalg.det(Ht)
+        C[:, -1] = _lapack.det(Ht)
     return C.view(float)[:, cols]
 
 
@@ -334,7 +332,12 @@ class ScanConfig:
     local minima of the constraint norm seed refinement (``None``: all).
     ``max_iterations`` and ``tol`` bound the Gauss-Newton refinement of each
     seed; ``tol`` is also the constraint accuracy handed to
-    :func:`certify_order`.  ``merge_radius`` is measured in
+    :func:`certify_order`.  ``tol`` and ``seed_threshold``, like the
+    ``constraint_residual`` of a candidate, are absolute: they are read in
+    the units of the active components, and ``tr H~^k`` and ``det H~`` have
+    degree ``k`` (``n`` for the determinant) in H, so a family scaled to
+    ``c f`` needs values scaled with it, component by component.
+    ``merge_radius`` is measured in
     grid-spacing-normalized parameter distance.  ``tolerances`` drive the
     order certification of converged roots.  A NaN, infinite or negative
     ``tol`` or ``merge_radius``, a ``max_iterations`` that is negative or not
@@ -416,7 +419,7 @@ def _gauss_newton(g_many, x0, max_iter, tol):
         live = live[~done]
         if not live.size:
             break
-        step = _lstsq(constraint_jacobians(g_many, x[live]), -gx[live])
+        step = _lapack.lstsq(constraint_jacobians(g_many, x[live]), -gx[live])
         ok = np.all(np.isfinite(step), axis=1) & (_row_norms(step) != 0)
         live, step = live[ok], step[ok]
         if not live.size:
@@ -429,34 +432,6 @@ def _gauss_newton(g_many, x0, max_iter, tol):
             found = np.concatenate([found, rest[more]])
         live = np.sort(live[found])
     return x, nrm, its, nrm <= tol
-
-
-def _lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(J[s], b[s], rcond=None)[0]`` for every ``s`` of a
-    stack ``(S, k, d)``, ``(S, k) -> (S, d)``, bit for bit, in one call.
-
-    It calls the gufunc that ``np.linalg.lstsq`` itself calls, numpy's
-    private ``numpy.linalg._umath_linalg.lstsq`` (signature ``ddd->ddid``),
-    with numpy's default ``rcond = eps * max(k, d)``, and raises
-    ``LinAlgError`` where the SVD does not converge, as numpy does.
-    ``tests/test_epfinder.py::test_stacked_lstsq_matches_numpy`` pins it to
-    numpy's bytes.  Where a numpy release lacks that private module, it
-    calls ``np.linalg.lstsq`` once per matrix of the stack.
-    """
-    if _umath_linalg is None:
-        x = np.empty(J.shape[:-2] + J.shape[-1:])
-        for s, (Js, bs) in enumerate(zip(J, b)):
-            x[s] = np.linalg.lstsq(Js, bs, rcond=None)[0]
-        return x
-    rcond = np.finfo(float).eps * max(J.shape[-2:])
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(J, b[..., None], rcond, signature="ddd->ddid")[0]
-    return x[..., 0]
-
-
-def _svd_failed(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _first_decrease(g_many, rows, step, halvings, x, gx, nrm):
@@ -630,9 +605,13 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     """Grid-seeded Gauss-Newton search for full-coalescence points.
 
     Grid nodes that are local minima of the constraint norm seed
-    Gauss-Newton refinement.  For n <= 3 the minima are decided on proven
-    intervals around the norm, from closed-form components taken
-    elementwise over the grid (:func:`_norm_bounds`); the exact batched
+    Gauss-Newton refinement.  ``cfg.tol`` and ``cfg.seed_threshold`` are
+    absolute, in the units of the constraint components, as is each
+    candidate's ``constraint_residual`` (:class:`ScanConfig`): the scan of
+    ``c f`` with the values of ``f`` is not the scan of ``f``.  For n <= 3
+    the minima are decided on proven intervals around the norm, from
+    closed-form components taken elementwise over the grid
+    (:func:`_norm_bounds`); the exact batched
     evaluation runs only at nodes where an interval cannot decide a
     comparison or the ``seed_threshold`` test, or where no bound is proven,
     and for n >= 4 at every node.  The seeds are those of the exact norms.

@@ -25,9 +25,12 @@ stacked SVD and scores every candidate generator, and its property defect,
 in one stacked residual pass.  The 2x2 check
 (:func:`check_similarity_implies_symmetry_2x2`) decides class membership
 from one word pass over ``H`` and its mapped targets ``sign T(H)`` and gets
-both generators from one SVD of shape ``(2, 8, 3)``.  numpy runs the same
-BLAS or LAPACK call per matrix of a stack, so every trace and generator has
-the bytes of a one-matrix run.
+both generators from one SVD of shape ``(2, 8, 3)``, through
+:mod:`nhsim._lapack` (numpy's gufunc without the ``np.linalg`` wrapper).
+numpy runs the same BLAS or LAPACK call per matrix of a stack, so every
+trace and generator has the bytes of a one-matrix run.  The canonical word
+lists, their word programs and the identity each program starts from are
+built once per process.
 
 A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
 length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
@@ -43,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .classes import SimilarityClass, generate_random
 from .errors import ClassMismatchError, UnsupportedDimensionError
 from .matrices import (
@@ -116,8 +120,8 @@ def _w(spec: str) -> Word:
 # canonical non-redundant word lists (the n=3 list as printed in the source
 # material repeats two entries; the deduplicated seven-word list is used)
 _WORDS = {
-    2: [_w("a"), _w("aa"), _w("ab")],
-    3: [
+    2: (_w("a"), _w("aa"), _w("ab")),
+    3: (
         _w("a"),
         _w("aa"),
         _w("ab"),
@@ -125,7 +129,7 @@ _WORDS = {
         _w("aab"),
         _w("aabb"),
         _w("aabbab"),
-    ],
+    ),
 }
 
 
@@ -183,6 +187,18 @@ def _word_program(words: tuple[Word, ...]) -> _WordProgram:
                         np.array([len(w) for w in words]))
 
 
+#: the word program of each canonical word list, built once per process
+_PROGRAMS = {n: _word_program(words) for n, words in _WORDS.items()}
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """``np.eye(n)``, product 0 of every word program; read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def word_traces(stack: np.ndarray, words) -> np.ndarray:
     """Traces of ``words`` for each matrix of a validated ``(m, n, n)`` stack.
 
@@ -195,13 +211,17 @@ def word_traces(stack: np.ndarray, words) -> np.ndarray:
     each matrix of a stack, so every trace has the bytes of a one-matrix,
     one-word evaluation.
     """
-    program = _word_program(tuple(words))
+    return _run_program(stack, _word_program(tuple(words)))
+
+
+def _run_program(stack: np.ndarray, program: _WordProgram) -> np.ndarray:
+    """:func:`word_traces` of the words that ``program`` multiplies out."""
     m, n = stack.shape[0], stack.shape[-1]
     letters = np.empty((m, 2, n, n), dtype=complex)
     letters[:, 0] = stack
     np.conjugate(stack.transpose(0, 2, 1), out=letters[:, 1])
     products = np.empty((m, program.size, n, n), dtype=complex)
-    products[:, 0] = np.eye(n)
+    products[:, 0] = _identity(n)
     for new, parents, letter in program.steps:
         products[:, new] = products[:, parents] @ letters[:, letter]
     return _trace(products[:, program.reads])
@@ -246,22 +266,23 @@ def word_profile(stack: np.ndarray, tol: float) -> WordProfile:
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     words = word_list(stack.shape[-1])
-    scaled = scaled_stack(stack, int(_word_program(tuple(words)).degrees.max()))
-    decided, mismatches, _ = _compare_in_range(scaled, words, tol)
+    program = _PROGRAMS[stack.shape[-1]]
+    scaled = scaled_stack(stack, int(program.degrees.max()))
+    decided, mismatches, _ = _compare_in_range(scaled, program, tol)
     if scaled is stack:
         return WordProfile(words, decided, mismatches)
     with np.errstate(over="ignore", invalid="ignore"):
-        return WordProfile(words, word_traces(stack, words), mismatches)
+        return WordProfile(words, _run_program(stack, program), mismatches)
 
 
-def _compare_in_range(stack: np.ndarray, words, tol: float):
+def _compare_in_range(stack: np.ndarray, program: _WordProgram, tol: float):
     """The rule of :func:`word_profile` on a stack that
-    :func:`~nhsim.matrices.scaled_stack` leaves as it is for the longest of
-    ``words``: the traces of the stack, the mismatching words of each
-    ``stack[i >= 1]`` and the :func:`~nhsim.matrices.frob_many` norms."""
-    degrees = _word_program(tuple(words)).degrees
+    :func:`~nhsim.matrices.scaled_stack` leaves as it is for the longest
+    word of ``program``: the traces of the stack, the mismatching words of
+    each ``stack[i >= 1]`` and the :func:`~nhsim.matrices.frob_many` norms."""
+    degrees = program.degrees
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = word_traces(stack, words)
+        traces = _run_program(stack, program)
     norms = frob_many(stack)
     bound = tol * np.maximum(norms[0], norms[1:, None]) ** degrees
     differ = np.abs(traces[1:] - traces[0]) > bound
@@ -408,7 +429,7 @@ def solve_generators(H: np.ndarray, symmetries, targets,
     T = np.asarray(targets)
     M = (H @ bases - bases @ T[:, None]).reshape(s, 3, 4)
     A = np.concatenate([M.real, M.imag], axis=2).transpose(0, 2, 1)
-    q = np.linalg.svd(A)[2][:, -1]
+    q = _lapack.svd(A)[2][:, -1]
     C = np.empty((s, 2, 2, 2), dtype=complex)  # (symmetry, candidate, 2, 2)
     C[:, 0] = (q[:, None] @ bases.reshape(s, 3, 4)).reshape(s, 2, 2)
     C[:, 1] = _I2
@@ -465,8 +486,8 @@ def _class_generators(H, cls: SimilarityClass, tol: float | None):
         np.multiply(sign, target(H), out=out)  # mapped_target(H, symmetry)
     if tol is None:
         return solve_generators(H, symmetries, stack[1:], frob(H))
-    words = word_list(2)
-    traces, mismatches, norms = _compare_in_range(stack, words, tol)
+    words = _WORDS[2]
+    traces, mismatches, norms = _compare_in_range(stack, _PROGRAMS[2], tol)
     for i, bad in enumerate(mismatches, 1):
         if bad:
             j = bad[0]

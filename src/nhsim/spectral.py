@@ -8,6 +8,10 @@ singular-value cutoff (:func:`nullity_staircase`), whose differences are
 the Weyr characteristic (:func:`weyr_block_sizes`).
 Within the package only :func:`~nhsim.epfinder.certify_order` climbs it;
 it chooses the cluster and its mean ``eps``.
+
+The eigenvalues and singular values come from :mod:`nhsim._lapack`, which
+calls numpy's LAPACK gufuncs without the ``np.linalg`` wrappers, with
+numpy's bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import EigensolverError, NonFiniteMatrixError
 from .matrices import as_matrix, as_scaled_matrix, dagger, frob
 
@@ -102,9 +107,12 @@ def eigenvalues(H) -> Spectrum:
 
 
 def _eigvals(H) -> np.ndarray:
-    """``np.linalg.eigvals``; ``EigensolverError`` if the QR iteration fails."""
+    """``np.linalg.eigvals`` of a matrix or a stack, by
+    :func:`nhsim._lapack.eigvals` (numpy's gufunc without its wrapper, the
+    same bytes); ``EigensolverError`` where the QR iteration fails or an
+    entry is not finite, with numpy's message."""
     try:
-        return np.linalg.eigvals(H)
+        return _lapack.eigvals(H)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
 
@@ -294,7 +302,7 @@ def nullity_staircase(A, m, rank_tol: float, base) -> list[list[int]]:
     while live.size:
         if k > 1:
             P = P @ A[live]
-        s = np.linalg.svd(P, compute_uv=False)
+        s = _lapack.svdvals(P)
         cutoff = rank_tol * base[live] ** k
         null = np.minimum(n - np.sum(s > cutoff[:, None], axis=1), m[live])
         climbing = []

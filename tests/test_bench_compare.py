@@ -173,3 +173,24 @@ def test_the_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch
     # the copy is independent of the working tree
     (repo / "src" / "a.py").write_text("edited again\n")
     assert (dest / "src" / "a.py").read_text() == "uncommitted edit\n"
+
+
+def test_tier1_time_sums_the_cases_of_each_file(tmp_path):
+    tier1_time = load("tier1_time")
+    report = tmp_path / "report.xml"
+    report.write_text(
+        '<testsuites><testsuite name="pytest" tests="3" failures="1" errors="0"'
+        ' skipped="0">'
+        '<testcase file="tests/test_a.py" classname="tests.test_a" name="x" time="0.5"/>'
+        '<testcase file="tests/test_a.py" classname="tests.test_a" name="y" time="0.25"/>'
+        '<testcase file="tests/test_b.py" classname="tests.test_b" name="z" time="2.0">'
+        '<failure message="boom"/></testcase>'
+        '</testsuite></testsuites>')
+    per_file, counts = tier1_time.file_times(report)
+    assert per_file == {"tests/test_a.py": 0.75, "tests/test_b.py": 2.0}
+    assert counts == {"tests": 3, "failures": 1, "errors": 0, "skipped": 0}
+    runs = [{"wall_s": w, "exit_code": 1, "counts": counts, "per_file_s": per_file}
+            for w in (3.0, 1.0, 2.0)]
+    side = tier1_time.side_summary(runs)
+    assert side["wall_s"]["median"] == 2.0
+    assert side["per_file_median_s"] == per_file

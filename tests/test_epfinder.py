@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhsim import epfinder
+from nhsim import _lapack, epfinder
 from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
     _BOUND_C,
@@ -21,7 +21,6 @@ from nhsim.epfinder import (
     _grid_minima,
     _local_minima,
     _merge_keep,
-    _lstsq,
     _norm_bounds,
     _powers,
     _raw_components,
@@ -463,18 +462,17 @@ def test_lockstep_scan_matches_per_seed_reference(family, cfg, reasons, merges):
                          ids=LOCKSTEP_IDS)
 def test_scan_without_the_private_lstsq_gives_the_same_bytes(
         monkeypatch, family, cfg, _reasons, _merges):
-    # without numpy.linalg._umath_linalg, _lstsq takes one np.linalg.lstsq
-    # per seed, and the scans of the lockstep test do not move by a bit
-    from nhsim import epfinder
-
+    # without numpy.linalg._umath_linalg, _lapack.lstsq takes one
+    # np.linalg.lstsq per seed and every other decomposition numpy's public
+    # wrapper, and the scans of the lockstep test do not move by a bit
     f = family()
     fast = scan(f, PH, cfg)
     J = np.random.default_rng(9).standard_normal((20, 3, 2))
     b = np.random.default_rng(10).standard_normal((20, 3))
-    stacked = _lstsq(J, b)
-    monkeypatch.setattr(epfinder, "_umath_linalg", None)
-    assert _lstsq(J, b).tobytes() == stacked.tobytes()
-    assert _lstsq(J[:0], b[:0]).shape == (0, 2)
+    stacked = _lapack.lstsq(J, b)
+    monkeypatch.setattr(_lapack, "_umath_linalg", None)
+    assert _lapack.lstsq(J, b).tobytes() == stacked.tobytes()
+    assert _lapack.lstsq(J[:0], b[:0]).shape == (0, 2)
     slow = scan(f, PH, cfg)
     assert len(slow) == len(fast)
     for a, c in zip(fast, slow):
@@ -1406,12 +1404,12 @@ def test_stacked_lstsq_matches_numpy(k, d):
         J[6::25, 0, 0] = 1.0
         J[6::25, 1, 1] = 2.5 * np.finfo(float).eps
     want = np.array([np.linalg.lstsq(Ji, bi, rcond=None)[0] for Ji, bi in zip(J, b)])
-    got = _lstsq(J, b)
+    got = _lapack.lstsq(J, b)
     assert got.shape == (300, d)
     assert got.tobytes() == want.tobytes()
     # a transposed view, the layout constraint_jacobians returns
     Jt = np.ascontiguousarray(J.transpose(0, 2, 1)).transpose(0, 2, 1)
-    assert _lstsq(Jt, b).tobytes() == want.tobytes()
+    assert _lapack.lstsq(Jt, b).tobytes() == want.tobytes()
 
 
 def test_stacked_lstsq_raises_on_nan_like_numpy():
@@ -1420,7 +1418,7 @@ def test_stacked_lstsq_raises_on_nan_like_numpy():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(J[2], np.ones(2), rcond=None)
     with pytest.raises(np.linalg.LinAlgError):
-        _lstsq(J, np.ones((4, 2)))
+        _lapack.lstsq(J, np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -12,6 +12,7 @@ from nhsim.specht import (
     SYMMETRY_TARGETS,
     Word,
     WordProfile,
+    _PROGRAMS,
     _compare_in_range,
     check_similarity_implies_symmetry_2x2,
     compare_profiles,
@@ -536,7 +537,7 @@ def test_class_check_keeps_the_two_pass_bytes_and_errors():
                 stack, mismatches, ref = _two_pass_class_generators(H, cls, tol)
                 # the stack is in range: the comparison runs on it as it is
                 assert scaled_stack(stack, 2) is stack, i
-                traces, got, norms = _compare_in_range(stack, word_list(2), tol)
+                traces, got, norms = _compare_in_range(stack, _PROGRAMS[2], tol)
                 assert got == mismatches, (i, cls, tol)
                 assert _bytes(norms[:1]) == _bytes([frob(stack[0])]), i
                 cfg = ToleranceConfig(10 * tol, tol, tol / 10)
