@@ -9,17 +9,17 @@ signature, under the same ``np.errstate`` and with the same
 results are numpy's own bytes
 (``tests/test_lapack.py`` pins them against numpy 2.4.6):
 
-=============  ============================================  ================
-function       equals                                        gufunc
-=============  ============================================  ================
-``eigvals``    ``np.linalg.eigvals(a)``                      ``eigvals``
-``eigvalsh``   ``np.linalg.eigvalsh(a)``                     ``eigvalsh_lo``
-``svd``        ``np.linalg.svd(a, full_matrices)``           ``svd_f/svd_s``
-``svdvals``    ``np.linalg.svd(a, compute_uv=False)``        ``svd``
-``solve``      ``np.linalg.solve(a, b)``                     ``solve/solve1``
-``det``        ``np.linalg.det(a)``                          ``det``
-``lstsq``      ``np.linalg.lstsq(J[s], b[s], rcond=None)[0]``  ``lstsq``
-=============  ============================================  ================
+============  ==============================================  =====================
+function      equals                                          gufunc
+============  ==============================================  =====================
+``eigvals``   ``np.linalg.eigvals(a)``                        ``eigvals``
+``eigvalsh``  ``np.linalg.eigvalsh(a)``                       ``eigvalsh_lo``
+``svd``       ``np.linalg.svd(a, full_matrices)``             ``svd_f``, ``svd_s``
+``svdvals``   ``np.linalg.svd(a, compute_uv=False)``          ``svd``
+``solve``     ``np.linalg.solve(a, b)``                       ``solve``, ``solve1``
+``det``       ``np.linalg.det(a)``                            ``det``
+``lstsq``     ``np.linalg.lstsq(J[s], b[s], rcond=None)[0]``  ``lstsq``
+============  ==============================================  =====================
 
 This is the only module of the package that imports the private module.
 Where a numpy release lacks it or one of its gufuncs, and for any input
@@ -117,7 +117,7 @@ def svd(a, full_matrices: bool = True):
     """``(u, s, vh)`` of ``np.linalg.svd(a, full_matrices)``."""
     fast = _fast("svd_f" if full_matrices else "svd_s", a)
     if fast is None:
-        return tuple(np.linalg.svd(a, full_matrices=full_matrices))
+        return np.linalg.svd(a, full_matrices=full_matrices)
     gufunc, code = fast
     _assert_stacked_2d(a)
     return _svd_failed(gufunc, a, signature=f"{code}->{code}d{code}")
