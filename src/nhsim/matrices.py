@@ -12,7 +12,6 @@ with ``entries`` row-major.  Parsers reject non-square and non-finite data.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -123,17 +122,8 @@ def dagger(H: np.ndarray) -> np.ndarray:
 
 
 def frob(H: np.ndarray) -> float:
-    """Frobenius norm: ``np.linalg.norm(H)``, bit for bit.
-
-    For a complex128 ``H`` it takes numpy's own steps without the wrapper:
-    the entries in memory order, ``sqrt(re.re + im.im)`` with two ``dot``
-    calls; any other input goes to ``np.linalg.norm``.
-    """
-    if type(H) is not np.ndarray or H.dtype.type is not np.complex128:
-        return float(np.linalg.norm(H))
-    x = H.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    """Frobenius norm."""
+    return float(np.linalg.norm(H))
 
 
 def frob_many(stack: np.ndarray) -> np.ndarray:

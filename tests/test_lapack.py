@@ -5,8 +5,6 @@ matrices and stacks, n = 1..12, complex and real, with ``-0.0`` entries,
 zero matrices and scales 2^+-600; each case runs with numpy's private
 gufunc module, without it (the handle set to ``None``) and with a module
 that lacks every gufunc, so both the fast path and the fallback are pinned.
-``matrices.frob``, which takes ``np.linalg.norm``'s steps without its
-wrapper, is pinned the same way.
 """
 
 import ast
@@ -19,7 +17,6 @@ import pytest
 
 from nhsim import _lapack
 from nhsim.errors import EigensolverError
-from nhsim.matrices import dagger, frob
 from nhsim.spectral import _eigvals
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nhsim"
@@ -126,24 +123,6 @@ def test_stacked_lstsq_has_numpys_bytes_for_every_size(handle):
             want = np.array([np.linalg.lstsq(Js, bs, rcond=None)[0]
                              for Js, bs in zip(J, b)])
             assert _lapack.lstsq(J, b).tobytes() == want.tobytes(), (n, d)
-
-
-def test_frob_has_numpys_bytes():
-    # matrices.frob takes np.linalg.norm's steps without its wrapper
-    rng = np.random.default_rng(13)
-    for n in range(1, 13):
-        for real in (False, True):
-            for label, a in variants(rng, (n, n), real).items():
-                views = [a, a.T, dagger(a), a[::-1, 1:], np.asfortranarray(a)]
-                for v in views + [np.full_like(a, np.inf), np.full_like(a, np.nan)]:
-                    got = outcome(lambda v: np.array(frob(v)), v)
-                    want = outcome(lambda v: np.array(float(np.linalg.norm(v))), v)
-                    assert got == want, (n, real, label)
-    assert type(frob(np.eye(2, dtype=complex))) is float
-    big = np.full((3, 3), 2.0**600 + 2.0**600j)
-    got = outcome(lambda v: np.array(frob(v)), big)
-    assert got == outcome(lambda v: np.array(float(np.linalg.norm(v))), big)
-    assert got[1] and got[1][0][0] is RuntimeWarning  # the overflow in dot
 
 
 def test_errors_and_their_messages_are_numpys(handle):

@@ -13,11 +13,10 @@ Usage, from the root of the repository::
     python3 tools/tier1_time.py --base HEAD~1 --runs 3
 
 The base is exported with ``git archive`` and the change is a snapshot of
-the working tree (or, with ``--change REV``, a second export), both under
-``.bench_build/`` the way ``bench_compare.py`` makes them, and removed
-afterwards.  Every run is the full suite: the script adds only the report
-options and ``-p no:cacheprovider`` (no ``.pytest_cache`` in the copies),
-and skips, deselects or shrinks no test.
+the working tree, both under ``.bench_build/`` the way ``bench_compare.py``
+makes them, and removed afterwards.  Every run is the full suite: the
+script adds only the report options and ``-p no:cacheprovider`` (no
+``.pytest_cache`` in the copies), and skips, deselects or shrinks no test.
 """
 
 from __future__ import annotations
@@ -91,8 +90,6 @@ def side_summary(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base")
-    ap.add_argument("--change", default=None,
-                    help="git revision of the change (default: the working tree)")
     ap.add_argument("--runs", type=int, default=3, help="runs per side (default 3)")
     args = ap.parse_args(argv)
     if args.runs < 1:
@@ -101,12 +98,8 @@ def main(argv=None) -> int:
     (ROOT / ".bench_build").mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="tier1_", dir=ROOT / ".bench_build"))
     try:
-        info = {"base": {"rev": args.base, "commit": export(args.base, workdir / "base")}}
-        if args.change is None:
-            info["change"] = snapshot(workdir / "change")
-        else:
-            info["change"] = {"rev": args.change,
-                              "commit": export(args.change, workdir / "change")}
+        info = {"base": {"rev": args.base, "commit": export(args.base, workdir / "base")},
+                "change": snapshot(workdir / "change")}
         runs = {"base": [], "change": []}
         for i in range(args.runs):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
