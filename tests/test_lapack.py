@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from nhsim import _lapack
-from nhsim.errors import EigensolverError
-from nhsim.spectral import _eigvals
+from nhsim.errors import EigensolverError, NonFiniteMatrixError
+from nhsim.spectral import _eigvals, eigenvalues_many
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nhsim"
 
@@ -160,6 +160,25 @@ def test_eigensolver_error_keeps_numpys_message(handle):
         _eigvals(nan)
     assert str(ours.value) == f"eigenvalue iteration failed: {numpy_error.value}"
     assert isinstance(ours.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(0, np.inf)], ids=repr)
+def test_eigenvalues_many_has_one_finite_check(handle, bad, monkeypatch):
+    # the eigensolver's own check decides, on the fast path and the fallback
+    rng = np.random.default_rng(5)
+    H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    assert eigenvalues_many(H).tobytes() == np.linalg.eigvals(H).tobytes()
+    H[2, 1, 0] = bad
+    with pytest.raises(NonFiniteMatrixError) as err:
+        eigenvalues_many(H)
+    assert str(err.value) == "matrix contains non-finite entries"
+    assert err.value.__cause__ is None
+    checks = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: checks.append(1) or isfinite(*a, **k))
+    eigenvalues_many(H[:2])
+    assert len(checks) <= 1
 
 
 class Sub(np.ndarray):

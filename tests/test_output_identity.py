@@ -91,6 +91,23 @@ def test_witness_corpus_is_a_pure_function_of_the_seed():
     assert _witness_bytes(101) == first
 
 
+def test_witnesses_of_the_corpus_are_exactly_hermitian():
+    # the formula the defect was once computed by gives +0.0 on every witness
+    from nhsim import SimilarityClass, SimilarityWitness, construct_witness
+    from nhsim.matrices import dagger, frob
+
+    seen = 0
+    for H in output_identity.witness_corpus(101):
+        for cls in SimilarityClass:
+            w = output_identity.outcome(construct_witness, H, cls)
+            if isinstance(w, SimilarityWitness):
+                S = w.transform
+                defect = frob(S - dagger(S)) / frob(S)
+                assert str(defect) == str(w.hermiticity_defect) == "0.0"
+                seen += 1
+    assert seen > output_identity.WITNESS_INPUTS
+
+
 def _scan_corpus_text(seed):
     return [(json.dumps(doc), flags) for doc, flags in output_identity.scan_corpus(seed)]
 
@@ -114,7 +131,20 @@ def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_pa
     tags = {flags[1] for _, flags in corpus}
     assert tags == {"pseudo-hermitian", "chiral", "self-skew"}
     dims = {doc["dim"] for doc, _ in corpus}
-    assert dims == {2, 3}
+    assert dims == {2, 3, 4}
+    exponents = {e for doc, _ in corpus for t in doc["terms"] for e in t["exponents"]}
+    assert {2, 3} < exponents
+    assert any("--fix" in flags for _, flags in corpus)
+    # a grid of several evaluation blocks whose last block is partial
+    from nhsim import epfinder
+
+    nodes = [(doc["dim"], int(np.prod([int(f.rsplit(":", 1)[1]) for f in flags
+                                        if f.count(":") == 2])))
+             for doc, flags in corpus]
+    n, most = max(nodes, key=lambda dn: dn[1])
+    assert most > 5151
+    blocks = epfinder._blocks(most, n)
+    assert len(blocks) > 2 and blocks[-1].stop > most
     thresholds = {flags[-1] for _, flags in corpus if "--seed-threshold" in flags}
     assert {"0", "inf"} < thresholds
     assert sum('"converged": true' in out for _, out, _ in results) >= len(corpus) // 2

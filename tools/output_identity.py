@@ -173,7 +173,13 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     times 2^-300 (no node in the closed forms' window), 2^-99 (the window's
     edge crosses the grid) and 2^300 (the norms overflow: exit 2); and
     ``--seed-threshold`` 0, a seeded value and ``inf`` on the dimer and the
-    trimer.
+    trimer.  Last, two pseudo-Hermitian families with an indefinite ``eta``:
+    a 3 x 3 one with exponents 2 and 3, ``eta (B0 + p^2 B1 + q^3 B2
+    + p q^2 B3 + r B4)``, scanned over p and q on a 121 x 61 grid with r
+    ``--fix``ed (7,381 nodes: several evaluation blocks of
+    ``nhsim.epfinder``, the last one partial), and a 4 x 4 one,
+    ``eta (B0 + p B1 + q B2 + r B3)``, on an 11 x 11 x 11 grid, which takes
+    exact norms at every node.
     """
     rng = np.random.default_rng([seed, 3])
 
@@ -221,6 +227,16 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     for threshold in ("0", repr(float(rng.uniform(0.05, 0.5))), "inf"):
         out.append((dimer, (*ph, "--grid", "gamma=-2:2:101", "--seed-threshold", threshold)))
         out.append((trimer(), (*ph, *trimer_grid, "--seed-threshold", threshold)))
+    for n, exps, names, grids in (
+        (3, ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)), ("p", "q", "r"),
+         ("--grid", "p=-1.5:1.5:121", "--grid", "q=-1.2:1.4:61",
+          "--fix", f"r={rng.uniform(-1.0, 1.0)!r}")),
+        (4, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), ("p", "q", "r"),
+         ("--grid", "p=-2:2:11", "--grid", "q=-2:2:11", "--grid", "r=-2:2:11")),
+    ):
+        eta = hermitian(n) + np.diag(np.where(np.arange(n) % 2, -2.0, 2.0))
+        out.append((family_doc([(eta @ hermitian(n), e) for e in exps], names),
+                    (*ph, *grids)))
     return out
 
 
