@@ -65,23 +65,6 @@ __all__ = [
 ]
 
 
-#: Bytes of one ``(points, n, n)`` complex stack in the block loops of
-#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`: 2,048
-#: 3x3 matrices, 288 KiB.  A block's evaluation keeps about three such
-#: stacks live (the family's sum and term product, the shifted matrix), and
-#: at this size they stay in a core's L2 cache, where 4,096 points per block
-#: did not; chosen by timing the ``ep-scan`` op over block sizes.
-_BLOCK_BYTES = 2048 * 3 * 3 * 16
-
-
-def _blocks(count: int, n: int) -> list[slice]:
-    """Slices covering ``range(count)`` in blocks of as many ``n x n``
-    complex matrices as fit in ``_BLOCK_BYTES``, at least one.  Rows are
-    evaluated independently, so the block size changes no byte."""
-    step = max(1, _BLOCK_BYTES // (16 * n * n))
-    return [slice(s, s + step) for s in range(0, count, step)]
-
-
 EXPECTED_CODIMENSION = {
     SimilarityClass.PSEUDO_HERMITIAN: lambda n: n - 1,
     SimilarityClass.CHIRAL: lambda n: n - 1,
@@ -89,15 +72,61 @@ EXPECTED_CODIMENSION = {
 }
 
 
-def _shifted(H: np.ndarray) -> np.ndarray:
-    """``H - (tr H / n) I`` for one matrix or a stack of them.
+def _shifted(H: np.ndarray, out=None, work=None) -> np.ndarray:
+    """``H - (tr H / n) I`` for one matrix or a stack of them; into ``out``
+    (which may be ``H``) with ``(tr H / n) I`` in ``work`` where given, new
+    arrays where ``None``, the same bytes either way.
 
     Where the trace overflows, the matrix comes back non-finite, and every
     caller checks for that.
     """
     n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return H - (_trace(H) / n)[..., None, None] * np.eye(n)
+        return np.subtract(
+            H, np.multiply((_trace(H) / n)[..., None, None], np.eye(n), out=work), out=out)
+
+
+#: Bytes of one ``(points, n, n)`` complex stack in the block loops of
+#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`: 2,048
+#: 3x3 matrices, 288 KiB.  Every block is evaluated into the same two
+#: stacks (:func:`_shifted_blocks`); the arrays a block still allocates (the
+#: constraint components, the interval bounds) are a few times
+#: ``16 * points`` bytes.  Timed on the ``ep-scan`` op, 2,048 points was the
+#: largest block whose allocations the heap absorbed without faulting in
+#: fresh pages on every op (about 100 page faults per op at 3,072 points,
+#: 170 at 4,096); smaller blocks pay more per-block overhead.
+_BLOCK_BYTES = 2048 * 3 * 3 * 16
+
+
+def _block_points(n: int) -> int:
+    """As many ``n x n`` complex matrices as fit in ``_BLOCK_BYTES``, at
+    least one."""
+    return max(1, _BLOCK_BYTES // (16 * n * n))
+
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Slices covering ``range(count)`` in blocks of :func:`_block_points`.
+    Rows are evaluated independently, so the block size changes no byte."""
+    step = _block_points(n)
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _shifted_blocks(family: MatrixFamily, lams: np.ndarray):
+    """``(block, _shifted(family.evaluate_batch(lams[block])))`` for each
+    block of the float points ``lams`` (:func:`_blocks`), the same bytes.
+
+    Every block is written into the same two stacks, allocated once per
+    call, so each value is a view that the next block overwrites.  A new
+    stack per block would grow the heap and fault in fresh pages on every
+    block, which costs more than the arithmetic (``ep-scan``: about 300
+    page faults per op with new stacks of 4,096 points, none with one
+    buffer).
+    """
+    n = family.dim
+    buf = np.empty((2, min(len(lams), _block_points(n)), n, n), dtype=complex)
+    for block in _blocks(len(lams), n):
+        H, work = buf[:, :len(lams[block])]
+        yield block, _shifted(family._evaluate_into(lams[block], H, work), out=H, work=work)
 
 
 def _raw_components(n: int):
@@ -147,19 +176,20 @@ class ConstraintSystem:
 
         ``labels`` selects components by name (default: the active
         constraints ``self.labels``; ``self.forced_zero`` gives the ones
-        the class forces to vanish).  Points are processed in blocks of a
-        fixed byte size (:func:`_blocks`, 2,048 points at n = 3), so that
-        memory stays bounded on large grids and a block's matrix stacks
-        stay in cache; each row is the same whatever the block.  The row of
-        a point where the family or a component overflows is not finite;
-        every caller checks for that.
+        the class forces to vanish).  Points are processed in blocks of one
+        byte size (:func:`_blocks`, 2,048 points at n = 3), all evaluated
+        into one buffer (:func:`_shifted_blocks`), so that memory stays
+        bounded on large grids and no block faults in fresh pages; each row
+        is the same whatever the block.  The row of a point where the
+        family or a component overflows is not finite; every caller checks
+        for that.
         """
         lams = np.asarray(lams, dtype=float)
         column = _column_index(self.order)
         cols = [column[lab] for lab in (self.labels if labels is None else labels)]
         out = np.empty((len(lams), len(cols)))
-        for block in _blocks(len(lams), self.order):
-            out[block] = _components(_shifted(self.family.evaluate_batch(lams[block])), cols)
+        for block, Ht in _shifted_blocks(self.family, lams):
+            out[block] = _components(Ht, cols)
         return out
 
     def evaluate(self, lam) -> np.ndarray:
@@ -601,8 +631,7 @@ def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     if cs.order <= 3:
         column = _column_index(cs.order)
         cols = [column[lab] for lab in cs.labels]
-        for block in _blocks(len(lams), cs.order):
-            Ht = _shifted(cs.family.evaluate_batch(lams[block]))
+        for block, Ht in _shifted_blocks(cs.family, lams):
             lo[block], hi[block] = _norm_bounds(Ht, cols)
     exact = np.isnan(lo)
     while True:

@@ -72,7 +72,14 @@ class MatrixFamily:
         ``NonFiniteMatrixError`` if any point is not finite; a value that
         overflows comes back non-finite, and every caller checks for that.
         """
-        lams = np.asarray(lams, dtype=float)
+        return self._evaluate_into(np.asarray(lams, dtype=float))
+
+    def _evaluate_into(self, lams: np.ndarray, H=None, work=None) -> np.ndarray:
+        """:meth:`evaluate_batch` of the float points ``lams``, written into
+        the complex ``(N, n, n)`` array ``H`` and returned; ``work``, of the
+        same shape, takes each term's product.  Where either is ``None`` a
+        new array is made.  The same ufuncs run on the same operands into
+        the given memory, so the bytes are those of :meth:`evaluate_batch`."""
         if lams.ndim != 2 or lams.shape[1] != self.num_params:
             raise ValueError(
                 f"family has {self.num_params} parameters, "
@@ -80,7 +87,10 @@ class MatrixFamily:
             )
         if not np.isfinite(lams).all():
             raise NonFiniteMatrixError("non-finite parameter point")
-        H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
+        if H is None:
+            H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
+        else:
+            H.fill(0)
         with np.errstate(over="ignore", invalid="ignore"):
             for M, exps in self.terms:
                 coeff = np.ones(len(lams))
@@ -89,7 +99,7 @@ class MatrixFamily:
                         coeff *= col
                     elif e:
                         coeff *= [x**e for x in col]
-                H += coeff[:, None, None] * M
+                H += np.multiply(coeff[:, None, None], M, out=work)
         return H
 
     __call__ = evaluate

@@ -333,11 +333,56 @@ def set_block_points(monkeypatch, points, n):
     monkeypatch.setattr(epfinder, "_BLOCK_BYTES", points * 16 * n * n)
 
 
+def old_block_values(f, lams):
+    """The family values and the trace shift as new arrays, in the
+    expressions ``evaluate_batch`` and ``_shifted`` used before they could
+    write into given memory."""
+    H = np.zeros((len(lams), f.dim, f.dim), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for M, exps in f.terms:
+            coeff = np.ones(len(lams))
+            for col, e in zip(lams.T, exps):
+                if e == 1:
+                    coeff *= col
+                elif e:
+                    coeff *= [x**e for x in col]
+            H += coeff[:, None, None] * M
+        return H - (_trace(H) / f.dim)[..., None, None] * np.eye(f.dim)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_shifted_blocks_are_the_bytes_of_new_arrays(monkeypatch, n):
+    # signed zeros, subnormal and overflowing products, exponents 0..3
+    rng = np.random.default_rng(61 + n)
+    terms = []
+    for e, scale in (((0, 0), 1.0), ((1, 0), 2.0**-1000), ((2, 1), 2.0**600), ((0, 3), 1.0)):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M.real.flat[::3] = -0.0
+        M.imag.flat[1::4] = -0.0
+        terms.append((M * scale, e))
+    f = MatrixFamily(n, 2, tuple(terms))
+    lams = rng.uniform(-2, 2, size=(300, 2)) * 2.0 ** rng.integers(-400, 300, size=(300, 1))
+    lams[::5] = -0.0
+    lams[1] = 2.0**500
+    want = old_block_values(f, lams)
+    assert not np.isfinite(want).all() and (want.view(float) == 0).any()
+    assert _shifted(f.evaluate_batch(lams)).tobytes() == want.tobytes()
+    for points in (300, 17):
+        set_block_points(monkeypatch, points, n)
+        views = []
+        for block, Ht in epfinder._shifted_blocks(f, lams):
+            assert Ht.tobytes() == want[block].tobytes()
+            views.append(Ht)
+        # every block is written into the memory of the first
+        assert len(views) == -(-300 // points)
+        assert all(np.shares_memory(v, views[0]) for v in views)
+
+
 def test_blocks_follow_the_byte_budget():
     # 2,048 3x3 matrices per block, the same bytes for every n; at least one
     assert epfinder._BLOCK_BYTES // (16 * 3 * 3) == 2048
     for n in range(1, 13):
-        step = epfinder._blocks(10**6, n)[0].stop
+        step = epfinder._block_points(n)
         assert step * 16 * n * n <= epfinder._BLOCK_BYTES < (step + 1) * 16 * n * n
         blocks = epfinder._blocks(5 * step + 1, n)
         assert [b.stop - b.start for b in blocks[:-1]] == [step] * 5
