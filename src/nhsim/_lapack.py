@@ -87,10 +87,6 @@ def _guarded(message: str):
     return call
 
 
-#: The message of the ``LinAlgError`` that ``eigvals`` raises, as numpy's
-#: wrapper does, for a NaN or infinite entry.
-NOT_FINITE = "Array must not contain infs or NaNs"
-
 _singular = _guarded("Singular matrix")
 _eig_failed = _guarded("Eigenvalues did not converge")
 _svd_failed = _guarded("SVD did not converge")
@@ -104,7 +100,7 @@ def eigvals(a):
         return np.linalg.eigvals(a)
     _assert_stacked_square(a)
     if not np.isfinite(a).all():
-        raise LinAlgError(NOT_FINITE)
+        raise LinAlgError("Array must not contain infs or NaNs")
     return _eig_failed(fast[0], a, signature="D->D")
 
 

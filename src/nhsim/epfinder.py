@@ -86,34 +86,23 @@ def _shifted(H: np.ndarray, out=None, work=None) -> np.ndarray:
             H, np.multiply((_trace(H) / n)[..., None, None], np.eye(n), out=work), out=out)
 
 
-#: Bytes of one ``(points, n, n)`` complex stack in the block loops of
-#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`: 2,048
-#: 3x3 matrices, 288 KiB.  Every block is evaluated into the same two
-#: stacks (:func:`_shifted_blocks`); the arrays a block still allocates (the
-#: constraint components, the interval bounds) are a few times
-#: ``16 * points`` bytes.  Timed on the ``ep-scan`` op, 2,048 points was the
-#: largest block whose allocations the heap absorbed without faulting in
-#: fresh pages on every op (about 100 page faults per op at 3,072 points,
-#: 170 at 4,096); smaller blocks pay more per-block overhead.
-_BLOCK_BYTES = 2048 * 3 * 3 * 16
-
-
-def _block_points(n: int) -> int:
-    """As many ``n x n`` complex matrices as fit in ``_BLOCK_BYTES``, at
-    least one."""
-    return max(1, _BLOCK_BYTES // (16 * n * n))
-
-
-def _blocks(count: int, n: int) -> list[slice]:
-    """Slices covering ``range(count)`` in blocks of :func:`_block_points`.
-    Rows are evaluated independently, so the block size changes no byte."""
-    step = _block_points(n)
-    return [slice(s, s + step) for s in range(0, count, step)]
+#: Points per block in the block loops of
+#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`, for
+#: every n.  Every block of a call is evaluated into the same two stacks
+#: (:func:`_shifted_blocks`); the arrays a block still allocates (the
+#: constraint components, the interval bounds) grow with the points.
+#: Timed on the ``ep-scan`` op (n = 3), 2,048 points was the largest block
+#: whose allocations the heap absorbed without faulting in fresh pages on
+#: every op (about 100 page faults per op at 3,072 points, 170 at 4,096);
+#: smaller blocks pay more per-block overhead.
+_BLOCK_POINTS = 2048
 
 
 def _shifted_blocks(family: MatrixFamily, lams: np.ndarray):
     """``(block, _shifted(family.evaluate_batch(lams[block])))`` for each
-    block of the float points ``lams`` (:func:`_blocks`), the same bytes.
+    slice ``block`` of ``_BLOCK_POINTS`` of the float points ``lams``, the
+    same bytes; rows are evaluated independently, so the block size
+    changes no byte.
 
     Every block is written into the same two stacks, allocated once per
     call, so each value is a view that the next block overwrites.  A new
@@ -123,10 +112,12 @@ def _shifted_blocks(family: MatrixFamily, lams: np.ndarray):
     buffer).
     """
     n = family.dim
-    buf = np.empty((2, min(len(lams), _block_points(n)), n, n), dtype=complex)
-    for block in _blocks(len(lams), n):
-        H, work = buf[:, :len(lams[block])]
-        yield block, _shifted(family._evaluate_into(lams[block], H, work), out=H, work=work)
+    buf = np.empty((2, min(len(lams), _BLOCK_POINTS), n, n), dtype=complex)
+    for start in range(0, len(lams), _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        points = family._points(lams[block])
+        H, work = buf[:, :len(points)]
+        yield block, _shifted(family._evaluate_into(points, H, work), out=H, work=work)
 
 
 def _raw_components(n: int):
@@ -176,11 +167,11 @@ class ConstraintSystem:
 
         ``labels`` selects components by name (default: the active
         constraints ``self.labels``; ``self.forced_zero`` gives the ones
-        the class forces to vanish).  Points are processed in blocks of one
-        byte size (:func:`_blocks`, 2,048 points at n = 3), all evaluated
-        into one buffer (:func:`_shifted_blocks`), so that memory stays
-        bounded on large grids and no block faults in fresh pages; each row
-        is the same whatever the block.  The row of a point where the
+        the class forces to vanish).  Points are processed in blocks of
+        ``_BLOCK_POINTS``, all evaluated into one buffer
+        (:func:`_shifted_blocks`), so that memory stays bounded on large
+        grids and no block faults in fresh pages; each row is the same
+        whatever the block.  The row of a point where the
         family or a component overflows is not finite; every caller checks
         for that.
         """

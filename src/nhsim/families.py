@@ -72,14 +72,14 @@ class MatrixFamily:
         ``NonFiniteMatrixError`` if any point is not finite; a value that
         overflows comes back non-finite, and every caller checks for that.
         """
-        return self._evaluate_into(np.asarray(lams, dtype=float))
+        lams = self._points(lams)
+        shape = (len(lams), self.dim, self.dim)
+        return self._evaluate_into(lams, np.empty(shape, complex), np.empty(shape, complex))
 
-    def _evaluate_into(self, lams: np.ndarray, H=None, work=None) -> np.ndarray:
-        """:meth:`evaluate_batch` of the float points ``lams``, written into
-        the complex ``(N, n, n)`` array ``H`` and returned; ``work``, of the
-        same shape, takes each term's product.  Where either is ``None`` a
-        new array is made.  The same ufuncs run on the same operands into
-        the given memory, so the bytes are those of :meth:`evaluate_batch`."""
+    def _points(self, lams) -> np.ndarray:
+        """``lams`` as a float ``(N, num_params)`` array; ``ValueError`` for
+        another shape, ``NonFiniteMatrixError`` if any point is not finite."""
+        lams = np.asarray(lams, dtype=float)
         if lams.ndim != 2 or lams.shape[1] != self.num_params:
             raise ValueError(
                 f"family has {self.num_params} parameters, "
@@ -87,10 +87,15 @@ class MatrixFamily:
             )
         if not np.isfinite(lams).all():
             raise NonFiniteMatrixError("non-finite parameter point")
-        if H is None:
-            H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
-        else:
-            H.fill(0)
+        return lams
+
+    def _evaluate_into(self, lams: np.ndarray, H: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` of the points ``lams`` (checked by
+        :meth:`_points`), written into the complex ``(N, n, n)`` array ``H``
+        and returned; ``work``, of the same shape, takes each term's
+        product.  The same ufuncs run on the same operands into the given
+        memory, so the bytes are those of new arrays."""
+        H.fill(0)
         with np.errstate(over="ignore", invalid="ignore"):
             for M, exps in self.terms:
                 coeff = np.ones(len(lams))

@@ -122,16 +122,19 @@ def eigenvalues_many(H) -> np.ndarray:
 
     One stacked LAPACK call; each row equals :func:`eigenvalues` of that
     matrix.  Raises ``NonFiniteMatrixError`` for NaN/Inf entries and
-    ``EigensolverError`` if the QR iteration fails to converge.  The one
-    finite check is the eigensolver's own (:func:`nhsim._lapack.eigvals`,
-    as numpy's wrapper makes it), read off its ``LinAlgError``.
+    ``EigensolverError`` if the QR iteration fails to converge.  A stack
+    that is solved is checked once, by the eigensolver's own finite check
+    (:func:`nhsim._lapack.eigvals`, as numpy's wrapper makes it); only
+    where it raises is the stack checked again, to tell the two errors
+    apart without reading numpy's message.
     """
+    H = np.asarray(H, dtype=complex)
     try:
-        return _lapack.eigvals(np.asarray(H, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        if str(exc) == _lapack.NOT_FINITE:
+        return _eigvals(H)
+    except EigensolverError:
+        if not np.isfinite(H).all():
             raise NonFiniteMatrixError("matrix contains non-finite entries") from None
-        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+        raise
 
 
 def power_traces(H, k_max: int) -> list[complex]:

@@ -323,14 +323,8 @@ def test_evaluate_many_chunking_is_invisible(monkeypatch):
     cs = reduced_constraints(cubic_family(), PH)
     pts = np.random.default_rng(3).uniform(-2, 2, size=(50, 3))
     whole = cs.evaluate_many(pts)
-    set_block_points(monkeypatch, 7, cs.order)
-    assert len(epfinder._blocks(len(pts), cs.order)) == 8
+    monkeypatch.setattr(epfinder, "_BLOCK_POINTS", 7)
     assert cs.evaluate_many(pts).tobytes() == whole.tobytes()
-
-
-def set_block_points(monkeypatch, points, n):
-    """Make the block loops of ``epfinder`` take ``points`` n x n matrices."""
-    monkeypatch.setattr(epfinder, "_BLOCK_BYTES", points * 16 * n * n)
 
 
 def old_block_values(f, lams):
@@ -368,7 +362,7 @@ def test_shifted_blocks_are_the_bytes_of_new_arrays(monkeypatch, n):
     assert not np.isfinite(want).all() and (want.view(float) == 0).any()
     assert _shifted(f.evaluate_batch(lams)).tobytes() == want.tobytes()
     for points in (300, 17):
-        set_block_points(monkeypatch, points, n)
+        monkeypatch.setattr(epfinder, "_BLOCK_POINTS", points)
         views = []
         for block, Ht in epfinder._shifted_blocks(f, lams):
             assert Ht.tobytes() == want[block].tobytes()
@@ -376,19 +370,6 @@ def test_shifted_blocks_are_the_bytes_of_new_arrays(monkeypatch, n):
         # every block is written into the memory of the first
         assert len(views) == -(-300 // points)
         assert all(np.shares_memory(v, views[0]) for v in views)
-
-
-def test_blocks_follow_the_byte_budget():
-    # 2,048 3x3 matrices per block, the same bytes for every n; at least one
-    assert epfinder._BLOCK_BYTES // (16 * 3 * 3) == 2048
-    for n in range(1, 13):
-        step = epfinder._block_points(n)
-        assert step * 16 * n * n <= epfinder._BLOCK_BYTES < (step + 1) * 16 * n * n
-        blocks = epfinder._blocks(5 * step + 1, n)
-        assert [b.stop - b.start for b in blocks[:-1]] == [step] * 5
-        assert blocks[-1] == slice(5 * step, 6 * step)
-    assert epfinder._blocks(0, 3) == []
-    assert epfinder._blocks(3, 10**4) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_batched_jacobian_bit_exact():
@@ -778,25 +759,33 @@ def powers_family():
 
 
 BLOCK_CASES = [
-    ("ep-scan-window", trimer, [(0, 3, 101), (0.613, 1.613, 51)]),
-    ("cubic-4x4", cubic_family, [(-2, 2, 9)] * 3),
-    ("powers-2-3", powers_family, [(-1.5, 1.5, 61), (-1.2, 1.4, 57)]),
+    ("ep-scan-window", trimer, [(0, 3, 101), (0.613, 1.613, 51)],
+     [(0, 1.2, 41), (0.613, 1.613, 51)]),
+    ("cubic-4x4", cubic_family, [(-2, 2, 9)] * 3, [(-2, 2, 9)] * 3),
+    ("powers-2-3", powers_family, [(-1.5, 1.5, 61), (-1.2, 1.4, 57)],
+     [(-1.5, 1.5, 61), (-1.2, 0.4, 35)]),
 ]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name, family, grid", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
-def test_grid_minima_do_not_depend_on_the_block(monkeypatch, name, family, grid):
+@pytest.mark.parametrize("name, family, grid, few_blocks", BLOCK_CASES,
+                         ids=[c[0] for c in BLOCK_CASES])
+def test_grid_minima_do_not_depend_on_the_block(monkeypatch, name, family, grid, few_blocks):
+    # one block larger than the grid on the whole grid; blocks of 1 and 7
+    # points on a smaller one: at n = 3 two default blocks, the last one
+    # partial (2,091 and 2,135 nodes), at n = 4 the same 729 nodes
     cs = reduced_constraints(family(), PH)
-    lams, shape = grid_points(grid)
-    norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
-    threshold = float(np.median(norms))
-    default = [_grid_minima(cs, lams, shape, t) for t in (None, threshold)]
-    assert len(default[0]) > 0
-    for points in (1, 7, len(lams) + 1):
-        set_block_points(monkeypatch, points, cs.order)
-        assert len(epfinder._blocks(len(lams), cs.order)) == -(-len(lams) // points)
-        for t, want in zip((None, threshold), default):
+    runs = []
+    for g, sizes in ((grid, lambda N: [N + 1]), (few_blocks, lambda N: [1, 7])):
+        lams, shape = grid_points(g)
+        norms = _row_norms(cs.evaluate_many(lams)).reshape(shape)
+        thresholds = (None, float(np.median(norms)))
+        default = [_grid_minima(cs, lams, shape, t) for t in thresholds]
+        assert len(default[0]) > 0
+        runs += [(lams, shape, thresholds, default, points) for points in sizes(len(lams))]
+    for lams, shape, thresholds, default, points in runs:
+        monkeypatch.setattr(epfinder, "_BLOCK_POINTS", points)
+        for t, want in zip(thresholds, default):
             assert _grid_minima(cs, lams, shape, t).tobytes() == want.tobytes(), (points, t)
 
 

@@ -181,6 +181,21 @@ def test_eigenvalues_many_has_one_finite_check(handle, bad, monkeypatch):
     assert len(checks) <= 1
 
 
+def test_eigenvalues_many_does_not_read_the_error_message(monkeypatch):
+    # a numpy release whose wrapper words its errors otherwise
+    def eigvals(a):
+        raise np.linalg.LinAlgError("worded otherwise")
+
+    monkeypatch.setattr(_lapack, "_umath_linalg", None)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    H = np.stack([np.eye(3, dtype=complex)] * 2)
+    with pytest.raises(EigensolverError, match="^eigenvalue iteration failed: worded otherwise$"):
+        eigenvalues_many(H)
+    H[1, 0, 2] = np.inf
+    with pytest.raises(NonFiniteMatrixError, match="^matrix contains non-finite entries$"):
+        eigenvalues_many(H)
+
+
 class Sub(np.ndarray):
     pass
 

@@ -1,6 +1,7 @@
 """The canonical result digest of ``tools/output_identity.py``, without
 running the workloads."""
 
+import functools
 import importlib.util
 import json
 from dataclasses import dataclass
@@ -82,8 +83,14 @@ def _witness_bytes(seed):
     return [H.tobytes() for H in output_identity.witness_corpus(seed)]
 
 
+@functools.cache
+def _witness_corpus_101():
+    """The seed-101 witness corpus, built once for the tests that read it."""
+    return tuple(output_identity.witness_corpus(101))
+
+
 def test_witness_corpus_is_a_pure_function_of_the_seed():
-    first = _witness_bytes(101)
+    first = [H.tobytes() for H in _witness_corpus_101()]
     assert len(first) == 2 * output_identity.WITNESS_INPUTS
     np.random.seed(5)  # the global generator plays no part
     np.random.standard_normal(3)
@@ -97,7 +104,7 @@ def test_witnesses_of_the_corpus_are_exactly_hermitian():
     from nhsim.matrices import dagger, frob
 
     seen = 0
-    for H in output_identity.witness_corpus(101):
+    for H in _witness_corpus_101():
         for cls in SimilarityClass:
             w = output_identity.outcome(construct_witness, H, cls)
             if isinstance(w, SimilarityWitness):
@@ -138,13 +145,9 @@ def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_pa
     # a grid of several evaluation blocks whose last block is partial
     from nhsim import epfinder
 
-    nodes = [(doc["dim"], int(np.prod([int(f.rsplit(":", 1)[1]) for f in flags
-                                        if f.count(":") == 2])))
-             for doc, flags in corpus]
-    n, most = max(nodes, key=lambda dn: dn[1])
-    assert most > 5151
-    blocks = epfinder._blocks(most, n)
-    assert len(blocks) > 2 and blocks[-1].stop > most
+    most = max(int(np.prod([int(f.rsplit(":", 1)[1]) for f in flags if f.count(":") == 2]))
+               for _, flags in corpus)
+    assert most > 5151 and most > 2 * epfinder._BLOCK_POINTS and most % epfinder._BLOCK_POINTS
     thresholds = {flags[-1] for _, flags in corpus if "--seed-threshold" in flags}
     assert {"0", "inf"} < thresholds
     assert sum('"converged": true' in out for _, out, _ in results) >= len(corpus) // 2
