@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,13 +89,15 @@ def _shifted(H: np.ndarray, out=None, work=None) -> np.ndarray:
 
 #: Points per block in the block loops of
 #: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`, for
-#: every n.  Every block of a call is evaluated into the same two stacks
-#: (:func:`_shifted_blocks`); the arrays a block still allocates (the
-#: constraint components, the interval bounds) grow with the points.
-#: Timed on the ``ep-scan`` op (n = 3), 2,048 points was the largest block
-#: whose allocations the heap absorbed without faulting in fresh pages on
-#: every op (about 100 page faults per op at 3,072 points, 170 at 4,096);
-#: smaller blocks pay more per-block overhead.
+#: every n.  Every block of an exact evaluation is evaluated into the same
+#: two stacks (:func:`_shifted_blocks`); the arrays a block still allocates
+#: (the constraint components; in the grid pass the monomials, the
+#: polynomial values and the interval bounds) grow with the points.  Timed
+#: on the ``ep-scan`` op (n = 3) when the grid pass still evaluated stacks,
+#: 2,048 points was the largest block whose allocations the heap absorbed
+#: without faulting in fresh pages on every op (about 100 page faults per
+#: op at 3,072 points, 170 at 4,096); smaller blocks pay more per-block
+#: overhead.
 _BLOCK_POINTS = 2048
 
 
@@ -498,85 +501,198 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(G, G))
 
 
-#: ``|H~|_F`` range in which :func:`_norm_bounds` proves its bound.
+#: ``S`` range in which :func:`_norm_bounds` proves its bound.
 _BOUND_WINDOW = (2.0**-100, 2.0**100)
 
-#: ``C_n`` of :func:`_norm_bounds`, for n = 2 and n = 3.
-_BOUND_C = 2.0**15
+
+class _GridPolynomials(NamedTuple):
+    """Columns of :func:`_components` of a 2x2 or 3x3 family as real
+    polynomials in its parameters (:func:`_grid_polynomials`)."""
+
+    #: ``(A, d)``: the exponents of the monomials ``lam^alpha``
+    exponents: np.ndarray
+    #: ``(A, K)``: the coefficient of each monomial in each column
+    coeffs: np.ndarray
+    #: the sum of the ``|M_t|_F`` of the terms of each term monomial
+    #: ``m_t = lam^e_t``, which are the first rows of ``exponents``
+    norms: np.ndarray
+    #: the degree ``k`` of each column: 2 for ``tr H~^2``, n for ``det H~``
+    degrees: tuple[int, ...]
+    #: ``C`` of :func:`_norm_bounds`
+    bound: float
+    #: the parameters with a nonzero exponent in some term
+    params: np.ndarray
+    #: a bound is proven only where each of them is 0 or of magnitude in
+    #: ``[1 / reach, reach]``
+    reach: float
 
 
-def _closed_forms(Ht: np.ndarray) -> np.ndarray:
-    """The unreduced components of a stack of 2x2 or 3x3 trace-shifted
-    matrices in the layout of :func:`_components` (complex, ``(N, n - 1)``),
-    as closed forms taken elementwise across the stack: ``det`` for n = 2;
-    ``tr H~^2 = sum_ij a_ij a_ji`` and ``det`` by cofactors along the first
-    row for n = 3.  They differ from :func:`_components` in the last bits,
-    by at most the bound of :func:`_norm_bounds`."""
-    a = Ht.transpose(1, 2, 0)
-    C = np.empty((len(Ht), Ht.shape[-1] - 1), dtype=complex)
-    if Ht.shape[-1] == 2:
-        C[:, 0] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return C
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    C[:, 0] = (a00 * a00 + a11 * a11 + a22 * a22) + 2 * (a01 * a10 + a02 * a20 + a12 * a21)
-    C[:, 1] = (a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
-               + a02 * (a10 * a21 - a11 * a20))
-    return C
+def _grid_polynomials(f: MatrixFamily, cols) -> _GridPolynomials:
+    """The columns ``cols`` of :func:`_components` of a 2x2 or 3x3 family as
+    real polynomials in its parameters.
 
-
-def _norm_bounds(Ht: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)`` with ``lo <= N <= hi`` for each matrix of a stack of 2x2
-    or 3x3 trace-shifted matrices, where ``N = _row_norms(_components(Ht,
-    cols))``, or NaN where no bound is proven: where ``s = |H~|_F`` lies
-    outside ``_BOUND_WINDOW`` or a value is not finite.
-
-    The components come from :func:`_closed_forms` of the same ``H~``, and
-    each differs from its :func:`_components` value by at most ``C u s^k``
-    (``C = _BOUND_C``, ``u = 2**-53``, ``k`` the degree: 2 for ``tr H~^2``,
-    n for ``det H~``); the interval is the norm of the closed forms widened
-    by the sum of those bounds.  Both sides are measured against the exact
-    value for the same floating-point ``H~``; a complex product is within
-    ``sqrt(5) u |x||y|`` and a sum within ``u`` of its magnitude, with or
-    without FMA.
-
-    * Closed forms.  ``tr H~^2`` is six products, ``<= 8u s^2`` in all,
-      since ``sum_ij |a_ij a_ji| <= s^2``.  The n = 2 ``det`` is within
-      ``2u s^2``; the n = 3 cofactor ``det`` within ``10u perm|H~|`` and
-      ``perm|H~| <= (n-1)! n^(-n/2) s^n``, ``0.39 s^3``.
-    * ``_components``' trace.  The stacked matmul gives each ``P_ii`` within
-      ``(n + 2)u sum_j |a_ij a_ji|`` in any summation order, and
-      :func:`_trace` adds ``(n - 1)u`` more: ``<= (2n + 1)u s^2``.
-    * ``_components``' determinant.  numpy's ``det`` is LU with
-      ``|re| + |im|`` pivoting, so ``|l_ij| <= sqrt(2)`` and entries of U
-      grow at most by ``(1 + sqrt(2))^(n-1)``; the backward error
-      ``|dA| <= (n + 2)u |L||U|`` moves ``det = prod u_ii`` by less than
-      ``30u s^2`` (n = 2) and ``300u s^3`` (n = 3), by Hadamard's bound on
-      each column.  It then returns ``sign * exp(sum log|u_ii|)``: the sum
-      of logs is off by at most
-      ``(n + 1)u sum |log|u_ii||`` plus a few ulp, and with
-      ``|prod u_ii| <= (s / sqrt(n))^n`` and ``t log(1/t) <= 1/e`` the
-      product times that sum is below ``n^(-n/2) s^n (n |log s| + 5n)``:
-      at the window edge ``|log s| = 69.3``, which gives ``< 230u s^2``
-      (n = 2) and ``< 180u s^3`` (n = 3).
-
-    So every component is within ``500u s^k`` of ``_components``.  Rounding
-    the norms and the bound, and underflow (below ``2**-1000``, against
-    ``C u s^k >= 2**-338`` in the window), add ``O(u)`` relative; the extra
-    ``2**-40`` of the interval covers them, and ``C = 2**15`` leaves a
-    factor above 60 over the sum.  No overflow happens in the window.
-    ``tests/test_epfinder.py::test_closed_forms_stay_inside_the_bound``
-    measures the largest distance on an adversarial corpus.
+    With ``m_t = lam^e_t`` the term monomials and ``A_t`` the trace-shifted
+    term matrices, ``H~ = sum_t m_t A_t``.  So ``tr H~^2 = sum_tu tr(A_t
+    A_u) m_t m_u`` and, the determinant being linear in each column,
+    ``det H~ = sum det[A_t e1 | A_u e2 (| A_v e3)] m_t m_u (m_v)`` over the
+    ordered pairs (triples) of terms.  The coefficients of equal monomials
+    are summed, in the order of the tuples, and since the monomials are real
+    the real or imaginary part of a component takes the real or imaginary
+    parts of its coefficients.
     """
-    degree = dict(enumerate(k for _lab, k, _part in _raw_components(Ht.shape[-1])))
+    n, d = f.dim, f.num_params
+    M = np.array([Mt for Mt, _e in f.terms])
+    E = np.array([e for _M, e in f.terms], dtype=np.int64).reshape(len(M), d)
+    A = _shifted(M)
+    v = A.transpose(2, 0, 1)  # v[j, t]: column j of A_t
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            forms = {2: np.multiply.outer(v[0, :, 0], v[1, :, 1])
+                     - np.multiply.outer(v[0, :, 1], v[1, :, 0])}
+        else:
+            # det[a | b | c] = a . (b x c)
+            p, q = [1, 2, 0], [2, 0, 1]
+            b, c = v[1, :, None], v[2, None]
+            cross = b[..., p] * c[..., q] - b[..., q] * c[..., p]
+            forms = {2: np.einsum("tij,uji->tu", A, A),
+                     3: np.einsum("ti,uvi->tuv", v[0], cross)}
+    # the exponent of every term tuple, by degree, in the order of forms[k]
+    sums = {1: E, 2: (E[:, None] + E).reshape(-1, d)}
+    sums[3] = (sums[2][:, None] + E).reshape(-1, d)
+    raw = _raw_components(n)
+    degrees = tuple(raw[j][1] for j in cols)
+    ks = [1, *sorted(set(degrees))]
+    index = {}
+    inv = np.array([index.setdefault(e, len(index))
+                    for k in ks for e in map(tuple, sums[k].tolist())])
+    exponents = np.array(list(index), dtype=np.int64).reshape(len(index), d)
+    first = dict(zip(ks, np.cumsum([0] + [len(sums[k]) for k in ks])))
+    coeffs = np.zeros((len(exponents), len(cols)))
+    for j, col in enumerate(cols):
+        _lab, k, part = raw[col]
+        z = forms[k].ravel()
+        coeffs[:, j] = np.bincount(inv[first[k]:first[k] + len(z)],
+                                   weights=z.real if part == "re" else z.imag,
+                                   minlength=len(exponents))
+    G = int(exponents.sum(axis=1).max())
+    return _GridPolynomials(
+        exponents=exponents,
+        coeffs=coeffs,
+        norms=np.bincount(inv[:len(E)], weights=frob_many(M)),
+        degrees=degrees,
+        bound=64.0 * (600 + 10 * G + 8 * len(M) ** 3),
+        params=np.flatnonzero(E.any(axis=0)),
+        reach=2.0 ** (600 // max(G, 1)),
+    )
+
+
+def _polynomial_values(poly: _GridPolynomials, lams: np.ndarray):
+    """``(values, S)`` at the float points ``lams``: the columns of ``poly``,
+    ``(K, N)``, and ``S = sum_t |M_t|_F |m_t|``, ``(N,)``.  Each monomial is
+    the product of the powers of its parameters, in parameter order, each
+    power taken by repeated multiplication."""
+    factors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in poly.params:
+            e = poly.exponents[:, i]
+            P = np.empty((e.max() + 1, len(lams)))
+            P[0] = 1.0
+            for a in range(1, len(P)):
+                np.multiply(P[a - 1], lams[:, i], out=P[a])
+            factors.append(P[e])
+        mono = factors[0] if factors else np.ones((len(poly.exponents), len(lams)))
+        for F in factors[1:]:
+            mono *= F
+        return poly.coeffs.T @ mono, poly.norms @ np.abs(mono[:len(poly.norms)])
+
+
+def _norm_bounds(poly: _GridPolynomials, lams: np.ndarray):
+    """``(lo, hi)`` with ``lo <= N <= hi`` at each of the float points
+    ``lams``, where ``N = _row_norms(_components(_shifted(f.evaluate_batch(
+    lams)), cols))`` for the family and columns of ``poly``, or NaN where no
+    bound is proven.
+
+    The interval is the norm of the polynomial values (``p``,
+    :func:`_polynomial_values`) widened by ``C u S^k`` for each column
+    (``u = 2**-53``, ``k`` its degree), with ``S = sum_t |M_t|_F |m_t|``,
+    which bounds ``|H|_F`` and ``|H~|_F`` (the shift is an orthogonal
+    projection).  A bound is proven only where ``S`` lies in
+    ``_BOUND_WINDOW``, every parameter of a term is 0 or has magnitude in
+    ``[2**-L, 2**L]`` with ``L = 600 // G`` (``G`` the largest total degree
+    of a monomial of ``poly``), and the norm is finite.  Then every product
+    of parameters that either side forms lies in ``[2**-600, 2**600]``:
+    no monomial, power or coefficient of ``f.evaluate_batch`` over- or
+    underflows.  ``C = 64 (600 + 10 G + 8 T^3)`` for ``T`` terms is 64
+    times the sum of the three gaps below, in units of ``u S^k``, each for
+    one column; a complex product is within ``sqrt(5) u |x||y|`` and a sum
+    within ``u`` of its magnitude, with or without FMA, and libm's ``pow``
+    within one ulp.  ``H~`` is the exact shifted value at ``lam``, ``H^~``
+    the one the exact path computes, ``s^ = |H^~|_F``.
+
+    * ``H^~`` against ``H~``.  Each ``m_t`` is ``pow`` and products of at
+      most ``G`` factors (``<= 3G u``), each term one more rounding, and
+      the sum of ``T`` terms ``T u`` more, entrywise against
+      ``sum_t |m_t||M_t|``, whose Frobenius norm is at most ``S``; the
+      shift adds ``(n + 1) u |H^|_F``.  So ``|H^~ - H~|_F <= dS`` with
+      ``d = (3G + T + 5) u``, and since ``tr X^2 - tr Y^2 = tr((X - Y)(X +
+      Y))`` and the determinant is linear in each column (Hadamard's bound
+      on the others), each component moves by at most ``n d S^k (1 +
+      d)^2``: ``<= 9G + 3T + 16``.
+    * ``_components`` on ``H^~``.  ``<= 500 u s^^k`` as derived below for
+      ``s^ <= S (1 + d)``; the determinant's log-sum term there needs
+      ``s^k |log s^|``, which is increasing below ``e^(-1/k)`` and at most
+      ``1/(k e)`` below 1, so ``S >= 2**-100`` gives the same ``69.3``:
+      ``<= 510``.
+    * ``p`` against ``H~``.  The shifted ``A_t`` are within ``(n + 1) u
+      |M_t|_F``, which moves a coefficient of a tuple by ``k (n + 1) u``
+      times the product of the norms (``<= 12``); ``tr(A_t A_u)`` is ``n^2``
+      complex products and their sum, the triple product ``3!`` products of
+      column entries, whose magnitudes sum to at most ``n^(3/2)`` times
+      the product of the column norms (``<= 60``); merging equal monomials
+      sums at most ``T^k`` tuples (``<= T^3``); a monomial of degree
+      ``<= G`` is ``G`` roundings (``<= G``); and the dot product with the
+      ``<= T + T^2 + T^3`` monomials adds as many (``<= 3 T^3``).  Every
+      sum is against ``sum over tuples of |coefficient| |m_t m_u (m_v)|
+      <= S^k``.
+
+    In all ``<= 600 + 10G + 8T^3``; the factor 64 also covers rounding
+    ``S`` and the errors of the pad.  Rounding the norms and the bound add
+    ``O(u)`` relative, which the extra ``2**-40`` of the interval covers;
+    an underflow is an absolute error below ``2**-1000`` times a monomial of
+    at most ``2**600``, against ``C u S^k >= 2**-338`` in the window.
+    ``tests/test_epfinder.py::test_polynomials_stay_inside_the_bound``
+    measures the largest distance on an adversarial corpus.
+
+    ``_components``' own error, for a trace-shifted ``H~`` of norm ``s``:
+
+    * The trace.  The stacked matmul gives each ``P_ii`` within ``(n + 2)u
+      sum_j |a_ij a_ji|`` in any summation order, and :func:`_trace` adds
+      ``(n - 1)u`` more: ``<= (2n + 1)u s^2``.
+    * The determinant.  numpy's ``det`` is LU with ``|re| + |im|``
+      pivoting, so ``|l_ij| <= sqrt(2)`` and entries of U grow at most by
+      ``(1 + sqrt(2))^(n-1)``; the backward error ``|dA| <= (n + 2)u
+      |L||U|`` moves ``det = prod u_ii`` by less than ``30u s^2`` (n = 2)
+      and ``300u s^3`` (n = 3), by Hadamard's bound on each column.  It
+      then returns ``sign * exp(sum log|u_ii|)``: the sum of logs is off by
+      at most ``(n + 1)u sum |log|u_ii||`` plus a few ulp, and with ``|prod
+      u_ii| <= (s / sqrt(n))^n`` and ``t log(1/t) <= 1/e`` the product
+      times that sum is below ``n^(-n/2) s^n (n |log s| + 5n)``: at
+      ``|log s| = 69.3`` that gives ``< 230u s^2`` (n = 2) and ``< 180u
+      s^3`` (n = 3).
+
+    So every component is within ``500u s^k`` of its exact value.
+    """
+    vals, S = _polynomial_values(poly, lams)
     small, big = _BOUND_WINDOW
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = Ht.reshape(len(Ht), -1).view(float)
-        s2 = np.vecdot(flat, flat)
-        power = {2: s2, 3: s2 * np.sqrt(s2)}
-        err = _BOUND_C * 2.0**-53 * sum(power[degree[c]] for c in cols)
-        nrm = _row_norms(_closed_forms(Ht).view(float)[:, cols])
+        power = {2: S * S}
+        power[3] = power[2] * S
+        err = poly.bound * 2.0**-53 * sum(power[k] for k in poly.degrees)
+        nrm = np.sqrt(np.einsum("kn,kn->n", vals, vals))
         pad = err + 2.0**-40 * (nrm + err)
-        ok = (small**2 <= s2) & (s2 <= big**2) & np.isfinite(nrm)
+        x = np.abs(lams[:, poly.params])
+        ok = ((small <= S) & (S <= big) & np.isfinite(nrm)
+              & ((x == 0) | ((1 / poly.reach <= x) & (x <= poly.reach))).all(axis=1))
         return np.where(ok, nrm - pad, np.nan), np.where(ok, nrm + pad, np.nan)
 
 
@@ -612,18 +728,23 @@ def _local_minima(lo: np.ndarray, hi: np.ndarray, threshold: float | None):
 
 def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     """Indices of the local minima of ``_row_norms(cs.evaluate_many(lams))``
-    on a grid of ``shape`` (:func:`_local_minima`), with the norms taken
-    from :func:`_norm_bounds` and exactly only at the nodes it leaves
-    unbounded (all of them for n >= 4) and at the nodes of an undecided
-    test.  Raises ``NonFiniteMatrixError`` when an exact norm is not finite,
-    which the bounded nodes never have."""
+    on a grid of ``shape`` (:func:`_local_minima`).  For n <= 3 the norms
+    are first bounded block by block of ``_BLOCK_POINTS`` from the
+    family's constraint polynomials, built once per call
+    (:func:`_grid_polynomials`, :func:`_norm_bounds`); they are taken
+    exactly only at the nodes left unbounded (all of them for n >= 4) and
+    at the nodes of an undecided test.  Raises ``NonFiniteMatrixError`` for
+    a point that is not finite, and when an exact norm is not finite, which
+    the bounded nodes never have."""
+    lams = cs.family._points(lams)
     lo = np.full(len(lams), np.nan)
     hi = lo.copy()
     if cs.order <= 3:
         column = _column_index(cs.order)
-        cols = [column[lab] for lab in cs.labels]
-        for block, Ht in _shifted_blocks(cs.family, lams):
-            lo[block], hi[block] = _norm_bounds(Ht, cols)
+        poly = _grid_polynomials(cs.family, [column[lab] for lab in cs.labels])
+        for start in range(0, len(lams), _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            lo[block], hi[block] = _norm_bounds(poly, lams[block])
     exact = np.isnan(lo)
     while True:
         if exact.any():
@@ -644,8 +765,10 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     absolute, in the units of the constraint components, as is each
     candidate's ``constraint_residual`` (:class:`ScanConfig`): the scan of
     ``c f`` with the values of ``f`` is not the scan of ``f``.  For n <= 3
-    the minima are decided on proven intervals around the norm, from
-    closed-form components taken elementwise over the grid
+    the minima are decided on proven intervals around the norm, from the
+    active components as real polynomials in the parameters, whose
+    coefficients are computed once per scan from the term matrices, and
+    are evaluated from monomials over the grid with no matrix per node
     (:func:`_norm_bounds`); the exact batched
     evaluation runs only at nodes where an interval cannot decide a
     comparison or the ``seed_threshold`` test, or where no bound is proven,

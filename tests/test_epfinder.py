@@ -9,19 +9,19 @@ import pytest
 from nhsim import _lapack, epfinder
 from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
 from nhsim.epfinder import (
-    _BOUND_C,
     _BOUND_WINDOW,
     ScanConfig,
     _certify_many,
-    _closed_forms,
     _cluster_means,
     _column_index,
     _components,
     _gauss_newton,
     _grid_minima,
+    _grid_polynomials,
     _local_minima,
     _merge_keep,
     _norm_bounds,
+    _polynomial_values,
     _powers,
     _raw_components,
     _row_norms,
@@ -527,39 +527,59 @@ def test_scan_without_the_private_lstsq_gives_the_same_bytes(
 
 
 # ---------------------------------------------------------------------------
-# the certified grid pass: closed forms, norm intervals and exact fallback
+# the certified grid pass: constraint polynomials, norm intervals and exact
+# fallback
+
+
+def term_scale(f, lams):
+    """``S = sum_t |M_t|_F |m_t|`` at each point, the monomials as
+    ``evaluate_batch`` takes them."""
+    S = np.zeros(len(lams))
+    for M, exps in f.terms:
+        m = np.ones(len(lams))
+        for col, e in zip(lams.T, exps):
+            m *= col**e
+        S += frob_many(M[None])[0] * np.abs(m)
+    return S
 
 
 def bound_corpus(n):
-    """Adversarial trace-shifted stacks for the closed-form bound: Gaussian
-    matrices, rows or columns scaled by powers of two up to 2^+-30, unitary
-    conjugates of near-nilpotent and nilpotent Jordan forms; each matrix
-    also times a power of two that puts ``|H~|_F`` anywhere in the window,
-    and at both of its edges."""
-    rng = np.random.default_rng([41, n])
-    m = 300
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    scale = np.ldexp(1.0, rng.integers(-30, 31, size=(2, m, n)))
-    Q = np.linalg.qr(cplx(m, n, n))[0]
-    nudge = np.ldexp(1.0, rng.integers(-52, -4, size=(m, 1, 1)))
-    nudge[: m // 4] = 0.0
-    J = np.eye(n, k=1) + nudge * cplx(m, n, n)
-    stack = _shifted(np.concatenate([
-        cplx(m, n, n),
-        scale[0][:, :, None] * cplx(m, n, n),
-        cplx(m, n, n) * scale[1][:, None, :],
-        Q @ J @ Q.conj().transpose(0, 2, 1),
-    ]))
-    # times 2^e with |H~|_F * 2^e in [1, 2), then 2^j for j across the
-    # window; the edge copies stay a factor 1.25 inside it
-    unit = ldexp_complex(stack, 1 - np.frexp(frob_many(stack))[1][:, None, None])
-    lo, hi = (int(np.log2(w)) for w in _BOUND_WINDOW)
-    copies = [unit, 1.25 * ldexp_complex(unit, lo), 0.75 * ldexp_complex(unit, hi - 1)]
-    copies.append(ldexp_complex(unit, rng.integers(lo, hi - 1, size=len(unit))[:, None, None]))
-    return np.concatenate(copies)
+    """``(family, points)`` for the polynomial bound: seeded families of
+    T = 1..6 terms with exponents 0..3 in two parameters and matrices at
+    scales 2^+-30, every third with a term pair that cancels to 2^-30 and
+    every third with a dominant ``10^3 I`` part; points in [-2, 2]^2 times
+    powers of two up to 2^+-6, some of them 0.  Each family comes three
+    times, scaled so that S at its points lies across the window and 1.25
+    times inside its lower and its upper edge."""
+    rng = np.random.default_rng([59, n])
+    out = []
+    for case in range(24):
+        T = 1 + case % 6
+        terms = []
+        for _t in range(T):
+            M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            M *= 2.0 ** rng.integers(-30, 31, size=(n, 1))
+            terms.append((M * 2.0 ** rng.integers(-30, 31),
+                          tuple(int(e) for e in rng.integers(0, 4, 2))))
+        if case % 3 == 1 and T > 1:
+            M, e = terms[0]
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            terms[1] = (-M + 2.0**-30 * np.abs(M).max() * X, e)
+        if case % 3 == 2:
+            M, e = terms[0]
+            terms[0] = (M + 1e3 * np.abs(M).max() * np.eye(n), e)
+        lams = rng.uniform(-2, 2, size=(40, 2)) * 2.0 ** rng.integers(-6, 7, size=(40, 1))
+        lams[:4, 0] = 0.0
+        lams[2:6, 1] = 0.0
+        f = MatrixFamily(n, 2, tuple(terms))
+        S = term_scale(f, lams)
+        lams = lams[S > 0]
+        S = S[S > 0]
+        lo, hi = (np.log2(w) for w in _BOUND_WINDOW)
+        for c in (2.0 ** rng.uniform(lo + 60, hi - 60) / np.median(S),
+                  1.25 * _BOUND_WINDOW[0] / S.min(), _BOUND_WINDOW[1] / (1.25 * S.max())):
+            out.append((scaled(f, c), lams))
+    return out
 
 
 def class_columns(n):
@@ -571,28 +591,40 @@ def class_columns(n):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 3])
-def test_closed_forms_stay_inside_the_bound(n):
-    Ht = bound_corpus(n)
-    s = frob_many(Ht)
-    assert (_BOUND_WINDOW[0] <= s).all() and (s < _BOUND_WINDOW[1]).all()
-    fast = _closed_forms(Ht).view(float)
-    exact = _components(Ht, list(range(2 * (n - 1))))
+def test_polynomials_stay_inside_the_bound(n):
+    cols = list(range(2 * (n - 1)))
     degree = np.array([k for _lab, k, _part in _raw_components(n)])
-    ratio = np.abs(fast - exact) / (2.0**-53 * s[:, None] ** degree)
-    worst = {lab: ratio[:, j].max() for j, (lab, *_c) in enumerate(_raw_components(n))}
-    # a margin of 100 below C_n; the distances are real, not all zero
-    assert max(worst.values()) <= _BOUND_C / 100, worst
-    assert min(worst.values()) > 0.5, worst
-    # every class's norm lies in its interval, which is proven everywhere here
-    for cls, cols in class_columns(n).items():
-        lo, hi = _norm_bounds(Ht, cols)
-        N = _row_norms(_components(Ht, cols))
-        assert not np.isnan(lo).any() and not np.isnan(hi).any()
-        assert (lo <= N).all() and (N <= hi).all(), cls
-    # outside the window, and where a value is not finite, nothing is proven
-    out = np.stack([np.zeros((n, n), dtype=complex), ldexp_complex(Ht[0], 200),
-                    ldexp_complex(Ht[0], -200), np.full((n, n), np.nan + 0j)])
-    lo, hi = _norm_bounds(out, class_columns(n)[PH])
+    worst, worst_over_C = 0.0, 0.0
+    for f, lams in bound_corpus(n):
+        S = term_scale(f, lams)
+        assert (_BOUND_WINDOW[0] <= S).all() and (S <= _BOUND_WINDOW[1]).all()
+        poly = _grid_polynomials(f, cols)
+        exact = _components(_shifted(f.evaluate_batch(lams)), cols)
+        ratio = np.abs(_polynomial_values(poly, lams)[0].T - exact) / (
+            2.0**-53 * S[:, None] ** degree)
+        worst = max(worst, ratio.max())
+        worst_over_C = max(worst_over_C, ratio.max() / poly.bound)
+        # every class's norm lies in its interval, which is proven everywhere here
+        for cls, kept in class_columns(n).items():
+            lo, hi = _norm_bounds(_grid_polynomials(f, kept), lams)
+            N = _row_norms(exact[:, kept])
+            assert not np.isnan(lo).any() and not np.isnan(hi).any()
+            assert (lo <= N).all() and (N <= hi).all(), cls
+    # a margin of 100 below C; the distances are real, not all zero
+    assert worst_over_C <= 1 / 100, worst_over_C
+    assert worst > 0.5, worst
+    # nothing is proven for S outside the window, a parameter beyond the
+    # reach of the monomials, or a point that is not finite
+    f, lams = bound_corpus(n)[15]
+    S = term_scale(f, lams)
+    for c in (_BOUND_WINDOW[0] / (1.25 * S.max()), 1.25 * _BOUND_WINDOW[1] / S.min()):
+        lo, hi = _norm_bounds(_grid_polynomials(scaled(f, c), cols), lams)
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+    poly = _grid_polynomials(f, cols)
+    assert list(poly.params) == [0, 1]
+    far = np.array([[poly.reach * 2, 1.0], [1.0, 0.5 / poly.reach],
+                    [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]])
+    lo, hi = _norm_bounds(poly, far)
     assert np.isnan(lo).all() and np.isnan(hi).all()
 
 
@@ -623,6 +655,33 @@ def self_skew_family(n, rng):
     return MatrixFamily(n, 2, tuple(terms), ("p", "q"))
 
 
+def indefinite_family(n, rng, exps):
+    """``eta sum_i p^a_i q^b_i B_i`` over ``exps``, with Hermitian ``B_i``
+    and the indefinite ``eta = diag(1, -1[, 2]) + 0.3 X``, ``X`` Hermitian:
+    pseudo-Hermitian, with EPs."""
+    eta = np.diag([1.0, -1.0, 2.0][:n]) + 0.3 * _hermitian(rng, n)
+    return MatrixFamily(n, 2, tuple((eta @ _hermitian(rng, n), e) for e in exps),
+                        ("p", "q"))
+
+
+def cancelling_family(rng):
+    """A 3x3 pseudo-Hermitian family with a pair of ``p`` terms that cancel
+    to 2^-30 of each: ``eta (B0 + p B1 + q B2 + p 2^6 B3 + p (2^-24 B4 -
+    2^6 B3))``."""
+    f = indefinite_family(3, rng, ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0)))
+    *rest, (M3, e3), (M4, e4) = f.terms
+    return MatrixFamily(3, 2, (*rest, (2.0**6 * M3, e3), (2.0**-24 * M4 - 2.0**6 * M3, e4)),
+                        f.param_names)
+
+
+def scalar_dominated_family(rng):
+    """``10^3 I + eta (B0 + p B1 + q B2)``, 3x3 pseudo-Hermitian, whose
+    trace shift removes the largest part of every value."""
+    f = indefinite_family(3, rng, ((0, 0), (1, 0), (0, 1)))
+    (M0, e0), *rest = f.terms
+    return MatrixFamily(3, 2, ((M0 + 1e3 * np.eye(3), e0), *rest), f.param_names)
+
+
 def _hermitian(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (A + A.conj().T) / 2
@@ -649,6 +708,15 @@ def minima_cases():
         cases += [(f"pseudo-hermitian-{n}", pseudo_hermitian_family(n, rng), PH, box),
                   (f"chiral-{n}", chiral_family(n, rng), CH, box),
                   (f"self-skew-{n}", self_skew_family(n, rng), SS, box)]
+    rng = np.random.default_rng(67)
+    cases += [
+        ("cancelling", cancelling_family(rng), PH, box),
+        ("scalar-dominated", scalar_dominated_family(rng), PH, box),
+        ("six-terms", indefinite_family(3, rng, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                                 (0, 3))), PH, box),
+        ("pseudo-hermitian-indefinite-3",
+         indefinite_family(3, rng, ((0, 0), (1, 0), (0, 1))), PH, box),
+    ]
     return cases
 
 
@@ -725,18 +793,24 @@ def test_grid_fallback_counts(monkeypatch):
     with pytest.raises(NonFiniteMatrixError, match="overflow on the grid"):
         _grid_minima(big, lams, shape, None)
     assert calls == [len(lams)]
-    # the window's lower edge cuts through this grid: the nodes below it,
-    # the zero node among them, take the exact path first
+    # the window's lower edge cuts through this grid: the nodes with S below
+    # it, the zero node among them, take the exact path first
     edge = reduced_constraints(scaled(trimer(), 2.0**-99), PH)
     lams, shape = grid_points([(0, 3, 31), (0, 1.5, 16)])
-    s = frob_many(_shifted(edge.family.evaluate_batch(lams)))
-    below = int((s < _BOUND_WINDOW[0]).sum())
+    below = int((term_scale(edge.family, lams) < _BOUND_WINDOW[0]).sum())
     assert 0 < below < len(lams)
     calls.clear()
     got = _grid_minima(edge, lams, shape, None)
     assert calls[0] == below
     norms = _row_norms(edge.evaluate_many(lams)).reshape(shape)
     assert got.tobytes() == roll_local_minima(norms, None).tobytes()
+    # S far above |H~|_F leaves some comparisons to the exact norms
+    for name, f, cls, grid in MINIMA_CASES:
+        if name in ("cancelling", "scalar-dominated"):
+            lams, shape = grid_points(grid)
+            calls.clear()
+            _grid_minima(reduced_constraints(f, cls), lams, shape, None)
+            assert 0 < sum(calls) < len(lams) / 4, name
 
 
 def test_four_by_four_grid_takes_exact_norms(monkeypatch):
@@ -752,10 +826,7 @@ def test_four_by_four_grid_takes_exact_norms(monkeypatch):
 def powers_family():
     """A 3x3 pseudo-Hermitian family with exponents 2 and 3,
     ``eta (B0 + p^2 B1 + q^3 B2 + p q^2 B3)``, with an indefinite ``eta``."""
-    rng = np.random.default_rng(53)
-    eta = np.diag([1.0, -1.0, 2.0]) + 0.3 * _hermitian(rng, 3)
-    return MatrixFamily(3, 2, tuple((eta @ _hermitian(rng, 3), e)
-                                    for e in ((0, 0), (2, 0), (0, 3), (1, 2))), ("p", "q"))
+    return indefinite_family(3, np.random.default_rng(53), ((0, 0), (2, 0), (0, 3), (1, 2)))
 
 
 BLOCK_CASES = [

@@ -179,7 +179,12 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     ``--fix``ed (7,381 nodes: several evaluation blocks of
     ``nhsim.epfinder``, the last one partial), and a 4 x 4 one,
     ``eta (B0 + p B1 + q B2 + r B3)``, on an 11 x 11 x 11 grid, which takes
-    exact norms at every node.
+    exact norms at every node.  Then two 3 x 3 families on which the grid
+    pass leaves some comparisons to exact norms, because ``S`` (the bound of
+    ``nhsim.epfinder._norm_bounds``) lies far above ``|H~|_F``: a pair of
+    ``p`` terms that cancel to 2^-30 of each, ``eta (B0 + p B1 + q B2
+    + p 2^6 B3 + p (2^-24 B4 - 2^6 B3))``, and ``10^3 I + eta (B0 + p B1 +
+    q B2)``, whose trace shift removes the largest part of every value.
     """
     rng = np.random.default_rng([seed, 3])
 
@@ -237,6 +242,13 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
         eta = hermitian(n) + np.diag(np.where(np.arange(n) % 2, -2.0, 2.0))
         out.append((family_doc([(eta @ hermitian(n), e) for e in exps], names),
                     (*ph, *grids)))
+    eta = hermitian(3) + np.diag([2.0, -2.0, 2.0])
+    B = [eta @ hermitian(3) for _ in range(5)]
+    pair = [(2.0**6 * B[3], (1, 0)), (2.0**-24 * B[4] - 2.0**6 * B[3], (1, 0))]
+    out.append((family_doc([(B[0], (0, 0)), (B[1], (1, 0)), (B[2], (0, 1)), *pair],
+                           ("p", "q")), (*ph, *box)))
+    out.append((family_doc([(1e3 * np.eye(3) + B[0], (0, 0)), (B[1], (1, 0)),
+                            (B[2], (0, 1))], ("p", "q")), (*ph, *box)))
     return out
 
 
