@@ -73,54 +73,27 @@ EXPECTED_CODIMENSION = {
 }
 
 
-def _shifted(H: np.ndarray, out=None, work=None) -> np.ndarray:
-    """``H - (tr H / n) I`` for one matrix or a stack of them; into ``out``
-    (which may be ``H``) with ``(tr H / n) I`` in ``work`` where given, new
-    arrays where ``None``, the same bytes either way.
+def _shifted(H: np.ndarray) -> np.ndarray:
+    """``H - (tr H / n) I`` for one matrix or a stack of them.
 
     Where the trace overflows, the matrix comes back non-finite, and every
     caller checks for that.
     """
     n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.subtract(
-            H, np.multiply((_trace(H) / n)[..., None, None], np.eye(n), out=work), out=out)
+        return H - (_trace(H) / n)[..., None, None] * np.eye(n)
 
 
-#: Points per block in the block loops of
-#: :meth:`ConstraintSystem.evaluate_many` and :func:`_grid_minima`, for
-#: every n.  Every block of an exact evaluation is evaluated into the same
-#: two stacks (:func:`_shifted_blocks`); the arrays a block still allocates
-#: (the constraint components; in the grid pass the monomials, the
-#: polynomial values and the interval bounds) grow with the points.  Timed
-#: on the ``ep-scan`` op (n = 3) when the grid pass still evaluated stacks,
-#: 2,048 points was the largest block whose allocations the heap absorbed
-#: without faulting in fresh pages on every op (about 100 page faults per
-#: op at 3,072 points, 170 at 4,096); smaller blocks pay more per-block
-#: overhead.
+#: Points per block in the block loops of :func:`_grid_minima` and
+#: :meth:`ConstraintSystem.evaluate_many`, for every n; each row is the same
+#: whatever the block.  The grid pass keeps its blocks because bounding all
+#: 5,151 nodes of an ``ep-scan`` window in one pass took 3 to 9 times the
+#: minor page faults of the blocked pass (180k-547k against 60k-65k per 20 s
+#: ``ep-scan`` benchmark run) and completed 4-8 % fewer ops per second.
+#: ``evaluate_many`` keeps them so that memory stays bounded on exact grids
+#: (n >= 4, and the grid's fallback nodes); on ``ep-scan`` its calls take at
+#: most 196 points.
 _BLOCK_POINTS = 2048
-
-
-def _shifted_blocks(family: MatrixFamily, lams: np.ndarray):
-    """``(block, _shifted(family.evaluate_batch(lams[block])))`` for each
-    slice ``block`` of ``_BLOCK_POINTS`` of the float points ``lams``, the
-    same bytes; rows are evaluated independently, so the block size
-    changes no byte.
-
-    Every block is written into the same two stacks, allocated once per
-    call, so each value is a view that the next block overwrites.  A new
-    stack per block would grow the heap and fault in fresh pages on every
-    block, which costs more than the arithmetic (``ep-scan``: about 300
-    page faults per op with new stacks of 4,096 points, none with one
-    buffer).
-    """
-    n = family.dim
-    buf = np.empty((2, min(len(lams), _BLOCK_POINTS), n, n), dtype=complex)
-    for start in range(0, len(lams), _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        points = family._points(lams[block])
-        H, work = buf[:, :len(points)]
-        yield block, _shifted(family._evaluate_into(points, H, work), out=H, work=work)
 
 
 def _raw_components(n: int):
@@ -170,20 +143,19 @@ class ConstraintSystem:
 
         ``labels`` selects components by name (default: the active
         constraints ``self.labels``; ``self.forced_zero`` gives the ones
-        the class forces to vanish).  Points are processed in blocks of
-        ``_BLOCK_POINTS``, all evaluated into one buffer
-        (:func:`_shifted_blocks`), so that memory stays bounded on large
-        grids and no block faults in fresh pages; each row is the same
-        whatever the block.  The row of a point where the
-        family or a component overflows is not finite; every caller checks
-        for that.
+        the class forces to vanish).  Points are evaluated in blocks of
+        ``_BLOCK_POINTS`` by ``family.evaluate_batch``, so that memory stays
+        bounded on large exact grids; each row is the same whatever the
+        block.  The row of a point where the family or a component
+        overflows is not finite; every caller checks for that.
         """
         lams = np.asarray(lams, dtype=float)
         column = _column_index(self.order)
         cols = [column[lab] for lab in (self.labels if labels is None else labels)]
         out = np.empty((len(lams), len(cols)))
-        for block, Ht in _shifted_blocks(self.family, lams):
-            out[block] = _components(Ht, cols)
+        for start in range(0, len(lams), _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            out[block] = _components(_shifted(self.family.evaluate_batch(lams[block])), cols)
         return out
 
     def evaluate(self, lam) -> np.ndarray:

@@ -62,19 +62,31 @@ class MatrixFamily:
         return self.evaluate_batch(np.asarray(lam, dtype=float).reshape(1, -1))[0]
 
     def evaluate_batch(self, lams) -> np.ndarray:
-        """Evaluate a stack of points, ``(N, d) -> (N, n, n)``.
+        """Evaluate a stack of points, ``(N, d) -> (N, n, n)``, as a new array.
 
+        This is the family's one evaluation: :meth:`evaluate` takes a row
+        of it, and ``ConstraintSystem.evaluate_many`` calls it per block.
         Each row is bit for bit what a one-point batch gives, whatever the
         other rows: terms are summed in order and each coefficient is the
-        product of its powers in parameter order.  Powers ``e >= 2`` are
-        taken one scalar at a time, because numpy's array power differs
-        from the scalar ``pow`` in the last bit for some inputs.  Raises
-        ``NonFiniteMatrixError`` if any point is not finite; a value that
+        product of its powers in parameter order.  Powers ``e >= 2`` are taken one
+        scalar at a time, because numpy's array power differs from the
+        scalar ``pow`` in the last bit for some inputs.  The points are
+        checked by :meth:`_points` (``ValueError`` for another shape,
+        ``NonFiniteMatrixError`` if any point is not finite); a value that
         overflows comes back non-finite, and every caller checks for that.
         """
         lams = self._points(lams)
-        shape = (len(lams), self.dim, self.dim)
-        return self._evaluate_into(lams, np.empty(shape, complex), np.empty(shape, complex))
+        H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for M, exps in self.terms:
+                coeff = np.ones(len(lams))
+                for col, e in zip(lams.T, exps):
+                    if e == 1:
+                        coeff *= col
+                    elif e:
+                        coeff *= [x**e for x in col]
+                H += coeff[:, None, None] * M
+        return H
 
     def _points(self, lams) -> np.ndarray:
         """``lams`` as a float ``(N, num_params)`` array; ``ValueError`` for
@@ -88,24 +100,6 @@ class MatrixFamily:
         if not np.isfinite(lams).all():
             raise NonFiniteMatrixError("non-finite parameter point")
         return lams
-
-    def _evaluate_into(self, lams: np.ndarray, H: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` of the points ``lams`` (checked by
-        :meth:`_points`), written into the complex ``(N, n, n)`` array ``H``
-        and returned; ``work``, of the same shape, takes each term's
-        product.  The same ufuncs run on the same operands into the given
-        memory, so the bytes are those of new arrays."""
-        H.fill(0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for M, exps in self.terms:
-                coeff = np.ones(len(lams))
-                for col, e in zip(lams.T, exps):
-                    if e == 1:
-                        coeff *= col
-                    elif e:
-                        coeff *= [x**e for x in col]
-                H += np.multiply(coeff[:, None, None], M, out=work)
-        return H
 
     __call__ = evaluate
 

@@ -1,6 +1,6 @@
-"""The seed parser, the summary statistics and the working-tree snapshot of
-``tools/bench_compare.py``, and the seed errors of both tools, without
-running the benchmark."""
+"""The seed parser, the summary statistics, the working-tree snapshot and
+the page-fault count of ``tools/bench_compare.py``, and the seed errors of
+both tools, without running the benchmark."""
 
 import importlib.util
 import subprocess
@@ -173,6 +173,37 @@ def test_the_change_side_is_a_snapshot_of_the_working_tree(tmp_path, monkeypatch
     # the copy is independent of the working tree
     (repo / "src" / "a.py").write_text("edited again\n")
     assert (dest / "src" / "a.py").read_text() == "uncommitted edit\n"
+
+
+STUB_RUN = """
+import json, subprocess, sys
+# a grandchild touches PAGES fresh pages and is waited for
+subprocess.run([sys.executable, "-c",
+                "b = bytearray(PAGES * 4096)\\nfor i in range(0, len(b), 4096): b[i] = 1"],
+               check=True)
+print(json.dumps({"record": {"output_digest": "d", "env": {}}}))
+print(json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "correct": True,
+                  "attempted": 1, "failed": 0}))
+"""
+
+
+def stub_tree(path, pages):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(STUB_RUN.replace("PAGES", str(pages)))
+    return path
+
+
+def test_run_once_counts_the_minor_faults_of_the_process_tree(tmp_path):
+    # the page faults of run.py and of the processes it waits for, so that a
+    # change of the heap's fault pattern shows beside the timings
+    idle = bench_compare.run_once(stub_tree(tmp_path / "idle", 0), "ep-scan", 1, 0)
+    busy = bench_compare.run_once(stub_tree(tmp_path / "busy", 16384), "ep-scan", 1, 0)
+    assert idle["metrics"] == {"ops_per_s": 1.0} and idle["failed"] == 0
+    assert 0 < idle["minor_faults"] and busy["minor_faults"] > idle["minor_faults"] + 15000
+    pairs = [{"base": idle, "change": busy}, {"base": idle, "change": idle},
+             {"base": busy, "change": busy}]
+    assert bench_compare.minor_fault_medians(pairs) == {
+        "base": idle["minor_faults"], "change": busy["minor_faults"]}
 
 
 def test_tier1_time_sums_the_cases_of_each_file(tmp_path):

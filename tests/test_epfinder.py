@@ -319,18 +319,47 @@ def test_batched_grid_norms_bit_exact(family):
         assert nrm == float(np.linalg.norm(cs.evaluate(p)))
 
 
+def adversarial_family(n):
+    """A random ``n x n`` family with signed zeros, subnormal and
+    overflowing products and exponents 0..3, and 300 points at scales
+    ``2^-400 .. 2^300``, a fifth of them ``-0.0``."""
+    rng = np.random.default_rng(61 + n)
+    terms = []
+    for e, scale in (((0, 0), 1.0), ((1, 0), 2.0**-1000), ((2, 1), 2.0**600), ((0, 3), 1.0)):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M.real.flat[::3] = -0.0
+        M.imag.flat[1::4] = -0.0
+        terms.append((M * scale, e))
+    f = MatrixFamily(n, 2, tuple(terms))
+    lams = rng.uniform(-2, 2, size=(300, 2)) * 2.0 ** rng.integers(-400, 300, size=(300, 1))
+    lams[::5] = -0.0
+    lams[1] = 2.0**500
+    return f, lams
+
+
 def test_evaluate_many_chunking_is_invisible(monkeypatch):
-    cs = reduced_constraints(cubic_family(), PH)
-    pts = np.random.default_rng(3).uniform(-2, 2, size=(50, 3))
-    whole = cs.evaluate_many(pts)
-    monkeypatch.setattr(epfinder, "_BLOCK_POINTS", 7)
-    assert cs.evaluate_many(pts).tobytes() == whole.tobytes()
+    cases = [(reduced_constraints(cubic_family(), PH),
+              np.random.default_rng(3).uniform(-2, 2, size=(50, 3)), None, (7,))]
+    # every component of the adversarial families, whose rows are finite and not
+    for n in (2, 3, 4, 7):
+        f, lams = adversarial_family(n)
+        every = [lab for lab, *_ in _raw_components(n)]
+        cases.append((reduced_constraints(f, PH, check=False), lams, every, (17, 300)))
+    for cs, pts, labels, blocks in cases:
+        whole = cs.evaluate_many(pts, labels)
+        if labels:
+            finite = np.isfinite(whole).all(axis=1)
+            assert finite.any() and not finite.all()
+        for points in blocks:
+            monkeypatch.setattr(epfinder, "_BLOCK_POINTS", points)
+            assert cs.evaluate_many(pts, labels).tobytes() == whole.tobytes()
+        monkeypatch.undo()
 
 
 def old_block_values(f, lams):
     """The family values and the trace shift as new arrays, in the
-    expressions ``evaluate_batch`` and ``_shifted`` used before they could
-    write into given memory."""
+    expressions of ``evaluate_batch`` and ``_shifted``, written out here so
+    that a rewrite of either must keep their bytes."""
     H = np.zeros((len(lams), f.dim, f.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for M, exps in f.terms:
@@ -345,31 +374,11 @@ def old_block_values(f, lams):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
-def test_shifted_blocks_are_the_bytes_of_new_arrays(monkeypatch, n):
-    # signed zeros, subnormal and overflowing products, exponents 0..3
-    rng = np.random.default_rng(61 + n)
-    terms = []
-    for e, scale in (((0, 0), 1.0), ((1, 0), 2.0**-1000), ((2, 1), 2.0**600), ((0, 3), 1.0)):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M.real.flat[::3] = -0.0
-        M.imag.flat[1::4] = -0.0
-        terms.append((M * scale, e))
-    f = MatrixFamily(n, 2, tuple(terms))
-    lams = rng.uniform(-2, 2, size=(300, 2)) * 2.0 ** rng.integers(-400, 300, size=(300, 1))
-    lams[::5] = -0.0
-    lams[1] = 2.0**500
+def test_shifted_blocks_are_the_bytes_of_new_arrays(n):
+    f, lams = adversarial_family(n)
     want = old_block_values(f, lams)
     assert not np.isfinite(want).all() and (want.view(float) == 0).any()
     assert _shifted(f.evaluate_batch(lams)).tobytes() == want.tobytes()
-    for points in (300, 17):
-        monkeypatch.setattr(epfinder, "_BLOCK_POINTS", points)
-        views = []
-        for block, Ht in epfinder._shifted_blocks(f, lams):
-            assert Ht.tobytes() == want[block].tobytes()
-            views.append(Ht)
-        # every block is written into the memory of the first
-        assert len(views) == -(-300 // points)
-        assert all(np.shares_memory(v, views[0]) for v in views)
 
 
 def test_batched_jacobian_bit_exact():

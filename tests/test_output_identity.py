@@ -142,12 +142,17 @@ def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_pa
     exponents = {e for doc, _ in corpus for t in doc["terms"] for e in t["exponents"]}
     assert {2, 3} < exponents
     assert any("--fix" in flags for _, flags in corpus)
-    # a grid of several evaluation blocks whose last block is partial
+    # a grid of several evaluation blocks whose last block is partial, and
+    # a 4 x 4 grid, all of whose nodes are exact, of more than one block
     from nhsim import epfinder
 
-    most = max(int(np.prod([int(f.rsplit(":", 1)[1]) for f in flags if f.count(":") == 2]))
-               for _, flags in corpus)
+    def nodes(flags):
+        return int(np.prod([int(f.rsplit(":", 1)[1]) for f in flags if f.count(":") == 2]))
+
+    most = max(nodes(flags) for _, flags in corpus)
     assert most > 5151 and most > 2 * epfinder._BLOCK_POINTS and most % epfinder._BLOCK_POINTS
+    exact = [nodes(flags) for doc, flags in corpus if doc["dim"] == 4]
+    assert exact and min(exact) > epfinder._BLOCK_POINTS
     thresholds = {flags[-1] for _, flags in corpus if "--seed-threshold" in flags}
     assert {"0", "inf"} < thresholds
     assert sum('"converged": true' in out for _, out, _ in results) >= len(corpus) // 2

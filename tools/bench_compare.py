@@ -30,9 +30,13 @@ base's own spread); with one seed there are no quartiles and it is
 ``null``.  ``verdict`` reads ``gain``, ``within_bound``, ``worse`` or
 ``unresolved`` by the rule of :func:`verdict` and the metric's bound in
 ``BENCHMARK.json``.  ``same_in_every_pair`` records whether base and change
-had equal output digests and equal ``failed`` counts in every pair.  If the
-output file exists, its entries for other workloads are kept, so one file
-can collect several workloads of one topic.
+had equal output digests and equal ``failed`` counts in every pair.  Each
+run also records ``minor_faults``, the minor page faults of its
+``run.py`` process tree, and ``minor_faults_median`` gives their median per
+side: a change that moves allocation sizes can gain or lose a few percent
+through the heap's fault pattern alone, and the counts show when it does.
+If the output file exists, its entries for other workloads are kept, so
+one file can collect several workloads of one topic.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -120,11 +125,15 @@ def snapshot(dest: Path) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py`` run; its metrics, counts and record."""
+    """One ``perfbench/run.py`` run; its metrics, counts and record, and
+    the minor page faults of its process tree (every descendant that was
+    waited for, as ``getrusage(RUSAGE_CHILDREN)`` counts them)."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise RuntimeError(f"run.py in {tree} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
@@ -138,6 +147,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         "failed": result["failed"],
         "output_digest": record.get("output_digest"),
         "env": record.get("env"),
+        "minor_faults": faults,
     }
 
 
@@ -156,6 +166,12 @@ def same_outputs(pairs: list[dict]) -> dict:
     counts in every pair."""
     return {key: all(p["base"][key] == p["change"][key] for p in pairs)
             for key in ("output_digest", "failed")}
+
+
+def minor_fault_medians(pairs: list[dict]) -> dict:
+    """The median of the runs' minor page faults, per side."""
+    return {side: statistics.median(p[side]["minor_faults"] for p in pairs)
+            for side in ("base", "change")}
 
 
 def verdict(m: dict, bound: float) -> str:
@@ -246,7 +262,9 @@ def main(argv=None) -> int:
                 f"{name} {pair['base']['metrics'][name]:.4g} -> "
                 f"{pair['change']['metrics'][name]:.4g}" for name in directions)
             same = "  ".join(f"same {k}: {v}" for k, v in same_outputs([pair]).items())
-            print(f"[{i + 1}/{len(args.seeds)}] seed {seed}: {line}  {same}",
+            faults = (f"minor_faults {pair['base']['minor_faults']} -> "
+                      f"{pair['change']['minor_faults']}")
+            print(f"[{i + 1}/{len(args.seeds)}] seed {seed}: {line}  {faults}  {same}",
                   flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -259,6 +277,7 @@ def main(argv=None) -> int:
         "change": change_info,
         "metrics": compare(pairs, directions, units, bounds),
         "same_in_every_pair": same_outputs(pairs),
+        "minor_faults_median": minor_fault_medians(pairs),
         "pairs": pairs,
     }
     doc = {"topic": args.topic, "workloads": {}}
@@ -280,6 +299,8 @@ def main(argv=None) -> int:
               f"change wins {m['wins']}/{m['pairs']}: {m['verdict']}")
     for key, same in entry["same_in_every_pair"].items():
         print(f"{key} equal in every pair: {same}")
+    faults = entry["minor_faults_median"]
+    print(f"minor page faults per run: median {faults['base']} -> {faults['change']}")
     print(f"wrote {out_path}")
     return 0
 

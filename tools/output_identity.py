@@ -178,8 +178,9 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     + p q^2 B3 + r B4)``, scanned over p and q on a 121 x 61 grid with r
     ``--fix``ed (7,381 nodes: several evaluation blocks of
     ``nhsim.epfinder``, the last one partial), and a 4 x 4 one,
-    ``eta (B0 + p B1 + q B2 + r B3)``, on an 11 x 11 x 11 grid, which takes
-    exact norms at every node.  Then two 3 x 3 families on which the grid
+    ``eta (B0 + p B1 + q B2 + r B3)``, on a 13 x 13 x 13 grid, which takes
+    exact norms at every node (2,197 nodes: two blocks of
+    ``ConstraintSystem.evaluate_many``, the second partial).  Then two 3 x 3 families on which the grid
     pass leaves some comparisons to exact norms, because ``S`` (the bound of
     ``nhsim.epfinder._norm_bounds``) lies far above ``|H~|_F``: a pair of
     ``p`` terms that cancel to 2^-30 of each, ``eta (B0 + p B1 + q B2
@@ -237,7 +238,7 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
          ("--grid", "p=-1.5:1.5:121", "--grid", "q=-1.2:1.4:61",
           "--fix", f"r={rng.uniform(-1.0, 1.0)!r}")),
         (4, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), ("p", "q", "r"),
-         ("--grid", "p=-2:2:11", "--grid", "q=-2:2:11", "--grid", "r=-2:2:11")),
+         ("--grid", "p=-2:2:13", "--grid", "q=-2:2:13", "--grid", "r=-2:2:13")),
     ):
         eta = hermitian(n) + np.diag(np.where(np.arange(n) % 2, -2.0, 2.0))
         out.append((family_doc([(eta @ hermitian(n), e) for e in exps], names),
