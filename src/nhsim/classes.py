@@ -442,7 +442,7 @@ def generate_random(
     non_normal: bool = False,
     max_attempts: int = 100,
 ) -> np.ndarray:
-    """Deterministic in-class sample (PCG64 stream seeded with ``seed``).
+    """Deterministic in-class sample (PCG64 stream seeded with ``seed >= 0``).
 
     PseudoHermitian samples are ``eta A`` and chiral samples ``i Gamma C``
     with ``eta``/``Gamma`` random Hermitian invertible and ``A``/``C``
@@ -456,6 +456,8 @@ def generate_random(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n == 1 and non_normal:
         raise ValueError(
             "a 1x1 matrix is always normal; a non-normal sample needs n >= 2"

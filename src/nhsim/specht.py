@@ -17,20 +17,20 @@ smallest similarity residual; the property holds to rounding.
 Everything runs on stacks, in a fixed number of array passes.
 :func:`word_traces` evaluates a word list for a whole stack of matrices by
 a word program, cached per word tuple: the prefix products, each formed
-once, all those of one length in one stacked matmul, then every trace in
-one pass.  :func:`word_profile`, the one word-trace comparison, compares the
-traces of the first matrix with those of the others, and
-:func:`solve_generators` solves several symmetries of one ``H`` in one
-stacked SVD and scores every candidate generator, and its property defect,
-in one stacked residual pass.  The 2x2 check
+once from the letters, all those of one length in one stacked matmul, then
+every trace in one pass.  :func:`word_profile`, the one word-trace
+comparison, compares the traces of the first matrix with those of the
+others, and :func:`solve_generators` solves several symmetries of one ``H``
+in one stacked SVD and scores every candidate generator, and its property
+defect, in one stacked residual pass (the identity as ``H - T``, without a
+matmul).  The 2x2 check
 (:func:`check_similarity_implies_symmetry_2x2`) decides class membership
 from one word pass over ``H`` and its mapped targets ``sign T(H)`` and gets
 both generators from one SVD of shape ``(2, 8, 3)``, through
 :mod:`nhsim._lapack` (numpy's gufunc without the ``np.linalg`` wrapper).
 numpy runs the same BLAS or LAPACK call per matrix of a stack, so every
 trace and generator has the bytes of a one-matrix run.  The canonical word
-lists, their word programs and the identity each program starts from are
-built once per process.
+lists and their word programs are built once per process.
 
 A trace comparison tolerates ``tol max(|A|_F, |B|_F)^|w|`` for a word of
 length ``|w|``: it is relative, so the verdict is the same for ``c A`` and
@@ -145,12 +145,13 @@ def word_list(n: int) -> list[Word]:
 class _WordProgram(NamedTuple):
     """How :func:`word_traces` multiplies out a word list.
 
-    Product 0 is the identity.  ``steps`` holds one entry per prefix length
-    ``k``: the products of length ``k``, the length ``k - 1`` prefix each
-    extends and the letter it appends (0: ``X``, 1: ``Xdag``).  ``reads``
-    is the product whose trace each word takes and ``degrees`` the length of
-    each word.  Each index is a slice where it can be one (a single index
-    broadcasts), so the pass makes no copies to gather its operands.
+    Products 0 and 1 are the letters ``X`` and ``Xdag``, the prefixes of
+    length 1.  ``steps`` holds one entry per prefix length ``k >= 2``: the
+    products of length ``k``, the length ``k - 1`` prefix each extends and
+    the letter it appends (0: ``X``, 1: ``Xdag``).  ``reads`` is the product
+    whose trace each word takes and ``degrees`` the length of each word.
+    Each index is a slice where it can be one (a single index broadcasts),
+    so the pass makes no copies to gather its operands.
     """
 
     size: int
@@ -173,9 +174,9 @@ def _span(indices: list[int], broadcast: bool = False) -> slice | np.ndarray:
 
 @functools.lru_cache(maxsize=256)  # bounded: word_trace takes any word
 def _word_program(words: tuple[Word, ...]) -> _WordProgram:
-    index = {(): 0}
+    index = {(X,): 0, (XDAG,): 1}
     steps = []
-    for k in range(1, max(map(len, words)) + 1):
+    for k in range(2, max(map(len, words)) + 1):
         new = list(dict.fromkeys(w.letters[:k] for w in words if len(w) >= k))
         start = len(index)
         index.update((p, start + i) for i, p in enumerate(new))
@@ -191,25 +192,18 @@ def _word_program(words: tuple[Word, ...]) -> _WordProgram:
 _PROGRAMS = {n: _word_program(words) for n, words in _WORDS.items()}
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """``np.eye(n)``, product 0 of every word program; read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def word_traces(stack: np.ndarray, words) -> np.ndarray:
     """Traces of ``words`` for each matrix of a validated ``(m, n, n)`` stack.
 
     Returns the ``(m, len(words))`` complex traces, with ``X -> H`` and
-    ``Xdag -> H^+``.  Every word is multiplied out left to right from
-    ``eye @ X_1``.  The word program (cached per word tuple) forms each
+    ``Xdag -> H^+``.  Every word is multiplied out left to right from its
+    first letter.  The word program (cached per word tuple) forms each
     prefix product once, all products of one length in one stacked matmul,
     and the traces come from one pass in ``np.trace``'s order
     (:func:`~nhsim.matrices._trace`).  numpy runs the same BLAS call for
     each matrix of a stack, so every trace has the bytes of a one-matrix,
-    one-word evaluation.
+    one-word evaluation from ``eye @ X_1``, which is ``X_1`` up to the sign
+    of a zero that the trace's final ``+ 0.0`` clears.
     """
     return _run_program(stack, _word_program(tuple(words)))
 
@@ -217,13 +211,11 @@ def word_traces(stack: np.ndarray, words) -> np.ndarray:
 def _run_program(stack: np.ndarray, program: _WordProgram) -> np.ndarray:
     """:func:`word_traces` of the words that ``program`` multiplies out."""
     m, n = stack.shape[0], stack.shape[-1]
-    letters = np.empty((m, 2, n, n), dtype=complex)
-    letters[:, 0] = stack
-    np.conjugate(stack.transpose(0, 2, 1), out=letters[:, 1])
     products = np.empty((m, program.size, n, n), dtype=complex)
-    products[:, 0] = _identity(n)
+    products[:, 0] = stack
+    np.conjugate(stack.transpose(0, 2, 1), out=products[:, 1])
     for new, parents, letter in program.steps:
-        products[:, new] = products[:, parents] @ letters[:, letter]
+        products[:, new] = products[:, parents] @ products[:, letter]
     return _trace(products[:, program.reads])
 
 
@@ -412,17 +404,19 @@ def solve_generators(H: np.ndarray, symmetries, targets,
     the result minimises the similarity residual over every generator with
     the property, and its property defect is at rounding level.  The
     identity is a second candidate (the only involution outside ``n.sigma``
-    up to sign); the smaller residual wins, a tie keeps the SVD candidate.
+    up to sign), with residual ``|H - T|_F`` and property defect 0; the
+    smaller residual wins, a tie keeps the SVD candidate.
     Neither the generator nor the relative residual depends on the scale of
     ``H``, so callers pass ``H`` rescaled by
     :func:`~nhsim.matrices.as_scaled_matrix`.
 
-    The candidates ``C`` of every symmetry are scored in one stacked pass:
-    one :func:`~nhsim.matrices.frob_many` takes the residuals of
-    ``H - C T C^+`` and the property defects together.  numpy runs the same
-    BLAS or LAPACK call for each matrix of a stack, so each generator,
-    residual and defect has the bytes of a one-symmetry, one-candidate
-    solve.
+    Every symmetry is scored in one stacked pass: one
+    :func:`~nhsim.matrices.frob_many` takes the residuals of ``H - C T C^+``
+    for the SVD candidates ``C``, their property defects and the residuals
+    of ``H - T`` together.  numpy runs the same BLAS or LAPACK call for each
+    matrix of a stack, and ``I T I^+`` is ``T`` up to the sign of a zero,
+    which no norm sees, so each generator, residual and defect has the
+    bytes of a one-symmetry, one-candidate solve.
     """
     bases, conjugate = _generator_bases(tuple(symmetries))
     s = len(bases)
@@ -430,22 +424,21 @@ def solve_generators(H: np.ndarray, symmetries, targets,
     M = (H @ bases - bases @ T[:, None]).reshape(s, 3, 4)
     A = np.concatenate([M.real, M.imag], axis=2).transpose(0, 2, 1)
     q = _lapack.svd(A)[2][:, -1]
-    C = np.empty((s, 2, 2, 2), dtype=complex)  # (symmetry, candidate, 2, 2)
-    C[:, 0] = (q[:, None] @ bases.reshape(s, 3, 4)).reshape(s, 2, 2)
-    C[:, 1] = _I2
+    C = (q[:, None] @ bases.reshape(s, 3, 4)).reshape(s, 2, 2)
     Cc = C.conj()
-    E = np.empty((2, s, 2, 2, 2), dtype=complex)  # similarity, property
-    E[0] = H - C @ T[:, None] @ Cc.swapaxes(-1, -2)
-    E[1] = C @ np.where(conjugate[:, None, None, None], Cc, C) - _I2
-    residuals, defects = frob_many(E.reshape(-1, 2, 2)).reshape(2, s, 2)
-    best = residuals.argmin(axis=1).tolist()  # ties keep the SVD candidate
+    E = np.empty((3, s, 2, 2), dtype=complex)  # similarity, property, identity
+    E[0] = H - C @ T @ Cc.swapaxes(-1, -2)
+    E[1] = C @ np.where(conjugate[:, None, None], Cc, C) - _I2
+    E[2] = H - T
+    residuals, defects, identity = frob_many(E.reshape(-1, 2, 2)).reshape(3, s).tolist()
     norm = max(norm, 1e-300)
-    return {
-        symmetry: GeneratorSearch(symmetry=symmetry, generator=C[i, k],
-                                  similarity_residual=float(residuals[i, k]) / norm,
-                                  property_defect=float(defects[i, k]))
-        for i, (symmetry, k) in enumerate(zip(symmetries, best))
-    }
+    out = {}
+    for i, symmetry in enumerate(symmetries):
+        if identity[i] < residuals[i]:  # a tie keeps the SVD candidate
+            out[symmetry] = GeneratorSearch(symmetry, _I2.copy(), identity[i] / norm, 0.0)
+        else:
+            out[symmetry] = GeneratorSearch(symmetry, C[i], residuals[i] / norm, defects[i])
+    return out
 
 
 def check_similarity_implies_symmetry_2x2(

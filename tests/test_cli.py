@@ -147,6 +147,13 @@ def test_generate_non_normal_one_by_one_exits_2(capsys, cls, entry):
     assert out == json.dumps({"dim": 1, "entries": [[entry]]}) + "\n"
 
 
+@pytest.mark.parametrize("cls, dim", [("chiral", "2"), ("pseudo-hermitian", "3"),
+                                      ("self-skew", "1")])
+def test_generate_names_a_negative_seed(capsys, cls, dim):
+    code, out, err = run(capsys, "generate", "--class", cls, "--dim", dim, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_generate_non_normal_one_by_one_prints_no_traceback():
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

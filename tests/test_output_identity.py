@@ -77,6 +77,15 @@ def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path)
     commands = {(command, flags[:1]) for command, _, flags in corpus}
     assert commands == {("specht", ()), ("specht", ("--output",)),
                         ("specht-generators", ()), ("specht-generators", ("--class",))}
+    # the Hermitian and anti-Hermitian members reach the identity candidate
+    identity = output_identity.matrix_doc(np.eye(2, dtype=complex))
+    found = set()
+    for (command, _, _), (code, out, _) in zip(corpus, results):
+        doc = json.loads(out) if command == "specht-generators" and code == 0 else {}
+        if doc.get("mode") == "generators":
+            for by_symmetry in doc["results"].values():
+                found.update(s for s, r in by_symmetry.items() if r["generator"] == identity)
+    assert found == {"pseudo-hermitian-symmetry", "chiral-symmetry"}
 
 
 def _witness_bytes(seed):

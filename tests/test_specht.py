@@ -400,7 +400,10 @@ def _loop_class_generators(H, cls, tol):
 def _pin_corpus(n):
     """Members of each class and non-members, members times 1 + eps noise
     (eps 1e-9 to 1e-7, at the membership boundary), all of those times
-    2^600 and 2^-600, zero matrices and -0.0 entries."""
+    2^600 and 2^-600, zero matrices and -0.0 entries; last, a Hermitian and
+    an anti-Hermitian matrix, whose pseudo-Hermitian and chiral symmetry
+    generators are the identity, times 1, 2^600 and 2^-600 and with -0.0
+    diagonal parts."""
     rng = np.random.default_rng([n, 20])
 
     def cplx():
@@ -415,6 +418,11 @@ def _pin_corpus(n):
     signed = generate_random(CH, n, 9)
     signed.real[rng.random((n, n)) < 0.5] = -0.0
     out += [np.zeros((n, n), dtype=complex), np.full((n, n), -0.0 - 0.0j), signed]
+    hermitian = cplx()
+    hermitian += hermitian.conj().T
+    for M, zero_part in ((hermitian, "imag"), (1j * hermitian, "real")):
+        out += [M, ldexp_complex(M, 600), ldexp_complex(M, -600), M.copy()]
+        getattr(out[-1], zero_part)[np.diag_indices(n)] = -0.0
     return out
 
 
@@ -461,6 +469,7 @@ def test_word_profile_keeps_the_loop_verdicts(n):
 
 def test_stacked_residual_pass_keeps_the_loop_bytes():
     pairs = [*CLASS_SYMMETRIES.values(), tuple(SYMMETRY_TARGETS)]
+    identity, ties = {"pseudo-hermitian-symmetry": 0, "chiral-symmetry": 0}, 0
     for i, H in enumerate(_pin_corpus(2)):
         H = as_scaled_matrix(H)
         for symmetries in pairs:
@@ -474,6 +483,25 @@ def test_stacked_residual_pass_keeps_the_loop_bytes():
                 assert type(r.similarity_residual) is type(r.property_defect) is float
                 assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
                     [residual, defect]), (i, s)
+        # H = sign H^+: the identity meets the symmetry exactly; no q . sigma
+        # of the involution basis is I, so I can only come from the identity
+        # branch, and the zero matrix, where both residuals are 0, keeps the
+        # SVD candidate
+        for s, sign in (("pseudo-hermitian-symmetry", 1), ("chiral-symmetry", -1)):
+            if not np.array_equal(H, sign * H.conj().T):
+                continue
+            r = found[s]
+            is_identity = _bytes(r.generator) == _bytes(np.eye(2, dtype=complex))
+            assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
+                [0.0, 0.0]), (i, s)
+            if H.any():
+                assert is_identity, (i, s)
+                identity[s] += 1
+            else:
+                assert not is_identity, (i, s)
+                ties += 1
+    assert identity == {"pseudo-hermitian-symmetry": 4, "chiral-symmetry": 4}
+    assert ties == 4  # the two zero matrices, each Hermitian and anti-Hermitian
 
 
 def test_class_check_keeps_the_loop_bytes_and_errors():

@@ -105,7 +105,9 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     exit 0), plus a pair of unequal dimensions; ``specht-generators`` with
     and without ``--class`` on a member of each class (``S R S^-1`` with
     ``R`` real, ``i`` times that, and ``S diag(a, -a[, 0]) S^-1``), on a
-    generic matrix (exit 1) and on members times 2^±600.  Last, 2x2 members
+    generic matrix (exit 1), on members times 2^±600 and on a Hermitian and
+    an anti-Hermitian matrix, whose 2x2 pseudo-Hermitian and chiral
+    symmetry generators are the identity.  Last, 2x2 members
     of each class times ``1 + eps noise`` (entrywise, complex normal noise,
     eps = 1e-9, 1e-8, 1e-7), with and without ``--class``: near the class
     boundary, where the word-trace check of ``--class`` can reject a class
@@ -130,7 +132,9 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
         Si = np.linalg.inv(S)
         real = S @ rng.standard_normal((n, n)) @ Si
         skew = S @ np.diag(np.array([1, -1, 0][:n]) * cplx(1)[0]) @ Si
-        members = [real, 1j * real, skew, cplx(n), 2.0**600 * real, 2.0**-600 * skew]
+        hermitian = real + real.conj().T
+        members = [real, 1j * real, skew, cplx(n), 2.0**600 * real, 2.0**-600 * skew,
+                   hermitian, 1j * hermitian]
         for M in members:
             out.append(("specht-generators", [M], ()))
             out += [("specht-generators", [M], ("--class", tag))
