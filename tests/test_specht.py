@@ -483,10 +483,10 @@ def test_stacked_residual_pass_keeps_the_loop_bytes():
                 assert type(r.similarity_residual) is type(r.property_defect) is float
                 assert _bytes([r.similarity_residual, r.property_defect]) == _bytes(
                     [residual, defect]), (i, s)
-        # H = sign H^+: the identity meets the symmetry exactly; no q . sigma
-        # of the involution basis is I, so I can only come from the identity
-        # branch, and the zero matrix, where both residuals are 0, keeps the
-        # SVD candidate
+        # found: all six symmetries.  H = sign H^+: the identity meets the
+        # symmetry exactly; no q . sigma of the involution basis is I, so I
+        # can only come from the identity branch, and the zero matrix, where
+        # both residuals are 0, keeps the SVD candidate
         for s, sign in (("pseudo-hermitian-symmetry", 1), ("chiral-symmetry", -1)):
             if not np.array_equal(H, sign * H.conj().T):
                 continue
