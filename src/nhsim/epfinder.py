@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .classes import CLASS_EQUATIONS, CLASS_MAP, SimilarityClass
+from .classes import CLASS_EQUATIONS, SimilarityClass
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
 from .matrices import _trace, as_matrix, frob, frob_many, ldexp_complex, scale_exponents
@@ -46,7 +46,6 @@ from .spectral import (
     DEFAULT_TOLERANCES,
     JordanBlock,
     ToleranceConfig,
-    _symmetry_bottlenecks,
     eigenvalues_many,
     nullity_staircase,
     weyr_block_sizes,
@@ -115,10 +114,11 @@ def _column_index(n: int) -> dict[str, int]:
 
 def _kept(cls: SimilarityClass, k: int, part: str) -> bool:
     """Whether the class keeps this part of ``z = tr H~^k`` (``det H~`` for
-    k = n) as an active constraint.  ``z = sign^k R(z)`` forces ``Im z``
-    (``sign^k = +1``) or ``Re z`` (``sign^k = -1``) to vanish when ``R``
-    conjugates, and ``z`` itself when ``R`` is the identity and
-    ``sign^k = -1``; class_identity_check verifies this on samples."""
+    k = n, ``tr H`` for k = 1) as an active constraint.  ``z = sign^k R(z)``
+    forces ``Im z`` (``sign^k = +1``) or ``Re z`` (``sign^k = -1``) to
+    vanish when ``R`` conjugates, and ``z`` itself when ``R`` is the
+    identity and ``sign^k = -1``; :func:`class_identity_check` verifies the
+    forced parts on samples, ``tr H``'s among them."""
     sign, adjoint = CLASS_EQUATIONS[cls]
     even = sign**k > 0
     return part == ("re" if even else "im") if adjoint else even
@@ -184,7 +184,11 @@ def _components(Ht: np.ndarray, cols) -> np.ndarray:
 
 @dataclass
 class IdentityCheckReport:
-    """Sampled verification that a family obeys its class identities."""
+    """Sampled verification that a family obeys its class identities: the
+    worst violation over the samples, relative to the sample's norm, and the
+    point and component (``"Im tr H"``, ``"Re det"``, ...) where it occurred;
+    ``worst_point`` is ``None`` and ``worst_identity`` empty when every
+    violation is 0."""
 
     passed: bool
     samples: int
@@ -203,17 +207,32 @@ def class_identity_check(
 ) -> IdentityCheckReport:
     """Verify the class-forced identities at random parameter points.
 
-    Two families of identities are checked at each sampled point: the
-    forced-zero det/trace components (relative to the power ``|H~|_F^k`` of
-    the shifted matrix norm) and the spectral multiset symmetry of the
-    class, measured as the smallest tolerance at which ``classify``'s
-    spectral test passes (:func:`~nhsim.spectral.symmetry_bottleneck`),
-    relative to ``|H|_F``.  Both are relative with no floor, so a family
-    times ``c > 0`` gets the same report at every scale; a zero ``H`` or
-    ``H~`` has violation 0.  The report carries the worst violation and
-    where it occurred: the first largest one over the samples in order,
-    then the forced components, then the spectrum.  Each sample, and its
-    shifted matrix, is checked times its own power of two
+    A class ``H = sign S R(H) S^-1`` forces ``z = sign^k R(z)`` on
+    ``z = tr H^k``.  The check reads, at each sampled point, the components
+    of ``tr H`` (k = 1) and of ``tr H~^k`` (2 <= k < n) and ``det H~`` that
+    the class forces to vanish (those where :func:`_kept` is false), each
+    relative to its power ``|H|_F`` or ``|H~|_F^k``.  These decide what the
+    spectral symmetry of the class decides, with no eigensolve: with
+    ``f(z) = sign R(z)``, real-linear, and ``spec H = spec H~ + c`` for
+    ``c = tr H / n``,
+
+    * ``spec H`` is ``f``-symmetric iff ``f(c) = c`` and ``spec H~`` is
+      (the mean of a multiset moves under any nonzero shift);
+    * ``spec H~`` is ``f``-symmetric iff its elementary symmetric
+      polynomials obey ``e_k = sign^k R(e_k)`` for every k;
+    * by Newton's identities with ``tr H~ = 0``, that holds iff the
+      relation holds for ``tr H~^k`` (2 <= k < n) and ``det H~``.
+
+    The coefficients are smooth in ``H`` where the eigenvalues are not: at
+    an EP of order m they spread by ``eps^(1/m)`` under a perturbation
+    ``eps``, which a spectral test would read as a violation.
+
+    Every violation is relative with no floor, so a family times ``c > 0``
+    gets the same report at every scale; a zero ``H`` or ``H~`` has
+    violation 0.  The report carries the worst violation and where it
+    occurred: the first largest one over the samples in order, then the
+    ``tr H~^k`` and ``det H~`` components, then ``tr H``.  Each sample, and
+    its shifted matrix, is checked times its own power of two
     (:func:`~nhsim.matrices.scale_exponents`), which leaves the violations
     as they are; all samples are checked together, in array passes over
     the stack.  A family value that overflows raises
@@ -238,15 +257,15 @@ def class_identity_check(
     Ht = ldexp_complex(Ht, scale_exponents(Ht, f.dim)[:, None, None])
     column = _column_index(f.dim)
     degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
-    symmetry = CLASS_MAP[cls]
-    # one column per forced component, then the spectrum, each over its scale
-    v = np.column_stack([
-        np.abs(_components(Ht, [column[lab] for lab in cs.forced_zero])),
-        _symmetry_bottlenecks(eigenvalues_many(H), symmetry),
-    ])
+    trace = [j for j, part in enumerate(("re", "im")) if not _kept(cls, 1, part)]
+    # one column per forced component, each over its scale
+    v = np.abs(np.column_stack([
+        _components(Ht, [column[lab] for lab in cs.forced_zero]),
+        _trace(H).view(float).reshape(-1, 2)[:, trace],
+    ]))
     scale = np.column_stack([
         _powers(frob_many(Ht), [degree[lab] for lab in cs.forced_zero]),
-        frob_many(H),
+        _powers(frob_many(H), [1] * len(trace)),
     ])
     # a violation is 0 where its matrix is zero, so nothing divides by 0; a
     # NaN one never counts as the worst
@@ -254,7 +273,7 @@ def class_identity_check(
     v = np.where(v > 0, v, 0.0)
     i, j = divmod(int(v.argmax()), v.shape[1])
     worst = float(v[i, j])
-    labels = (*cs.forced_zero, f"spectrum {symmetry} symmetry")
+    labels = (*cs.forced_zero, *(("Re tr H", "Im tr H")[t] for t in trace))
     return IdentityCheckReport(
         passed=worst <= rel_tol,
         samples=samples,
@@ -310,9 +329,11 @@ def reduced_constraints(
 ) -> ConstraintSystem:
     """Class-reduced constraint system, verified against the family.
 
-    Raises ``FamilyNotInClassError`` when the sampled identity check fails;
-    pass ``check=False`` to skip it (e.g. when the same family was already
-    checked).
+    Raises ``FamilyNotInClassError`` when :func:`class_identity_check`
+    fails: a forced part of ``tr H``, ``tr H~^k`` or ``det H~`` does not
+    vanish at a sample, which is the class's spectral symmetry read from
+    the coefficients, with no eigensolve.  Pass ``check=False`` to skip it
+    (e.g. when the same family was already checked).
     """
     cs = _build_system(f, cls)
     if check:

@@ -16,7 +16,6 @@ numpy's bytes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "eigenvalues_many",
     "power_traces",
     "multiset_symmetry_match",
-    "symmetry_bottleneck",
     "is_normal",
     "nullity_staircase",
     "weyr_block_sizes",
@@ -192,14 +190,6 @@ def multiset_symmetry_match(spectrum, map: str, tol: float):
     return sorted((i, j) for j, i in enumerate(owner))
 
 
-def symmetry_bottleneck(spectrum, map: str) -> float:
-    """Smallest ``tol`` at which :func:`multiset_symmetry_match` succeeds,
-    the spectral violation that ``class_identity_check`` reports; the
-    one-spectrum case of :func:`_symmetry_bottlenecks`."""
-    s = np.asarray(getattr(spectrum, "values", spectrum), dtype=complex)
-    return float(_symmetry_bottlenecks(s[None], map)[0])
-
-
 def _nearest_certificate(dist, tol: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
@@ -247,26 +237,6 @@ def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
     return [(ok and b <= tol)
             or (not b > tol and multiset_symmetry_match(s, name, tol) is not None)
             for name, b, ok in zip(maps, bound.tolist(), certified.tolist())]
-
-
-def _symmetry_bottlenecks(spectra, map: str) -> np.ndarray:
-    """:func:`symmetry_bottleneck` of each row of an ``(S, n)`` stack of
-    spectra, ``(S,)``: a certified row's ``bound``
-    (:func:`_nearest_certificate`); the other rows go to the matcher, at
-    ``bound`` first, then bisected over the larger distances."""
-    spectra = np.asarray(spectra, dtype=complex)
-    dist = _symmetry_distances(spectra, map)
-    bound, certified = _nearest_certificate(dist)
-    out = bound.copy()
-    for r in np.flatnonzero(~certified):
-        def pairs(tol, s=spectra[r]):
-            return multiset_symmetry_match(s, map, tol) is not None
-
-        if not pairs(bound[r]):
-            # sorted distinct distances: np.unique would import numpy.ma
-            cands = sorted(set(dist[r][dist[r] > bound[r]].tolist()))
-            out[r] = cands[bisect.bisect_left(cands, True, key=pairs)]
-    return out
 
 
 def is_normal(H, tol: float = 1e-12) -> bool:

@@ -410,6 +410,27 @@ def test_scan_trimer_jsonl(capsys, trimer_family):
     assert hits[0]["order"] == 3
 
 
+def test_scan_accepts_a_plane_of_ep3s(capsys, tmp_path):
+    # a H_EP3 + b I, H_EP3 the trimer at its EP3: every point with a != 0 is
+    # an EP3, pseudo-Hermitian with real a and b, and the class check must
+    # not read the rounding spread of the triple eigenvalue as a violation
+    E = np.eye(3)
+    K = (np.outer(E[0], E[1]) + np.outer(E[1], E[0])
+         + np.outer(E[1], E[2]) + np.outer(E[2], E[1]))
+    D = 1j * (np.outer(E[0], E[0]) - np.outer(E[2], E[2]))
+    doc = {"dim": 3, "params": 2, "param_names": ["a", "b"], "terms": [
+        {"matrix": mat_doc(K + np.sqrt(2) * D), "exponents": [1, 0]},
+        {"matrix": mat_doc(np.eye(3)), "exponents": [0, 1]},
+    ]}
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "scan", str(path), "--class", "pseudo-hermitian",
+                         "--grid", "a=-1:1:5", "--grid", "b=-1:1:5")
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows and all(r["converged"] for r in rows)
+
+
 def test_scan_csv(capsys, dimer_family):
     code, out, _ = run(
         capsys, "scan", dimer_family, "--class", "pseudo-hermitian",

@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import tracemalloc
 import warnings
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from nhsim import _lapack, epfinder
-from nhsim.classes import CLASS_MAP, SimilarityClass, generate_random
+from nhsim.classes import SimilarityClass, generate_random
 from nhsim.epfinder import (
     _BOUND_WINDOW,
     ScanConfig,
@@ -39,15 +38,17 @@ from nhsim.spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
     eigenvalues,
-    eigenvalues_many,
     is_normal,
     multiset_symmetry_match,
-    symmetry_bottleneck,
 )
 
 PH = SimilarityClass.PSEUDO_HERMITIAN
 CH = SimilarityClass.CHIRAL
 SS = SimilarityClass.SELF_SKEW_SIMILAR
+
+#: The parts of tr H that each class forces to vanish, written out by hand:
+#: tr H = sign R(tr H) for the pair (sign, R) of classes.CLASS_EQUATIONS.
+TRACE_FORCED = {PH: ("Im",), CH: ("Re",), SS: ("Re", "Im")}
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -136,11 +137,12 @@ def test_identity_check_dimer_pseudo_hermitian_passes():
 
 
 def test_identity_check_diagonal_chiral_fails():
-    # H = lam*diag(1,2): spectrum {lam, 2lam} violates {e}={-e*}
+    # H = lam*diag(1,2): spectrum {lam, 2lam} violates {e}={-e*}, and so
+    # does its mean, on the real axis: Re tr H = 3 lam
     f = MatrixFamily(2, 1, ((np.diag([1.0, 2.0]).astype(complex), (1,)),), ("lam",))
     rep = class_identity_check(f, CH)
     assert not rep.passed
-    assert "symmetry" in rep.worst_identity
+    assert rep.worst_identity == "Re tr H"
     assert rep.worst_point is not None
     with pytest.raises(FamilyNotInClassError):
         reduced_constraints(f, CH)
@@ -159,25 +161,23 @@ def test_identity_check_scaled_sigma_z_chiral_passes():
     (lambda: cubic_family(), SS),
 ], ids=["diagonal-chiral", "cubic-self-skew"])
 def test_identity_check_spectral_violation_matches_reference(family, cls):
-    # families whose only violated identity is the spectral one; the
-    # reference is the bottleneck distance of each sampled spectrum, the
-    # minimum over permutations of the largest pair distance.  On
-    # diagonal-chiral it is 3|lam| (pairing lam with -2 lam), where a
-    # min-sum pairing may read 4|lam|
+    # families whose spectrum breaks the class symmetry in its mean: the
+    # worst violation is a forced part of tr H over |H|_F, the largest over
+    # the samples.  On diagonal-chiral it is |Re 3 lam| / (sqrt(5) |lam|),
+    # about 1.34 at every sample
     f = family()
-    fmap = SYMMETRY_MAPS[CLASS_MAP[cls]]
     lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, f.num_params))
-    worst = 0.0
+    worst, ident = 0.0, ""
     for lam in lams:
         H = f.evaluate(lam)
-        vals = eigenvalues(H).values
-        dist = np.abs(vals[:, None] - fmap(vals)[None, :])
-        perms = np.array(list(itertools.permutations(range(vals.size))))
-        v = dist[np.arange(vals.size), perms].max(axis=1).min()
-        worst = max(worst, float(v) / np.linalg.norm(H))
+        t = complex(np.trace(H))
+        for part in TRACE_FORCED[cls]:
+            v = abs(t.real if part == "Re" else t.imag) / float(np.linalg.norm(H))
+            if v > worst:
+                worst, ident = v, f"{part} tr H"
     rep = class_identity_check(f, cls)
-    assert "symmetry" in rep.worst_identity and not rep.passed
-    assert rep.worst_violation == worst
+    assert not rep.passed
+    assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
 
 
 def test_identity_check_forced_component_violation():
@@ -194,6 +194,50 @@ def test_identity_check_generated_in_class_families():
         H = generate_random(cls, 4, 21)
         rep = class_identity_check(constant_family(H), cls)
         assert rep.passed, (cls, rep.worst_identity, rep.worst_violation)
+
+
+def real_jordan_conjugate(rng, sizes):
+    """``V J V^-1`` for a real Jordan form ``J`` with blocks of ``sizes`` at
+    distinct real eigenvalues and ``V`` of condition number up to 100:
+    pseudo-Hermitian, at an EP of the order of each block."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))[0]
+
+    n = sum(sizes)
+    J = np.zeros((n, n))
+    pos = 0
+    for eig, m in zip(rng.permutation(np.linspace(-2.0, 2.0, 9)), sizes):
+        J[pos:pos + m, pos:pos + m] = eig * np.eye(m) + np.eye(m, k=1)
+        pos += m
+    V = (unitary() * 10.0 ** rng.uniform(0.0, 2.0, n)) @ dagger(unitary())
+    return V @ J @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("cls", list(SimilarityClass))
+def test_identity_check_accepts_a_constant_family_at_an_ep3(cls):
+    # the trimer's EP3 is nilpotent and in all three classes; rounding
+    # spreads its eigenvalues by about eps^(1/3), but not its coefficients
+    rep = class_identity_check(constant_family(trimer().evaluate([np.sqrt(2), 1.0])), cls)
+    assert rep.passed, (rep.worst_identity, rep.worst_violation)
+
+
+def test_identity_check_accepts_real_jordan_conjugates():
+    # Jordan blocks of orders 2 to 4 behind a similarity of condition up to
+    # 100: eigenvalues spread by up to 2e-5 of |H|_F, coefficients by eps
+    rng = np.random.default_rng(31)
+    for sizes in ((2,), (3,), (4,), (2, 2), (3, 2), (4, 3), (2, 2, 2), (3, 3, 2)):
+        rep = class_identity_check(constant_family(real_jordan_conjugate(rng, sizes)), PH)
+        assert rep.passed, (sizes, rep.worst_identity, rep.worst_violation)
+
+
+def test_identity_check_sees_an_imaginary_shift_in_the_trace():
+    # the trimer shifted by 1e-7 i I: every tr H~^k and det H~ is the
+    # trimer's, and only the mean of the spectrum leaves the real axis
+    f = MatrixFamily(3, 2, (*trimer().terms, (1e-7j * np.eye(3), (0, 0))), ("gamma", "k"))
+    rep = class_identity_check(f, PH)
+    assert not rep.passed and rep.worst_identity == "Im tr H"
+    assert 1e-8 < rep.worst_violation < 1e-6
 
 
 def test_scan_dimer_finds_both_ep2(recwarn):
@@ -983,25 +1027,10 @@ def test_identity_check_rejects_bad_box_and_rel_tol(kwargs):
     assert class_identity_check(trimer(), PH, rel_tol=0.0, box=1e-300).samples == 100
 
 
-def reference_bottleneck(spec, name):
-    """The spectral violation as the per-sample loop took it: the matcher
-    at the largest nearest-partner distance, then a bisection over
-    ``np.unique`` of the larger distances."""
-    dist = np.abs(spec[:, None] - SYMMETRY_MAPS[name](spec)[None, :])
-
-    def pairs(tol):
-        return multiset_symmetry_match(spec, name, tol) is not None
-
-    bound = float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
-    if pairs(bound):
-        return bound
-    cands = np.unique(dist[dist > bound]).tolist()
-    return cands[bisect.bisect_left(cands, True, key=pairs)]
-
-
 def reference_identity_check(f, cls, samples, seed=0):
     """``class_identity_check`` one sample at a time, as a loop from 0.0
-    that takes each strictly larger violation."""
+    that takes each strictly larger violation: the forced det/trace
+    components, then the forced parts of tr H over |H|_F."""
     cs = reduced_constraints(f, cls, check=False)
     degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
     lams = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(samples, f.num_params))
@@ -1011,18 +1040,19 @@ def reference_identity_check(f, cls, samples, seed=0):
     Hts = ldexp_complex(Hts, scale_exponents(Hts, f.dim)[:, None, None])
     column = _column_index(f.dim)
     forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
-    symmetry = CLASS_MAP[cls]
     worst, worst_pt, worst_id = 0.0, None, ""
-    for lam, Hj, Ht, vals, spec in zip(lams, H, Hts, forced, eigenvalues_many(H)):
+    for lam, Hj, Ht, vals in zip(lams, H, Hts, forced):
         scale = float(np.linalg.norm(Ht))
         for lab, v in zip(cs.forced_zero, vals.tolist()):
             v = v / scale ** degree[lab] if v else 0.0
             if v > worst:
                 worst, worst_pt, worst_id = v, lam, lab
-        v = reference_bottleneck(spec, symmetry)
-        v = v / float(np.linalg.norm(Hj)) if v else 0.0
-        if v > worst:
-            worst, worst_pt, worst_id = v, lam, f"spectrum {symmetry} symmetry"
+        t = complex(np.trace(Hj))
+        for part in TRACE_FORCED[cls]:
+            v = abs(t.real if part == "Re" else t.imag)
+            v = v / float(np.linalg.norm(Hj)) if v else 0.0
+            if v > worst:
+                worst, worst_pt, worst_id = v, lam, f"{part} tr H"
     return worst, worst_pt, worst_id
 
 
@@ -1100,63 +1130,63 @@ def test_stacked_identity_check_matches_the_per_sample_loop(f, cls):
             assert rep.worst_point.tobytes() == pt.tobytes()
 
 
-def count_matcher_calls(monkeypatch):
-    """Count the matcher calls that the spectral module makes."""
+def test_identity_check_makes_no_eigensolve_and_no_matcher_call(monkeypatch):
+    # the check reads coefficients only: counted at the eigensolver's entry
+    # point in nhsim._lapack and at the matcher, on every case, in class or
+    # not, and through reduced_constraints
     from nhsim import spectral
 
-    calls = []
-    match = spectral.multiset_symmetry_match
+    calls = {"eigvals": 0, "matcher": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return match(*args)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(spectral, "multiset_symmetry_match", counted)
-    return calls
-
-
-def no_nearest_permutation(f, cls, samples):
-    """How many samples have two values whose nearest mapped image is the same."""
-    lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(samples, f.num_params))
-    fmap = SYMMETRY_MAPS[CLASS_MAP[cls]]
-    count = 0
-    for spec in eigenvalues_many(f.evaluate_batch(lams)):
-        nearest = np.abs(spec[:, None] - fmap(spec)[None, :]).argmin(axis=1)
-        count += len(set(nearest.tolist())) < len(spec)
-    return count
-
-
-def test_identity_check_runs_the_matcher_only_where_nearest_images_collide(monkeypatch):
-    calls = count_matcher_calls(monkeypatch)
-    # the scan's check of the trimer: every sample pairs by nearest images
-    assert class_identity_check(trimer(), PH, samples=30).passed
-    assert calls == []
-    # generic families: some spectra have colliding nearest images, and each
-    # of those goes to the matcher, bisecting where the bound does not pair
-    colliding = 0
+    monkeypatch.setattr(_lapack, "eigvals", counted("eigvals", _lapack.eigvals))
+    monkeypatch.setattr(spectral, "multiset_symmetry_match",
+                        counted("matcher", spectral.multiset_symmetry_match))
     for case, f, cls in IDENTITY_FAMILIES:
-        if case.startswith("generic"):
-            calls.clear()
-            worst, pt, ident = reference_identity_check(f, cls, 100)
-            rep = class_identity_check(f, cls, samples=100)
-            assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
-            assert rep.worst_point.tobytes() == pt.tobytes()
-            collide = no_nearest_permutation(f, cls, 100)
-            assert len({id(a[0]) for a in calls}) == collide <= len(calls)
-            colliding += collide
-    assert colliding >= 100
+        for samples in (1, 100):
+            rep = class_identity_check(f, cls, samples=samples)
+            if rep.passed:
+                reduced_constraints(f, cls, samples=samples)
+            else:
+                with pytest.raises(FamilyNotInClassError):
+                    reduced_constraints(f, cls, samples=samples)
+    assert calls == {"eigvals": 0, "matcher": 0}
+    # the counters count: one classify makes one eigensolve
+    from nhsim.classes import classify
+
+    classify(trimer().evaluate([1.0, 1.0]))
+    assert calls["eigvals"] == 1
 
 
 def test_repeated_values_spread_over_their_tied_images(monkeypatch):
-    # zero and lambda*I families: every value of every sample is repeated and
-    # all its copies share one nearest image; the r-th copy takes the r-th
-    # tied column, so no sample goes to the matcher
-    calls = count_matcher_calls(monkeypatch)
-    for case, f, cls in IDENTITY_FAMILIES:
-        if case.startswith(("zero", "scalar")):
-            assert no_nearest_permutation(f, cls, 30) == 30
-            assert class_identity_check(f, cls, samples=30).passed
-            assert calls == [], case
+    # zero and lambda*I spectra: every value is repeated and all its copies
+    # share one nearest image; the r-th copy takes the r-th tied column, so
+    # _symmetry_pairs pairs every map without the matcher
+    from nhsim import spectral
+    from nhsim.spectral import _symmetry_pairs
+
+    calls = []
+    monkeypatch.setattr(spectral, "multiset_symmetry_match",
+                        lambda *args: calls.append(args))
+    maps = ["conj", "negconj", "neg"]
+    lams = np.random.default_rng(0).uniform(-2.0, 2.0, 30)
+    spectra = [np.zeros(n) for n in (2, 3, 5)]
+    spectra += [np.full(3, lam, dtype=complex) for lam in lams]
+    spectra += [np.full(4, 1j * lam) for lam in lams]
+    for s in spectra:
+        nearest = np.abs(s[:, None] - s.conj()[None, :]).argmin(axis=1)
+        assert len(set(nearest.tolist())) == 1
+        # 0 pairs with itself under every map; a real value under conj, an
+        # imaginary one under negconj
+        want = [bool((s.imag == 0).all()) or not s.any(),
+                bool((s.real == 0).all()), not s.any()]
+        assert _symmetry_pairs(s, maps, 0.0) == want, s
+    assert calls == []
 
 
 def test_a_certified_bound_is_the_bottleneck():
@@ -1182,7 +1212,7 @@ def test_a_certified_bound_is_the_bottleneck():
             certified += 1
             # first nearest images that collide: certified by the spread
             spread += len(set(dist.argmin(axis=1).tolist())) < n
-            assert bound == bottleneck == symmetry_bottleneck(s, m), (s, m)
+            assert bound == bottleneck, (s, m)
             assert multiset_symmetry_match(s, m, float(bound)) is not None
     assert certified >= 100 and spread >= 30
 
@@ -1200,8 +1230,8 @@ def test_identity_check_reports_the_first_of_equal_violations():
         first = np.random.default_rng(0).uniform(-2.0, 2.0, size=(30, 2))[0]
         assert rep.worst_point.tobytes() == pt.tobytes() == first.tobytes()
         assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
-    # diag(1, 2, 3) for the conj map: Im tr H~^2 and Im det are 0, and the
-    # spectrum is real, so every violation is 0 and nothing is reported
+    # diag(1, 2, 3) for the conj map: Im tr H~^2, Im det and Im tr H are 0,
+    # so every violation is 0 and nothing is reported
     rep = class_identity_check(constant_family(np.diag([1.0, 2.0, 3.0])), PH)
     assert (rep.worst_violation, rep.worst_point, rep.worst_identity) == (0.0, None, "")
 

@@ -1,9 +1,3 @@
-import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -15,9 +9,7 @@ from nhsim.spectral import (
     multiset_symmetry_match,
     nullity_staircase,
     SYMMETRY_MAPS,
-    _symmetry_bottlenecks,
     power_traces,
-    symmetry_bottleneck,
     weyr_block_sizes,
 )
 
@@ -36,14 +28,6 @@ def brute_force_match(values, fmap, tol):
         )
 
     return extend(0, frozenset(range(values.size)))
-
-
-def brute_force_bottleneck(values, fmap):
-    """The minimum over permutations of the largest pair distance."""
-    values = np.asarray(values, dtype=complex)
-    dist = np.abs(values[:, None] - fmap(values)[None, :])
-    perms = np.array(list(itertools.permutations(range(values.size))))
-    return float(dist[np.arange(values.size), perms].max(axis=1).min())
 
 
 def degenerate_spectrum(rng, n, fmap):
@@ -173,66 +157,6 @@ def test_multiset_symmetry_match_rejects_nan_and_negative_tol(tol):
 def test_multiset_symmetry_match_pairs_anything_at_infinite_tol():
     pairing = multiset_symmetry_match([1 + 1j, 2, 3j], "conj", np.inf)
     assert sorted(i for i, _ in pairing) == sorted(j for _, j in pairing) == [0, 1, 2]
-
-
-def test_symmetry_bottleneck_brute_force_oracle():
-    from nhsim.spectral import SYMMETRY_MAPS
-
-    rng = np.random.default_rng(4)
-    bisected = at_bound = 0
-    for _ in range(150):
-        n = int(rng.integers(1, 7))
-        for name, fmap in SYMMETRY_MAPS.items():
-            vals = degenerate_spectrum(rng, n, fmap)
-            if rng.random() < 0.5:
-                vals = vals + 1e-6 * rng.standard_normal(n)
-            v = symmetry_bottleneck(vals, name)
-            assert v == brute_force_bottleneck(vals, fmap), (vals, name)
-            # the violation is the smallest tolerance that is accepted
-            assert multiset_symmetry_match(vals, name, v) is not None
-            if v > 0:
-                assert multiset_symmetry_match(vals, name, np.nextafter(v, 0)) is None
-            dist = np.abs(vals[:, None] - fmap(vals)[None, :])
-            bound = max(dist.min(axis=0).max(), dist.min(axis=1).max())
-            at_bound += v == bound
-            bisected += v > bound
-    # both the nearest-partner bound and the bisection decide some inputs
-    assert at_bound > 50 and bisected > 50
-
-
-def test_stacked_bottlenecks_brute_force_oracle():
-    # stacks of spectra: rows that pair by nearest images and rows that go to
-    # the matcher, in one call, each against the oracle
-    rng = np.random.default_rng(6)
-    for n in range(1, 6):
-        for name, fmap in SYMMETRY_MAPS.items():
-            stack = np.array([degenerate_spectrum(rng, n, fmap) for _ in range(40)])
-            stack[::2] += 1e-6 * rng.standard_normal((20, n))
-            got = _symmetry_bottlenecks(stack, name)
-            assert got.shape == (40,)
-            assert got.tolist() == [brute_force_bottleneck(s, fmap) for s in stack]
-
-
-# a bottleneck the bisection decides: the nearest-partner bound is
-# sqrt(5)/2, the bottleneck 2, then the first call imports nothing
-BISECTED = r"""
-import sys
-import numpy as np
-from nhsim.spectral import symmetry_bottleneck
-assert "numpy.ma" not in sys.modules
-assert symmetry_bottleneck(np.array([-1 - 0.5j, -0.5 + 1.5j, 1j]), "conj") == 2.0
-print("numpy.ma" in sys.modules)
-"""
-
-
-def test_bisected_bottleneck_leaves_numpy_ma_unloaded():
-    # np.unique imports numpy.ma on its first call
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", BISECTED], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
 
 
 def test_is_normal():

@@ -190,6 +190,10 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     ``p`` terms that cancel to 2^-30 of each, ``eta (B0 + p B1 + q B2
     + p 2^6 B3 + p (2^-24 B4 - 2^6 B3))``, and ``10^3 I + eta (B0 + p B1 +
     q B2)``, whose trace shift removes the largest part of every value.
+    Last, two pseudo-Hermitian gates of ``nhsim.epfinder.class_identity_check``:
+    the plane ``a H_EP3 + b I`` of the trimer's EP3, which passes (every
+    ``a != 0`` is an EP3), and a seeded generic 3 x 3 family, which fails
+    (exit 1).
     """
     rng = np.random.default_rng([seed, 3])
 
@@ -254,6 +258,10 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
                            ("p", "q")), (*ph, *box)))
     out.append((family_doc([(1e3 * np.eye(3) + B[0], (0, 0)), (B[1], (1, 0)),
                             (B[2], (0, 1))], ("p", "q")), (*ph, *box)))
+    out.append((family_doc([(K + np.sqrt(2) * D, (1, 0)), (np.eye(3), (0, 1))], ("a", "b")),
+                (*ph, "--grid", "a=-1:1:21", "--grid", "b=-1:1:21")))
+    out.append((family_doc([(cplx(3), e) for e in ((0, 0), (1, 0), (0, 1))], ("p", "q")),
+                (*ph, *box)))
     return out
 
 
