@@ -14,13 +14,13 @@ codimension:
     SelfSkewSimilar   n - 1 for odd n, n for even n (odd traces forced)
 
 The module builds that reduced real constraint system, verifies the forced
-identities on random samples, scans a parameter grid with Gauss-Newton
-refinement from grid local minima, certifies the Jordan order at converged
-roots from the rank staircase of the zero cluster and estimates
-eigenvalue-splitting exponents along rays.  Its determinants, eigenvalues,
-rank staircases and Gauss-Newton least squares go through
-:mod:`nhsim._lapack` (numpy's gufuncs without the ``np.linalg`` wrappers,
-numpy's bytes).
+identities on every coefficient of the family's power sums as polynomials
+in its parameters, scans a parameter grid with Gauss-Newton refinement
+from grid local minima, certifies the Jordan order at converged roots from
+the rank staircase of the zero cluster and estimates eigenvalue-splitting
+exponents along rays.  Its determinants, eigenvalues, rank staircases and
+Gauss-Newton least squares go through :mod:`nhsim._lapack` (numpy's
+gufuncs without the ``np.linalg`` wrappers, numpy's bytes).
 
 The trace shift is a deliberate extension of the bare det/trace casting:
 the unshifted conditions only catch coalescence at zero energy.  Whether
@@ -98,13 +98,8 @@ _BLOCK_POINTS = 2048
 def _raw_components(n: int):
     """(label, k, part) for every real component of the unreduced system:
     tr H~^k for 2 <= k < n, then det H~ with k = n."""
-    comps = []
-    for k in range(2, n):
-        comps.append((f"Re tr H^{k}", k, "re"))
-        comps.append((f"Im tr H^{k}", k, "im"))
-    comps.append(("Re det", n, "re"))
-    comps.append(("Im det", n, "im"))
-    return comps
+    return [(f"{p} " + (f"tr H^{k}" if k < n else "det"), k, p.lower())
+            for k in range(2, n + 1) for p in ("Re", "Im")]
 
 
 @functools.cache
@@ -113,12 +108,12 @@ def _column_index(n: int) -> dict[str, int]:
 
 
 def _kept(cls: SimilarityClass, k: int, part: str) -> bool:
-    """Whether the class keeps this part of ``z = tr H~^k`` (``det H~`` for
-    k = n, ``tr H`` for k = 1) as an active constraint.  ``z = sign^k R(z)``
-    forces ``Im z`` (``sign^k = +1``) or ``Re z`` (``sign^k = -1``) to
-    vanish when ``R`` conjugates, and ``z`` itself when ``R`` is the
-    identity and ``sign^k = -1``; :func:`class_identity_check` verifies the
-    forced parts on samples, ``tr H``'s among them."""
+    """Whether the class keeps this part of ``z = tr H~^k`` (``det H~`` or
+    ``tr H~^n`` for k = n, ``tr H`` for k = 1) as an active constraint.
+    ``z = sign^k R(z)`` forces ``Im z`` (``sign^k = +1``) or ``Re z``
+    (``sign^k = -1``) to vanish when ``R`` conjugates, and ``z`` itself when
+    ``R`` is the identity and ``sign^k = -1``; :func:`class_identity_check`
+    verifies the forced parts of the family's power sums."""
     sign, adjoint = CLASS_EQUATIONS[cls]
     even = sign**k > 0
     return part == ("re" if even else "im") if adjoint else even
@@ -137,6 +132,12 @@ class ConstraintSystem:
     @property
     def codimension(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def polynomials(self) -> _TracePolynomials:
+        """The family's :func:`_trace_polynomials`, built once per system:
+        the identity check and the scan's grid read the same ones."""
+        return _trace_polynomials(self.family)
 
     def evaluate_many(self, lams, labels=None) -> np.ndarray:
         """Constraint rows at a stack of points, ``(N, d) -> (N, k)``.
@@ -182,117 +183,130 @@ def _components(Ht: np.ndarray, cols) -> np.ndarray:
     return C.view(float)[:, cols]
 
 
+class _TracePolynomials(NamedTuple):
+    """``tr H`` (entry 0) and ``tr H~^k`` (entry k - 1, k = 2..n) of a
+    family as polynomials in its parameters (:func:`_trace_polynomials`)."""
+
+    #: ``(A_k, d)``: the exponents of the monomials, in lexicographic order
+    exponents: tuple[np.ndarray, ...]
+    #: ``(A_k,)``: the complex coefficient of each monomial
+    coeffs: tuple[np.ndarray, ...]
+    #: ``(A_k,)``: the envelope of each coefficient
+    envelopes: tuple[np.ndarray, ...]
+    #: entry ``k - 1`` is ``2**scales[k - 1]`` times the family's
+    scales: tuple[int, ...]
+    #: the number of terms of the family
+    terms: int
+
+
+def _trace_polynomials(f: MatrixFamily) -> _TracePolynomials:
+    """The power sums of a family as polynomials, with envelopes.
+
+    With ``H = sum_t lam^e_t M_t`` and ``H~ = sum_t lam^e_t A_t`` for the
+    trace-shifted ``A_t`` (:func:`_shifted`), the ``A_t``, and the ``M_t``
+    on their own, are multiplied by the power of two that brings their
+    largest real or imaginary part into ``[1/2, 1)``: ``2**j f`` gets the
+    bytes of ``f``, and no product overflows.  ``H~^k`` is ``H~^(k-1)``
+    times ``H~``, one product per pair of coefficients, merged per monomial
+    after every step, so no tuple of k terms is formed.  A coefficient of
+    ``tr H~^k`` is the trace of its matrix, with envelope ``sum over the
+    term tuples of prod_t |A_t|_F``, which bounds it and its rounding;
+    ``tr H``'s come from the ``M_t`` alike.  Step k has at most ``C(d +
+    kG, d)`` monomials, for ``d`` parameters and terms of degree ``<= G``:
+    91 for a linear two-parameter family at n = 12.  A term whose trace
+    overflows raises ``NonFiniteMatrixError``.
+    """
+    n, d = f.dim, f.num_params
+    M = np.array([Mt for Mt, _e in f.terms])
+    E = np.array([e for _M, e in f.terms], dtype=np.int64).reshape(len(M), d)
+    A = _shifted(M)
+    if not np.isfinite(A).all():
+        raise NonFiniteMatrixError("the trace of a family term overflows")
+    s1, s = (-int(np.frexp(max(np.abs(X.real).max(), np.abs(X.imag).max()))[1])
+             for X in (M, A))
+    M, A = ldexp_complex(M, s1), ldexp_complex(A, s)
+    # Frobenius norms by hypot, so that no square over- or underflows
+    norm_M, norm_A = np.hypot.reduce(np.abs([M, A]).reshape(2, len(M), -1), axis=2)
+    mono, P, env = _merged(E, M, norm_M)
+    exps, coeffs, envs = [mono], [_trace(P)], [env]
+    mono, P, env = term, P1, env1 = _merged(E, A, norm_A)
+    for _k in range(2, n + 1):
+        mono, P, env = _merged((mono[:, None] + term).reshape(-1, d),
+                               (P[:, None] @ P1).reshape(-1, n, n),
+                               np.multiply.outer(env, env1).ravel())
+        exps.append(mono)
+        coeffs.append(_trace(P))
+        envs.append(env)
+    return _TracePolynomials(tuple(exps), tuple(coeffs), tuple(envs),
+                             (s1, *(k * s for k in range(2, n + 1))), len(M))
+
+
+def _merged(exps: np.ndarray, *values: np.ndarray):
+    """The distinct rows of ``exps`` ``(N, d)`` in lexicographic order, and
+    each array of ``values`` summed over equal rows, in row order."""
+    order = np.lexsort(exps.T[::-1]) if exps.shape[1] else np.arange(len(exps))
+    exps = exps[order]
+    first = np.flatnonzero(np.concatenate(([True], (exps[1:] != exps[:-1]).any(axis=1))))
+    return (exps[first], *(np.add.reduceat(v[order], first, axis=0) for v in values))
+
+
 @dataclass
 class IdentityCheckReport:
-    """Sampled verification that a family obeys its class identities: the
-    worst violation over the samples, relative to the sample's norm, and the
-    point and component (``"Im tr H"``, ``"Re det"``, ...) where it occurred;
-    ``worst_point`` is ``None`` and ``worst_identity`` empty when every
-    violation is 0."""
+    """Exact verification that a family obeys its class identities: the
+    worst forced part of a power-sum coefficient over its envelope, the
+    component (``"Im tr H"``, ``"Re tr H^3"``, ...) and the exponents of
+    the monomial; ``""`` and ``None`` when every violation is 0."""
 
     passed: bool
-    samples: int
     worst_violation: float
-    worst_point: np.ndarray | None
     worst_identity: str
+    worst_monomial: tuple[int, ...] | None
 
 
 def class_identity_check(
     f: MatrixFamily,
     cls: SimilarityClass,
-    samples: int = 100,
-    seed: int = 0,
     rel_tol: float = 1e-8,
-    box: float = 2.0,
 ) -> IdentityCheckReport:
-    """Verify the class-forced identities at random parameter points.
+    """Verify the class-forced identities on the family's power sums.
 
     A class ``H = sign S R(H) S^-1`` forces ``z = sign^k R(z)`` on
-    ``z = tr H^k``.  The check reads, at each sampled point, the components
-    of ``tr H`` (k = 1) and of ``tr H~^k`` (2 <= k < n) and ``det H~`` that
-    the class forces to vanish (those where :func:`_kept` is false), each
-    relative to its power ``|H|_F`` or ``|H~|_F^k``.  These decide what the
-    spectral symmetry of the class decides, with no eigensolve: with
-    ``f(z) = sign R(z)``, real-linear, and ``spec H = spec H~ + c`` for
-    ``c = tr H / n``,
-
-    * ``spec H`` is ``f``-symmetric iff ``f(c) = c`` and ``spec H~`` is
-      (the mean of a multiset moves under any nonzero shift);
-    * ``spec H~`` is ``f``-symmetric iff its elementary symmetric
-      polynomials obey ``e_k = sign^k R(e_k)`` for every k;
-    * by Newton's identities with ``tr H~ = 0``, that holds iff the
-      relation holds for ``tr H~^k`` (2 <= k < n) and ``det H~``.
-
-    The coefficients are smooth in ``H`` where the eigenvalues are not: at
-    an EP of order m they spread by ``eps^(1/m)`` under a perturbation
-    ``eps``, which a spectral test would read as a violation.
-
-    Every violation is relative with no floor, so a family times ``c > 0``
-    gets the same report at every scale; a zero ``H`` or ``H~`` has
-    violation 0.  The report carries the worst violation and where it
-    occurred: the first largest one over the samples in order, then the
-    ``tr H~^k`` and ``det H~`` components, then ``tr H``.  Each sample, and
-    its shifted matrix, is checked times its own power of two
-    (:func:`~nhsim.matrices.scale_exponents`), which leaves the violations
-    as they are; all samples are checked together, in array passes over
-    the stack.  A family value that overflows raises
-    ``NonFiniteMatrixError``; ``samples < 1``, a ``box`` that is not finite
-    and positive and a ``rel_tol`` that is not finite and non-negative
-    raise ``ValueError``.
+    ``z = tr H^k``.  With ``f(z) = sign R(z)`` and ``c = tr H / n``,
+    ``spec H`` is ``f``-symmetric iff ``f(c) = c`` and ``spec H~`` is;
+    ``spec H~`` is iff its elementary symmetric polynomials obey ``e_k =
+    sign^k R(e_k)``, which by Newton's identities holds iff ``tr H~^k``
+    obeys the relation for k = 2..n.  The parameters are real, so this
+    holds at every point iff it holds for every coefficient of ``tr H``
+    and ``tr H~^k`` (:func:`_trace_polynomials`): the family passes when
+    each forced part (:func:`_kept` false) is at most ``rel_tol`` times its
+    coefficient's envelope.  No point is sampled and no eigenvalue, which
+    spreads by ``eps^(1/m)`` at an EP, is computed; ``2**j f`` gets the
+    same report.  A monomial whose envelope is below ``2**-1022`` has
+    violation 0: its products underflowed, which takes terms whose sizes
+    differ by about ``2**(1022 / k)`` in a product of k of them.  The
+    report names the first largest violation, k ascending, ``Re`` before
+    ``Im``, monomials in order.  A term whose trace overflows raises
+    ``NonFiniteMatrixError``; a negative, NaN or infinite ``rel_tol``
+    raises ``ValueError``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0 < box < np.inf:
-        raise ValueError(f"box must be finite and > 0, got {box}")
     if not 0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    cs = _build_system(f, cls)
-    rng = np.random.default_rng(seed)
-    lams = rng.uniform(-box, box, size=(samples, f.num_params))
-    H = f.evaluate_batch(lams)
-    if not np.isfinite(H).all():
-        raise NonFiniteMatrixError("family values overflow at the sampled points")
-    H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
-    Ht = _shifted(H)
-    Ht = ldexp_complex(Ht, scale_exponents(Ht, f.dim)[:, None, None])
-    column = _column_index(f.dim)
-    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
-    trace = [j for j, part in enumerate(("re", "im")) if not _kept(cls, 1, part)]
-    # one column per forced component, each over its scale
-    v = np.abs(np.column_stack([
-        _components(Ht, [column[lab] for lab in cs.forced_zero]),
-        _trace(H).view(float).reshape(-1, 2)[:, trace],
-    ]))
-    scale = np.column_stack([
-        _powers(frob_many(Ht), [degree[lab] for lab in cs.forced_zero]),
-        _powers(frob_many(H), [1] * len(trace)),
-    ])
-    # a violation is 0 where its matrix is zero, so nothing divides by 0; a
-    # NaN one never counts as the worst
-    v = np.divide(v, scale, out=np.zeros_like(v), where=v != 0)
-    v = np.where(v > 0, v, 0.0)
-    i, j = divmod(int(v.argmax()), v.shape[1])
-    worst = float(v[i, j])
-    labels = (*cs.forced_zero, *(("Re tr H", "Im tr H")[t] for t in trace))
-    return IdentityCheckReport(
-        passed=worst <= rel_tol,
-        samples=samples,
-        worst_violation=worst,
-        worst_point=lams[i] if worst else None,
-        worst_identity=labels[j] if worst else "",
-    )
+    return _identity_report(_build_system(f, cls), rel_tol)
 
 
-def _powers(x: np.ndarray, ks) -> np.ndarray:
-    """``x[i] ** ks[j]`` as Python's float pow takes it (libm ``pow``),
-    ``(S,) -> (S, len(ks))``.
-
-    numpy's own float power may take other routes (SIMD code, or ``x*x`` for
-    a square) that differ from ``pow`` in the last bit, so each power is
-    taken on Python floats and ints held in object arrays.
-    ``tests/test_epfinder.py::test_powers_match_python_pow`` pins this.
-    """
-    return np.power(x.astype(object)[:, None], np.array(ks, dtype=object)).astype(float)
+def _identity_report(cs: ConstraintSystem, rel_tol: float) -> IdentityCheckReport:
+    """:func:`class_identity_check` on the polynomials of ``cs``."""
+    poly = cs.polynomials
+    worst, identity, monomial = 0.0, "", None
+    for k, (exps, c, env) in enumerate(zip(poly.exponents, poly.coeffs, poly.envelopes), 1):
+        for part, z in (("Re", c.real), ("Im", c.imag)):
+            if not _kept(cs.similarity_class, k, part.lower()):
+                v = np.divide(np.abs(z), env, out=np.zeros(len(z)), where=env >= 2.0**-1022)
+                j = int(v.argmax())
+                if v[j] > worst:
+                    worst, monomial = float(v[j]), tuple(exps[j].tolist())
+                    identity = f"{part} tr H" + (f"^{k}" if k > 1 else "")
+    return IdentityCheckReport(worst <= rel_tol, worst, identity, monomial)
 
 
 def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
@@ -324,24 +338,24 @@ def reduced_constraints(
     f: MatrixFamily,
     cls: SimilarityClass,
     check: bool = True,
-    samples: int = 30,
-    seed: int = 0,
 ) -> ConstraintSystem:
     """Class-reduced constraint system, verified against the family.
 
-    Raises ``FamilyNotInClassError`` when :func:`class_identity_check`
-    fails: a forced part of ``tr H``, ``tr H~^k`` or ``det H~`` does not
-    vanish at a sample, which is the class's spectral symmetry read from
-    the coefficients, with no eigensolve.  Pass ``check=False`` to skip it
-    (e.g. when the same family was already checked).
+    Raises ``FamilyNotInClassError``, naming the component and the
+    monomial, when :func:`class_identity_check` fails on the system's
+    ``polynomials``, which the scan's grid reads too.  Pass ``check=False``
+    to skip it (e.g. when the same family was already checked).
     """
     cs = _build_system(f, cls)
     if check:
-        report = class_identity_check(f, cls, samples=samples, seed=seed)
+        report = _identity_report(cs, 1e-8)
         if not report.passed:
+            mono = "*".join(nm if e == 1 else f"{nm}^{e}"
+                            for nm, e in zip(f.param_names, report.worst_monomial) if e)
             raise FamilyNotInClassError(
                 f"family violates {cls.value} identity '{report.worst_identity}' "
-                f"by {report.worst_violation:.3g} at lam={report.worst_point}"
+                f"on its {mono or 1} coefficient by {report.worst_violation:.3g} "
+                "of its envelope"
             )
     return cs
 
@@ -511,7 +525,7 @@ class _GridPolynomials(NamedTuple):
     norms: np.ndarray
     #: the degree ``k`` of each column: 2 for ``tr H~^2``, n for ``det H~``
     degrees: tuple[int, ...]
-    #: ``C`` of :func:`_norm_bounds`
+    #: ``C`` of :func:`_norm_bounds`, or NaN where no bound is proven
     bound: float
     #: the parameters with a nonzero exponent in some term
     params: np.ndarray
@@ -520,61 +534,40 @@ class _GridPolynomials(NamedTuple):
     reach: float
 
 
-def _grid_polynomials(f: MatrixFamily, cols) -> _GridPolynomials:
+def _grid_polynomials(poly: _TracePolynomials, cols) -> _GridPolynomials:
     """The columns ``cols`` of :func:`_components` of a 2x2 or 3x3 family as
-    real polynomials in its parameters.
-
-    With ``m_t = lam^e_t`` the term monomials and ``A_t`` the trace-shifted
-    term matrices, ``H~ = sum_t m_t A_t``.  So ``tr H~^2 = sum_tu tr(A_t
-    A_u) m_t m_u`` and, the determinant being linear in each column,
-    ``det H~ = sum det[A_t e1 | A_u e2 (| A_v e3)] m_t m_u (m_v)`` over the
-    ordered pairs (triples) of terms.  The coefficients of equal monomials
-    are summed, in the order of the tuples, and since the monomials are real
-    the real or imaginary part of a component takes the real or imaginary
-    parts of its coefficients.
+    real polynomials in its parameters, read from its power sums ``p_k``
+    (:func:`_trace_polynomials`): ``tr H~^2`` is ``p_2`` and, since ``tr H~
+    = 0``, Newton's identities give ``det H~ = (-1)^(n-1) p_n / n`` for
+    n <= 3.  Each coefficient is scaled back by its power of two, exactly
+    unless it over- or underflows, and a real or imaginary part of a
+    component takes those parts of its coefficients, the monomials being
+    real.  Where an envelope is neither 0 nor normal, a product of terms
+    underflowed, and no bound is proven: ``bound`` is NaN.
     """
-    n, d = f.dim, f.num_params
-    M = np.array([Mt for Mt, _e in f.terms])
-    E = np.array([e for _M, e in f.terms], dtype=np.int64).reshape(len(M), d)
-    A = _shifted(M)
-    v = A.transpose(2, 0, 1)  # v[j, t]: column j of A_t
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n == 2:
-            forms = {2: np.multiply.outer(v[0, :, 0], v[1, :, 1])
-                     - np.multiply.outer(v[0, :, 1], v[1, :, 0])}
-        else:
-            # det[a | b | c] = a . (b x c)
-            p, q = [1, 2, 0], [2, 0, 1]
-            b, c = v[1, :, None], v[2, None]
-            cross = b[..., p] * c[..., q] - b[..., q] * c[..., p]
-            forms = {2: np.einsum("tij,uji->tu", A, A),
-                     3: np.einsum("ti,uvi->tuv", v[0], cross)}
-    # the exponent of every term tuple, by degree, in the order of forms[k]
-    sums = {1: E, 2: (E[:, None] + E).reshape(-1, d)}
-    sums[3] = (sums[2][:, None] + E).reshape(-1, d)
-    raw = _raw_components(n)
-    degrees = tuple(raw[j][1] for j in cols)
-    ks = [1, *sorted(set(degrees))]
+    n = len(poly.coeffs)
+    raw = [_raw_components(n)[j] for j in cols]
     index = {}
-    inv = np.array([index.setdefault(e, len(index))
-                    for k in ks for e in map(tuple, sums[k].tolist())])
-    exponents = np.array(list(index), dtype=np.int64).reshape(len(index), d)
-    first = dict(zip(ks, np.cumsum([0] + [len(sums[k]) for k in ks])))
-    coeffs = np.zeros((len(exponents), len(cols)))
-    for j, col in enumerate(cols):
-        _lab, k, part = raw[col]
-        z = forms[k].ravel()
-        coeffs[:, j] = np.bincount(inv[first[k]:first[k] + len(z)],
-                                   weights=z.real if part == "re" else z.imag,
-                                   minlength=len(exponents))
+    rows = [[index.setdefault(e, len(index)) for e in map(tuple, x.tolist())]
+            for x in (poly.exponents[0], *(poly.exponents[k - 1] for _l, k, _p in raw))]
+    coeffs = np.zeros((len(index), len(cols)))
+    with np.errstate(over="ignore"):
+        # a coefficient or norm that overflows leaves no bound proven
+        for j, (r, (_lab, k, part)) in enumerate(zip(rows[1:], raw)):
+            z = ldexp_complex(poly.coeffs[k - 1], -poly.scales[k - 1])
+            coeffs[r, j] = (z.real if part == "re" else z.imag) / (
+                (-1) ** (n - 1) * n if k == n else 1)
+        norms = np.ldexp(poly.envelopes[0], -poly.scales[0])
+    exponents = np.array(list(index), dtype=np.int64)
     G = int(exponents.sum(axis=1).max())
+    normal = all(((v == 0) | (v >= 2.0**-1022)).all() for v in poly.envelopes[1:])
     return _GridPolynomials(
         exponents=exponents,
         coeffs=coeffs,
-        norms=np.bincount(inv[:len(E)], weights=frob_many(M)),
-        degrees=degrees,
-        bound=64.0 * (600 + 10 * G + 8 * len(M) ** 3),
-        params=np.flatnonzero(E.any(axis=0)),
+        norms=norms,
+        degrees=tuple(k for _lab, k, _part in raw),
+        bound=64.0 * (600 + 10 * G + 8 * poly.terms**3) if normal else np.nan,
+        params=np.flatnonzero(poly.exponents[0].any(axis=0)),
         reach=2.0 ** (600 // max(G, 1)),
     )
 
@@ -636,23 +629,29 @@ def _norm_bounds(poly: _GridPolynomials, lams: np.ndarray):
       ``s^k |log s^|``, which is increasing below ``e^(-1/k)`` and at most
       ``1/(k e)`` below 1, so ``S >= 2**-100`` gives the same ``69.3``:
       ``<= 510``.
-    * ``p`` against ``H~``.  The shifted ``A_t`` are within ``(n + 1) u
-      |M_t|_F``, which moves a coefficient of a tuple by ``k (n + 1) u``
-      times the product of the norms (``<= 12``); ``tr(A_t A_u)`` is ``n^2``
-      complex products and their sum, the triple product ``3!`` products of
-      column entries, whose magnitudes sum to at most ``n^(3/2)`` times
-      the product of the column norms (``<= 60``); merging equal monomials
-      sums at most ``T^k`` tuples (``<= T^3``); a monomial of degree
-      ``<= G`` is ``G`` roundings (``<= G``); and the dot product with the
-      ``<= T + T^2 + T^3`` monomials adds as many (``<= 3 T^3``).  Every
-      sum is against ``sum over tuples of |coefficient| |m_t m_u (m_v)|
-      <= S^k``.
+    * ``p`` against ``H~``, for sums against ``sum_alpha env_alpha
+      |lam^alpha| = (sum_t |A_t|_F |m_t|)^k <= S^k (1 + (n + 1) u)^k``.
+      The shifted ``A_t`` are within ``(n + 1) u |M_t|_F``, which moves a
+      tuple's trace by ``k (n + 1) u`` times the product of the norms, as
+      ``|tr(X_1 ... X_k)| <= prod |X_i|_F`` (``<= 12``).  Merging the
+      ``A_t`` of a monomial adds ``(T - 1) u``; each step's products ``(n
+      + 1.24) u`` against ``|X||Y|``, whose Frobenius norm and diagonal sum
+      are at most ``|X|_F |Y|_F``, merging them ``(T - 1) u``; the trace
+      ``(n - 1) u``, and ``det H~ = p_3 / 3`` one more: ``<= k (T - 1) + (k
+      - 1)(n + T + 1) + n <= 5T + 8`` at ``k = n <= 3``.  With every
+      envelope 0 or normal, an underflow is off by ``<= 2**-1075``, ``u``
+      times its coefficient's envelope, which doubles that (``<= 10T +
+      16``).  A monomial of degree ``<= G`` is ``G`` roundings (``<= G``),
+      and the dot product with the ``<= T + T^2 + T^3`` monomials adds as
+      many (``<= 3 T^3``): ``<= 28 + 10T + G + 3T^3``.
 
-    In all ``<= 600 + 10G + 8T^3``; the factor 64 also covers rounding
-    ``S`` and the errors of the pad.  Rounding the norms and the bound add
-    ``O(u)`` relative, which the extra ``2**-40`` of the interval covers;
-    an underflow is an absolute error below ``2**-1000`` times a monomial of
-    at most ``2**600``, against ``C u S^k >= 2**-338`` in the window.
+    In all ``<= 554 + 10G + 13T + 3T^3 <= 600 + 10G + 8T^3``; the factor
+    64 also covers rounding ``S`` and the errors of the pad.  Rounding the
+    norms and the bound add ``O(u)`` relative, which the extra ``2**-40`` of
+    the interval covers;
+    an underflow, here or in undoing the power sums' power of two, is an
+    absolute error below ``2**-1000`` times a monomial of at most
+    ``2**600``, against ``C u S^k >= 2**-338`` in the window.
     ``tests/test_epfinder.py::test_polynomials_stay_inside_the_bound``
     measures the largest distance on an adversarial corpus.
 
@@ -723,7 +722,7 @@ def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     """Indices of the local minima of ``_row_norms(cs.evaluate_many(lams))``
     on a grid of ``shape`` (:func:`_local_minima`).  For n <= 3 the norms
     are first bounded block by block of ``_BLOCK_POINTS`` from the
-    family's constraint polynomials, built once per call
+    family's constraint polynomials, read from ``cs.polynomials``
     (:func:`_grid_polynomials`, :func:`_norm_bounds`); they are taken
     exactly only at the nodes left unbounded (all of them for n >= 4) and
     at the nodes of an undecided test.  Raises ``NonFiniteMatrixError`` for
@@ -734,7 +733,7 @@ def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     hi = lo.copy()
     if cs.order <= 3:
         column = _column_index(cs.order)
-        poly = _grid_polynomials(cs.family, [column[lab] for lab in cs.labels])
+        poly = _grid_polynomials(cs.polynomials, [column[lab] for lab in cs.labels])
         for start in range(0, len(lams), _BLOCK_POINTS):
             block = slice(start, start + _BLOCK_POINTS)
             lo[block], hi[block] = _norm_bounds(poly, lams[block])
@@ -759,13 +758,12 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     candidate's ``constraint_residual`` (:class:`ScanConfig`): the scan of
     ``c f`` with the values of ``f`` is not the scan of ``f``.  For n <= 3
     the minima are decided on proven intervals around the norm, from the
-    active components as real polynomials in the parameters, whose
-    coefficients are computed once per scan from the term matrices, and
-    are evaluated from monomials over the grid with no matrix per node
-    (:func:`_norm_bounds`); the exact batched
-    evaluation runs only at nodes where an interval cannot decide a
-    comparison or the ``seed_threshold`` test, or where no bound is proven,
-    and for n >= 4 at every node.  The seeds are those of the exact norms.
+    active components as real polynomials in the parameters, read from the
+    power sums that the class identity check built from the term matrices,
+    and evaluated from monomials over the grid with no matrix per node
+    (:func:`_norm_bounds`); the exact batched evaluation runs only at nodes
+    where an interval cannot decide a comparison or the ``seed_threshold``
+    test, or where no bound is proven, and for n >= 4 at every node.  The seeds are those of the exact norms.
     Converged roots are deduplicated within ``cfg.merge_radius`` (grid-
     normalized), sorted lexicographically by parameter values and certified
     with :func:`certify_order`.  Non-convergent seeds are reported at the

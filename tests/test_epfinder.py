@@ -12,7 +12,6 @@ from nhsim.epfinder import (
     ScanConfig,
     _certify_many,
     _cluster_means,
-    _column_index,
     _components,
     _gauss_newton,
     _grid_minima,
@@ -21,10 +20,10 @@ from nhsim.epfinder import (
     _merge_keep,
     _norm_bounds,
     _polynomial_values,
-    _powers,
     _raw_components,
     _row_norms,
     _shifted,
+    _trace_polynomials,
     certify_order,
     class_identity_check,
     reduced_constraints,
@@ -33,7 +32,7 @@ from nhsim.epfinder import (
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
 from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
-from nhsim.matrices import _trace, dagger, frob_many, ldexp_complex, scale_exponents
+from nhsim.matrices import _trace, dagger, frob_many, ldexp_complex
 from nhsim.spectral import (
     DEFAULT_TOLERANCES,
     SYMMETRY_MAPS,
@@ -142,8 +141,7 @@ def test_identity_check_diagonal_chiral_fails():
     f = MatrixFamily(2, 1, ((np.diag([1.0, 2.0]).astype(complex), (1,)),), ("lam",))
     rep = class_identity_check(f, CH)
     assert not rep.passed
-    assert rep.worst_identity == "Re tr H"
-    assert rep.worst_point is not None
+    assert (rep.worst_identity, rep.worst_monomial) == ("Re tr H", (1,))
     with pytest.raises(FamilyNotInClassError):
         reduced_constraints(f, CH)
 
@@ -161,23 +159,18 @@ def test_identity_check_scaled_sigma_z_chiral_passes():
     (lambda: cubic_family(), SS),
 ], ids=["diagonal-chiral", "cubic-self-skew"])
 def test_identity_check_spectral_violation_matches_reference(family, cls):
-    # families whose spectrum breaks the class symmetry in its mean: the
-    # worst violation is a forced part of tr H over |H|_F, the largest over
-    # the samples.  On diagonal-chiral it is |Re 3 lam| / (sqrt(5) |lam|),
-    # about 1.34 at every sample
+    # families whose spectrum breaks the class symmetry: the report is the
+    # brute-force oracle's.  On diagonal-chiral the worst is Re tr H on lam,
+    # 3 over the envelope sqrt(5)
     f = family()
-    lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, f.num_params))
-    worst, ident = 0.0, ""
-    for lam in lams:
-        H = f.evaluate(lam)
-        t = complex(np.trace(H))
-        for part in TRACE_FORCED[cls]:
-            v = abs(t.real if part == "Re" else t.imag) / float(np.linalg.norm(H))
-            if v > worst:
-                worst, ident = v, f"{part} tr H"
+    worst, ident, mono = brute_force_report(f, cls)
     rep = class_identity_check(f, cls)
     assert not rep.passed
-    assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
+    assert (rep.worst_identity, rep.worst_monomial) == (ident, mono)
+    assert rep.worst_violation == pytest.approx(worst, rel=1e-12)
+    if cls is CH:
+        assert (ident, mono) == ("Re tr H", (1,))
+        assert rep.worst_violation == pytest.approx(3 / np.sqrt(5), rel=1e-15)
 
 
 def test_identity_check_forced_component_violation():
@@ -232,12 +225,14 @@ def test_identity_check_accepts_real_jordan_conjugates():
 
 
 def test_identity_check_sees_an_imaginary_shift_in_the_trace():
-    # the trimer shifted by 1e-7 i I: every tr H~^k and det H~ is the
-    # trimer's, and only the mean of the spectrum leaves the real axis
+    # the trimer shifted by 1e-7 i I: every tr H~^k is the trimer's, and
+    # only the mean of the spectrum leaves the real axis.  The shift is the
+    # constant monomial's whole coefficient: 3e-7 over |1e-7 i I|_F
     f = MatrixFamily(3, 2, (*trimer().terms, (1e-7j * np.eye(3), (0, 0))), ("gamma", "k"))
     rep = class_identity_check(f, PH)
-    assert not rep.passed and rep.worst_identity == "Im tr H"
-    assert 1e-8 < rep.worst_violation < 1e-6
+    assert not rep.passed
+    assert (rep.worst_identity, rep.worst_monomial) == ("Im tr H", (0, 0))
+    assert rep.worst_violation == pytest.approx(np.sqrt(3), rel=1e-15)
 
 
 def test_scan_dimer_finds_both_ep2(recwarn):
@@ -651,7 +646,7 @@ def test_polynomials_stay_inside_the_bound(n):
     for f, lams in bound_corpus(n):
         S = term_scale(f, lams)
         assert (_BOUND_WINDOW[0] <= S).all() and (S <= _BOUND_WINDOW[1]).all()
-        poly = _grid_polynomials(f, cols)
+        poly = _grid_polynomials(_trace_polynomials(f), cols)
         exact = _components(_shifted(f.evaluate_batch(lams)), cols)
         ratio = np.abs(_polynomial_values(poly, lams)[0].T - exact) / (
             2.0**-53 * S[:, None] ** degree)
@@ -659,7 +654,7 @@ def test_polynomials_stay_inside_the_bound(n):
         worst_over_C = max(worst_over_C, ratio.max() / poly.bound)
         # every class's norm lies in its interval, which is proven everywhere here
         for cls, kept in class_columns(n).items():
-            lo, hi = _norm_bounds(_grid_polynomials(f, kept), lams)
+            lo, hi = _norm_bounds(_grid_polynomials(_trace_polynomials(f), kept), lams)
             N = _row_norms(exact[:, kept])
             assert not np.isnan(lo).any() and not np.isnan(hi).any()
             assert (lo <= N).all() and (N <= hi).all(), cls
@@ -671,9 +666,9 @@ def test_polynomials_stay_inside_the_bound(n):
     f, lams = bound_corpus(n)[15]
     S = term_scale(f, lams)
     for c in (_BOUND_WINDOW[0] / (1.25 * S.max()), 1.25 * _BOUND_WINDOW[1] / S.min()):
-        lo, hi = _norm_bounds(_grid_polynomials(scaled(f, c), cols), lams)
+        lo, hi = _norm_bounds(_grid_polynomials(_trace_polynomials(scaled(f, c)), cols), lams)
         assert np.isnan(lo).all() and np.isnan(hi).all()
-    poly = _grid_polynomials(f, cols)
+    poly = _grid_polynomials(_trace_polynomials(f), cols)
     assert list(poly.params) == [0, 1]
     far = np.array([[poly.reach * 2, 1.0], [1.0, 0.5 / poly.reach],
                     [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]])
@@ -1004,56 +999,82 @@ def test_scan_config_rejects_bad_numbers(field, value):
                seed_threshold=np.inf, merge_radius=0.0)
 
 
-@pytest.mark.parametrize("samples", [0, -5])
-def test_identity_check_needs_a_sample(samples):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        class_identity_check(dimer(), PH, samples=samples)
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        reduced_constraints(dimer(), PH, samples=samples)
-    assert class_identity_check(dimer(), PH, samples=1).samples == 1
-
-
 @pytest.mark.parametrize("kwargs", [
-    {"box": np.nan}, {"box": np.inf}, {"box": -np.inf}, {"box": -1.0}, {"box": 0.0},
     {"rel_tol": np.nan}, {"rel_tol": np.inf}, {"rel_tol": -1e-8},
 ], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
 def test_identity_check_rejects_bad_box_and_rel_tol(kwargs):
-    # a NaN or infinite box made numpy's uniform raise OverflowError, a
-    # negative one ValueError('high - low < 0'); a NaN or negative rel_tol
-    # failed every family
+    # a NaN or negative rel_tol failed every family; the check has no box
     name = next(iter(kwargs))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         class_identity_check(trimer(), PH, **kwargs)
-    assert class_identity_check(trimer(), PH, rel_tol=0.0, box=1e-300).samples == 100
+    assert class_identity_check(trimer(), PH, rel_tol=0.0).passed
 
 
-def reference_identity_check(f, cls, samples, seed=0):
-    """``class_identity_check`` one sample at a time, as a loop from 0.0
-    that takes each strictly larger violation: the forced det/trace
-    components, then the forced parts of tr H over |H|_F."""
-    cs = reduced_constraints(f, cls, check=False)
-    degree = {lab: k for (lab, k, _p) in _raw_components(f.dim)}
-    lams = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(samples, f.num_params))
-    H = f.evaluate_batch(lams)
-    H = ldexp_complex(H, scale_exponents(H, f.dim)[:, None, None])
-    Hts = _shifted(H)
-    Hts = ldexp_complex(Hts, scale_exponents(Hts, f.dim)[:, None, None])
-    column = _column_index(f.dim)
-    forced = np.abs(_components(Hts, [column[lab] for lab in cs.forced_zero]))
-    worst, worst_pt, worst_id = 0.0, None, ""
-    for lam, Hj, Ht, vals in zip(lams, H, Hts, forced):
-        scale = float(np.linalg.norm(Ht))
-        for lab, v in zip(cs.forced_zero, vals.tolist()):
-            v = v / scale ** degree[lab] if v else 0.0
-            if v > worst:
-                worst, worst_pt, worst_id = v, lam, lab
-        t = complex(np.trace(Hj))
-        for part in TRACE_FORCED[cls]:
-            v = abs(t.real if part == "Re" else t.imag)
-            v = v / float(np.linalg.norm(Hj)) if v else 0.0
-            if v > worst:
-                worst, worst_pt, worst_id = v, lam, f"{part} tr H"
-    return worst, worst_pt, worst_id
+def brute_force_power_sums(f):
+    """``[(coefficients, envelopes)]`` for k = 1..n, each a dict keyed by
+    the exponent tuple: tr H (k = 1, from the terms as given) and tr H~^k
+    (k >= 2, from the trace-shifted terms).  Every term tuple in turn
+    (itertools.product): np.trace of its product and the product of its
+    norms, summed per monomial in Python."""
+    n = f.dim
+    given = [M for M, _e in f.terms]
+    shifted = [M - np.trace(M) / n * np.eye(n) for M in given]
+    out = []
+    for k in range(1, n + 1):
+        mats = given if k == 1 else shifted
+        coeffs, envs = {}, {}
+        for tup in itertools.product(range(len(mats)), repeat=k):
+            e = tuple(map(sum, zip(*(f.terms[t][1] for t in tup))))
+            P = np.eye(n)
+            for t in tup:
+                P = P @ mats[t]
+            coeffs[e] = coeffs.get(e, 0.0) + complex(np.trace(P))
+            envs[e] = envs.get(e, 0.0) + float(np.prod([np.linalg.norm(mats[t]) for t in tup]))
+        out.append((coeffs, envs))
+    return out
+
+
+def forced(cls, n, k, part):
+    """Whether the class forces this part of tr H (k = 1) or tr H~^k, by
+    the tables written out by hand above."""
+    if k == 1:
+        return part in TRACE_FORCED[cls]
+    return not _written_out_kept(cls, n, "trace", k, part.lower())
+
+
+def brute_force_report(f, cls):
+    """``(worst, identity, monomial)`` of the identity check from
+    :func:`brute_force_power_sums`: the first largest forced part over its
+    envelope, k ascending, Re before Im, monomials in lexicographic order."""
+    worst, ident, mono = 0.0, "", None
+    for k, (coeffs, envs) in enumerate(brute_force_power_sums(f), 1):
+        for part in ("Re", "Im"):
+            if not forced(cls, f.dim, k, part):
+                continue
+            for e in sorted(coeffs):
+                z = coeffs[e].real if part == "Re" else coeffs[e].imag
+                v = abs(z) / envs[e] if envs[e] else 0.0
+                if v > worst:
+                    worst, ident, mono = v, f"{part} tr H" + (f"^{k}" if k > 1 else ""), e
+    return worst, ident, mono
+
+
+def sampled_verdict(f, cls, samples=30):
+    """The verdict of the identities at seeded points of [-2, 2]^d, one
+    point at a time: each forced part of tr H over |H|_F and of tr H~^k
+    over |H~|_F^k at most 1e-8."""
+    lams = np.random.default_rng(0).uniform(-2.0, 2.0, size=(samples, f.num_params))
+    for lam in lams:
+        H = f.evaluate(lam)
+        Ht = H - np.trace(H) / f.dim * np.eye(f.dim)
+        for k in range(1, f.dim + 1):
+            X, s = (H, np.linalg.norm(H)) if k == 1 else (Ht, np.linalg.norm(Ht) ** k)
+            t = complex(np.trace(np.linalg.matrix_power(X, k)))
+            for part in ("Re", "Im"):
+                z = t.real if part == "Re" else t.imag
+                if forced(cls, f.dim, k, part) and z and abs(z) / s > 1e-8:
+                    return False
+    return True
 
 
 def linear_family(coeffs):
@@ -1117,17 +1138,20 @@ IDENTITY_FAMILIES = identity_families()
 @pytest.mark.parametrize("f, cls", [c[1:] for c in IDENTITY_FAMILIES],
                          ids=[c[0] for c in IDENTITY_FAMILIES])
 def test_stacked_identity_check_matches_the_per_sample_loop(f, cls):
-    for samples in (1, 30, 100):
-        worst, pt, ident = reference_identity_check(f, cls, samples)
-        rep = class_identity_check(f, cls, samples=samples)
-        assert rep.worst_violation == worst and type(rep.worst_violation) is float
-        assert rep.worst_identity == ident
-        assert rep.passed == (worst <= 1e-8)
-        assert rep.samples == samples
-        if pt is None:
-            assert rep.worst_point is None and worst == 0.0
-        else:
-            assert rep.worst_point.tobytes() == pt.tobytes()
+    # the exact check reports what the brute-force oracle reports, and on
+    # these families, none of which breaks its class only outside the box
+    # [-2, 2]^d, it reaches the verdict of a per-sample loop
+    worst, ident, mono = brute_force_report(f, cls)
+    rep = class_identity_check(f, cls)
+    assert type(rep.worst_violation) is float
+    assert rep.passed == (rep.worst_violation <= 1e-8) == sampled_verdict(f, cls)
+    if worst > 1e-8:
+        assert (rep.worst_identity, rep.worst_monomial) == (ident, mono)
+        assert rep.worst_violation == pytest.approx(worst, rel=1e-9)
+    else:
+        assert rep.worst_violation <= 1e-13
+    if rep.worst_violation == 0.0:
+        assert (rep.worst_identity, rep.worst_monomial) == ("", None)
 
 
 def test_identity_check_makes_no_eigensolve_and_no_matcher_call(monkeypatch):
@@ -1148,19 +1172,143 @@ def test_identity_check_makes_no_eigensolve_and_no_matcher_call(monkeypatch):
     monkeypatch.setattr(spectral, "multiset_symmetry_match",
                         counted("matcher", spectral.multiset_symmetry_match))
     for case, f, cls in IDENTITY_FAMILIES:
-        for samples in (1, 100):
-            rep = class_identity_check(f, cls, samples=samples)
-            if rep.passed:
-                reduced_constraints(f, cls, samples=samples)
-            else:
-                with pytest.raises(FamilyNotInClassError):
-                    reduced_constraints(f, cls, samples=samples)
+        rep = class_identity_check(f, cls)
+        if rep.passed:
+            reduced_constraints(f, cls)
+        else:
+            with pytest.raises(FamilyNotInClassError):
+                reduced_constraints(f, cls)
     assert calls == {"eigvals": 0, "matcher": 0}
     # the counters count: one classify makes one eigensolve
     from nhsim.classes import classify
 
     classify(trimer().evaluate([1.0, 1.0]))
     assert calls["eigvals"] == 1
+
+
+def oracle_families(n):
+    """Seeded families for the power-sum oracle at dimension n, in two
+    parameters: four terms with exponents up to 2, two of them repeated,
+    and a pair on one monomial that cancels to 2^-30 of each; and an
+    indefinite pseudo-Hermitian family."""
+    rng = np.random.default_rng([71, n])
+
+    def cplx():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    e0, e1 = (tuple(int(x) for x in rng.integers(0, 3, 2)) for _ in range(2))
+    M0 = cplx() * 2.0 ** rng.integers(-8, 9, size=(n, 1))
+    generic = MatrixFamily(n, 2, ((M0, e0), (cplx(), e1), (-M0 + 2.0**-30 * cplx(), e0),
+                                  (cplx(), e1)), ("p", "q"))
+    return [generic, class_family_n(PH, n, rng)]
+
+
+def class_family_n(cls, n, rng):
+    """``eta (B0 + p B1 + q B2)`` (pseudo-Hermitian), ``i eta (...)``
+    (chiral), with Hermitian ``B_i`` and the indefinite ``eta = diag(1, -1,
+    1, ...) + 0.3 X``, ``X`` Hermitian; or :func:`self_skew_family`."""
+    if cls is SS:
+        return self_skew_family(n, rng)
+    eta = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0)) + 0.3 * _hermitian(rng, n)
+    w = 1j if cls is CH else 1.0
+    return MatrixFamily(n, 2, tuple((w * eta @ _hermitian(rng, n), e)
+                                    for e in ((0, 0), (1, 0), (0, 1))), ("p", "q"))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_trace_polynomials_match_the_brute_force_oracle(n):
+    # every coefficient and envelope, scaled back from the construction's
+    # power of two, is the oracle's within a rounding bound on the envelope;
+    # at 2^+-300 the construction gives the same bytes as at 1
+    u = 2.0**-53
+    for f in oracle_families(n):
+        oracle = brute_force_power_sums(f)
+        base = _trace_polynomials(f)
+        for j in (-300, 0, 300):
+            poly = _trace_polynomials(scaled(f, 2.0**j))
+            for k, ((coeffs, envs), exps, c, env, e) in enumerate(
+                    zip(oracle, poly.exponents, poly.coeffs, poly.envelopes, poly.scales), 1):
+                keys = sorted(coeffs)
+                assert [tuple(x) for x in exps.tolist()] == keys
+                want = np.array([coeffs[x] for x in keys])
+                scale = np.array([envs[x] for x in keys])
+                tol = 4 * k * (n + len(f.terms)) * u * scale
+                assert (np.abs(ldexp_complex(c, -e - k * j) - want) <= tol).all(), (k, j)
+                assert (np.abs(np.ldexp(env, -e - k * j) - scale) <= tol).all(), (k, j)
+                assert c.tobytes() == base.coeffs[k - 1].tobytes()
+                assert env.tobytes() == base.envelopes[k - 1].tobytes()
+
+
+def perturbed_trimer():
+    """The trimer plus ``1e-12 i gamma^4 E_00``."""
+    N = np.zeros((3, 3), dtype=complex)
+    N[0, 0] = 1e-12j
+    return MatrixFamily(3, 2, (*trimer().terms, (N, (4, 0))), ("gamma", "k"))
+
+
+def test_identity_check_sees_a_violation_outside_the_sampled_box():
+    # inside [-2, 2]^2 the trace of the perturbed trimer is at most about
+    # 1.6e-11 |H|_F away from real, which a sampled check passes; at
+    # gamma = 10^3 it is 5e-4 |H|_F away, so that member is not
+    # pseudo-Hermitian.  The coefficient of gamma^4 in tr H is 1e-12 i, all
+    # of it forced, over the envelope 1e-12
+    f = perturbed_trimer()
+    assert sampled_verdict(f, PH)
+    H = f.evaluate([1e3, 1.0])
+    assert abs(np.trace(H).imag) > 4e-4 * np.linalg.norm(H)
+    rep = class_identity_check(f, PH)
+    assert (rep.passed, rep.worst_identity, rep.worst_monomial) == (False, "Im tr H", (4, 0))
+    assert rep.worst_violation == 1.0
+    with pytest.raises(FamilyNotInClassError, match=r"'Im tr H' on its gamma\^4 coefficient"):
+        reduced_constraints(f, PH)
+    with pytest.raises(FamilyNotInClassError):
+        scan(f, PH, ScanConfig(grid={"gamma": (0, 3, 11)}, fixed={"k": 1.0}))
+
+
+SCALE_POWERS = (-300, -99, 0, 99, 300)
+
+
+def test_identity_check_is_exact_at_every_scale():
+    # class families pass and generic ones fail at every scale 2^j, with the
+    # same report: the construction normalizes the terms by a power of two
+    cases = [(trimer(), PH, True), (dimer(), PH, True)]
+    cases += [(f, cls, True) for name, f, cls in IDENTITY_FAMILIES if name.startswith("class-")]
+    for n in range(2, 13):
+        rng = np.random.default_rng([73, n])
+        for cls in SimilarityClass:
+            cases.append((class_family_n(cls, n, rng), cls, True))
+            generic = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                       for _ in range(3)]
+            cases.append((linear_family(generic), cls, False))
+    for f, cls, member in cases:
+        base = class_identity_check(f, cls)
+        assert base.passed == member, (f.dim, cls, base)
+        assert base.worst_violation <= 1e-12 if member else base.worst_violation > 1e-3
+        for j in SCALE_POWERS:
+            assert class_identity_check(scaled(f, 2.0**j), cls) == base, (f.dim, cls, j)
+
+
+def test_identity_check_does_not_measure_an_underflowing_envelope():
+    # sigma_x + 2^-600 gamma diag(a, -a), a = e^(i pi/8): the coefficient of
+    # gamma^2 in tr H~^2 is 2^-1199 a^2, not real, but its envelope 2^-1199
+    # underflows to 0, so that monomial is not measured and the family
+    # passes, at every scale, although its member at gamma = 2^600 has no
+    # conjugate-symmetric spectrum.  At 2^-400 the envelope is normal, and
+    # the check sees the violation, sin(pi/4)
+    a = np.exp(1j * np.pi / 8)
+    for c, passed in ((2.0**-600, True), (2.0**-400, False)):
+        f = MatrixFamily(2, 1, ((SX, (0,)), (c * np.diag([a, -a]), (1,))), ("gamma",))
+        poly = _trace_polynomials(f)
+        assert (poly.envelopes[1][-1] == 0.0) == passed
+        for j in SCALE_POWERS:
+            rep = class_identity_check(scaled(f, 2.0**j), PH)
+            assert rep.passed == passed, (c, j, rep)
+        if not passed:
+            assert (rep.worst_identity, rep.worst_monomial) == ("Im tr H^2", (2,))
+            assert rep.worst_violation == pytest.approx(np.sin(np.pi / 4), rel=1e-12)
+    # the member's eigenvalues +-sqrt(1 + a^2) are neither real nor imaginary
+    lam = np.linalg.eigvals(SX + np.diag([a, -a]))
+    assert (np.minimum(np.abs(lam.real), np.abs(lam.imag)) > 0.1).all()
 
 
 def test_repeated_values_spread_over_their_tied_images(monkeypatch):
@@ -1218,33 +1366,24 @@ def test_a_certified_bound_is_the_bottleneck():
 
 
 def test_identity_check_reports_the_first_of_equal_violations():
-    # a constant family has the same violations at every sample: the loop
-    # kept the first sample, and within it the first component that reached
-    # the maximum
+    # M p + M q with M = w I + X / 10: the coefficients of tr H on p and on
+    # q are the same bytes, and their forced part over the envelope, about
+    # sqrt(3), is above any ratio of tr H~^k (at most 1).  The report names
+    # q, the first in lexicographic order, as the oracle does
     rng = np.random.default_rng(5)
-    for cls in SimilarityClass:
-        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        f = constant_family(M, nparams=2)
-        worst, pt, ident = reference_identity_check(f, cls, 30)
-        rep = class_identity_check(f, cls, samples=30)
-        first = np.random.default_rng(0).uniform(-2.0, 2.0, size=(30, 2))[0]
-        assert rep.worst_point.tobytes() == pt.tobytes() == first.tobytes()
-        assert (rep.worst_violation, rep.worst_identity) == (worst, ident)
-    # diag(1, 2, 3) for the conj map: Im tr H~^2, Im det and Im tr H are 0,
-    # so every violation is 0 and nothing is reported
+    for cls, w, part in ((PH, 1j, "Im"), (CH, 1.0, "Re"), (SS, 1.0, "Re")):
+        M = w * np.eye(3) + 0.1 * (rng.standard_normal((3, 3))
+                                   + 1j * rng.standard_normal((3, 3)))
+        f = MatrixFamily(3, 2, ((M, (1, 0)), (M, (0, 1))), ("p", "q"))
+        worst, ident, mono = brute_force_report(f, cls)
+        rep = class_identity_check(f, cls)
+        assert (rep.worst_identity, rep.worst_monomial) == (ident, mono) == (f"{part} tr H",
+                                                                             (0, 1))
+        assert rep.worst_violation == pytest.approx(worst, rel=1e-15)
+    # diag(1, 2, 3) for the conj map: every Im tr H~^k and Im tr H is 0, so
+    # every violation is 0 and nothing is reported
     rep = class_identity_check(constant_family(np.diag([1.0, 2.0, 3.0])), PH)
-    assert (rep.worst_violation, rep.worst_point, rep.worst_identity) == (0.0, None, "")
-
-
-def test_powers_match_python_pow():
-    # numpy's float power may round differently from libm pow (SIMD code,
-    # or x*x for a square); the check's scale powers are Python's
-    rng = np.random.default_rng(8)
-    x = np.ldexp(rng.uniform(0.5, 1.0, 100_000), rng.integers(-80, 80, 100_000))
-    ks = list(range(2, 13))
-    ref = np.array([[v ** k for k in ks] for v in x.tolist()])
-    assert _powers(x, ks).tobytes() == ref.tobytes()
-    assert _powers(x[:3], []).shape == (3, 0)
+    assert (rep.worst_violation, rep.worst_identity, rep.worst_monomial) == (0.0, "", None)
 
 
 def test_scan_nonfinite_input_raises():
@@ -1271,9 +1410,8 @@ def scaled(f, c):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", [1e-300, 1e120, 1e300])
 def test_identity_check_is_scale_invariant(c):
-    # each sample is checked times its own power of two; unscaled, 1e120
-    # raised OverflowError from the norm powers, and at 1e300 the
-    # overflowing components made NaN violations that passed as 0.0
+    # the terms are checked times one power of two, so no power of them
+    # overflows and no violation is NaN, at any scale
     ref = class_identity_check(trimer(), PH)
     report = class_identity_check(scaled(trimer(), c), PH)
     assert report.passed and report.worst_violation <= 1e-12
@@ -1282,8 +1420,12 @@ def test_identity_check_is_scale_invariant(c):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_family_values_raise():
-    with pytest.raises(NonFiniteMatrixError, match="sampled points"):
-        class_identity_check(scaled(trimer(), 1e308), PH)
+    # the identity check reads the terms times one power of two, so the
+    # trimer times 1e308 passes; a term whose trace overflows raises
+    assert class_identity_check(scaled(trimer(), 1e308), PH).passed
+    big = MatrixFamily(3, 2, (*trimer().terms, (1e308 * np.eye(3, dtype=complex), (0, 0))))
+    with pytest.raises(NonFiniteMatrixError, match="trace of a family term overflows"):
+        class_identity_check(big, PH)
     with pytest.raises(NonFiniteMatrixError, match="overflow on the grid"):
         scan(trimer(), PH, ScanConfig(grid={"gamma": (0, 1e300, 5)}, fixed={"k": 1.0}))
     # eigenvalues near +-1e308: finite, but their spread is not

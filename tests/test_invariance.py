@@ -240,11 +240,13 @@ def test_identity_check_of_zero_values_is_exactly_zero():
 def test_identity_check_measures_a_small_shifted_matrix_on_its_own_scale(eps):
     # H = I + eps C, C the companion matrix of z^3 - i (zero diagonal, so
     # H~ = eps C exactly): tr H~^2 = 0 and the spectrum is conjugate-
-    # symmetric within eps |H|_F, but Im det H~ = |H~|_F^3 / 3^1.5 is
-    # 1e-360, below the subnormals, at 1e-120 unless H~ is checked times
-    # its own power of two
+    # symmetric within eps |H|_F, but tr H~^3 = 3i eps^3, over the envelope
+    # |eps C|_F^3 = 3^1.5 eps^3.  At 1e-120 that envelope, 1e-360, is below
+    # the subnormals unless the shifted terms are checked times their own
+    # power of two
     C = np.array([[0, 0, 1j], [1, 0, 0], [0, 1, 0]])
     f = linear_family([np.eye(3) + eps * C, np.zeros((3, 3), dtype=complex)])
     rep = class_identity_check(f, SimilarityClass.PSEUDO_HERMITIAN)
-    assert not rep.passed and rep.worst_identity == "Im det", rep
-    assert rep.worst_violation == pytest.approx(3**-1.5, rel=1e-6)
+    assert not rep.passed and rep.worst_identity == "Im tr H^3", rep
+    assert rep.worst_monomial == (0,)
+    assert rep.worst_violation == pytest.approx(3**-0.5, rel=1e-6)

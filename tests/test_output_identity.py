@@ -144,10 +144,13 @@ def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_pa
     assert {code for code, _, _ in results} == {0, 1, 2}
     assert ("error: constraint values overflow on the grid\n"
             in {err for _, _, err in results})
-    # one family fails the class identity check: the gate is in the digest
+    # two families fail the class identity check, one only outside the
+    # box [-2, 2]^2: the gate is in the digest
     gated = [err for code, _, err in results if code == 1]
-    assert len(gated) == 1
-    assert gated[0].startswith("error: family violates PseudoHermitian identity")
+    assert len(gated) == 2
+    assert all(err.startswith("error: family violates PseudoHermitian identity")
+               for err in gated)
+    assert "gamma^4" in gated[1]
     tags = {flags[1] for _, flags in corpus}
     assert tags == {"pseudo-hermitian", "chiral", "self-skew"}
     dims = {doc["dim"] for doc, _ in corpus}

@@ -190,10 +190,12 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     ``p`` terms that cancel to 2^-30 of each, ``eta (B0 + p B1 + q B2
     + p 2^6 B3 + p (2^-24 B4 - 2^6 B3))``, and ``10^3 I + eta (B0 + p B1 +
     q B2)``, whose trace shift removes the largest part of every value.
-    Last, two pseudo-Hermitian gates of ``nhsim.epfinder.class_identity_check``:
+    Last, three pseudo-Hermitian gates of ``nhsim.epfinder.class_identity_check``:
     the plane ``a H_EP3 + b I`` of the trimer's EP3, which passes (every
-    ``a != 0`` is an EP3), and a seeded generic 3 x 3 family, which fails
-    (exit 1).
+    ``a != 0`` is an EP3), a seeded generic 3 x 3 family, which fails
+    (exit 1), and the trimer plus ``1e-12 i gamma^4 E_00``, which fails on
+    the ``gamma^4`` coefficient of ``tr H`` (exit 1), though its violation
+    inside ``[-2, 2]^2`` is below ``1e-10 |H|_F``.
     """
     rng = np.random.default_rng([seed, 3])
 
@@ -262,6 +264,9 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
                 (*ph, "--grid", "a=-1:1:21", "--grid", "b=-1:1:21")))
     out.append((family_doc([(cplx(3), e) for e in ((0, 0), (1, 0), (0, 1))], ("p", "q")),
                 (*ph, *box)))
+    kick = family_doc([(K, (0, 1)), (D, (1, 0)), (1e-12j * np.outer(E[0], E[0]), (4, 0))],
+                      ("gamma", "k"))
+    out.append((kick, (*ph, *trimer_grid)))
     return out
 
 
