@@ -405,7 +405,8 @@ def factor(H, cls: SimilarityClass, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
     if sign < 0:  # H = i T A
         A = -1j * A
     defect = frob(A - dagger(A)) / max(frob(A), 1e-300)
-    if defect > 10 * cfg.residual_tol * np.linalg.cond(T):
+    # the witness has unit spectral norm: 1 / min_singular_value is cond(T)
+    if defect > 10 * cfg.residual_tol / w.min_singular_value:
         raise ClassMismatchError(
             f"factor is not Hermitian within tolerance (defect {defect:.3g})"
         )
@@ -440,7 +441,6 @@ def generate_random(
     n: int,
     seed: int,
     non_normal: bool = False,
-    max_attempts: int = 100,
 ) -> np.ndarray:
     """Deterministic in-class sample (PCG64 stream seeded with ``seed >= 0``).
 
@@ -451,8 +451,9 @@ def generate_random(
     ``S = diag(I_p, -I_q)``; unitary (rather than arbitrary invertible)
     conjugation is required to keep a *Hermitian* witness in existence.
     With ``non_normal=True``, samples whose commutator ``[H, H^+]`` falls
-    below ``1e-6 |H|_F^2`` are rejected and redrawn; a 1x1 matrix is always
-    normal, so ``n = 1`` with ``non_normal=True`` raises ``ValueError``.
+    below ``1e-6 |H|_F^2`` are rejected and redrawn, up to 100 draws in all
+    (``RuntimeError`` after that); a 1x1 matrix is always normal, so
+    ``n = 1`` with ``non_normal=True`` raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -466,7 +467,7 @@ def generate_random(
     if n == 1 and not adjoint:
         return np.zeros((1, 1), dtype=complex)
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(100):
         if not adjoint:
             p = n // 2
             M = np.zeros((n, n), dtype=complex)
@@ -483,7 +484,7 @@ def generate_random(
         if not non_normal or not is_normal(H, 1e-6):
             return H
     raise RuntimeError(
-        f"failed to draw a non-normal {cls.value} sample in {max_attempts} attempts"
+        f"failed to draw a non-normal {cls.value} sample in 100 attempts"
     )
 
 

@@ -10,8 +10,10 @@ do not cover and a grid or dimension too large to allocate included.
 
 Floats are emitted through the JSON encoder's shortest round-trip
 representation, so every number reparses to the identical double.  The
-default tolerance can be overridden by the ``NHSIM_TOL`` environment
-variable; an explicit ``--tol`` flag wins over the environment.
+one tolerance ``tol`` of :class:`~nhsim.spectral.ToleranceConfig` (default
+1e-8, from which the clustering radius and the rank cutoff are derived)
+can be overridden by the ``NHSIM_TOL`` environment variable; an explicit
+``--tol`` flag wins over the environment.
 
 A ``scan`` that the library warns about (a family with fewer parameters
 than the codimension) prints the warning as one ``warning:`` line on
@@ -64,28 +66,24 @@ from .matrices import matrix_to_json, parse_matrix
 from .specht import CLASS_SYMMETRIES, _class_generators, mapped_target, word_profile
 from .spectral import ToleranceConfig
 
-DEFAULT_TOL = 1e-8
-
 
 def _tolerances(args) -> ToleranceConfig:
-    tol, source = args.tol, "--tol"
-    if tol is None:
-        env = os.environ.get("NHSIM_TOL")
-        if env is not None:
-            source = "NHSIM_TOL"
-            try:
-                tol = float(env)
-            except ValueError:
-                raise SystemExit2(f"NHSIM_TOL is not a number: {env!r}")
-    if tol is None:
-        tol = DEFAULT_TOL
-    # the ladder below needs 10 tol finite and tol / 10 positive; both
-    # comparisons are false for NaN
-    if not (tol / 10 > 0 and 10 * tol < np.inf):
-        raise SystemExit2(
-            f"{source} must have 10*tol finite and tol/10 > 0, got {tol}")
-    # one knob scales the whole ladder; the defaults are recovered at 1e-8
-    return ToleranceConfig(cluster_tol=10 * tol, residual_tol=tol, rank_tol=tol / 10)
+    """The config of ``--tol``, else of ``NHSIM_TOL``, else the default; a
+    value out of range exits 2 with a line naming its source."""
+    if args.tol is not None:
+        source, tol = "--tol", args.tol
+    elif (env := os.environ.get("NHSIM_TOL")) is not None:
+        source = "NHSIM_TOL"
+        try:
+            tol = float(env)
+        except ValueError:
+            raise SystemExit2(f"NHSIM_TOL is not a number: {env!r}")
+    else:
+        return ToleranceConfig()
+    try:
+        return ToleranceConfig(tol)
+    except ValueError as exc:
+        raise SystemExit2(f"{source} {exc}")
 
 
 class SystemExit2(Exception):
@@ -369,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, output=False):
         sp.add_argument("--tol", type=float, default=None,
-                        help="base tolerance (default 1e-8; NHSIM_TOL env)")
+                        help="tolerance tol: residuals tol, clustering 10*tol, "
+                             "rank cutoff tol/10 (default 1e-8; NHSIM_TOL env)")
         if output:
             sp.add_argument("--output", choices=("json", "csv"), default="json")
 

@@ -71,6 +71,13 @@ EXPECTED_CODIMENSION = {
     SimilarityClass.SELF_SKEW_SIMILAR: lambda n: n if n % 2 == 0 else n - 1,
 }
 
+#: Largest forced coefficient, over its envelope, that passes the class
+#: identity check: :func:`class_identity_check` and the scan's gate alike.
+IDENTITY_TOL = 1e-8
+
+#: Constraint accuracy from which :func:`certify_order` sizes its cluster.
+CERTIFY_CONSTRAINT_TOL = 1e-10
+
 
 def _shifted(H: np.ndarray) -> np.ndarray:
     """``H - (tr H / n) I`` for one matrix or a stack of them.
@@ -263,11 +270,7 @@ class IdentityCheckReport:
     worst_monomial: tuple[int, ...] | None
 
 
-def class_identity_check(
-    f: MatrixFamily,
-    cls: SimilarityClass,
-    rel_tol: float = 1e-8,
-) -> IdentityCheckReport:
+def class_identity_check(f: MatrixFamily, cls: SimilarityClass) -> IdentityCheckReport:
     """Verify the class-forced identities on the family's power sums.
 
     A class ``H = sign S R(H) S^-1`` forces ``z = sign^k R(z)`` on
@@ -278,23 +281,21 @@ def class_identity_check(
     obeys the relation for k = 2..n.  The parameters are real, so this
     holds at every point iff it holds for every coefficient of ``tr H``
     and ``tr H~^k`` (:func:`_trace_polynomials`): the family passes when
-    each forced part (:func:`_kept` false) is at most ``rel_tol`` times its
-    coefficient's envelope.  No point is sampled and no eigenvalue, which
-    spreads by ``eps^(1/m)`` at an EP, is computed; ``2**j f`` gets the
-    same report.  A monomial whose envelope is below ``2**-1022`` has
+    each forced part (:func:`_kept` false) is at most :data:`IDENTITY_TOL`
+    times its coefficient's envelope, the bound by which
+    :func:`reduced_constraints` gates a scan.  No point is sampled and no
+    eigenvalue, which spreads by ``eps^(1/m)`` at an EP, is computed;
+    ``2**j f`` gets the same report.  A monomial whose envelope is below ``2**-1022`` has
     violation 0: its products underflowed, which takes terms whose sizes
     differ by about ``2**(1022 / k)`` in a product of k of them.  The
     report names the first largest violation, k ascending, ``Re`` before
     ``Im``, monomials in order.  A term whose trace overflows raises
-    ``NonFiniteMatrixError``; a negative, NaN or infinite ``rel_tol``
-    raises ``ValueError``.
+    ``NonFiniteMatrixError``.
     """
-    if not 0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    return _identity_report(_build_system(f, cls), rel_tol)
+    return _identity_report(_build_system(f, cls))
 
 
-def _identity_report(cs: ConstraintSystem, rel_tol: float) -> IdentityCheckReport:
+def _identity_report(cs: ConstraintSystem) -> IdentityCheckReport:
     """:func:`class_identity_check` on the polynomials of ``cs``."""
     poly = cs.polynomials
     worst, identity, monomial = 0.0, "", None
@@ -306,7 +307,7 @@ def _identity_report(cs: ConstraintSystem, rel_tol: float) -> IdentityCheckRepor
                 if v[j] > worst:
                     worst, monomial = float(v[j]), tuple(exps[j].tolist())
                     identity = f"{part} tr H" + (f"^{k}" if k > 1 else "")
-    return IdentityCheckReport(worst <= rel_tol, worst, identity, monomial)
+    return IdentityCheckReport(worst <= IDENTITY_TOL, worst, identity, monomial)
 
 
 def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
@@ -334,29 +335,23 @@ def _build_system(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
     return cs
 
 
-def reduced_constraints(
-    f: MatrixFamily,
-    cls: SimilarityClass,
-    check: bool = True,
-) -> ConstraintSystem:
+def reduced_constraints(f: MatrixFamily, cls: SimilarityClass) -> ConstraintSystem:
     """Class-reduced constraint system, verified against the family.
 
     Raises ``FamilyNotInClassError``, naming the component and the
     monomial, when :func:`class_identity_check` fails on the system's
-    ``polynomials``, which the scan's grid reads too.  Pass ``check=False``
-    to skip it (e.g. when the same family was already checked).
+    ``polynomials``, which the scan's grid reads too.
     """
     cs = _build_system(f, cls)
-    if check:
-        report = _identity_report(cs, 1e-8)
-        if not report.passed:
-            mono = "*".join(nm if e == 1 else f"{nm}^{e}"
-                            for nm, e in zip(f.param_names, report.worst_monomial) if e)
-            raise FamilyNotInClassError(
-                f"family violates {cls.value} identity '{report.worst_identity}' "
-                f"on its {mono or 1} coefficient by {report.worst_violation:.3g} "
-                "of its envelope"
-            )
+    report = _identity_report(cs)
+    if not report.passed:
+        mono = "*".join(nm if e == 1 else f"{nm}^{e}"
+                        for nm, e in zip(f.param_names, report.worst_monomial) if e)
+        raise FamilyNotInClassError(
+            f"family violates {cls.value} identity '{report.worst_identity}' "
+            f"on its {mono or 1} coefficient by {report.worst_violation:.3g} "
+            "of its envelope"
+        )
     return cs
 
 
@@ -928,22 +923,19 @@ class OrderCertificate:
         }
 
 
-def certify_order(
-    H,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    constraint_tol: float = 1e-10,
-) -> OrderCertificate:
+def certify_order(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> OrderCertificate:
     """Jordan order of the coalescing cluster at a candidate point.
 
     The matrix is trace-shifted and its zero cluster is the set of the
     eigenvalues within a radius of zero adapted to the constraint accuracy:
     an order-n branch point converts a parameter error of size t into an
     eigenvalue spread of order t^(1/n), so the radius scales as
-    ``constraint_tol**(1/n)`` rather than linearly.  With ``m`` the cluster
-    size and ``mu`` its mean, the nullities of ``(H~ - mu I)^k`` under the
-    cutoff ``cfg.rank_tol * |H~|_F**k`` give the geometric multiplicity
-    (k = 1), the order (the last k at which the nullity grows) and the
-    block sizes (the Weyr differences).  When the nullity stops growing
+    ``constraint_tol**(1/n)`` rather than linearly, with ``constraint_tol``
+    :data:`CERTIFY_CONSTRAINT_TOL` here and the Gauss-Newton tolerance in a
+    scan.  With ``m`` the cluster size and ``mu`` its mean, the nullities
+    of ``(H~ - mu I)^k`` under the cutoff ``cfg.rank_tol * |H~|_F**k``
+    give the geometric multiplicity (k = 1), the order (the last k at
+    which the nullity grows) and the block sizes (the Weyr differences).  When the nullity stops growing
     short of ``m``, the cluster is the nullity it settled at.  No other
     eigenvalue is examined, so nearby non-zero eigenvalues cannot make the
     certificate ambiguous.  The radius and the cutoff are relative with no
@@ -952,7 +944,7 @@ def certify_order(
     gets the certificate of ``H`` at every scale ``c > 0``, its block means
     times ``c``.
     """
-    return _certify_many(as_matrix(H)[None], cfg, constraint_tol)[0]
+    return _certify_many(as_matrix(H)[None], cfg, CERTIFY_CONSTRAINT_TOL)[0]
 
 
 def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:

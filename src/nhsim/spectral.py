@@ -46,31 +46,37 @@ SYMMETRY_MAPS = {
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerances used throughout classification and decomposition.
+    """The one tolerance ``tol`` and the ladder derived from it:
+    ``residual_tol = tol`` accepts defining-equation and round-trip
+    residuals, ``cluster_tol = 10 tol`` is the eigenvalue clustering radius
+    and ``rank_tol = tol / 10`` the singular-value cutoff of rank decisions.
 
     All three are *relative* to the Frobenius norm of the matrix at hand,
     with no absolute floor, so every decision is the same for ``c H`` at
     any scale ``c > 0``; they are turned into absolute cutoffs internally
     (a rank decision on the ``k``-th power takes ``rank_tol * |H|_F**k``).
-
-    cluster_tol
-        Eigenvalue clustering radius.
-    residual_tol
-        Acceptance threshold for defining-equation and round-trip residuals.
-    rank_tol
-        Singular-value cutoff for rank decisions.
+    A ``tol`` whose ``tol / 10`` is not positive or whose ``10 tol`` is not
+    finite (NaN included) raises ``ValueError``.
     """
 
-    cluster_tol: float = 1e-7
-    residual_tol: float = 1e-8
-    rank_tol: float = 1e-9
+    tol: float = 1e-8
 
     def __post_init__(self):
-        tols = (self.cluster_tol, self.residual_tol, self.rank_tol)
-        if not all(0 < t < np.inf for t in tols):
-            raise ValueError(f"all tolerances must be positive and finite, got {tols}")
-        if self.cluster_tol < self.rank_tol:
-            raise ValueError("cluster_tol must be >= rank_tol")
+        # both comparisons are false for NaN
+        if not (self.tol / 10 > 0 and 10 * self.tol < np.inf):
+            raise ValueError(f"must have 10*tol finite and tol/10 > 0, got {self.tol}")
+
+    @property
+    def residual_tol(self) -> float:
+        return self.tol
+
+    @property
+    def cluster_tol(self) -> float:
+        return 10 * self.tol
+
+    @property
+    def rank_tol(self) -> float:
+        return self.tol / 10
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -190,35 +196,20 @@ def multiset_symmetry_match(spectrum, map: str, tol: float):
     return sorted((i, j) for j, i in enumerate(owner))
 
 
-def _nearest_certificate(dist, tol: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_certificate(dist) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, certified)`` of ``(..., n, n)`` distance tables: no pairing
     stays below ``bound``, the largest nearest-partner distance of any value
-    or image; where the ``n`` values can take ``n`` different images each at
-    its own nearest distance (``certified``), that pairing attains it.
+    or image; where the ``n`` values, each taking its first nearest image,
+    take ``n`` different images (``certified``), that pairing attains it.
     The tables of the three maps are symmetric bit for bit
     (``|s_i - f(s_j)| = |s_j - f(s_i)|``: the parts are negated, or summed in
     swapped order), so the nearest image of each value also gives the
     nearest value of each image
-    (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``).
-
-    Each value takes its first nearest image.  Where two of them collide and
-    ``bound <= tol``, a second pass over those tables alone lets repeated
-    values (equal rows of the table) spread over their tied nearest images:
-    the ``r``-th copy takes the ``r``-th column at the row minimum."""
-    nearest = dist.min(axis=-1)
-    bound = nearest.max(axis=-1)
+    (``tests/test_classes.py::test_symmetry_distance_tables_are_symmetric``)."""
+    bound = dist.min(axis=-1).max(axis=-1)
     n = dist.shape[-1]
     certified = (np.sort(dist.argmin(axis=-1), axis=-1) == np.arange(n)).all(axis=-1)
-    certified = certified.reshape(-1)
-    left = np.flatnonzero(~certified & (bound.reshape(-1) <= tol))
-    if left.size:
-        D = dist.reshape(-1, n, n)[left]
-        tied = D == nearest.reshape(-1, n)[left, :, None]
-        copy = np.tril((D[:, :, None] == D[:, None]).all(axis=-1), -1).sum(axis=-1)
-        pick = tied & (tied.cumsum(axis=-1) == copy[..., None] + 1)
-        spread = np.sort(pick.argmax(axis=-1), axis=-1) == np.arange(n)
-        certified[left] = (spread & pick.any(axis=-1)).all(axis=-1)
-    return bound, certified.reshape(bound.shape)
+    return bound, certified
 
 
 def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
@@ -233,7 +224,7 @@ def _symmetry_pairs(spectrum, maps: list[str], tol: float) -> list[bool]:
     images = np.empty((len(maps), s.size), dtype=complex)
     for row, name in zip(images, maps):
         row[:] = SYMMETRY_MAPS[name](s)
-    bound, certified = _nearest_certificate(np.abs(s[:, None] - images[:, None, :]), tol)
+    bound, certified = _nearest_certificate(np.abs(s[:, None] - images[:, None, :]))
     return [(ok and b <= tol)
             or (not b > tol and multiset_symmetry_match(s, name, tol) is not None)
             for name, b, ok in zip(maps, bound.tolist(), certified.tolist())]

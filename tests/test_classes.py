@@ -233,7 +233,7 @@ def test_special_case_implies_class():
 
 
 def test_classify_with_loose_tolerances():
-    cfg = ToleranceConfig(cluster_tol=1e-4, residual_tol=1e-6, rank_tol=1e-8)
+    cfg = ToleranceConfig(1e-6)
     H = np.array([[1j, 1], [1, -1j]], dtype=complex)  # defective at 0
     result = classify(H, cfg)
     assert CH in result.confirmed
@@ -366,7 +366,7 @@ def _table_corpus():
         yield Q @ J @ Q.T
 
 
-@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-4, 1e-5, 1e-6)])
+@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-5)])
 def test_cached_solver_tables_match_uncached_solver(cfg):
     for i, H in enumerate(_table_corpus()):
         result = classify(H, cfg)
@@ -505,7 +505,7 @@ def test_symmetry_distance_tables_are_symmetric():
                 assert dist.tobytes() == dist.swapaxes(-1, -2).tobytes(), (H, c, m)
 
 
-@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-4, 1e-5, 1e-6)])
+@pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(1e-5)])
 def test_stacked_pass_keeps_the_per_class_bytes(cfg):
     outcomes = set()
     for i, H in enumerate(_stacked_corpus()):

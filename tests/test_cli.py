@@ -474,8 +474,7 @@ def test_scan_jsonl_is_one_sorted_dump_per_candidate(capsys, request, family, gr
     with open(path, "rb") as fh:
         fam = parse_family(fh.read())
     threshold = float(extra[1]) if extra else None
-    cfg = ScanConfig(grid=grid, seed_threshold=threshold, tolerances=ToleranceConfig(
-        cluster_tol=10 * 1e-8, residual_tol=1e-8, rank_tol=1e-8 / 10))
+    cfg = ScanConfig(grid=grid, seed_threshold=threshold, tolerances=ToleranceConfig(1e-8))
     cands = scan(fam, SimilarityClass.PSEUDO_HERMITIAN, cfg)
     assert len(cands) == count
     # no candidates print nothing, not an empty line

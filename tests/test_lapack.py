@@ -217,7 +217,7 @@ def test_other_inputs_take_numpys_wrapper(monkeypatch):
         assert outcome(_lapack.solve, a, a) == outcome(np.linalg.solve, a, a)
 
 
-LINALG_CALLS = {"eigvals", "eigvalsh", "svd", "solve", "det", "lstsq"}
+LINALG_CALLS = {"eigvals", "eigvalsh", "svd", "solve", "det", "lstsq", "cond"}
 
 
 def _linalg_name(node):

@@ -75,8 +75,9 @@ def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path)
     assert len(boundary) == 36
     assert {code for flags, code in boundary if flags} == {0, 1}
     commands = {(command, flags[:1]) for command, _, flags in corpus}
-    assert commands == {("specht", ()), ("specht", ("--output",)),
-                        ("specht-generators", ()), ("specht-generators", ("--class",))}
+    assert commands == {("specht", ()), ("specht", ("--output",)), ("specht", ("--tol",)),
+                        ("specht-generators", ()), ("specht-generators", ("--class",)),
+                        ("specht-generators", ("--tol",))}
     # the Hermitian and anti-Hermitian members reach the identity candidate
     identity = output_identity.matrix_doc(np.eye(2, dtype=complex))
     found = set()
@@ -158,6 +159,7 @@ def test_scan_corpus_reaches_every_class_the_overflow_and_every_threshold(tmp_pa
     exponents = {e for doc, _ in corpus for t in doc["terms"] for e in t["exponents"]}
     assert {2, 3} < exponents
     assert any("--fix" in flags for _, flags in corpus)
+    assert any("--tol" in flags for _, flags in corpus)
     # a grid of several evaluation blocks whose last block is partial, and
     # a 4 x 4 grid, all of whose nodes are exact, of more than one block
     from nhsim import epfinder

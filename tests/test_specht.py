@@ -568,7 +568,7 @@ def test_class_check_keeps_the_two_pass_bytes_and_errors():
                 traces, got, norms = _compare_in_range(stack, _PROGRAMS[2], tol)
                 assert got == mismatches, (i, cls, tol)
                 assert _bytes(norms[:1]) == _bytes([frob(stack[0])]), i
-                cfg = ToleranceConfig(10 * tol, tol, tol / 10)
+                cfg = ToleranceConfig(tol)
                 try:
                     found = check_similarity_implies_symmetry_2x2(H, cls, cfg)
                 except ClassMismatchError as exc:

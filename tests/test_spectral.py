@@ -44,16 +44,12 @@ def degenerate_spectrum(rng, n, fmap):
 
 
 def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(cluster_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(cluster_tol=1e-10, rank_tol=1e-9)
-    for bad in (np.nan, np.inf):
-        for field in ("cluster_tol", "residual_tol", "rank_tol"):
-            with pytest.raises(ValueError, match="finite"):
-                ToleranceConfig(**{field: bad})
+    # 5e-324 / 10 underflows to 0 and 10 * 1e308 overflows
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-8, 5e-324, 1e308):
+        with pytest.raises(ValueError, match="must have 10\\*tol finite and tol/10 > 0"):
+            ToleranceConfig(bad)
     cfg = ToleranceConfig()
-    assert cfg.cluster_tol >= cfg.rank_tol
+    assert (cfg.cluster_tol, cfg.residual_tol, cfg.rank_tol) == (1e-7, 1e-8, 1e-9)
 
 
 def test_eigenvalues_examples():

@@ -107,7 +107,11 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     ``R`` real, ``i`` times that, and ``S diag(a, -a[, 0]) S^-1``), on a
     generic matrix (exit 1), on members times 2^±600 and on a Hermitian and
     an anti-Hermitian matrix, whose 2x2 pseudo-Hermitian and chiral
-    symmetry generators are the identity.  Last, 2x2 members
+    symmetry generators are the identity; and at ``--tol`` 1e-5 and 1e-11,
+    the real member plus ``tol`` times a drawn matrix at its norm, under
+    ``specht`` against the member and under ``specht-generators`` without
+    ``--class`` (which runs ``classify``): a tenfold error in the derived
+    residual tolerance changes their output.  Last, 2x2 members
     of each class times ``1 + eps noise`` (entrywise, complex normal noise,
     eps = 1e-9, 1e-8, 1e-7), with and without ``--class``: near the class
     boundary, where the word-trace check of ``--class`` can reject a class
@@ -139,6 +143,10 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
             out.append(("specht-generators", [M], ()))
             out += [("specht-generators", [M], ("--class", tag))
                     for tag in ("pseudo-hermitian", "chiral", "self-skew")]
+        for tol in ("1e-5", "1e-11"):
+            near = real + float(tol) * np.linalg.norm(real) / np.linalg.norm(A) * A
+            out += [("specht", [real, near], ("--tol", tol)),
+                    ("specht-generators", [near], ("--tol", tol))]
     out.append(("specht", [cplx(2), cplx(3)], ()))
     S = cplx(2)
     real = S @ rng.standard_normal((2, 2)) @ np.linalg.inv(S)
@@ -175,10 +183,12 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     anticommuting with ``diag(1, -1[, 1])`` (self-skew).  Then two constant
     families, whose grid norms all tie (one at an EP, norm 0); the trimer
     times 2^-300 (no node in the closed forms' window), 2^-99 (the window's
-    edge crosses the grid) and 2^300 (the norms overflow: exit 2); and
+    edge crosses the grid) and 2^300 (the norms overflow: exit 2);
     ``--seed-threshold`` 0, a seeded value and ``inf`` on the dimer and the
-    trimer.  Last, two pseudo-Hermitian families with an indefinite ``eta``:
-    a 3 x 3 one with exponents 2 and 3, ``eta (B0 + p^2 B1 + q^3 B2
+    trimer; and the trimer times 2^-99 at ``--tol 1e-2``, whose order
+    certificates change with the derived clustering radius and rank cutoff.
+    Last, two pseudo-Hermitian families with an indefinite ``eta``: a 3 x 3
+    one with exponents 2 and 3, ``eta (B0 + p^2 B1 + q^3 B2
     + p q^2 B3 + r B4)``, scanned over p and q on a 121 x 61 grid with r
     ``--fix``ed (7,381 nodes: several evaluation blocks of
     ``nhsim.epfinder``, the last one partial), and a 4 x 4 one,
@@ -243,6 +253,7 @@ def scan_corpus(seed: int) -> list[tuple[dict, tuple[str, ...]]]:
     for threshold in ("0", repr(float(rng.uniform(0.05, 0.5))), "inf"):
         out.append((dimer, (*ph, "--grid", "gamma=-2:2:101", "--seed-threshold", threshold)))
         out.append((trimer(), (*ph, *trimer_grid, "--seed-threshold", threshold)))
+    out.append((trimer(2.0**-99), (*ph, *trimer_grid, "--tol", "1e-2")))
     for n, exps, names, grids in (
         (3, ((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)), ("p", "q", "r"),
          ("--grid", "p=-1.5:1.5:121", "--grid", "q=-1.2:1.4:61",
