@@ -63,7 +63,7 @@ from .errors import (
 )
 from .families import parse_family
 from .matrices import matrix_to_json, parse_matrix
-from .specht import CLASS_SYMMETRIES, _class_generators, mapped_target, word_profile
+from .specht import CLASS_SYMMETRIES, _class_generators, _symmetry_stack, word_profile
 from .spectral import ToleranceConfig
 
 
@@ -225,8 +225,7 @@ def _cmd_specht_generators(args):
     payload = {}
     for cls in classes:
         symmetries = CLASS_SYMMETRIES[cls]
-        stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
-        profile = word_profile(stack, cfg.residual_tol)
+        profile = word_profile(_symmetry_stack(H, symmetries), cfg.residual_tol)
         if why := profile.unprintable():
             raise SystemExit2(f"word traces {why}; rescale the matrices")
         words, traces, mismatches = profile

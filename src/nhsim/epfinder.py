@@ -78,6 +78,9 @@ IDENTITY_TOL = 1e-8
 #: Constraint accuracy from which :func:`certify_order` sizes its cluster.
 CERTIFY_CONSTRAINT_TOL = 1e-10
 
+#: Grid-spacing-normalized distance within which :func:`scan` merges roots.
+MERGE_RADIUS = 1e-4
+
 
 def _shifted(H: np.ndarray) -> np.ndarray:
     """``H - (tr H / n) I`` for one matrix or a stack of them.
@@ -107,11 +110,6 @@ def _raw_components(n: int):
     tr H~^k for 2 <= k < n, then det H~ with k = n."""
     return [(f"{p} " + (f"tr H^{k}" if k < n else "det"), k, p.lower())
             for k in range(2, n + 1) for p in ("Re", "Im")]
-
-
-@functools.cache
-def _column_index(n: int) -> dict[str, int]:
-    return {lab: j for j, (lab, *_rest) in enumerate(_raw_components(n))}
 
 
 def _kept(cls: SimilarityClass, k: int, part: str) -> bool:
@@ -146,24 +144,28 @@ class ConstraintSystem:
         the identity check and the scan's grid read the same ones."""
         return _trace_polynomials(self.family)
 
-    def evaluate_many(self, lams, labels=None) -> np.ndarray:
-        """Constraint rows at a stack of points, ``(N, d) -> (N, k)``.
+    @functools.cached_property
+    def _columns(self) -> list[int]:
+        """The :func:`_components` columns of ``labels``, found once per
+        system."""
+        raw = [lab for lab, *_ in _raw_components(self.order)]
+        return [raw.index(lab) for lab in self.labels]
 
-        ``labels`` selects components by name (default: the active
-        constraints ``self.labels``; ``self.forced_zero`` gives the ones
-        the class forces to vanish).  Points are evaluated in blocks of
-        ``_BLOCK_POINTS`` by ``family.evaluate_batch``, so that memory stays
-        bounded on large exact grids; each row is the same whatever the
-        block.  The row of a point where the family or a component
-        overflows is not finite; every caller checks for that.
+    def evaluate_many(self, lams) -> np.ndarray:
+        """Active constraint rows at a stack of points, ``(N, d) -> (N, k)``.
+
+        Points are evaluated in blocks of ``_BLOCK_POINTS`` by
+        ``family.evaluate_batch``, so that memory stays bounded on large
+        exact grids; each row is the same whatever the block.  The row of a
+        point where the family or a component overflows is not finite;
+        every caller checks for that.
         """
         lams = np.asarray(lams, dtype=float)
-        column = _column_index(self.order)
-        cols = [column[lab] for lab in (self.labels if labels is None else labels)]
-        out = np.empty((len(lams), len(cols)))
+        out = np.empty((len(lams), len(self._columns)))
         for start in range(0, len(lams), _BLOCK_POINTS):
             block = slice(start, start + _BLOCK_POINTS)
-            out[block] = _components(_shifted(self.family.evaluate_batch(lams[block])), cols)
+            out[block] = _components(
+                _shifted(self.family.evaluate_batch(lams[block])), self._columns)
         return out
 
     def evaluate(self, lam) -> np.ndarray:
@@ -378,12 +380,10 @@ class ScanConfig:
     the units of the active components, and ``tr H~^k`` and ``det H~`` have
     degree ``k`` (``n`` for the determinant) in H, so a family scaled to
     ``c f`` needs values scaled with it, component by component.
-    ``merge_radius`` is measured in
-    grid-spacing-normalized parameter distance.  ``tolerances`` drive the
-    order certification of converged roots.  A NaN, infinite or negative
-    ``tol`` or ``merge_radius``, a ``max_iterations`` that is negative or not
-    an integer (a bool is not one) or a NaN ``seed_threshold`` raises
-    ``ValueError``.
+    ``tolerances`` drive the order certification of converged roots, which
+    merge within the constant ``MERGE_RADIUS``.  A NaN, infinite or negative
+    ``tol``, a ``max_iterations`` that is negative or not an integer (a bool
+    is not one) or a NaN ``seed_threshold`` raises ``ValueError``.
     """
 
     grid: dict[str, tuple[float, float, int]]
@@ -391,15 +391,11 @@ class ScanConfig:
     seed_threshold: float | None = None
     max_iterations: int = 50
     tol: float = 1e-10
-    merge_radius: float = 1e-4
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        if not 0 <= self.merge_radius < np.inf:
-            raise ValueError(
-                f"merge_radius must be finite and >= 0, got {self.merge_radius}")
         if not _is_int(self.max_iterations) or self.max_iterations < 0:
             raise ValueError(
                 f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
@@ -727,8 +723,7 @@ def _grid_minima(cs: ConstraintSystem, lams: np.ndarray, shape, threshold):
     lo = np.full(len(lams), np.nan)
     hi = lo.copy()
     if cs.order <= 3:
-        column = _column_index(cs.order)
-        poly = _grid_polynomials(cs.polynomials, [column[lab] for lab in cs.labels])
+        poly = _grid_polynomials(cs.polynomials, cs._columns)
         for start in range(0, len(lams), _BLOCK_POINTS):
             block = slice(start, start + _BLOCK_POINTS)
             lo[block], hi[block] = _norm_bounds(poly, lams[block])
@@ -759,7 +754,7 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     (:func:`_norm_bounds`); the exact batched evaluation runs only at nodes
     where an interval cannot decide a comparison or the ``seed_threshold``
     test, or where no bound is proven, and for n >= 4 at every node.  The seeds are those of the exact norms.
-    Converged roots are deduplicated within ``cfg.merge_radius`` (grid-
+    Converged roots are deduplicated within ``MERGE_RADIUS`` (grid-
     normalized), sorted lexicographically by parameter values and certified
     with :func:`certify_order`.  Non-convergent seeds are reported at the
     end of the list with ``converged=False``.  When the family has fewer
@@ -827,7 +822,7 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     x, res, its, ok = _gauss_newton(g_many, seeds, cfg.max_iterations, cfg.tol)
 
     roots = _lexsorted(np.flatnonzero(ok), x)
-    roots = roots[_merge_keep(x[roots], spacings, cfg.merge_radius)]
+    roots = roots[_merge_keep(x[roots], spacings, MERGE_RADIUS)]
     failures = _lexsorted(np.flatnonzero(~ok), x)
 
     lams = embed(x)
@@ -1005,30 +1000,24 @@ def splitting_exponent(
     f: MatrixFamily,
     lam_star,
     direction,
-    steps: int = 12,
-    t_range: tuple[float, float] = (1e-9, 1e-3),
     cluster_size: int | None = None,
 ) -> float:
     """Slope of log(eigenvalue spread) vs log(t) along a perturbation ray.
 
     The trace-shifted eigenvalues at ``lam* + t*direction`` are reduced to
     the ``cluster_size`` values closest to zero (default: all of them) and
-    their diameter is fitted against ``t`` on a log-log grid.  A branch
+    their diameter is fitted against ``t`` at 12 values of ``t``, evenly
+    spaced in ``log t`` from 1e-9 to 1e-3.  A branch
     point of order m yields a slope near 1/m; an analytic crossing yields
-    slope near 1.  Raises ``RuntimeError`` when the spread stays below the
-    noise floor, so that no fit is possible, or overflows.  A zero
-    ``direction``, ``steps`` that is not an integer >= 4, a ``t_range`` bound
-    that is not finite and > 0, and a ``cluster_size`` that is not ``None``
-    or an integer from 1 to the dimension raise ``ValueError``.
+    slope near 1.  Raises ``RuntimeError`` when fewer than 4 spreads rise
+    above the noise floor, so that no fit is possible, or a spread
+    overflows.  A zero ``direction`` and a ``cluster_size`` that is not
+    ``None`` or an integer from 1 to the dimension raise ``ValueError``.
     """
     lam_star = np.asarray(lam_star, dtype=float).ravel()
     direction = np.asarray(direction, dtype=float).ravel()
     if not direction.any():
         raise ValueError("direction must be nonzero")
-    if not _is_int(steps) or steps < 4:
-        raise ValueError(f"steps must be an integer >= 4, got {steps!r}")
-    if not all(0 < t < np.inf for t in t_range):
-        raise ValueError(f"t_range bounds must be finite and > 0, got {t_range!r}")
     if cluster_size is not None and not (_is_int(cluster_size)
                                          and 1 <= cluster_size <= f.dim):
         raise ValueError(
@@ -1040,7 +1029,7 @@ def splitting_exponent(
     Ht = as_matrix(_shifted(f.evaluate(lam_star)))
     e = int(scale_exponents(Ht[None], max(f.dim, 2))[0])
     scale = frob(ldexp_complex(Ht, e))
-    ts = np.logspace(np.log10(t_range[0]), np.log10(t_range[1]), steps)
+    ts = np.logspace(-9.0, -3.0, 12)
     with np.errstate(over="ignore", invalid="ignore"):
         # a point or a spread that overflows is reported below
         points = lam_star + ts[:, None] * direction

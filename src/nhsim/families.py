@@ -181,14 +181,15 @@ def family_to_json(f: MatrixFamily) -> dict:
     }
 
 
-def constraint_jacobian(g, lam0, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def constraint_jacobian(g, lam0) -> np.ndarray:
     """Central-difference Jacobian of a real vector function of ``lam``.
 
-    Per-coordinate step ``h_i = h * max(1, |lam_i|)``; O(h^2) accurate on
-    smooth functions.  ``g`` maps one point to one vector; it is called at
-    each of the ``2d`` difference points of :func:`constraint_jacobians`.
-    Raises ``NonFiniteMatrixError`` when ``g`` produces non-finite values
-    near ``lam0``.
+    Per-coordinate step ``h_i = h * max(1, |lam_i|)`` with
+    ``h = DEFAULT_FD_STEP``; O(h^2) accurate on smooth functions.  ``g``
+    maps one point to one vector; it is called at each of the ``2d``
+    difference points of :func:`constraint_jacobians`.  Raises
+    ``NonFiniteMatrixError`` when ``g`` produces non-finite values near
+    ``lam0``.
     """
     lam0 = np.asarray(lam0, dtype=float).ravel()
     if lam0.size == 0:
@@ -197,10 +198,10 @@ def constraint_jacobian(g, lam0, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     def g_many(pts):
         return np.array([np.atleast_1d(np.asarray(g(p), dtype=float)) for p in pts])
 
-    return constraint_jacobians(g_many, lam0[None], h)[0]
+    return constraint_jacobians(g_many, lam0[None])[0]
 
 
-def constraint_jacobians(g_many, lams, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def constraint_jacobians(g_many, lams) -> np.ndarray:
     """Central-difference Jacobians at a stack of points, ``(S, d) -> (S, k, d)``.
 
     ``g_many`` maps an ``(M, d)`` stack of points to an ``(M, k)`` array;
@@ -212,7 +213,7 @@ def constraint_jacobians(g_many, lams, h: float = DEFAULT_FD_STEP) -> np.ndarray
     """
     lams = np.asarray(lams, dtype=float)
     S, d = lams.shape
-    steps = h * np.maximum(1.0, np.abs(lams))
+    steps = DEFAULT_FD_STEP * np.maximum(1.0, np.abs(lams))
     # rows 2i and 2i + 1 of point s are lam_s + h_i e_i and lam_s - h_i e_i
     pts = np.repeat(lams[:, None], 2 * d, axis=1)
     i = np.arange(d)

@@ -290,31 +290,34 @@ def word_trace(H, w: Word) -> complex:
     return complex(word_traces(as_matrix(H)[None], [w])[0, 0])
 
 
-def trace_profile(H, n: int | None = None) -> list[tuple[Word, complex]]:
+def trace_profile(H) -> list[tuple[Word, complex]]:
+    """The canonical words of ``H``'s dimension with their traces."""
     H = as_matrix(H)
-    words = word_list(H.shape[0] if n is None else n)
+    words = word_list(H.shape[0])
     return [(w, complex(t)) for w, t in zip(words, word_traces(H[None], words)[0])]
 
 
-def compare_profiles(A, B, tol: float = 1e-8):
+def compare_profiles(A, B):
     """Word-by-word trace comparison; returns the list of mismatches.
 
     Each mismatch is ``(word, trace of A, trace of B)``, with the traces of
     ``A`` and ``B`` as given (they may overflow or underflow where the
-    pair's scale does); the test is :func:`word_profile`, which does not
-    depend on the scale.
+    pair's scale does); the test is :func:`word_profile` at
+    ``DEFAULT_TOLERANCES.residual_tol``, which does not depend on the scale.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise ValueError("matrices must have equal dimension")
-    words, traces, (bad,) = word_profile(np.stack([A, B]), tol)
+    profile = word_profile(np.stack([A, B]), DEFAULT_TOLERANCES.residual_tol)
+    words, traces, (bad,) = profile
     return [(words[j], complex(traces[0, j]), complex(traces[1, j])) for j in bad]
 
 
-def unitary_similarity_test(A, B, tol: float = 1e-8) -> bool:
-    """Whether ``A = U B U^+`` for some unitary ``U`` (n <= 3)."""
-    return not compare_profiles(A, B, tol)
+def unitary_similarity_test(A, B) -> bool:
+    """Whether ``A = U B U^+`` for some unitary ``U`` (n <= 3), decided by
+    :func:`compare_profiles`."""
+    return not compare_profiles(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +380,19 @@ def mapped_target(H, symmetry: str) -> np.ndarray:
     """``sign T(H)``, which the symmetry makes unitarily similar to ``H``."""
     target, sign, _ = SYMMETRY_TARGETS[symmetry]
     return sign * np.asarray(target(H))
+
+
+def _symmetry_stack(H: np.ndarray, symmetries) -> np.ndarray:
+    """The ``(1 + s, n, n)`` stack of a validated ``H`` and its mapped
+    targets ``sign T(H)`` for ``symmetries``, the stack whose word traces
+    decide the class and the n = 3 evidence; each target has the bytes of
+    :func:`mapped_target`."""
+    stack = np.empty((1 + len(symmetries),) + H.shape, dtype=complex)
+    stack[0] = H
+    for out, symmetry in zip(stack[1:], symmetries):
+        target, sign, _ = SYMMETRY_TARGETS[symmetry]
+        np.multiply(sign, target(H), out=out)
+    return stack
 
 
 @functools.cache
@@ -472,11 +488,7 @@ def _class_generators(H, cls: SimilarityClass, tol: float | None):
     if H.shape[0] != 2:
         raise UnsupportedDimensionError("this check is a 2x2 statement")
     symmetries = CLASS_SYMMETRIES[cls]
-    stack = np.empty((3, 2, 2), dtype=complex)
-    stack[0] = H
-    for out, symmetry in zip(stack[1:], symmetries):
-        target, sign, _ = SYMMETRY_TARGETS[symmetry]
-        np.multiply(sign, target(H), out=out)  # mapped_target(H, symmetry)
+    stack = _symmetry_stack(H, symmetries)
     if tol is None:
         return solve_generators(H, symmetries, stack[1:], frob(H))
     words = _WORDS[2]
@@ -525,46 +537,42 @@ class CounterexampleEvidence:
         }
 
 
-def n3_counterexample(
-    cls: SimilarityClass,
-    seed: int = 0,
-    threshold: float = 1e-6,
-    max_resamples: int = 100,
-) -> CounterexampleEvidence:
+#: draws of :func:`n3_counterexample` before it gives up
+N3_MAX_RESAMPLES = 100
+
+
+def n3_counterexample(cls: SimilarityClass, seed: int = 0) -> CounterexampleEvidence:
     """Certified evidence that class membership does not imply symmetry.
 
-    Draws non-normal 3x3 class members and searches the canonical word list
-    for a trace mismatch between ``H`` and a mapped target whose unitary
-    similarity the symmetry would require.  The mismatch bound is absolute
-    (``threshold``) on the raw trace difference.
+    Draws non-normal 3x3 class members (up to ``N3_MAX_RESAMPLES`` of
+    them) and returns the first word-trace mismatch, in symmetry then word
+    order, between ``H`` and a mapped target whose unitary similarity the
+    symmetry would require.  The mismatch is decided by
+    :func:`word_profile` at ``DEFAULT_TOLERANCES.residual_tol``, the rule of
+    ``nhsim specht-generators``, whose evidence for the returned matrix
+    starts with this record.  Raises ``RuntimeError`` when no draw has one.
 
     Note the sublattice comparison ``(H, -H)`` can never mismatch for a
     self-skew-similar matrix (odd word traces vanish identically), so for
     that class the evidence always comes from the pseudo-chiral target.
     """
-    if not 0 < threshold < np.inf:
-        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-    if max_resamples < 1:
-        raise ValueError(f"max_resamples must be >= 1, got {max_resamples}")
-    words = word_list(3)
     symmetries = CLASS_SYMMETRIES[cls]
-    for attempt in range(max_resamples):
+    for attempt in range(N3_MAX_RESAMPLES):
         H = generate_random(cls, 3, seed + 7919 * attempt, non_normal=True)
-        stack = np.stack([H] + [mapped_target(H, symmetry) for symmetry in symmetries])
-        traces = word_traces(stack, words)
-        for i, symmetry in enumerate(symmetries, start=1):
-            for j, w in enumerate(words):
-                ta, tb = complex(traces[0, j]), complex(traces[i, j])
-                if abs(ta - tb) > threshold:
-                    return CounterexampleEvidence(
-                        similarity_class=cls,
-                        matrix=H,
-                        symmetry=symmetry,
-                        word=w,
-                        trace_lhs=ta,
-                        trace_rhs=tb,
-                        attempts=attempt + 1,
-                    )
+        words, traces, mismatches = word_profile(
+            _symmetry_stack(H, symmetries), DEFAULT_TOLERANCES.residual_tol)
+        for i, (symmetry, bad) in enumerate(zip(symmetries, mismatches), start=1):
+            if bad:
+                j = bad[0]
+                return CounterexampleEvidence(
+                    similarity_class=cls,
+                    matrix=H,
+                    symmetry=symmetry,
+                    word=words[j],
+                    trace_lhs=complex(traces[0, j]),
+                    trace_rhs=complex(traces[i, j]),
+                    attempts=attempt + 1,
+                )
     raise RuntimeError(
-        f"no word-trace mismatch found for {cls.value} in {max_resamples} samples"
+        f"no word-trace mismatch found for {cls.value} in {N3_MAX_RESAMPLES} samples"
     )

@@ -99,7 +99,7 @@ def test_criterion_3_generator_recovery_2x2():
 def test_criterion_4_counterexamples():
     worst = {}
     for cls in SimilarityClass:
-        ev = n3_counterexample(cls, seed=0, max_resamples=100)
+        ev = n3_counterexample(cls, seed=0)
         worst[cls.value] = ev.mismatch
     ok = all(m > 1e-6 for m in worst.values())
     assert report(4, ok, ", ".join(f"{k}: {v:.3g}" for k, v in worst.items())), worst

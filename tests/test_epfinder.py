@@ -57,6 +57,13 @@ def dimer():
     return MatrixFamily(2, 1, ((SX, (0,)), (1j * SZ, (1,))), ("gamma",))
 
 
+def flip_family():
+    """``E01 + g E10``, pseudo-Hermitian with eigenvalues ``+-sqrt(g)``: an
+    EP2 at ``g = 0``."""
+    E01 = np.array([[0, 1], [0, 0]], dtype=complex)
+    return MatrixFamily(2, 1, ((E01, (0,)), (E01.T, (1,))), ("g",))
+
+
 def trimer():
     E = np.eye(3)
     K = (np.outer(E[0], E[1]) + np.outer(E[1], E[0])
@@ -349,7 +356,9 @@ def test_batched_grid_norms_bit_exact(family):
     pts = np.random.default_rng(2).uniform(-2, 2, size=(500, f.num_params))
     G = cs.evaluate_many(pts)
     norms = _row_norms(G)
-    F = cs.evaluate_many(pts, cs.forced_zero)
+    every = [lab for lab, *_ in _raw_components(cs.order)]
+    forced_cols = [every.index(lab) for lab in cs.forced_zero]
+    F = _components(_shifted(f.evaluate_batch(pts)), forced_cols)
     for p, g, nrm, forced in zip(pts, G, norms, F):
         active, ref_forced = reference_constraints(cs, p)
         assert g.tobytes() == active.tobytes()
@@ -378,20 +387,24 @@ def adversarial_family(n):
 
 def test_evaluate_many_chunking_is_invisible(monkeypatch):
     cases = [(reduced_constraints(cubic_family(), PH),
-              np.random.default_rng(3).uniform(-2, 2, size=(50, 3)), None, (7,))]
-    # every component of the adversarial families, whose rows are finite and not
+              np.random.default_rng(3).uniform(-2, 2, size=(50, 3)), (7,))]
+    # the adversarial families, whose rows are finite and not, in every
+    # component and in the active ones
     for n in (2, 3, 4, 7):
         f, lams = adversarial_family(n)
-        every = [lab for lab, *_ in _raw_components(n)]
-        cases.append((epfinder._build_system(f, PH), lams, every, (17, 300)))
-    for cs, pts, labels, blocks in cases:
-        whole = cs.evaluate_many(pts, labels)
-        if labels:
-            finite = np.isfinite(whole).all(axis=1)
-            assert finite.any() and not finite.all()
+        cs = epfinder._build_system(f, PH)
+        every = list(range(len(_raw_components(n))))
+        for cols in (every, cs._columns):
+            finite = np.isfinite(_components(_shifted(f.evaluate_batch(lams)), cols))
+            assert finite.all(axis=1).any() and not finite.all(), (n, cols)
+        cases.append((cs, lams, (17, 300)))
+    for cs, pts, blocks in cases:
+        whole = cs.evaluate_many(pts)
+        ref = _components(_shifted(cs.family.evaluate_batch(pts)), cs._columns)
+        assert whole.tobytes() == ref.tobytes()
         for points in blocks:
             monkeypatch.setattr(epfinder, "_BLOCK_POINTS", points)
-            assert cs.evaluate_many(pts, labels).tobytes() == whole.tobytes()
+            assert cs.evaluate_many(pts).tobytes() == whole.tobytes()
         monkeypatch.undo()
 
 
@@ -506,7 +519,7 @@ def reference_scan(f, cls, cfg):
     roots = sorted((r for r in refined if r[3]), key=lambda r: tuple(r[0]))
     merged = []
     for r in roots:
-        if not any(np.linalg.norm((r[0] - y[0]) / spacings) <= cfg.merge_radius
+        if not any(np.linalg.norm((r[0] - y[0]) / spacings) <= epfinder.MERGE_RADIUS
                    for y in merged):
             merged.append(r)
     failed = sorted((r for r in refined if not r[3]), key=lambda r: tuple(r[0]))
@@ -524,14 +537,15 @@ LOCKSTEP_SCANS = [
      {"max_iterations"}, False),
     (trimer, ScanConfig(grid=TRIMER_2D, tol=1e-15), {"converged", "line search"}, False),
     (trimer, ScanConfig(grid=TRIMER_2D, tol=0.0), {"line search"}, False),
-    (trimer, ScanConfig(grid=TRIMER_2D, merge_radius=3.0), {"converged"}, True),
+    # two seeds, g = -1/9 and 1/9, converge to the EP g = 0 and merge
+    (flip_family, ScanConfig(grid={"g": (-1.0, 1.0, 10)}), {"converged"}, True),
     (cubic_family, ScanConfig(grid=CUBIC_3D),
      {"converged", "max_iterations", "line search", "step"}, False),
     (cubic_family, ScanConfig(grid=CUBIC_3D, max_iterations=4),
      {"max_iterations", "line search", "step"}, False),
 ]
 LOCKSTEP_IDS = ["dimer", "dimer-max-iterations", "trimer", "trimer-line-search",
-                "trimer-merge", "cubic", "cubic-max-iterations"]
+                "flip-merge", "cubic", "cubic-max-iterations"]
 
 
 @pytest.mark.parametrize("family, cfg, reasons, merges", LOCKSTEP_SCANS, ids=LOCKSTEP_IDS)
@@ -803,9 +817,9 @@ def count_fallback(monkeypatch):
     calls = []
     exact = epfinder.ConstraintSystem.evaluate_many
 
-    def counting(self, lams, labels=None):
+    def counting(self, lams):
         calls.append(len(lams))
-        return exact(self, lams, labels)
+        return exact(self, lams)
 
     monkeypatch.setattr(epfinder.ConstraintSystem, "evaluate_many", counting)
     return calls
@@ -990,13 +1004,12 @@ def test_one_by_one_family_has_no_constraint_system(cls):
     ("tol", np.nan), ("tol", np.inf), ("tol", -1e-10),
     ("max_iterations", -3), ("max_iterations", 2.5), ("max_iterations", True),
     ("seed_threshold", np.nan),
-    ("merge_radius", np.nan), ("merge_radius", np.inf), ("merge_radius", -1e-4),
 ])
 def test_scan_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field):
         ScanConfig(grid={"gamma": (0, 3, 11)}, **{field: value})
     ScanConfig(grid={"gamma": (0, 3, 11)}, tol=0.0, max_iterations=0,
-               seed_threshold=np.inf, merge_radius=0.0)
+               seed_threshold=np.inf)
 
 
 def test_identity_check_finds_no_violation_on_the_trimer():
@@ -1579,16 +1592,11 @@ def test_splitting_exponent_degenerate_ray():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("steps", 3), ("steps", 0), ("steps", 6.0), ("steps", True),
-    ("t_range", (0.0, 1e-3)), ("t_range", (1e-9, -1e-3)), ("t_range", (np.nan, 1e-3)),
-    ("t_range", (1e-9, np.inf)),
     ("cluster_size", -1), ("cluster_size", 0), ("cluster_size", 4), ("cluster_size", 5),
     ("cluster_size", 2.0),
 ])
 def test_splitting_exponent_rejects_bad_arguments(name, value):
-    # steps < 4 read as a spread below the noise floor, a bad t_range as a
-    # non-finite parameter point, and cluster_size -1 dropped the farthest
-    # eigenvalue while 5 took all three
+    # cluster_size -1 dropped the farthest eigenvalue while 5 took all three
     with pytest.raises(ValueError, match=name):
         splitting_exponent(trimer(), [np.sqrt(2), 1.0], [1.0, 0.5], **{name: value})
 
@@ -1604,8 +1612,6 @@ def test_splitting_exponent_accepts_every_cluster_size():
     # cluster of one
     with pytest.raises(RuntimeError, match="noise floor"):
         splitting_exponent(trimer(), lam, direction, cluster_size=1)
-    assert splitting_exponent(trimer(), lam, direction, steps=4,
-                              t_range=(1e-6, 1e-3)) > 0
 
 
 def test_splitting_exponent_generic_ep3_third_root():

@@ -228,7 +228,7 @@ def test_parse_rejects_entries_that_are_not_number_pairs(entry):
 
 
 def test_constraint_jacobian_polynomials():
-    J = constraint_jacobian(lambda x: np.array([x[0] ** 2]), [3.0], h=1e-5)
+    J = constraint_jacobian(lambda x: np.array([x[0] ** 2]), [3.0])
     assert J[0, 0] == pytest.approx(6.0, abs=1e-8)
     J = constraint_jacobian(
         lambda x: np.array([x[0] * x[1], x[0] + x[1]]), [1.0, 1.0]

@@ -77,7 +77,17 @@ def test_cli_corpus_reaches_every_exit_code_and_both_unprintable_lines(tmp_path)
     commands = {(command, flags[:1]) for command, _, flags in corpus}
     assert commands == {("specht", ()), ("specht", ("--output",)), ("specht", ("--tol",)),
                         ("specht-generators", ()), ("specht-generators", ("--class",)),
-                        ("specht-generators", ("--tol",))}
+                        ("specht-generators", ("--tol",)), ("classify", ("--tol",))}
+    # classify at each --tol on a member whose pseudo-Hermitian pairing
+    # fails at the clustering radius 10 tol (and would hold at 100 tol),
+    # and on one whose pairing holds at 10 tol (and would fail at tol)
+    paired = {}
+    for (command, _, flags), (code, out, _) in zip(corpus, results):
+        if command == "classify":
+            doc = json.loads(out)
+            seen = "PseudoHermitian" in doc["classes"] + doc["spectral_only"]
+            paired.setdefault(flags[1], []).append(seen)
+    assert paired == {"1e-5": [False, True], "1e-11": [False, True]}
     # the Hermitian and anti-Hermitian members reach the identity candidate
     identity = output_identity.matrix_doc(np.eye(2, dtype=complex))
     found = set()

@@ -1,11 +1,15 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from nhsim import cli, specht
 from nhsim.classes import CLASS_MAP, SimilarityClass, construct_witness, generate_random
 from nhsim.errors import ClassMismatchError, UnsupportedDimensionError
-from nhsim.matrices import as_scaled_matrix, frob, frob_many, ldexp_complex, scaled_stack
+from nhsim.matrices import (
+    as_scaled_matrix, frob, frob_many, ldexp_complex, matrix_to_json, scaled_stack,
+)
 from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS, ToleranceConfig
 from nhsim.specht import (
     CLASS_SYMMETRIES,
@@ -835,24 +839,30 @@ A_TOL = np.array([[1, 2], [0, 3]])
 B_TOL = np.array([[5, 0], [1, -1]])
 
 
+def _similar_at(A, B, tol):
+    """The verdict of :func:`word_profile` on ``(A, B)`` at ``tol``."""
+    return word_profile(np.stack([A, B]).astype(complex), tol).mismatches == [[]]
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, np.inf, -np.inf])
 def test_word_profile_rejects_a_tolerance_outside_zero_to_inf(tol):
     # NaN accepted every pair, a negative tol rejected A against itself and
     # inf accepted every pair
     for A, B in ((A_TOL, B_TOL), (A_TOL, A_TOL)):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            unitary_similarity_test(A, B, tol)
-        with pytest.raises(ValueError, match="tol"):
-            word_profile(np.stack([A, B]).astype(complex), tol)
+            _similar_at(A, B, tol)
 
 
 def test_word_profile_accepts_tolerances_from_zero_to_any_finite_value():
     # tr X is 4 for both; tr XX is 10 against 26, tr XXdag 14 against 27
-    assert unitary_similarity_test(A_TOL, A_TOL, 0.0)
-    assert not unitary_similarity_test(A_TOL, B_TOL, 0.0)
-    assert not unitary_similarity_test(A_TOL, B_TOL, 0.5)
-    assert unitary_similarity_test(A_TOL, B_TOL, 1.0)  # bound 27 > 16
-    assert unitary_similarity_test(A_TOL, B_TOL, 1e300)
+    assert _similar_at(A_TOL, A_TOL, 0.0)
+    assert not _similar_at(A_TOL, B_TOL, 0.0)
+    assert not _similar_at(A_TOL, B_TOL, 0.5)
+    assert _similar_at(A_TOL, B_TOL, 1.0)  # bound 27 > 16
+    assert _similar_at(A_TOL, B_TOL, 1e300)
+    # the library verdict is the rule at the default tolerance
+    assert not unitary_similarity_test(A_TOL, B_TOL)
+    assert unitary_similarity_test(A_TOL, A_TOL)
 
 
 @pytest.mark.parametrize(
@@ -884,46 +894,59 @@ def test_the_library_verdict_and_the_class_check_do_not_ask_for_printability(
 
 
 # ---------------------------------------------------------------------------
-# n3_counterexample: argument checks, and unchanged evidence for valid ones
+# n3_counterexample: the one word-trace rule, and the evidence of the
+# absolute search it replaced
 
 
-def _reference_n3(cls, seed, threshold, max_resamples):
-    """The search as written before its arguments were checked."""
+def _reference_n3(cls, seed):
+    """The search as it decided before it took :func:`word_profile`'s rule:
+    the first raw trace difference above an absolute 1e-6, in 100 draws."""
     words = word_list(3)
     symmetries = CLASS_SYMMETRIES[cls]
-    for attempt in range(max_resamples):
+    for attempt in range(100):
         H = generate_random(cls, 3, seed + 7919 * attempt, non_normal=True)
         stack = np.stack([H] + [mapped_target(H, s) for s in symmetries])
         traces = word_traces(stack, words)
         for i, symmetry in enumerate(symmetries, start=1):
             for j, w in enumerate(words):
                 ta, tb = complex(traces[0, j]), complex(traces[i, j])
-                if abs(ta - tb) > threshold:
+                if abs(ta - tb) > 1e-6:
                     return symmetry, str(w), ta, tb, attempt + 1, H.tobytes()
     return None
 
 
-@pytest.mark.parametrize("threshold", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
-def test_n3_counterexample_rejects_a_bad_threshold(threshold):
-    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
-        n3_counterexample(PH, threshold=threshold)
-
-
-@pytest.mark.parametrize("max_resamples", [0, -1])
-def test_n3_counterexample_rejects_too_few_resamples(max_resamples):
-    with pytest.raises(ValueError, match="max_resamples must be >= 1"):
-        n3_counterexample(CH, max_resamples=max_resamples)
-
-
 def test_n3_counterexample_evidence_is_unchanged_for_valid_arguments():
     for cls in SimilarityClass:
-        for seed in range(4):
-            for threshold in (1e-12, 1e-6, 1e-1, 3.0):
-                ref = _reference_n3(cls, seed, threshold, 100)
-                ev = n3_counterexample(cls, seed, threshold)
-                assert ref == (ev.symmetry, str(ev.word), ev.trace_lhs, ev.trace_rhs,
-                               ev.attempts, ev.matrix.tobytes()), (cls, seed, threshold)
-    # one resample is enough to search, and a threshold no trace reaches fails
-    assert n3_counterexample(CH, 0, max_resamples=1).attempts == 1
-    with pytest.raises(RuntimeError, match="in 1 samples"):
-        n3_counterexample(CH, 0, threshold=1e300, max_resamples=1)
+        for seed in range(30):
+            ev = n3_counterexample(cls, seed)
+            assert _reference_n3(cls, seed) == (
+                ev.symmetry, str(ev.word), ev.trace_lhs, ev.trace_rhs,
+                ev.attempts, ev.matrix.tobytes()), (cls, seed)
+
+
+def test_n3_counterexample_is_the_first_cli_evidence_row(capsys, tmp_path):
+    for cls in SimilarityClass:
+        for seed in range(3):
+            ev = n3_counterexample(cls, seed)
+            p = tmp_path / f"{cls.value}-{seed}.json"
+            p.write_text(json.dumps(matrix_to_json(ev.matrix)))
+            assert cli.main(["specht-generators", str(p), "--class", cls.value]) == 0
+            first = json.loads(capsys.readouterr().out)["results"][cls.value][0]
+            doc = ev.to_json()
+            assert json.dumps(first, sort_keys=True) == json.dumps(
+                {key: doc[key] for key in first}, sort_keys=True), (cls, seed)
+
+
+def test_n3_counterexample_raises_when_no_draw_mismatches(monkeypatch):
+    # a real symmetric matrix is its own conjugate and adjoint, so neither
+    # pseudo-Hermitian target can tell it apart
+    draws = []
+
+    def symmetric(cls, n, seed, non_normal):
+        draws.append(seed)
+        return np.array([[1, 2, 0], [2, -1, 3], [0, 3, 0.5]], dtype=complex)
+
+    monkeypatch.setattr(specht, "generate_random", symmetric)
+    with pytest.raises(RuntimeError, match="PseudoHermitian in 100 samples"):
+        n3_counterexample(PH, 5)
+    assert draws == [5 + 7919 * k for k in range(100)]

@@ -111,11 +111,18 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
     the real member plus ``tol`` times a drawn matrix at its norm, under
     ``specht`` against the member and under ``specht-generators`` without
     ``--class`` (which runs ``classify``): a tenfold error in the derived
-    residual tolerance changes their output.  Last, 2x2 members
-    of each class times ``1 + eps noise`` (entrywise, complex normal noise,
-    eps = 1e-9, 1e-8, 1e-7), with and without ``--class``: near the class
-    boundary, where the word-trace check of ``--class`` can reject a class
-    that ``classify`` confirms.
+    residual tolerance changes their output.  Then ``classify`` at ``--tol``
+    1e-5 and 1e-11 on unitary conjugates of ``diag(l1, l2 + i delta)``
+    (real ``l1``, ``l2``, from a generator of their own): with ``delta`` 12
+    to 40 times ``tol |H|_F`` the pseudo-Hermitian pairing of ``l2 + i
+    delta`` with its conjugate (distance ``2 delta``) fails at the derived
+    clustering radius ``10 tol`` and would hold at ``100 tol``, and with 1.5
+    to 4 times it holds at ``10 tol`` and would fail at ``tol``, so a
+    clustering radius off by tenfold either way changes their output.
+    Last, 2x2 members of each class times ``1 + eps noise`` (entrywise,
+    complex normal noise, eps = 1e-9, 1e-8, 1e-7), with and without
+    ``--class``: near the class boundary, where the word-trace check of
+    ``--class`` can reject a class that ``classify`` confirms.
     """
     rng = np.random.default_rng([seed, 2])
 
@@ -147,6 +154,15 @@ def cli_corpus(seed: int) -> list[tuple[str, list[np.ndarray], tuple[str, ...]]]
             near = real + float(tol) * np.linalg.norm(real) / np.linalg.norm(A) * A
             out += [("specht", [real, near], ("--tol", tol)),
                     ("specht-generators", [near], ("--tol", tol))]
+    clustering = np.random.default_rng([seed, 4])
+    for tol in ("1e-5", "1e-11"):
+        for lo, hi in ((12.0, 40.0), (1.5, 4.0)):
+            l1, l2 = clustering.uniform(0.5, 2.0, 2) * clustering.choice([-1.0, 1.0], 2)
+            delta = float(tol) * clustering.uniform(lo, hi) * np.hypot(l1, l2)
+            Z = clustering.standard_normal((2, 2)) + 1j * clustering.standard_normal((2, 2))
+            U = np.linalg.qr(Z)[0]
+            H = U @ np.diag([l1, l2 + 1j * delta]) @ U.conj().T
+            out.append(("classify", [H], ("--tol", tol)))
     out.append(("specht", [cplx(2), cplx(3)], ()))
     S = cplx(2)
     real = S @ rng.standard_normal((2, 2)) @ np.linalg.inv(S)
