@@ -54,7 +54,7 @@ for M, name in [
     (np.array([[0, 1], [-1, 0]], dtype=complex), "i*sigma_y"),
     (np.array([[0, 1j], [1j, 0]]), "i*sigma_x"),
 ]:
-    print(f"  {name:10s} -> {sorted(detect_special_cases(M).flags)}")
+    print(f"  {name:10s} -> {sorted(detect_special_cases(M))}")
 
 banner("random in-class samples round-trip through classify")
 for cls in SimilarityClass:

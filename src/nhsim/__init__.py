@@ -13,7 +13,6 @@ from .classes import (
     ClassificationResult,
     SimilarityClass,
     SimilarityWitness,
-    SpecialCaseReport,
     classify,
     construct_witness,
     detect_special_cases,
@@ -41,8 +40,8 @@ from .errors import (
     NonFiniteMatrixError,
     UnsupportedDimensionError,
 )
-from .families import MatrixFamily, constraint_jacobian, constraint_jacobians, parse_family
-from .matrices import dump_matrix, matrix_to_json, parse_matrix
+from .families import MatrixFamily, constraint_jacobians, parse_family
+from .matrices import matrix_to_json, parse_matrix
 from .specht import (
     CounterexampleEvidence,
     Word,
@@ -67,7 +66,7 @@ __all__ = [
     "__version__",
     # classes
     "SimilarityClass", "SimilarityWitness", "ClassificationResult",
-    "SpecialCaseReport", "classify", "construct_witness", "witness_residual",
+    "classify", "construct_witness", "witness_residual",
     "factor", "generate_random", "detect_special_cases",
     # spectral
     "ToleranceConfig", "Spectrum", "JordanBlock", "eigenvalues",
@@ -77,13 +76,13 @@ __all__ = [
     "unitary_similarity_test", "check_similarity_implies_symmetry_2x2",
     "CounterexampleEvidence", "n3_counterexample",
     # families
-    "MatrixFamily", "parse_family", "constraint_jacobian", "constraint_jacobians",
+    "MatrixFamily", "parse_family", "constraint_jacobians",
     # ep-finder
     "ConstraintSystem", "class_identity_check", "reduced_constraints",
     "ScanConfig", "EPCandidate", "scan", "OrderCertificate", "certify_order",
     "splitting_exponent",
     # io
-    "parse_matrix", "dump_matrix", "matrix_to_json",
+    "parse_matrix", "matrix_to_json",
     # errors
     "NhsimError", "NonFiniteMatrixError", "EigensolverError",
     "ClassMismatchError", "UnsupportedDimensionError",

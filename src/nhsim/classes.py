@@ -69,7 +69,6 @@ from .spectral import (
 __all__ = [
     "SimilarityClass",
     "SimilarityWitness",
-    "SpecialCaseReport",
     "ClassificationResult",
     "classify",
     "construct_witness",
@@ -144,16 +143,6 @@ class SimilarityWitness:
 
 
 @dataclass
-class SpecialCaseReport:
-    """Defining-residual flags for the trivial generator-is-identity cases."""
-
-    flags: set[str] = field(default_factory=set)
-
-    def __contains__(self, flag: str) -> bool:
-        return flag in self.flags
-
-
-@dataclass
 class ClassificationResult:
     """Witness-confirmed classes plus diagnostics.
 
@@ -165,10 +154,6 @@ class ClassificationResult:
     confirmed: set[SimilarityClass] = field(default_factory=set)
     spectral_only: set[SimilarityClass] = field(default_factory=set)
     witnesses: dict[SimilarityClass, SimilarityWitness] = field(default_factory=dict)
-
-    @property
-    def candidates(self) -> set[SimilarityClass]:
-        return self.confirmed | self.spectral_only
 
 
 def witness_residual(H: np.ndarray, cls: SimilarityClass, S: np.ndarray) -> float:
@@ -488,9 +473,7 @@ def generate_random(
     )
 
 
-def detect_special_cases(
-    H, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> SpecialCaseReport:
+def detect_special_cases(H, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> set[str]:
     """Flags for the generator-is-identity special cases, each decided by a
     defining residual relative to ``|H|_F``, after the rescale of
     :func:`~nhsim.matrices.as_scaled_matrix`."""
@@ -510,4 +493,4 @@ def detect_special_cases(
         flags.add("AntiSymmetric")
     if is_normal(H, tol):
         flags.add("Normal")
-    return SpecialCaseReport(flags=flags)
+    return flags

@@ -132,7 +132,7 @@ def _cmd_classify(args):
         {
             "classes": sorted(c.value for c in result.confirmed),
             "spectral_only": sorted(c.value for c in result.spectral_only),
-            "special_cases": sorted(flags.flags),
+            "special_cases": sorted(flags),
             "witnesses": {
                 c.value: w.to_json() for c, w in sorted(
                     result.witnesses.items(), key=lambda kv: kv[0].value
@@ -285,12 +285,9 @@ def _cmd_scan(args):
         tol=args.newton_tol,
         tolerances=_tolerances(args),
     )
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            candidates = scan(fam, cls, cfg)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        candidates = scan(fam, cls, cfg)
     for w in caught:  # e.g. too few parameters for the codimension
         print(f"warning: {w.message}", file=sys.stderr)
     names = fam.param_names

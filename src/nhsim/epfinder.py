@@ -168,13 +168,6 @@ class ConstraintSystem:
                 _shifted(self.family.evaluate_batch(lams[block])), self._columns)
         return out
 
-    def evaluate(self, lam) -> np.ndarray:
-        """Active constraint vector at a parameter point."""
-        return self.evaluate_many(np.asarray(lam, dtype=float).reshape(1, -1))[0]
-
-    def __call__(self, lam) -> np.ndarray:
-        return self.evaluate(lam)
-
 
 def _components(Ht: np.ndarray, cols) -> np.ndarray:
     """Columns ``cols`` of the unreduced components of a stack of

@@ -29,7 +29,6 @@ __all__ = [
     "parse_family",
     "family_from_json",
     "family_to_json",
-    "constraint_jacobian",
     "constraint_jacobians",
 ]
 
@@ -46,8 +45,26 @@ class MatrixFamily:
     param_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        """Check every term against the family's shape; each exponent list
+        becomes a tuple."""
         if not self.terms:
             raise FamilyFormatError("family needs at least one term")
+        n, d = self.dim, self.num_params
+        for t, (M, exps) in enumerate(self.terms):
+            where = f"terms[{t}]"
+            if np.shape(M) != (n, n):
+                shape = "x".join(map(str, np.shape(M)))
+                raise FamilyFormatError(f"{where}.matrix is {shape}, family dim is {n}")
+            if not isinstance(exps, (list, tuple)) or len(exps) != d:
+                raise FamilyFormatError(
+                    f"{where}.exponents must list {d} entries, got {exps!r}"
+                )
+            for i, e in enumerate(exps):
+                if not is_json_int(e) or e < 0:
+                    raise FamilyFormatError(
+                        f"{where}.exponents[{i}] must be a nonnegative integer, got {e!r}"
+                    )
+        object.__setattr__(self, "terms", tuple((M, tuple(e)) for M, e in self.terms))
         names = self.param_names or tuple(
             f"p{i + 1}" for i in range(self.num_params)
         )
@@ -101,11 +118,6 @@ class MatrixFamily:
             raise NonFiniteMatrixError("non-finite parameter point")
         return lams
 
-    __call__ = evaluate
-
-    def to_json(self) -> dict:
-        return family_to_json(self)
-
 
 def family_from_json(doc: dict) -> MatrixFamily:
     """Validate and build a family from a decoded JSON document."""
@@ -131,21 +143,7 @@ def family_from_json(doc: dict) -> MatrixFamily:
             M = matrix_from_json(term["matrix"])
         except FamilyFormatError as exc:
             raise FamilyFormatError(f"{where}.matrix: {exc}") from exc
-        if M.shape[0] != n:
-            raise FamilyFormatError(
-                f"{where}.matrix is {M.shape[0]}x{M.shape[0]}, family dim is {n}"
-            )
-        exps = term["exponents"]
-        if not isinstance(exps, list) or len(exps) != d:
-            raise FamilyFormatError(
-                f"{where}.exponents must list {d} entries, got {exps!r}"
-            )
-        for i, e in enumerate(exps):
-            if not is_json_int(e) or e < 0:
-                raise FamilyFormatError(
-                    f"{where}.exponents[{i}] must be a nonnegative integer, got {e!r}"
-                )
-        terms.append((M, tuple(exps)))
+        terms.append((M, term["exponents"]))
     names = doc.get("param_names")
     if names is not None:
         if (
@@ -181,34 +179,15 @@ def family_to_json(f: MatrixFamily) -> dict:
     }
 
 
-def constraint_jacobian(g, lam0) -> np.ndarray:
-    """Central-difference Jacobian of a real vector function of ``lam``.
-
-    Per-coordinate step ``h_i = h * max(1, |lam_i|)`` with
-    ``h = DEFAULT_FD_STEP``; O(h^2) accurate on smooth functions.  ``g``
-    maps one point to one vector; it is called at each of the ``2d``
-    difference points of :func:`constraint_jacobians`.  Raises
-    ``NonFiniteMatrixError`` when ``g`` produces non-finite values near
-    ``lam0``.
-    """
-    lam0 = np.asarray(lam0, dtype=float).ravel()
-    if lam0.size == 0:
-        return np.zeros((np.atleast_1d(g(lam0)).size, 0))
-
-    def g_many(pts):
-        return np.array([np.atleast_1d(np.asarray(g(p), dtype=float)) for p in pts])
-
-    return constraint_jacobians(g_many, lam0[None])[0]
-
-
 def constraint_jacobians(g_many, lams) -> np.ndarray:
     """Central-difference Jacobians at a stack of points, ``(S, d) -> (S, k, d)``.
 
     ``g_many`` maps an ``(M, d)`` stack of points to an ``(M, k)`` array;
     the ``2dS`` difference points of all ``S`` Jacobians are evaluated in
-    one call, so each Jacobian is bit for bit the one
-    :func:`constraint_jacobian` gives at its point when ``g_many``
-    evaluates rows independently.  Raises ``NonFiniteMatrixError`` when
+    one call, so each Jacobian is bit for bit a one-point stack's when
+    ``g_many`` evaluates rows independently.  Per-coordinate step
+    ``h_i = h * max(1, |lam_i|)`` with ``h = DEFAULT_FD_STEP``; O(h^2)
+    accurate on smooth functions.  Raises ``NonFiniteMatrixError`` when
     any Jacobian is not finite.
     """
     lams = np.asarray(lams, dtype=float)

@@ -26,7 +26,6 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "parse_matrix",
-    "dump_matrix",
 ]
 
 
@@ -218,7 +217,3 @@ def parse_matrix(text: str | bytes) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise FamilyFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_json(doc)
-
-
-def dump_matrix(H: np.ndarray) -> str:
-    return json.dumps(matrix_to_json(H))

@@ -61,7 +61,6 @@ __all__ = [
     "trace_profile",
     "word_profile",
     "unitary_similarity_test",
-    "compare_profiles",
     "GeneratorSearch",
     "check_similarity_implies_symmetry_2x2",
     "CounterexampleEvidence",
@@ -91,25 +90,6 @@ class Word:
 
     def __str__(self):
         return "".join(self.letters)
-
-    def rotated(self, k: int = 1) -> "Word":
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
-
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        letters = []
-        i = 0
-        while i < len(text):
-            if text.startswith(XDAG, i):
-                letters.append(XDAG)
-                i += len(XDAG)
-            elif text[i] == X:
-                letters.append(X)
-                i += 1
-            else:
-                raise ValueError(f"cannot parse word {text!r} at position {i}")
-        return cls(tuple(letters))
 
 
 def _w(spec: str) -> Word:
@@ -297,27 +277,16 @@ def trace_profile(H) -> list[tuple[Word, complex]]:
     return [(w, complex(t)) for w, t in zip(words, word_traces(H[None], words)[0])]
 
 
-def compare_profiles(A, B):
-    """Word-by-word trace comparison; returns the list of mismatches.
-
-    Each mismatch is ``(word, trace of A, trace of B)``, with the traces of
-    ``A`` and ``B`` as given (they may overflow or underflow where the
-    pair's scale does); the test is :func:`word_profile` at
-    ``DEFAULT_TOLERANCES.residual_tol``, which does not depend on the scale.
-    """
+def unitary_similarity_test(A, B) -> bool:
+    """Whether ``A = U B U^+`` for some unitary ``U`` (n <= 3), decided by
+    :func:`word_profile` at ``DEFAULT_TOLERANCES.residual_tol``, which does
+    not depend on the scale."""
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:
         raise ValueError("matrices must have equal dimension")
     profile = word_profile(np.stack([A, B]), DEFAULT_TOLERANCES.residual_tol)
-    words, traces, (bad,) = profile
-    return [(words[j], complex(traces[0, j]), complex(traces[1, j])) for j in bad]
-
-
-def unitary_similarity_test(A, B) -> bool:
-    """Whether ``A = U B U^+`` for some unitary ``U`` (n <= 3), decided by
-    :func:`compare_profiles`."""
-    return not compare_profiles(A, B)
+    return not profile.mismatches[0]
 
 
 # ---------------------------------------------------------------------------

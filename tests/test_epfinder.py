@@ -31,7 +31,7 @@ from nhsim.epfinder import (
     splitting_exponent,
 )
 from nhsim.errors import FamilyNotInClassError, NonFiniteMatrixError
-from nhsim.families import MatrixFamily, constraint_jacobian, constraint_jacobians
+from nhsim.families import MatrixFamily, constraint_jacobians
 from nhsim.matrices import _trace, dagger, frob_many, ldexp_complex
 from nhsim.spectral import (
     DEFAULT_TOLERANCES,
@@ -83,8 +83,8 @@ def test_reduced_constraints_dimer():
     assert cs.codimension == 1
     assert "Im det" in cs.forced_zero
     # det(sx + i*gamma*sz) = gamma^2 - 1
-    assert cs.evaluate([0.0])[0] == pytest.approx(-1.0)
-    assert cs.evaluate([1.0])[0] == pytest.approx(0.0, abs=1e-12)
+    assert cs.evaluate_many([[0.0]])[0, 0] == pytest.approx(-1.0)
+    assert cs.evaluate_many([[1.0]])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_constraints_trimer():
@@ -363,8 +363,9 @@ def test_batched_grid_norms_bit_exact(family):
         active, ref_forced = reference_constraints(cs, p)
         assert g.tobytes() == active.tobytes()
         assert forced.tobytes() == ref_forced.tobytes()
-        assert cs.evaluate(p).tobytes() == active.tobytes()
-        assert nrm == float(np.linalg.norm(cs.evaluate(p)))
+        one = cs.evaluate_many(p[None])[0]
+        assert one.tobytes() == active.tobytes()
+        assert nrm == float(np.linalg.norm(one))
 
 
 def adversarial_family(n):
@@ -438,7 +439,7 @@ def test_batched_jacobian_bit_exact():
     cs = reduced_constraints(f, PH)
     pts = np.random.default_rng(4).uniform(-2, 2, size=(20, 3))
     for p, b in zip(pts, constraint_jacobians(cs.evaluate_many, pts)):
-        a = constraint_jacobian(cs.evaluate, p)
+        a = constraint_jacobians(cs.evaluate_many, p[None])[0]
         assert a.shape == (3, 3)
         assert a.tobytes() == b.tobytes()
 
@@ -467,8 +468,8 @@ def roll_local_minima(norms, threshold):
 
 
 def reference_scan(f, cls, cfg):
-    """Scan with per-seed Gauss-Newton on one-point evaluations and the
-    pairwise ``any`` merge.  Returns the converged candidates, then the
+    """Scan with per-seed Gauss-Newton, each call evaluating one seed's
+    points, and the pairwise ``any`` merge.  Returns the converged candidates, then the
     failed ones, as ``(lam, residual, iterations, converged)``; the reason
     each seed stopped; and the number of merged duplicates."""
     cs = reduced_constraints(f, cls)
@@ -481,8 +482,11 @@ def reference_scan(f, cls, cfg):
         lam[free] = x
         return lam
 
+    def g_many(xs):
+        return cs.evaluate_many(np.array([embed(x) for x in xs]))
+
     def g(x):
-        return cs.evaluate(embed(x))
+        return g_many(x[None])[0]
 
     def gauss_newton(x):
         gx = g(x)
@@ -490,7 +494,7 @@ def reference_scan(f, cls, cfg):
         for it in range(cfg.max_iterations):
             if nrm <= cfg.tol:
                 return x, nrm, it, True, "converged"
-            J = constraint_jacobian(g, x)
+            J = constraint_jacobians(g_many, x[None])[0]
             step, *_ = np.linalg.lstsq(J, -gx, rcond=None)
             if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
                 return x, nrm, cfg.max_iterations, nrm <= cfg.tol, "step"

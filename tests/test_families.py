@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from nhsim.errors import FamilyFormatError, NonFiniteMatrixError
-from nhsim.families import (
-    MatrixFamily,
-    constraint_jacobian,
-    constraint_jacobians,
-    family_to_json,
-    parse_family,
-)
-from nhsim.matrices import dump_matrix, parse_matrix
+from nhsim.families import MatrixFamily, constraint_jacobians, family_to_json, parse_family
+from nhsim.matrices import matrix_to_json, parse_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -85,7 +79,7 @@ def test_matrix_json_round_trips_bit_exactly():
     rng = np.random.default_rng(11)
     for i in range(300):
         H = awkward_matrix(rng, int(rng.integers(1, 7)))
-        assert parse_matrix(dump_matrix(H)).tobytes() == H.tobytes(), i
+        assert parse_matrix(json.dumps(matrix_to_json(H))).tobytes() == H.tobytes(), i
 
 
 def test_family_json_round_trips_bit_exactly():
@@ -228,11 +222,12 @@ def test_parse_rejects_entries_that_are_not_number_pairs(entry):
 
 
 def test_constraint_jacobian_polynomials():
-    J = constraint_jacobian(lambda x: np.array([x[0] ** 2]), [3.0])
+    J = constraint_jacobians(lambda xs: xs**2, [[3.0]])[0]
     assert J[0, 0] == pytest.approx(6.0, abs=1e-8)
-    J = constraint_jacobian(
-        lambda x: np.array([x[0] * x[1], x[0] + x[1]]), [1.0, 1.0]
-    )
+    J = constraint_jacobians(
+        lambda xs: np.stack([xs[:, 0] * xs[:, 1], xs[:, 0] + xs[:, 1]], axis=1),
+        [[1.0, 1.0]],
+    )[0]
     assert np.allclose(J, [[1, 1], [1, 1]], atol=1e-8)
 
 
@@ -240,10 +235,10 @@ def test_constraint_jacobian_dimer_det():
     # det(sx + i*gamma*sz) = gamma^2 - 1, derivative 2*gamma = 0 at 0
     f = parse_family(json.dumps(dimer_doc()))
 
-    def g(lam):
-        return np.array([np.linalg.det(f.evaluate(lam)).real])
+    def g_many(lams):
+        return np.linalg.det(f.evaluate_batch(lams)).real[:, None]
 
-    J = constraint_jacobian(g, [0.0])
+    J = constraint_jacobians(g_many, [[0.0]])[0]
     assert abs(J[0, 0]) <= 1e-6
 
 
@@ -252,35 +247,48 @@ def test_constraint_jacobian_linear_family_is_coefficient():
     M = rng.standard_normal((2, 2))
     f = MatrixFamily(2, 1, ((M.astype(complex), (1,)),))
 
-    def g(lam):
-        return f.evaluate(lam).real.ravel()
+    def g_many(lams):
+        return f.evaluate_batch(lams).real.reshape(len(lams), -1)
 
-    J = constraint_jacobian(g, [0.4])
+    J = constraint_jacobians(g_many, [[0.4]])[0]
     assert np.allclose(J.ravel(), M.ravel(), atol=1e-8)
 
 
 def test_constraint_jacobian_batched_matches_pointwise():
-    def g(x):
-        return np.array([x[0] ** 3 * x[1], np.sin(x[0]) - x[1] ** 2])
-
     def g_many(xs):
-        return np.array([g(x) for x in xs])
+        return np.array([[x[0] ** 3 * x[1], np.sin(x[0]) - x[1] ** 2] for x in xs])
 
     lams = [[0.3, -1.7], [25.0, 1e-3]]
     stacked = constraint_jacobians(g_many, lams)
     for lam, b in zip(lams, stacked):
-        a = constraint_jacobian(g, lam)
+        a = constraint_jacobians(g_many, [lam])[0]
         assert a.tobytes() == b.tobytes()
-    # no parameters: an empty Jacobian with one row per component
-    assert constraint_jacobian(lambda x: np.ones(2), []).shape == (2, 0)
 
 
 def test_constraint_jacobian_nonfinite():
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(NonFiniteMatrixError):
-            constraint_jacobian(lambda x: np.array([np.log(x[0])]), [0.0])
+            constraint_jacobians(lambda xs: np.log(xs), [[0.0]])
 
 
 def test_family_requires_terms():
     with pytest.raises(FamilyFormatError):
         MatrixFamily(2, 1, ())
+
+
+def test_family_rejects_an_exponent_list_of_another_length():
+    with pytest.raises(FamilyFormatError,
+                       match=r"^terms\[0\]\.exponents must list 2 entries, got \(0,\)$"):
+        MatrixFamily(2, 2, ((SX, (0,)), (1j * SZ, (1,))), ("g", "k"))
+
+
+def test_family_rejects_a_negative_exponent():
+    with pytest.raises(FamilyFormatError,
+                       match=r"^terms\[1\]\.exponents\[0\] must be a nonnegative integer, got -1$"):
+        MatrixFamily(2, 1, ((SX, (0,)), (1j * SZ, (-1,))), ("g",))
+
+
+def test_family_rejects_a_matrix_of_another_size():
+    with pytest.raises(FamilyFormatError,
+                       match=r"^terms\[1\]\.matrix is 3x3, family dim is 2$"):
+        MatrixFamily(2, 1, ((SX, (0,)), (np.eye(3), (1,))), ("g",))

@@ -14,12 +14,13 @@ from nhsim.spectral import DEFAULT_TOLERANCES, SYMMETRY_MAPS, ToleranceConfig
 from nhsim.specht import (
     CLASS_SYMMETRIES,
     SYMMETRY_TARGETS,
+    X,
+    XDAG,
     Word,
     WordProfile,
     _PROGRAMS,
     _compare_in_range,
     check_similarity_implies_symmetry_2x2,
-    compare_profiles,
     mapped_target,
     n3_counterexample,
     solve_generators,
@@ -38,22 +39,23 @@ SS = SimilarityClass.SELF_SKEW_SIMILAR
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 N = np.array([[0, 1], [0, 0]], dtype=complex)
+TOL = DEFAULT_TOLERANCES.residual_tol
 
 
-def test_word_parse_and_str():
-    w = Word.parse("XXdagXX")
-    assert str(w) == "XXdagXX"
-    assert len(w) == 4
+def test_word_letters_and_str():
+    w = Word((X, XDAG, X))
+    assert str(w) == "XXdagX"
+    assert len(w) == 3
     with pytest.raises(ValueError):
-        Word.parse("XY")
+        Word((X, "Y"))
     with pytest.raises(ValueError):
         Word(())
 
 
 def test_word_trace_examples():
-    assert word_trace(SX, Word.parse("X")) == pytest.approx(0)
-    assert word_trace(SX, Word.parse("XXdag")) == pytest.approx(2)
-    assert word_trace(N, Word.parse("XXdag")) == pytest.approx(1)
+    assert word_trace(SX, Word((X,))) == pytest.approx(0)
+    assert word_trace(SX, Word((X, XDAG))) == pytest.approx(2)
+    assert word_trace(N, Word((X, XDAG))) == pytest.approx(1)
 
 
 def test_word_trace_cyclic_invariance():
@@ -62,7 +64,8 @@ def test_word_trace_cyclic_invariance():
     for w in word_list(3):
         base = word_trace(H, w)
         for k in range(1, len(w)):
-            assert abs(word_trace(H, w.rotated(k)) - base) <= 1e-12 * max(abs(base), 1)
+            rotated = Word(w.letters[k:] + w.letters[:k])
+            assert abs(word_trace(H, rotated) - base) <= 1e-12 * max(abs(base), 1)
 
 
 def test_word_lists():
@@ -181,11 +184,11 @@ def test_word_traces_match_for_2x2_classes():
     # their mapped partners
     for seed in range(20):
         H = generate_random(PH, 2, seed)
-        assert not compare_profiles(H, H.conj())
-        assert not compare_profiles(H, H.conj().T)
+        assert _similar_at(H, H.conj(), TOL)
+        assert _similar_at(H, H.conj().T, TOL)
         H = generate_random(CH, 2, seed)
-        assert not compare_profiles(H, -H.conj())
-        assert not compare_profiles(H, -H.conj().T)
+        assert _similar_at(H, -H.conj(), TOL)
+        assert _similar_at(H, -H.conj().T, TOL)
 
 
 @pytest.mark.parametrize("cls", list(SimilarityClass))
@@ -209,7 +212,7 @@ def test_selfskew_counterexample_uses_pseudo_chiral():
     ev = n3_counterexample(SS, seed=4)
     assert ev.symmetry == "pseudo-chiral"
     H = generate_random(SS, 3, 4, non_normal=True)
-    assert not compare_profiles(H, -H)
+    assert _similar_at(H, -H, TOL)
 
 
 @pytest.mark.parametrize("cls", list(SimilarityClass))
@@ -299,9 +302,10 @@ def test_stacked_word_traces_keep_the_one_matrix_bytes(n):
             assert _bytes(traces[k]) == _bytes(ref), (i, k)
         assert _bytes([word_trace(H, w) for w in words]) == _bytes(traces[0]), i
         assert _bytes([t for _, t in trace_profile(H)]) == _bytes(traces[0]), i
-        for w, ta, tb in compare_profiles(H, stack[1]):
-            assert _bytes([ta, tb]) == _bytes(
-                [_reference_word_trace(H, w), _reference_word_trace(stack[1], w)])
+        profile = word_profile(np.stack(stack[:2]), TOL)
+        for j in profile.mismatches[0]:
+            assert _bytes(profile.traces[:, j]) == _bytes(
+                [_reference_word_trace(M, words[j]) for M in stack[:2]])
 
 
 def _generator_corpus():
@@ -440,7 +444,7 @@ def _same_bits(a, b):
 # every word list the program can meet: the canonical ones, one that repeats a
 # word, and one whose prefixes and reads are no runs of consecutive products
 _PIN_WORDS = [word_list(2), word_list(3),
-              [Word.parse(w) for w in ("XdagX", "X", "XdagXdagX", "X", "XXdagX")]]
+              [Word(w) for w in ((XDAG, X), (X,), (XDAG, XDAG, X), (X,), (X, XDAG, X))]]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -602,7 +606,8 @@ EXTREME_SCALES = [1e-300, 1e-9, 1e160, 1e300]
 def test_unitary_similarity_is_scale_invariant(c):
     # tr X is 1+4i against 1-4i: never unitarily similar, at any scale
     assert not unitary_similarity_test(c * G, np.conj(c * G))
-    assert compare_profiles(c * G, np.conj(c * G))[0][0] == Word.parse("X")
+    profile = word_profile(np.stack([c * G, np.conj(c * G)]), TOL)
+    assert profile.words[profile.mismatches[0][0]] == Word((X,))
     # a 2x2 matrix is unitarily similar to its transpose
     assert unitary_similarity_test(c * G, (c * G).T)
     rng = np.random.default_rng(2)
@@ -737,7 +742,7 @@ def _witness_route(H, cls):
         construct_witness(H, cls)
     except ClassMismatchError:
         return False
-    return not any(compare_profiles(H, mapped_target(H, s)) for s in CLASS_SYMMETRIES[cls])
+    return all(_similar_at(H, mapped_target(H, s), TOL) for s in CLASS_SYMMETRIES[cls])
 
 
 @pytest.mark.parametrize("cls", [PH, CH])
