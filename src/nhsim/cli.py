@@ -108,11 +108,16 @@ def _load_family(path: str):
     return parse_family(_read_arg(path))
 
 
+#: ``json.dumps(doc, sort_keys=True)`` is ``_JSON.encode(doc)`` with a new
+#: encoder per call; this one serves every document of the process.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(*docs):
     """Each document as one line of sorted-key JSON, all in one write;
     no documents print nothing."""
     if docs:
-        print("\n".join(json.dumps(doc, sort_keys=True) for doc in docs))
+        print("\n".join(map(_JSON.encode, docs)))
 
 
 def _complex_pair(z: complex):
@@ -333,7 +338,7 @@ def _cmd_certify(args):
         direction = np.ones(fam.num_params)
     cert = certify_order(fam.evaluate(lam), _tolerances(args))
     doc = cert.to_json()
-    doc["lam"] = [float(x) for x in lam]
+    doc["lam"] = lam.tolist()
     try:
         doc["splitting_exponent"] = splitting_exponent(
             fam, lam, direction, cluster_size=cert.cluster_size or None

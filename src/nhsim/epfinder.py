@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .classes import CLASS_EQUATIONS, SimilarityClass
+from .classes import CLASS_EQUATIONS, SimilarityClass, _read_only
 from .errors import FamilyNotInClassError, NonFiniteMatrixError
 from .families import MatrixFamily, constraint_jacobians
 from .matrices import _trace, as_matrix, frob, frob_many, ldexp_complex, scale_exponents
@@ -82,6 +82,12 @@ CERTIFY_CONSTRAINT_TOL = 1e-10
 MERGE_RADIUS = 1e-4
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """``np.eye(n)``, read-only."""
+    return _read_only(np.eye(n))
+
+
 def _shifted(H: np.ndarray) -> np.ndarray:
     """``H - (tr H / n) I`` for one matrix or a stack of them.
 
@@ -90,7 +96,7 @@ def _shifted(H: np.ndarray) -> np.ndarray:
     """
     n = H.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return H - (_trace(H) / n)[..., None, None] * np.eye(n)
+        return H - (_trace(H) / n)[..., None, None] * _identity(n)
 
 
 #: Points per block in the block loops of :func:`_grid_minima` and
@@ -233,7 +239,7 @@ def _trace_polynomials(f: MatrixFamily) -> _TracePolynomials:
     exps, coeffs, envs = [mono], [_trace(P)], [env]
     mono, P, env = term, P1, env1 = _merged(E, A, norm_A)
     for _k in range(2, n + 1):
-        mono, P, env = _merged((mono[:, None] + term).reshape(-1, d),
+        mono, P, env = _merged((mono[:, None] + term).reshape(len(mono) * len(term), d),
                                (P[:, None] @ P1).reshape(-1, n, n),
                                np.multiply.outer(env, env1).ravel())
         exps.append(mono)
@@ -408,7 +414,7 @@ class EPCandidate:
 
     def to_json(self) -> dict:
         return {
-            "lam": [float(x) for x in self.lam],
+            "lam": self.lam.tolist(),
             "order": int(self.order),
             "constraint_residual": float(self.constraint_residual),
             "newton_iterations": int(self.newton_iterations),
@@ -455,11 +461,12 @@ def _gauss_newton(g_many, x0, max_iter, tol):
         if not live.size:
             break
         found = _first_decrease(g_many, live, step, _HALVINGS[:1], x, gx, nrm)
-        rest = np.setdiff1d(np.arange(live.size), found, assume_unique=True)
-        if rest.size:
+        rest = np.ones(live.size, dtype=bool)
+        rest[found] = False
+        if rest.any():
             more = _first_decrease(g_many, live[rest], step[rest], _HALVINGS[1:],
                                    x, gx, nrm)
-            found = np.concatenate([found, rest[more]])
+            found = np.concatenate([found, np.flatnonzero(rest)[more]])
         live = np.sort(live[found])
     return x, nrm, its, nrm <= tol
 
@@ -754,9 +761,9 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
     parameters than the codimension the scan returns no candidates and
     warns, since generic solutions cannot exist.  A non-finite fixed value
     or grid bound, or a constraint norm that overflows on the grid, raises
-    ``NonFiniteMatrixError``; a family of dimension 1, and a grid whose
-    point count is not an integer >= 2 or whose bounds are not increasing,
-    raise ``ValueError``.
+    ``NonFiniteMatrixError``; a family of dimension 1, a grid that names no
+    parameter, and a grid whose point count is not an integer >= 2 or whose
+    bounds are not increasing, raise ``ValueError``.
     """
     cs = reduced_constraints(f, cls)
     names = list(f.param_names)
@@ -777,6 +784,8 @@ def scan(f: MatrixFamily, cls: SimilarityClass, cfg: ScanConfig) -> list[EPCandi
             stacklevel=2,
         )
         return []
+    if not free:
+        raise ValueError("the grid names no parameter")
 
     base = np.zeros(len(names))
     for i, nm in enumerate(names):
@@ -957,23 +966,27 @@ def _certify_many(H, cfg: ToleranceConfig, constraint_tol: float) -> list:
     zero = np.abs(vals) <= rel_radius * norm[:, None]
     sizes = zero.sum(axis=1)
     means = _cluster_means(vals, zero, sizes)
-    stairs = nullity_staircase(Ht - means[:, None, None] * np.eye(n), sizes,
+    stairs = nullity_staircase(Ht - means[:, None, None] * _identity(n), sizes,
                                cfg.rank_tol, norm)
+    shapes = {}
     certs = []
     for mu, dims in zip(ldexp_complex(means, -e).tolist(), stairs):
-        if dims[-1] == 0:
-            certs.append(OrderCertificate(1, 0, 0, False, ()))
-            continue
-        certs.append(
-            OrderCertificate(
-                order=len(dims) - 1,
-                geometric_multiplicity=dims[1],
-                cluster_size=dims[-1],
-                single_block=dims[1] == 1,
-                blocks=tuple(JordanBlock(mu, k) for k in weyr_block_sizes(dims)),
-            )
-        )
+        key = tuple(dims)
+        if key not in shapes:
+            shapes[key] = _cluster_shape(dims)
+        order, geometric, size, single, blocks = shapes[key]
+        certs.append(OrderCertificate(order, geometric, size, single,
+                                      tuple(JordanBlock(mu, k) for k in blocks)))
     return certs
+
+
+def _cluster_shape(dims: list[int]):
+    """``(order, geometric_multiplicity, cluster_size, single_block, block
+    sizes)`` of a nullity staircase ``[0, d_1, ..., d_s]``; ``[0]`` is no
+    cluster."""
+    if dims[-1] == 0:
+        return 1, 0, 0, False, ()
+    return len(dims) - 1, dims[1], dims[-1], dims[1] == 1, weyr_block_sizes(dims)
 
 
 def _cluster_means(vals: np.ndarray, member: np.ndarray, sizes: np.ndarray):

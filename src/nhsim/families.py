@@ -96,12 +96,13 @@ class MatrixFamily:
         H = np.zeros((len(lams), self.dim, self.dim), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for M, exps in self.terms:
-                coeff = np.ones(len(lams))
+                coeff = None
                 for col, e in zip(lams.T, exps):
-                    if e == 1:
-                        coeff *= col
-                    elif e:
-                        coeff *= [x**e for x in col]
+                    if e:
+                        power = col if e == 1 else np.array([x**e for x in col])
+                        coeff = power if coeff is None else coeff * power
+                if coeff is None:
+                    coeff = np.ones(len(lams))
                 H += coeff[:, None, None] * M
         return H
 

@@ -1,6 +1,6 @@
-"""The seed parser, the summary statistics, the working-tree snapshot and
-the page-fault count of ``tools/bench_compare.py``, and the seed errors of
-both tools, without running the benchmark."""
+"""The seed parser, the summary statistics, the working-tree snapshot, the
+one run path and the page-fault count of ``tools/bench_compare.py``, and
+the seed errors of both tools, without running the benchmark."""
 
 import importlib.util
 import subprocess
@@ -204,6 +204,36 @@ def test_run_once_counts_the_minor_faults_of_the_process_tree(tmp_path):
              {"base": busy, "change": busy}]
     assert bench_compare.minor_fault_medians(pairs) == {
         "base": idle["minor_faults"], "change": busy["minor_faults"]}
+
+
+CWD_RUN = """
+import json, os, sys
+if sys.argv[sys.argv.index("--seed") + 1] == "13":
+    sys.exit("run failed")
+print(json.dumps({"record": {"output_digest": os.getcwd(), "env": {}}}))
+print(json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "correct": True,
+                  "attempted": 1, "failed": 0}))
+"""
+
+
+def test_both_sides_run_from_one_path_and_move_back(tmp_path):
+    # base/ and change/ run in place gave ep-scan a bias of +5 to +8 % that
+    # followed the directory, not the code
+    trees = {}
+    for side in ("base", "change"):
+        trees[side] = tmp_path / side
+        (trees[side] / "perfbench").mkdir(parents=True)
+        (trees[side] / "perfbench" / "run.py").write_text(CWD_RUN)
+        (trees[side] / side).write_text(side)
+    path = tmp_path / "tree"
+    for side, tree in trees.items():
+        got = bench_compare.run_at(tree, path, "ep-scan", 1, 0)
+        assert got["output_digest"] == str(path)
+        assert (tree / side).read_text() == side and not path.exists()
+    # a failed run moves its tree back too
+    with pytest.raises(RuntimeError, match="run failed"):
+        bench_compare.run_at(trees["base"], path, "ep-scan", 13, 0)
+    assert (trees["base"] / "base").is_file() and not path.exists()
 
 
 def test_tier1_time_sums_the_cases_of_each_file(tmp_path):

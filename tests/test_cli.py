@@ -482,6 +482,35 @@ def test_scan_jsonl_is_one_sorted_dump_per_candidate(capsys, request, family, gr
                           for c in cands)
 
 
+def test_emit_prints_the_sorted_dump_of_each_document(capsys, trimer_family):
+    # one encoder serves every document: its text is json.dumps(doc,
+    # sort_keys=True) on the scan and the certify documents
+    fam = parse_family(Path(trimer_family).read_bytes())
+    cfg = ScanConfig(grid={"gamma": (0.0, 3.0, 31), "k": (0.2, 1.5, 21)})
+    docs = [c.to_json() for c in scan(fam, SimilarityClass.PSEUDO_HERMITIAN, cfg)]
+    code, out, _ = run(capsys, "certify", trimer_family, "--at", "1.4142135623730951,1")
+    assert code == 0
+    docs.append(json.loads(out))
+    docs.append(dict(docs[-1], splitting_exponent=None,
+                     splitting_exponent_error="eigenvalue spread \u2264 noise"))
+    assert len(docs) == 21
+    cli._emit(*docs)
+    assert capsys.readouterr().out == "".join(
+        json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+    assert out == json.dumps(docs[-2], sort_keys=True) + "\n"
+
+
+def test_scan_of_a_zero_parameter_family_names_the_unknown_parameter(capsys, tmp_path):
+    # the class identity check reshaped an empty array of monomials and
+    # exited 2 with numpy's "cannot reshape array of size 0 into shape (0)"
+    path = tmp_path / "f0.json"
+    path.write_text(json.dumps({"dim": 2, "params": 0,
+                                "terms": [{"matrix": mat_doc(SX), "exponents": []}]}))
+    code, out, err = run(capsys, "scan", str(path), "--class", "pseudo-hermitian",
+                         "--grid", "x=0:1:3")
+    assert (code, out, err) == (2, "", "error: unknown parameters: ['x']\n")
+
+
 def test_certify_command(capsys, dimer_family):
     code, out, _ = run(capsys, "certify", dimer_family, "--at", "1")
     assert code == 0

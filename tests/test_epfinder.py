@@ -308,6 +308,9 @@ def test_scan_argument_validation():
                                       fixed={"k": 2.0}))
     with pytest.raises(ValueError, match="bad grid"):
         scan(dimer(), PH, ScanConfig(grid={"gamma": (2, -2, 11)}))
+    # every parameter fixed: numpy's "need at least one array to stack"
+    with pytest.raises(ValueError, match="the grid names no parameter"):
+        scan(dimer(), PH, ScanConfig(grid={}, fixed={"gamma": 1.0}))
     # a point count that is not an integer reached numpy as a TypeError
     for pts in (2.5, 11.0, True, 1):
         with pytest.raises(ValueError, match="bad grid for gamma"):
@@ -412,7 +415,8 @@ def test_evaluate_many_chunking_is_invisible(monkeypatch):
 def old_block_values(f, lams):
     """The family values and the trace shift as new arrays, in the
     expressions of ``evaluate_batch`` and ``_shifted``, written out here so
-    that a rewrite of either must keep their bytes."""
+    that a rewrite of either must keep their bytes: each coefficient starts
+    from ``np.ones`` and the shift takes a new ``np.eye``."""
     H = np.zeros((len(lams), f.dim, f.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for M, exps in f.terms:
@@ -423,15 +427,18 @@ def old_block_values(f, lams):
                 elif e:
                     coeff *= [x**e for x in col]
             H += coeff[:, None, None] * M
-        return H - (_trace(H) / f.dim)[..., None, None] * np.eye(f.dim)
+        return H, H - (_trace(H) / f.dim)[..., None, None] * np.eye(f.dim)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_shifted_blocks_are_the_bytes_of_new_arrays(n):
     f, lams = adversarial_family(n)
-    want = old_block_values(f, lams)
+    values, want = old_block_values(f, lams)
     assert not np.isfinite(want).all() and (want.view(float) == 0).any()
+    assert f.evaluate_batch(lams).tobytes() == values.tobytes()
     assert _shifted(f.evaluate_batch(lams)).tobytes() == want.tobytes()
+    # the identity of the shift is one read-only table per n
+    assert not epfinder._identity(n).flags.writeable
 
 
 def test_batched_jacobian_bit_exact():
@@ -1536,6 +1543,48 @@ def test_certify_order_at_extreme_scales(c):
         pair = _certify_many(np.stack([c * H, H]), DEFAULT_TOLERANCES, 1e-10)
         assert pair[1] == certify_order(H)
         assert fields(pair[0]) == fields(pair[1])
+
+
+def test_certify_many_equals_certify_order_per_matrix():
+    # one stack that mixes staircases: Jordan blocks of sizes 1 to 4 in a
+    # zero cluster of the whole matrix, clusters of 1 and 2 beside simple
+    # eigenvalues (the shift keeps them at zero when the others sum to 0),
+    # rows with no cluster, each at scales 1 and 2^+-600; the certificates
+    # share one shape per distinct staircase
+    rng = np.random.default_rng(37)
+    rows = [jordan_conjugate(rng, p) for p in ((4,), (3, 1), (2, 2), (2, 1, 1),
+                                               (1, 1, 1, 1))]
+    for blocks, rest in (([2], [1.0, -1.0]), ([1, 1], [1.5, -1.5]),
+                         ([1], [1.0, -2.5, 1.5])):
+        J = np.diag(np.array([0.0] * sum(blocks) + rest, dtype=complex))
+        pos = 0
+        for m in blocks:
+            J[pos : pos + m - 1, pos + 1 : pos + m] += np.eye(m - 1)
+            pos += m
+        U = haar_unitary(rng, 4)
+        rows.append(U @ J @ dagger(U))
+    U = haar_unitary(rng, 4)
+    rows += [U @ np.diag([1.0, -1.0, 2.0, -2.0]) @ dagger(U), np.diag([1j, -1j, 3, -3])]
+    stack = np.array([c * H for c in (1.0, 2.0**600, 2.0**-600) for H in rows])
+    many = _certify_many(stack, DEFAULT_TOLERANCES, epfinder.CERTIFY_CONSTRAINT_TOL)
+    alone = [certify_order(H) for H in stack]
+    assert many == alone
+    assert [repr(c) for c in many] == [repr(c) for c in alone]
+    assert {tuple(b.size for b in c.blocks) for c in many} == {
+        (4,), (3, 1), (2, 2), (2, 1, 1), (2,), (1, 1), (1,), ()}
+
+
+def test_zero_parameter_family_is_checked_and_scanned():
+    # a family with no parameters is one matrix; its power sums have the
+    # one monomial ()
+    member = MatrixFamily(2, 0, ((SX, ()),))
+    assert class_identity_check(member, PH).passed
+    assert reduced_constraints(member, PH).codimension == 1
+    report = class_identity_check(MatrixFamily(2, 0, ((np.diag([1j, 0.0]), ()),)), PH)
+    assert not report.passed
+    assert (report.worst_identity, report.worst_monomial) == ("Im tr H", ())
+    with pytest.warns(UserWarning, match="0 parameters .* codimension is 1"):
+        assert scan(member, PH, ScanConfig(grid={})) == []
 
 
 def test_scan_candidates_carry_zero_cluster_blocks():

@@ -164,13 +164,18 @@ def reference_evaluate(f, lam):
 
 
 def test_evaluate_batch_rows_bit_exact():
+    # each coefficient is the product of its powers in parameter order, as
+    # from 1.0: a constant term, exponents 0 to 4, three factors, -0.0
     rng = np.random.default_rng(7)
-    exps = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1), (4, 0, 2)]
+    exps = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1), (4, 0, 2), (1, 1, 1), (3, 2, 1)]
     f = MatrixFamily(3, 3, tuple(
         (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), e)
         for e in exps
     ))
     lams = rng.uniform(-3, 3, size=(2000, 3))
+    lams[::7, 0] = -0.0
+    lams[1::5, 2] = -0.0
+    lams[2::11] = -0.0
     H = f.evaluate_batch(lams)
     assert H.shape == (2000, 3, 3)
     for lam, Hj in zip(lams, H):

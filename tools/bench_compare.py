@@ -14,9 +14,14 @@ The base is a git revision, exported with ``git archive`` under
 removed afterwards.  The change is a snapshot of the working tree copied
 there the same way (tracked files as they are on disk, and untracked files
 that ``.gitignore`` does not exclude), or with ``--change REV`` a second
-revision exported like the base; so both sides run from the same kind of
-directory.  ``--base REV --change REV`` is an A/A run, which shows the
-noise floor of a comparison.  Pair ``i``
+revision exported like the base.  For each run its tree is moved to one
+path, ``tree`` in the comparison's directory, and moved back afterwards
+(:func:`run_at`), so both sides run from the same path: with the trees run
+in place as ``base/`` and ``change/``, an A/A run of ``ep-scan`` read
++5 to +8 % for the change side, with 490k against 59k minor page faults
+per run, a bias that followed the path and not the code.  ``--base REV
+--change REV`` is an A/A run, which shows the noise floor of a
+comparison.  Pair ``i``
 runs the base first when ``i`` is even and the change first when it is
 odd, so that a drift of the machine within a pair favours neither.  Each tree runs its
 own ``perfbench/run.py`` on its own ``src/``, for the run length
@@ -151,6 +156,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def run_at(tree: Path, path: Path, workload: str, seed: int, seconds: int) -> dict:
+    """:func:`run_once` with ``tree`` moved to ``path`` for the run and
+    moved back after it, whether or not the run succeeds, so that every
+    run of a comparison starts from the same path."""
+    tree.rename(path)
+    try:
+        return run_once(path, workload, seed, seconds)
+    finally:
+        path.rename(tree)
+
+
 def summary(values: list[float]) -> dict:
     """Median, quartiles and range; one run has no quartiles (``None``)."""
     q1 = q3 = iqr = None
@@ -255,7 +271,8 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "order": list(order)}
             for side in order:
                 t0 = time.monotonic()
-                pair[side] = run_once(trees[side], args.workload, seed, seconds)
+                pair[side] = run_at(trees[side], workdir / "tree", args.workload,
+                                    seed, seconds)
                 pair[side]["wall_s"] = time.monotonic() - t0
             pairs.append(pair)
             line = "  ".join(
